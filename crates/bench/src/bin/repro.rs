@@ -58,13 +58,6 @@
 //!                          # over first-class endpoints, with the
 //!                          # 1-thread bit-exactness gate against the
 //!                          # multicore path and the Zambre >=4x ratio
-//! repro bench-engine       # engine performance trajectory: fast vs
-//!                          # reference wall-clock on the loss/whatif/
-//!                          # metrics sweeps plus hotpath ns-per-message,
-//!                          # written to BENCH_engine.json (or --out);
-//!                          # exits nonzero if the fast path's bytes
-//!                          # diverge from the reference path
-//! repro --smoke bench-engine   # CI-sized engine benchmark
 //! repro --reference loss   # force the reference engine path everywhere
 //!                          # (the escape hatch; fast is the default)
 //! repro --faults plan.json trace --out trace.json
@@ -96,9 +89,6 @@ fn main() {
     let scale = if let Some(pos) = args.iter().position(|a| a == "--quick") {
         args.remove(pos);
         Scale::Quick
-    } else if let Some(pos) = args.iter().position(|a| a == "--smoke") {
-        args.remove(pos);
-        Scale::Smoke
     } else {
         Scale::Full
     };
@@ -151,31 +141,26 @@ fn main() {
             std::process::exit(2);
         });
         let plan = FaultPlan::from_json_str(&text).unwrap_or_else(|e| {
-            eprintln!("--faults: {path} is not a valid fault plan: {e:?}");
+            eprintln!("--faults: {path} is not a valid fault plan: {e}");
             std::process::exit(2);
         });
         bband_core::fault::set_plan_override(plan);
     }
     if args.is_empty() {
         eprintln!(
-            "usage: repro [--quick|--smoke] [--serial] [--reference] [--seed N] [--faults PLAN.json] [--json DIR] [--timing-json PATH] [--out OUT.json] [--bench put_bw|am_lat|osu|multicore] [--windows N] [--telemetry] <target>... | bench-engine | all"
+            "usage: repro [--quick] [--serial] [--reference] [--seed N] [--faults PLAN.json] [--json DIR] [--timing-json PATH] [--out OUT.json] [--bench put_bw|am_lat|osu|multicore] [--windows N] [--telemetry] <target>... | all"
         );
         eprintln!("targets: {}", ALL_TARGETS.join(" "));
         std::process::exit(2);
     }
-    let mut targets: Vec<&str> = if args.len() == 1 && args[0] == "all" {
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
+        eprintln!("unknown argument {flag}");
+        std::process::exit(2);
+    }
+    let targets: Vec<&str> = if args.len() == 1 && args[0] == "all" {
         ALL_TARGETS.to_vec()
     } else {
         args.iter().map(String::as_str).collect()
-    };
-    // `bench-engine` is a side artifact, not a figure: it times the fast
-    // engine path against the reference path and is never part of `all`
-    // (wall-clock numbers can't be byte-diffed).
-    let bench_engine = if let Some(pos) = targets.iter().position(|t| *t == "bench-engine") {
-        targets.remove(pos);
-        true
-    } else {
-        false
     };
     for t in &targets {
         if !ALL_TARGETS.contains(t) {
@@ -188,14 +173,11 @@ fn main() {
         std::process::exit(2);
     }
     if trace_out.is_some()
-        && !bench_engine
         && !targets.contains(&"trace")
         && !targets.contains(&"metrics")
         && !telemetry
     {
-        eprintln!(
-            "--out requires the trace, metrics, bench-engine, or sweep-ranks --telemetry target"
-        );
+        eprintln!("--out requires the trace, metrics, or sweep-ranks --telemetry target");
         std::process::exit(2);
     }
     if let Some(b) = &trace_bench {
@@ -233,28 +215,6 @@ fn main() {
         if n > 4096 {
             eprintln!("--windows: at most 4096 windows");
             std::process::exit(2);
-        }
-    }
-
-    if bench_engine {
-        let json = bband_bench::bench_engine_json(scale);
-        let path = if targets.is_empty() {
-            trace_out
-                .clone()
-                .unwrap_or_else(|| "BENCH_engine.json".into())
-        } else {
-            "BENCH_engine.json".into()
-        };
-        std::fs::write(&path, &json).expect("write bench-engine json");
-        println!("==== bench-engine ====");
-        println!("{json}");
-        eprintln!("wrote {path}");
-        if json.contains("\"identical\": false") {
-            eprintln!("bench-engine: fast path diverged from the reference path");
-            std::process::exit(1);
-        }
-        if targets.is_empty() {
-            return;
         }
     }
 
@@ -319,10 +279,8 @@ fn main() {
             }
         } else if targets.contains(&"metrics") {
             bband_bench::metrics_json_string(scale)
-        } else if telemetry {
-            bband_bench::fabric_telemetry_json_string(scale)
         } else {
-            bband_bench::metrics_json_string(scale)
+            bband_bench::fabric_telemetry_json_string(scale)
         };
         std::fs::write(path, json).expect("write output json");
         eprintln!("wrote {path}");

@@ -1,6 +1,6 @@
-//! Shared plumbing for the `repro` harness binary and the Criterion
-//! benches: one function per table/figure of the paper, each returning the
-//! rendered text that regenerates it.
+//! Shared plumbing for the `repro` harness binary: one function per
+//! table/figure of the paper, each returning the rendered text that
+//! regenerates it.
 
 use bband_core::fault;
 use bband_core::latency::Category;
@@ -30,17 +30,10 @@ use bband_report::{
 };
 use bband_sim::{SimDuration, WorkerPool};
 use bband_trace::{per_message_attribution, Trace};
-use serde_json::Value;
-use std::time::Instant;
 
-/// Experiment scale: smoke (CI bench gate), quick (tests), or full (the
-/// harness default). `Smoke` renders every figure target at `Quick` sizes
-/// and only shrinks the engine benchmark ([`bench_engine_json`]) further,
-/// so the CI bench-smoke step stays cheap while still exercising both
-/// engine paths.
+/// Experiment scale: quick (tests and CI) or full (the harness default).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    Smoke,
     Quick,
     Full,
 }
@@ -48,7 +41,7 @@ pub enum Scale {
 impl Scale {
     fn put_bw_messages(self) -> u64 {
         match self {
-            Scale::Smoke | Scale::Quick => 3_000,
+            Scale::Quick => 3_000,
             Scale::Full => 20_000,
         }
     }
@@ -56,7 +49,6 @@ impl Scale {
     /// Stable lowercase name for JSON artifacts.
     pub fn name(self) -> &'static str {
         match self {
-            Scale::Smoke => "smoke",
             Scale::Quick => "quick",
             Scale::Full => "full",
         }
@@ -119,7 +111,7 @@ pub fn fig10(scale: Scale) -> String {
     let obs = am_lat(&AmLatConfig {
         stack: StackConfig::default(),
         iterations: match scale {
-            Scale::Smoke | Scale::Quick => 200,
+            Scale::Quick => 200,
             Scale::Full => 1_000,
         },
         warmup: 16,
@@ -252,7 +244,7 @@ pub fn claims() -> String {
 /// Model-vs-observed validation table.
 pub fn validation(scale: Scale) -> String {
     let s = match scale {
-        Scale::Smoke | Scale::Quick => ValidationScale::quick(),
+        Scale::Quick => ValidationScale::quick(),
         Scale::Full => ValidationScale::default(),
     };
     let report = validate_all(&Calibration::default(), s, true);
@@ -386,7 +378,7 @@ pub fn ext_multicore() -> String {
 /// report their recovery counters per rank count.
 pub fn ext_collectives(scale: Scale) -> String {
     let counts: &[u32] = match scale {
-        Scale::Smoke | Scale::Quick => &[2, 4, 8],
+        Scale::Quick => &[2, 4, 8],
         Scale::Full => &[2, 4, 8, 16, 32],
     };
     let plan = fault::active_plan();
@@ -516,7 +508,7 @@ pub fn ext_loss(scale: Scale) -> String {
 /// artifact so both emit identical points.
 pub fn loss_sweep(scale: Scale) -> Vec<bband_core::LossPoint> {
     let messages = match scale {
-        Scale::Smoke | Scale::Quick => 120,
+        Scale::Quick => 120,
         Scale::Full => 1_000,
     };
     fault::latency_under_loss(
@@ -534,7 +526,7 @@ pub fn loss_sweep(scale: Scale) -> Vec<bband_core::LossPoint> {
 /// JSON artifact so both swing through identical points.
 fn size_sweep_shape(scale: Scale) -> (&'static [u32], u64) {
     match scale {
-        Scale::Smoke | Scale::Quick => (&[8, 4096, 65_536, 1 << 20], 8),
+        Scale::Quick => (&[8, 4096, 65_536, 1 << 20], 8),
         Scale::Full => (&tracepath::DEFAULT_SIZE_GRID, 64),
     }
 }
@@ -596,13 +588,10 @@ pub fn sweep_size_json_string(scale: Scale) -> String {
 }
 
 /// Per-scale shape of the `sweep-ranks` experiment: the rank grid shared
-/// by the rendered target and the JSON artifact. Smoke and Quick are
-/// identical on purpose: the committed artifact is regenerated at quick
-/// scale by CI's byte-diff loop and asserted at smoke scale by the
-/// sweep-ranks CI step, so both must swing through the same grid.
+/// by the rendered target and the JSON artifact.
 fn rank_sweep_shape(scale: Scale) -> &'static [u32] {
     match scale {
-        Scale::Smoke | Scale::Quick => &[16, 64, 256],
+        Scale::Quick => &[16, 64, 256],
         Scale::Full => &[128, 512, 1024, 2048, 4096],
     }
 }
@@ -691,13 +680,10 @@ pub fn fabric_telemetry_json_string(scale: Scale) -> String {
 
 /// Per-scale shape of the `sweep-threads` experiment: the thread-count
 /// grid and messages per thread, shared by the rendered target and the
-/// JSON artifact. Smoke and Quick are identical on purpose: the committed
-/// artifact is regenerated at quick scale by CI's byte-diff loop and
-/// asserted at smoke scale by the sweep-threads CI step, so both must
-/// swing through the same grid.
+/// JSON artifact.
 fn thread_sweep_shape(scale: Scale) -> (&'static [u32], u64) {
     match scale {
-        Scale::Smoke | Scale::Quick => (&[1, 2, 4, 8], 400),
+        Scale::Quick => (&[1, 2, 4, 8], 400),
         Scale::Full => (&[1, 2, 3, 4, 5, 6, 7, 8], 1_000),
     }
 }
@@ -864,7 +850,7 @@ pub fn ext_trace(scale: Scale) -> String {
     let c = Calibration::default();
     let plan = fault::active_plan();
     let messages = match scale {
-        Scale::Smoke | Scale::Quick => 24,
+        Scale::Quick => 24,
         Scale::Full => 200,
     };
     let (res, trace) = tracepath::traced_e2e(&c, &plan, messages, StackConfig::default().seed);
@@ -946,7 +932,7 @@ fn run_traced_bench(which: &str, scale: Scale) -> (String, Trace) {
     match which {
         "put_bw" => {
             let messages = match scale {
-                Scale::Smoke | Scale::Quick => 1_500,
+                Scale::Quick => 1_500,
                 Scale::Full => 8_000,
             };
             let cfg = PutBwConfig {
@@ -961,7 +947,7 @@ fn run_traced_bench(which: &str, scale: Scale) -> (String, Trace) {
         }
         "am_lat" => {
             let iterations = match scale {
-                Scale::Smoke | Scale::Quick => 200,
+                Scale::Quick => 200,
                 Scale::Full => 1_000,
             };
             let cfg = AmLatConfig {
@@ -975,7 +961,7 @@ fn run_traced_bench(which: &str, scale: Scale) -> (String, Trace) {
         }
         "osu" => {
             let iterations = match scale {
-                Scale::Smoke | Scale::Quick => 150,
+                Scale::Quick => 150,
                 Scale::Full => 1_000,
             };
             let cfg = OsuLatConfig {
@@ -992,7 +978,7 @@ fn run_traced_bench(which: &str, scale: Scale) -> (String, Trace) {
         }
         "multicore" => {
             let messages_per_thread = match scale {
-                Scale::Smoke | Scale::Quick => 300,
+                Scale::Quick => 300,
                 Scale::Full => 2_000,
             };
             // Congested on both axes on purpose: 4 header credits
@@ -1178,7 +1164,7 @@ pub fn trace_bench_chrome_json(which: &str, scale: Scale) -> String {
 fn metered(scale: Scale) -> (String, Vec<bband_core::fault::FaultRunStats>, MetricsSet) {
     let plan = fault::active_plan();
     let messages_per_task = match scale {
-        Scale::Smoke | Scale::Quick => 64,
+        Scale::Quick => 64,
         Scale::Full => 500,
     };
     const TASKS: u64 = 4;
@@ -1233,7 +1219,7 @@ pub fn ext_metrics_windowed(scale: Scale, n: u64) -> String {
     assert!(n > 0, "--windows needs at least one window");
     let plan = fault::active_plan();
     let messages_per_task = match scale {
-        Scale::Smoke | Scale::Quick => 64,
+        Scale::Quick => 64,
         Scale::Full => 500,
     };
     const TASKS: u64 = 4;
@@ -1303,7 +1289,7 @@ fn run_metered_bench(which: &str, scale: Scale) -> (String, bband_metrics::TaskM
         }
         "am_lat" => {
             let iterations = match scale {
-                Scale::Smoke | Scale::Quick => 200,
+                Scale::Quick => 200,
                 Scale::Full => 1_000,
             };
             let cfg = AmLatConfig {
@@ -1320,7 +1306,7 @@ fn run_metered_bench(which: &str, scale: Scale) -> (String, bband_metrics::TaskM
         }
         "osu" => {
             let iterations = match scale {
-                Scale::Smoke | Scale::Quick => 150,
+                Scale::Quick => 150,
                 Scale::Full => 1_000,
             };
             let cfg = OsuLatConfig {
@@ -1347,239 +1333,6 @@ pub fn ext_metrics_bench(which: &str, scale: Scale) -> String {
     let (label, task) = run_metered_bench(which, scale);
     let set = MetricsSet::from_tasks(vec![task]);
     render_quantiles(&format!("Live microbenchmark quantiles: {label}"), &set)
-}
-
-/// The fault-engine throughput cases shared by the Criterion hotpath bench
-/// (`benches/engine_hotpath.rs`) and the [`bench_engine_json`] emitter:
-/// the fault-free fast path (pure memo replay), an i.i.d.-loss plan (memo
-/// replay with per-message RNG predraws and occasional reference
-/// fallbacks), and a Markov-stall plan (convergent-mutating stall queries
-/// on every chain).
-pub fn engine_hotpath_cases() -> Vec<(&'static str, fault::FaultPlan)> {
-    let fault_free = fault::FaultPlan::none();
-    let mut loss = fault::FaultPlan::none();
-    loss.loss_probability = 1e-3;
-    let mut markov = fault::FaultPlan::none();
-    markov.markov_stall = Some(fault::MarkovStall {
-        mean_up_ns: 20_000.0,
-        mean_down_ns: 1_000.0,
-    });
-    vec![
-        ("fault_free", fault_free),
-        ("loss_1e-3", loss),
-        ("markov_stall", markov),
-    ]
-}
-
-/// Per-scale sizes for [`bench_engine_json`]: (loss-sweep messages per
-/// grid point, metered messages per task, hotpath messages per case).
-fn engine_bench_sizes(scale: Scale) -> (u64, u64, u64) {
-    match scale {
-        Scale::Smoke => (120, 64, 2_000),
-        Scale::Quick => (250, 128, 5_000),
-        Scale::Full => (1_000, 500, 20_000),
-    }
-}
-
-/// The engine performance trajectory (`repro bench-engine`): wall-clock of
-/// the fast engine path against the reference path on the three sweep
-/// drivers (loss, what-if, metrics) plus ns-per-message on the
-/// [`engine_hotpath_cases`] throughput cases. Every comparison carries an
-/// `identical` flag asserting the fast output is byte-identical to the
-/// reference output — a speedup that changes bytes is a bug, and the CI
-/// bench-smoke step fails on any `false`. Wall-clock numbers are
-/// nondeterministic by nature, so the emitted artifact is *not* part of
-/// the `--json` regen diff set.
-pub fn bench_engine_json(scale: Scale) -> String {
-    use bband_core::fault::EnginePath;
-    let cal = Calibration::default();
-    let plan = fault::active_plan();
-    let seed = StackConfig::default().seed;
-    let pool = WorkerPool::new();
-    let (sweep_messages, metered_messages, hotpath_messages) = engine_bench_sizes(scale);
-
-    let sweep_obj = |name: &str, reference_ms: f64, fast_ms: f64, identical: bool| {
-        Value::Obj(vec![
-            ("name".into(), Value::Str(name.into())),
-            ("reference_ms".into(), Value::Float(reference_ms)),
-            ("fast_ms".into(), Value::Float(fast_ms)),
-            (
-                "speedup".into(),
-                Value::Float(if fast_ms > 0.0 {
-                    reference_ms / fast_ms
-                } else {
-                    0.0
-                }),
-            ),
-            ("identical".into(), Value::Bool(identical)),
-        ])
-    };
-    let mut sweeps = Vec::new();
-
-    // Sweep 1: the loss sweep (`repro loss`), both paths pinned.
-    let t0 = Instant::now();
-    let ref_points = fault::latency_under_loss_on(
-        EnginePath::Reference,
-        &cal,
-        &plan,
-        &fault::DEFAULT_LOSS_GRID,
-        sweep_messages,
-        seed,
-        &pool,
-    );
-    let ref_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let t0 = Instant::now();
-    let fast_points = fault::latency_under_loss_on(
-        EnginePath::Fast,
-        &cal,
-        &plan,
-        &fault::DEFAULT_LOSS_GRID,
-        sweep_messages,
-        seed,
-        &pool,
-    );
-    let fast_ms = t0.elapsed().as_secs_f64() * 1e3;
-    sweeps.push(sweep_obj(
-        "loss",
-        ref_ms,
-        fast_ms,
-        fast_points == ref_points,
-    ));
-
-    // Sweep 2: the dense what-if sweep — incremental (shared baselines)
-    // vs the point-at-a-time model reconstruction.
-    let w = WhatIf::new(cal.clone());
-    let t0 = Instant::now();
-    let ref_curves = w.dense_sweep_reference();
-    let ref_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let t0 = Instant::now();
-    let fast_curves = w.dense_sweep();
-    let fast_ms = t0.elapsed().as_secs_f64() * 1e3;
-    sweeps.push(sweep_obj(
-        "whatif",
-        ref_ms,
-        fast_ms,
-        fast_curves == ref_curves,
-    ));
-
-    // Sweep 3: the metered e2e run (`repro metrics`): run stats *and* the
-    // rendered JSON artifact (histograms, counters) must match.
-    let t0 = Instant::now();
-    let (ref_runs, ref_set) = tracepath::metered_e2e_on(
-        EnginePath::Reference,
-        &cal,
-        &plan,
-        metered_messages,
-        4,
-        seed,
-        &pool,
-    );
-    let ref_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let t0 = Instant::now();
-    let (fast_runs, fast_set) = tracepath::metered_e2e_on(
-        EnginePath::Fast,
-        &cal,
-        &plan,
-        metered_messages,
-        4,
-        seed,
-        &pool,
-    );
-    let fast_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let identical = fast_runs == ref_runs
-        && to_json(&metrics_json("engine", &fast_set))
-            == to_json(&metrics_json("engine", &ref_set));
-    sweeps.push(sweep_obj("metrics", ref_ms, fast_ms, identical));
-
-    // Sweep 4: the cluster rank sweep — telemetry-on (reference) vs
-    // telemetry-off (fast). Results must be identical (observation never
-    // perturbs the simulation) and the recording overhead bounded; the
-    // CI bench-smoke step asserts `overhead_ok`. Timing is min-of-3 per
-    // side (single smoke sweeps run ~35 ms, where scheduler noise alone
-    // swings a one-shot ratio by ±15 points). The bound is 25% at smoke
-    // scale: measured overhead sits near 15% there — the fabric
-    // simulates a hop in ~70 ns, so even one extra cache-line touch per
-    // hop is ~6% — and the sub-10% ambition would need sampling, which
-    // would break the bit-exact `Conservation` reconciliation the
-    // telemetry tests pin. Full scale gets 40%: at 4096 ranks the
-    // per-port HotPort array outgrows L2, so the per-hop touch becomes
-    // a genuine cache miss (~30% measured). The asserts are regression
-    // guards, not vanity numbers.
-    let _warmup = rank_sweep(scale); // warm allocator/caches off the clock
-    let (mut tel_ms, mut plain_ms) = (f64::MAX, f64::MAX);
-    let mut tel_cells = Vec::new();
-    let mut plain = Vec::new();
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        plain = rank_sweep(scale);
-        plain_ms = plain_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-        let t0 = Instant::now();
-        tel_cells = rank_sweep_telemetry(scale);
-        tel_ms = tel_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    let tel_points: Vec<bband_cluster::RankPoint> =
-        tel_cells.iter().map(|c| c.point.clone()).collect();
-    let overhead = if plain_ms > 0.0 {
-        tel_ms / plain_ms - 1.0
-    } else {
-        0.0
-    };
-    let mut ranks_obj = match sweep_obj("sweep-ranks", tel_ms, plain_ms, tel_points == plain) {
-        Value::Obj(fields) => fields,
-        _ => unreachable!("sweep_obj returns an object"),
-    };
-    let overhead_bound = match scale {
-        Scale::Smoke | Scale::Quick => 0.25,
-        Scale::Full => 0.40,
-    };
-    ranks_obj.push(("overhead_frac".into(), Value::Float(overhead)));
-    ranks_obj.push(("overhead_ok".into(), Value::Bool(overhead < overhead_bound)));
-    sweeps.push(Value::Obj(ranks_obj));
-
-    // Hotpath throughput: single-run ns-per-message on each case.
-    let hotpath = engine_hotpath_cases()
-        .into_iter()
-        .map(|(name, case)| {
-            let t0 = Instant::now();
-            let ref_out = fault::run_e2e_under_faults_on(
-                EnginePath::Reference,
-                &cal,
-                &case,
-                hotpath_messages,
-                seed,
-            );
-            let ref_ns = t0.elapsed().as_secs_f64() * 1e9 / hotpath_messages as f64;
-            let t0 = Instant::now();
-            let fast_out = fault::run_e2e_under_faults_on(
-                EnginePath::Fast,
-                &cal,
-                &case,
-                hotpath_messages,
-                seed,
-            );
-            let fast_ns = t0.elapsed().as_secs_f64() * 1e9 / hotpath_messages as f64;
-            Value::Obj(vec![
-                ("name".into(), Value::Str(name.into())),
-                ("messages".into(), Value::UInt(hotpath_messages)),
-                ("reference_ns_per_msg".into(), Value::Float(ref_ns)),
-                ("fast_ns_per_msg".into(), Value::Float(fast_ns)),
-                (
-                    "speedup".into(),
-                    Value::Float(if fast_ns > 0.0 { ref_ns / fast_ns } else { 0.0 }),
-                ),
-                ("identical".into(), Value::Bool(fast_out == ref_out)),
-            ])
-        })
-        .collect();
-
-    let doc = Value::Obj(vec![
-        ("schema".into(), Value::Str("bband/bench-engine/v1".into())),
-        ("scale".into(), Value::Str(scale.name().into())),
-        ("threads".into(), Value::UInt(pool.threads() as u64)),
-        ("sweeps".into(), Value::Arr(sweeps)),
-        ("hotpath".into(), Value::Arr(hotpath)),
-    ]);
-    serde_json::to_string_pretty(&doc).expect("render bench-engine json")
 }
 
 /// Every figure id the harness knows.
@@ -1656,12 +1409,27 @@ pub fn run_target(name: &str, scale: Scale) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde_json::Value;
 
     #[test]
     fn every_target_renders_nonempty() {
+        // Rows every rendering must carry, beyond being non-empty.
+        let rows = [
+            ("fig4", "PIO copy"),
+            ("fig7", "Mean:"),
+            ("fig10", "Wire"),
+            ("fig11", "MPICH"),
+            ("fig11", "UCP"),
+            ("fig12", "Post_prog"),
+            ("fig13", "HLP_rx_prog"),
+            ("table1", "240.96"),
+        ];
         for t in ALL_TARGETS {
             let out = run_target(t, Scale::Quick);
             assert!(!out.trim().is_empty(), "target {t} rendered nothing");
+            for (_, row) in rows.iter().filter(|(target, _)| *target == t) {
+                assert!(out.contains(row), "target {t} lacks {row:?}:\n{out}");
+            }
         }
     }
 
@@ -1807,12 +1575,6 @@ mod tests {
         assert!(out.contains("allreduce-ring"), "{out}");
         assert!(out.contains("2-node equivalence: OK"), "{out}");
         assert_eq!(out, ext_sweep_ranks(Scale::Quick), "reruns are identical");
-        // Smoke and Quick share the grid: CI regenerates the committed
-        // artifact at quick scale and smoke-checks it byte-for-byte.
-        assert_eq!(
-            rank_sweep_shape(Scale::Smoke),
-            rank_sweep_shape(Scale::Quick)
-        );
     }
 
     #[test]
@@ -1918,27 +1680,6 @@ mod tests {
                 .and_then(|f| f.get("identical"))
                 .and_then(|b| b.as_bool()),
             Some(true)
-        );
-    }
-
-    #[test]
-    fn bench_engine_smoke_is_identical_on_both_paths() {
-        let json = bench_engine_json(Scale::Smoke);
-        assert!(json.contains("bband/bench-engine/v1"), "{json}");
-        assert!(json.contains("\"smoke\""), "{json}");
-        for sweep in ["loss", "whatif", "metrics"] {
-            assert!(json.contains(&format!("\"{sweep}\"")), "{json}");
-        }
-        for case in ["fault_free", "loss_1e-3", "markov_stall"] {
-            assert!(json.contains(&format!("\"{case}\"")), "{json}");
-        }
-        // Every fast-vs-reference comparison must be byte-identical.
-        // (`overhead_ok` is a timing bound, not an identity check — it
-        // belongs to the CI bench-smoke gate, which runs on a quiet
-        // runner; a loaded test box must not fail the identity test.)
-        assert!(
-            !json.contains("\"identical\": false"),
-            "fast path diverged:\n{json}"
         );
     }
 

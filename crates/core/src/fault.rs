@@ -292,15 +292,113 @@ impl FaultPlan {
             && self.markov_stall.is_none_or(|m| m.is_zero())
     }
 
-    /// Parse a plan from JSON; omitted fields default to fault-free.
-    pub fn from_json_str(s: &str) -> Result<Self, JsonError> {
-        let v = serde::json::parse(s)?;
-        Self::from_value(&v)
+    /// Refuse a plan the engine cannot run: a probability that is not a
+    /// finite number in [0, 1], or a credit pool that would deadlock the
+    /// simulation rather than stall it — one that can never issue the
+    /// plan's largest MMIO write, or whose UpdateFC batch can never fill
+    /// once the header pool empties.
+    pub fn check(&self) -> Result<(), PlanError> {
+        let burst = self.burst_loss.map(|g| {
+            [
+                ("burst_loss.p_good_to_bad", g.p_good_to_bad),
+                ("burst_loss.p_bad_to_good", g.p_bad_to_good),
+                ("burst_loss.loss_good", g.loss_good),
+                ("burst_loss.loss_bad", g.loss_bad),
+            ]
+        });
+        let probabilities = [
+            ("loss_probability", self.loss_probability),
+            ("corruption_probability", self.corruption_probability),
+        ];
+        if let Some((field, value)) = probabilities
+            .into_iter()
+            .chain(burst.into_iter().flatten())
+            .find(|(_, p)| !(0.0..=1.0).contains(p))
+        {
+            return Err(PlanError::Probability { field, value });
+        }
+        if let Some(c) = self.credits {
+            let max_chunks = if self.payload_cycle.is_empty() {
+                SizedLatencyModel::pio_chunks(self.payload_bytes)
+            } else {
+                self.payload_cycle
+                    .iter()
+                    .map(|&p| SizedLatencyModel::pio_chunks(p))
+                    .max()
+                    .unwrap_or(1)
+            };
+            let needed = Tlp::pio_burst(bband_pcie::TlpId(0), max_chunks).data_credits();
+            if c.data < needed {
+                return Err(PlanError::DataCredits {
+                    data: c.data,
+                    needed,
+                });
+            }
+            if c.update_batch == 0 || c.update_batch > c.hdr {
+                return Err(PlanError::UpdateBatch {
+                    update_batch: c.update_batch,
+                    hdr: c.hdr,
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// Parse a plan from JSON; omitted fields default to fault-free. The
+    /// plan must also pass [`FaultPlan::check`].
+    pub fn from_json_str(s: &str) -> Result<Self, PlanError> {
+        let plan = Self::from_value(&serde::json::parse(s)?)?;
+        plan.check()?;
+        Ok(plan)
     }
 
     /// Serialize the plan as pretty-printed JSON.
     pub fn to_json_string(&self) -> String {
         self.to_value().render_pretty()
+    }
+}
+
+/// Why [`FaultPlan::from_json_str`] or [`FaultPlan::check`] refused a plan.
+#[derive(Debug, Clone)]
+pub enum PlanError {
+    /// Not JSON, or a field of the wrong type.
+    Json(JsonError),
+    /// A probability that is not a finite number in [0, 1].
+    Probability { field: &'static str, value: f64 },
+    /// `credits.data` is below the data credits of the plan's largest
+    /// MMIO write, which would then wait for credits forever.
+    DataCredits { data: u32, needed: u32 },
+    /// `credits.update_batch` is zero or larger than `credits.hdr`, so no
+    /// UpdateFC ever returns the header credits.
+    UpdateBatch { update_batch: u32, hdr: u32 },
+}
+
+impl std::fmt::Display for PlanError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            PlanError::Json(e) => write!(f, "{e}"),
+            PlanError::Probability { field, value } => {
+                write!(f, "{field} = {value} is not a probability in [0, 1]")
+            }
+            PlanError::DataCredits { data, needed } => write!(
+                f,
+                "credits.data = {data} cannot issue the plan's largest MMIO write \
+                 ({needed} data credits)"
+            ),
+            PlanError::UpdateBatch { update_batch, hdr } => write!(
+                f,
+                "credits.update_batch = {update_batch} must be between 1 and \
+                 credits.hdr = {hdr}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for PlanError {}
+
+impl From<JsonError> for PlanError {
+    fn from(e: JsonError) -> Self {
+        PlanError::Json(e)
     }
 }
 
@@ -373,8 +471,9 @@ pub enum EnginePath {
 static ENGINE_PATH: AtomicU8 = AtomicU8::new(0);
 
 /// Select the process-wide engine path (the `repro --reference` flag).
-/// Unlike the plan override this is re-settable: the bench emitter flips
-/// between paths to time both.
+/// Unlike the plan override this is re-settable. Code that compares the
+/// two paths pins each side with [`run_e2e_under_faults_on`] or
+/// [`run_raw_on`] instead.
 pub fn set_engine_path(path: EnginePath) {
     let v = match path {
         EnginePath::Fast => 0,
@@ -914,30 +1013,10 @@ impl FaultSim {
         seed: u64,
         path: EnginePath,
     ) -> Self {
-        let sized = SizedLatencyModel::from_calibration(cal);
-        if let Some(c) = plan.credits {
-            // A pool that can never issue the largest MMIO write of the
-            // plan, or whose UpdateFC batch can never fill once the header
-            // pool empties, would deadlock the simulation rather than
-            // stall it.
-            let max_chunks = if plan.payload_cycle.is_empty() {
-                SizedLatencyModel::pio_chunks(plan.payload_bytes)
-            } else {
-                plan.payload_cycle
-                    .iter()
-                    .map(|&p| SizedLatencyModel::pio_chunks(p))
-                    .max()
-                    .unwrap_or(1)
-            };
-            assert!(
-                c.data >= Tlp::pio_burst(bband_pcie::TlpId(0), max_chunks).data_credits(),
-                "credit config cannot issue the plan's largest MMIO write"
-            );
-            assert!(
-                c.update_batch <= c.hdr,
-                "UpdateFC batch larger than the header pool never fires"
-            );
+        if let Err(e) = plan.check() {
+            panic!("invalid fault plan: {e}");
         }
+        let sized = SizedLatencyModel::from_calibration(cal);
         let model = EndToEndLatencyModel::from_calibration(cal);
         let retry_timeout = SimDuration::from_ns(plan.retry.timeout_ns);
         // Resolve every message's payload, protocol, and segment count up
@@ -2241,7 +2320,7 @@ pub fn run_e2e_under_faults(
 }
 
 /// [`run_e2e_under_faults`] on an explicit engine path — the equivalence
-/// tests and the bench emitter pin both sides instead of toggling the
+/// tests and the benchmark pin both sides instead of toggling the
 /// process-wide default.
 pub fn run_e2e_under_faults_on(
     path: EnginePath,
@@ -2282,7 +2361,8 @@ pub fn run_raw_on(
 
 /// The `latency_under_loss` experiment: sweep fabric loss probability over
 /// `grid`, one pool task per point, each with an RNG stream derived from
-/// `(seed, index)` so pooled and serial runs are bit-identical.
+/// `(seed, index)` so pooled and serial runs are bit-identical. The engine
+/// path is resolved once, so every pool task runs the same implementation.
 pub fn latency_under_loss(
     cal: &Calibration,
     base: &FaultPlan,
@@ -2291,20 +2371,7 @@ pub fn latency_under_loss(
     seed: u64,
     pool: &WorkerPool,
 ) -> Vec<LossPoint> {
-    latency_under_loss_on(active_engine_path(), cal, base, grid, messages, seed, pool)
-}
-
-/// [`latency_under_loss`] on an explicit engine path, resolved once here
-/// so every pool task runs the same implementation.
-pub fn latency_under_loss_on(
-    path: EnginePath,
-    cal: &Calibration,
-    base: &FaultPlan,
-    grid: &[f64],
-    messages: u64,
-    seed: u64,
-    pool: &WorkerPool,
-) -> Vec<LossPoint> {
+    let path = active_engine_path();
     let points: Vec<f64> = grid.to_vec();
     pool.map(points, move |idx, loss| {
         let mut plan = base.clone();
@@ -2566,6 +2633,93 @@ mod tests {
         assert_eq!(g.loss_bad, 0.9);
         assert!(sparse.is_zero(), "no path into the bad state");
         assert!(FaultPlan::from_json_str("{\"burst_loss\": 3}").is_err());
+    }
+
+    /// Plans the engine cannot run are refused at parse time with a typed
+    /// error naming the field, one row per rule and defect.
+    #[test]
+    fn unrunnable_plans_are_refused_with_a_typed_error() {
+        let not_a_probability = "is not a probability in [0, 1]";
+        for (json, message) in [
+            (
+                r#"{"credits": {"hdr": 0, "data": 0, "update_batch": 0}}"#,
+                "credits.data = 0 cannot issue the plan's largest MMIO write (4 data credits)"
+                    .to_string(),
+            ),
+            (
+                r#"{"credits": {"hdr": 2, "data": 64, "update_batch": 4}}"#,
+                "credits.update_batch = 4 must be between 1 and credits.hdr = 2".to_string(),
+            ),
+            (
+                r#"{"credits": {"hdr": 0, "data": 64, "update_batch": 0}}"#,
+                "credits.update_batch = 0 must be between 1 and credits.hdr = 0".to_string(),
+            ),
+            (
+                r#"{"loss_probability": -0.5}"#,
+                format!("loss_probability = -0.5 {not_a_probability}"),
+            ),
+            (
+                r#"{"loss_probability": 1e400}"#,
+                format!("loss_probability = inf {not_a_probability}"),
+            ),
+            (
+                r#"{"corruption_probability": 1.5}"#,
+                format!("corruption_probability = 1.5 {not_a_probability}"),
+            ),
+            (
+                r#"{"burst_loss": {"loss_bad": 2}}"#,
+                format!("burst_loss.loss_bad = 2 {not_a_probability}"),
+            ),
+        ] {
+            let e = FaultPlan::from_json_str(json).expect_err(json);
+            assert!(!matches!(e, PlanError::Json(_)), "{json}: {e:?}");
+            assert_eq!(e.to_string(), message, "{json}");
+        }
+        // NaN has no JSON spelling; a plan built in code is checked too.
+        let mut plan = FaultPlan::none();
+        plan.loss_probability = f64::NAN;
+        assert!(matches!(
+            plan.check(),
+            Err(PlanError::Probability {
+                field: "loss_probability",
+                ..
+            })
+        ));
+    }
+
+    /// A bad plan built in code never reaches `from_json_str`; the engine
+    /// refuses it at construction.
+    #[test]
+    #[should_panic(expected = "invalid fault plan: credits.update_batch = 4")]
+    fn engine_panics_on_a_bad_plan_built_in_code() {
+        let mut plan = FaultPlan::none();
+        plan.credits = Some(CreditConfig {
+            hdr: 2,
+            data: 64,
+            update_batch: 4,
+        });
+        let _ = run_e2e_under_faults(&cal(), &plan, 4, 1);
+    }
+
+    /// The plans CI, the docs and the harness tests pass to `--faults`
+    /// still parse, boundary probabilities included.
+    #[test]
+    fn plans_used_in_ci_and_tests_still_parse() {
+        for json in [
+            "{}",
+            r#"{"loss_probability": 0.0}"#,
+            r#"{"loss_probability": 0.05}"#,
+            r#"{"loss_probability": 1.0}"#,
+            r#"{"loss_probability": 0.0, "corruption_probability": 0.0}"#,
+            r#"{"retry": {"max_retries": 0}}"#,
+            r#"{"burst_loss": {"p_good_to_bad": 1, "loss_bad": 1}}"#,
+            r#"{"credits": {"hdr": 1, "data": 64, "update_batch": 1}}"#,
+            r#"{"credits": {"hdr": 4, "data": 64, "update_batch": 2}, "payload_cycle": [8, 1048576]}"#,
+        ] {
+            if let Err(e) = FaultPlan::from_json_str(json) {
+                panic!("{json}: {e}");
+            }
+        }
     }
 
     /// With `p_good_to_bad = 1` and a lossless good state, every loss the

@@ -31,7 +31,6 @@ pub mod hlp_breakdown;
 pub mod injection;
 pub mod insights;
 pub mod latency;
-pub mod lockmodel;
 pub mod profiles;
 pub mod scaling;
 pub mod tracepath;
@@ -40,13 +39,12 @@ pub mod whatif;
 
 pub use breakdown::Breakdown;
 pub use calibration::Calibration;
-pub use fault::{FaultPlan, FaultRunStats, LossPoint, RetryExhausted, RetryPolicy};
+pub use fault::{FaultPlan, FaultRunStats, LossPoint, PlanError, RetryExhausted, RetryPolicy};
 pub use injection::{InjectionModel, OverallInjectionModel};
 pub use latency::{
     Category, EndToEndLatencyModel, LlpLatencyModel, Protocol, SizedLatencyModel,
     INLINE_CUTOFF_BYTES, MTU_BYTES, RNDV_CTRL_BYTES,
 };
-pub use lockmodel::{LockGranularity, LockModel};
 pub use scaling::ScalingModel;
 pub use tracepath::{
     sweep_message_sizes, traced_e2e, traced_injection, traced_loss_sweep, SizeSweepPoint,

@@ -35,9 +35,7 @@
 
 use crate::breakdown::Breakdown;
 use crate::calibration::Calibration;
-use crate::fault::{
-    run_raw, run_raw_on, EnginePath, FaultPlan, FaultRunStats, LossPoint, RetryExhausted,
-};
+use crate::fault::{run_raw, run_raw_on, FaultPlan, FaultRunStats, LossPoint, RetryExhausted};
 use crate::injection::InjectionModel;
 use crate::latency::{SizedLatencyModel, MTU_BYTES};
 use bband_metrics as metrics;
@@ -326,15 +324,23 @@ pub fn metered_e2e(
     seed: u64,
     pool: &WorkerPool,
 ) -> (Vec<(FaultRunStats, Option<RetryExhausted>)>, MetricsSet) {
-    metered_e2e_on(
-        crate::fault::active_engine_path(),
-        cal,
-        plan,
-        messages_per_task,
-        tasks,
-        seed,
-        pool,
-    )
+    let path = crate::fault::active_engine_path();
+    let idxs: Vec<u64> = (0..tasks).collect();
+    let results = pool.map(idxs, |idx, _| {
+        let task_seed = Pcg64::new(seed).fork(idx as u64).next_u64();
+        metrics::collect(|| {
+            // Tracing must be live for the stage stream to exist; a small
+            // ring that freely wraps keeps the memory flat — the
+            // histograms, not the spans, are this run's product.
+            let (run, _spans) = trace::collect(1 << 12, || {
+                run_raw_on(path, cal, plan, messages_per_task, task_seed)
+            });
+            feed_recovery_counters(&run.0);
+            run
+        })
+    });
+    let (runs, metric_tasks): (Vec<_>, Vec<_>) = results.into_iter().unzip();
+    (runs, MetricsSet::from_tasks(metric_tasks))
 }
 
 /// [`metered_e2e`] with the registry in fixed-width virtual-time window
@@ -357,37 +363,6 @@ pub fn metered_e2e_windowed(
     let results = pool.map(idxs, |idx, _| {
         let task_seed = Pcg64::new(seed).fork(idx as u64).next_u64();
         metrics::collect_windowed(width, || {
-            let (run, _spans) = trace::collect(1 << 12, || {
-                run_raw_on(path, cal, plan, messages_per_task, task_seed)
-            });
-            feed_recovery_counters(&run.0);
-            run
-        })
-    });
-    let (runs, metric_tasks): (Vec<_>, Vec<_>) = results.into_iter().unzip();
-    (runs, MetricsSet::from_tasks(metric_tasks))
-}
-
-/// [`metered_e2e`] pinned to an explicit engine path — the bench emitter
-/// runs the same metered workload on both paths and byte-compares the
-/// registries.
-#[allow(clippy::too_many_arguments)]
-pub fn metered_e2e_on(
-    path: EnginePath,
-    cal: &Calibration,
-    plan: &FaultPlan,
-    messages_per_task: u64,
-    tasks: u64,
-    seed: u64,
-    pool: &WorkerPool,
-) -> (Vec<(FaultRunStats, Option<RetryExhausted>)>, MetricsSet) {
-    let idxs: Vec<u64> = (0..tasks).collect();
-    let results = pool.map(idxs, |idx, _| {
-        let task_seed = Pcg64::new(seed).fork(idx as u64).next_u64();
-        metrics::collect(|| {
-            // Tracing must be live for the stage stream to exist; a small
-            // ring that freely wraps keeps the memory flat — the
-            // histograms, not the spans, are this run's product.
             let (run, _spans) = trace::collect(1 << 12, || {
                 run_raw_on(path, cal, plan, messages_per_task, task_seed)
             });

@@ -193,9 +193,36 @@ impl LockModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_ns(ns)
+    }
+
+    /// Closed-form reference for a global lock: the exposed wait is the
+    /// serialization delta of a single-server queue,
+    ///
+    /// ```text
+    /// C_0 = a_0 + d_0
+    /// C_i = max(a_i, C_{i-1}) + d_i
+    /// total_wait = Σ_i max(0, C_{i-1} − a_i)
+    /// ```
+    ///
+    /// for critical sections of duration `d_i` arriving at `a_i`, sorted
+    /// by arrival (ties in acquisition order). Returns the completion of
+    /// the last section and the summed wait.
+    fn serialization_delta(schedule: &[(SimTime, SimDuration)]) -> (SimTime, SimDuration) {
+        let mut free = SimTime::ZERO;
+        let mut total = SimDuration::ZERO;
+        for &(arrival, duration) in schedule {
+            if free > arrival {
+                total += free.since(arrival);
+                free += duration;
+            } else {
+                free = arrival + duration;
+            }
+        }
+        (free, total)
     }
 
     #[test]
@@ -264,5 +291,106 @@ mod tests {
         assert_eq!(spans[0].layer, trace::Layer::Recovery);
         assert_eq!(spans[0].start, t(30));
         assert_eq!(spans[0].dur, SimDuration::from_ns(70));
+    }
+
+    #[test]
+    fn closed_form_matches_hand_computation() {
+        // Sections (0,100), (40,50), (200,10): the second waits 60 ns,
+        // the third arrives after the lock is free.
+        let (last, wait) = serialization_delta(&[
+            (t(0), SimDuration::from_ns(100)),
+            (t(40), SimDuration::from_ns(50)),
+            (t(200), SimDuration::from_ns(10)),
+        ]);
+        assert_eq!(wait, SimDuration::from_ns(60));
+        assert_eq!(last, t(210));
+    }
+
+    proptest! {
+        /// The event-level GlobalLock model agrees with the closed-form
+        /// serialization delta on any arrival/duration schedule — every
+        /// acquire's start time and the summed ledger.
+        #[test]
+        fn global_lock_wait_equals_serialization_delta(
+            gaps in proptest::collection::vec((0u64..400, 1u64..300), 1..64),
+            endpoints in 1u32..8,
+        ) {
+            // Monotone arrivals from random inter-arrival gaps; random
+            // section durations; acquires spread round-robin over
+            // endpoints (a global lock must not care which).
+            let mut schedule = Vec::with_capacity(gaps.len());
+            let mut arrival = 0u64;
+            for &(gap, dur) in &gaps {
+                arrival += gap;
+                schedule.push((t(arrival), SimDuration::from_ns(dur)));
+            }
+            let mut m = LockModel::new(LockGranularity::GlobalLock, endpoints);
+            let mut reference_free = SimTime::ZERO;
+            for (i, &(a, d)) in schedule.iter().enumerate() {
+                let ep = i as u32 % endpoints;
+                let start = m.acquire(ep, a, trace::SpanId::NONE);
+                let expect = if reference_free > a { reference_free } else { a };
+                prop_assert_eq!(start, expect, "acquire {} start", i);
+                m.release(ep, start + d, trace::SpanId::NONE);
+                reference_free = start + d;
+            }
+            let (last, wait) = serialization_delta(&schedule);
+            prop_assert_eq!(reference_free, last);
+            prop_assert_eq!(m.total_wait(), wait, "ledger == closed form");
+            prop_assert_eq!(m.acquisitions(), schedule.len() as u64);
+        }
+
+        /// Independent endpoints never wait, never count, and — on a
+        /// traced run — never record a single `lock_wait` span, whatever
+        /// the schedule. This is the "no lock exists" end of Zambre's
+        /// spectrum, and what keeps independent-VI runs bit-identical to
+        /// pre-lockmodel runs.
+        #[test]
+        fn independent_records_zero_lock_wait(
+            schedule in proptest::collection::vec((0u64..500, 1u64..300, 0u32..8), 1..48),
+        ) {
+            let ((), task) = trace::collect(256, || {
+                let mut m = LockModel::new(LockGranularity::Independent, 8);
+                for &(a, d, ep) in &schedule {
+                    let start = m.acquire(ep, t(a), trace::SpanId::NONE);
+                    assert_eq!(start, t(a), "independent acquire is immediate");
+                    m.release(ep, t(a + d), trace::SpanId::NONE);
+                }
+                assert_eq!(m.acquisitions(), 0);
+                assert_eq!(m.contended(), 0);
+                assert_eq!(m.total_wait(), SimDuration::ZERO);
+            });
+            let trace = trace::Trace::from_task(task);
+            let lock_waits = trace.spans().filter(|(_, s)| s.name == "lock_wait").count();
+            prop_assert_eq!(lock_waits, 0, "no lock_wait span may exist");
+        }
+
+        /// Per-endpoint locks reduce to the closed form *per endpoint*:
+        /// the total ledger is the sum of each endpoint's own
+        /// serialization delta, computed independently.
+        #[test]
+        fn per_endpoint_wait_is_sum_of_per_endpoint_deltas(
+            gaps in proptest::collection::vec((0u64..200, 1u64..200, 0u32..4), 1..64),
+        ) {
+            let mut arrival = 0u64;
+            let mut m = LockModel::new(LockGranularity::PerEndpointLock, 4);
+            let mut per_ep: Vec<Vec<(SimTime, SimDuration)>> = vec![Vec::new(); 4];
+            let mut free = [SimTime::ZERO; 4];
+            for &(gap, dur, ep) in &gaps {
+                arrival += gap;
+                let (a, d) = (t(arrival), SimDuration::from_ns(dur));
+                per_ep[ep as usize].push((a, d));
+                let start = m.acquire(ep, a, trace::SpanId::NONE);
+                let f = free[ep as usize];
+                prop_assert_eq!(start, if f > a { f } else { a });
+                m.release(ep, start + d, trace::SpanId::NONE);
+                free[ep as usize] = start + d;
+            }
+            let want: SimDuration = per_ep
+                .iter()
+                .map(|s| serialization_delta(s).1)
+                .fold(SimDuration::ZERO, |acc, w| acc + w);
+            prop_assert_eq!(m.total_wait(), want);
+        }
     }
 }
