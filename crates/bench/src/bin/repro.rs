@@ -23,7 +23,8 @@
 //!                          # each message's worst retransmission/backoff
 //! repro metrics            # virtual-time metrics registry: per-stage
 //!                          # p50/p95/p99/p99.9 latency quantile tables
-//! repro metrics --out metrics.json  # ... with the JSON artifact
+//! repro metrics --out metrics.json  # ... with the JSON artifact of
+//!                          # that same run (also with --bench/--windows)
 //! repro metrics --bench put_bw  # meter a live microbenchmark instead of
 //!                          # the fault engine (put_bw | am_lat | osu):
 //!                          # per-iteration latency quantiles next to the
@@ -67,22 +68,25 @@
 //!                          # render as flow arrows
 //! ```
 //!
-//! Figures are independent simulations, so the harness fans them out
-//! across a [`WorkerPool`] (one task per figure) and then emits results in
-//! paper order. Every figure seeds its own RNG streams, so stdout and the
-//! `--json` artifacts are byte-identical between parallel and `--serial`
-//! runs — only the wall clock differs.
+//! Each target runs its experiment once: the text it prints and the
+//! artifacts it writes (`--json DIR`, `--out FILE`) are renderings of that
+//! one run, listed in [`bband_bench::TARGETS`]. Figures are independent
+//! simulations, so the harness fans them out across a [`WorkerPool`] (one
+//! task per figure) and then emits results in paper order. Every figure
+//! seeds its own RNG streams, so stdout and the `--json` artifacts are
+//! byte-identical between parallel and `--serial` runs — only the wall
+//! clock differs.
 
-use bband_bench::{run_target, Scale, ALL_TARGETS};
-use bband_core::whatif::Component;
-use bband_core::{
-    Calibration, EndToEndLatencyModel, FaultPlan, InjectionModel, OverallInjectionModel, WhatIf,
-};
-use bband_report::{breakdown_json, curves_json, loss_sweep_json, to_json};
+use bband_bench::{run_target, Opts, Output, Scale, TARGETS};
+use bband_core::FaultPlan;
 use bband_sim::WorkerPool;
 use serde_json::Value;
 use std::path::Path;
 use std::time::Instant;
+
+/// The artifacts `--out` can write, by precedence: the first of these any
+/// requested target exported.
+const OUT_ARTIFACTS: [&str; 3] = ["trace", "metrics", "fabric-telemetry"];
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -120,7 +124,7 @@ fn main() {
     };
     let json_dir = flag_value("--json");
     let timing_path = flag_value("--timing-json");
-    let trace_out = flag_value("--out");
+    let out_path = flag_value("--out");
     let trace_bench = flag_value("--bench");
     let windows = flag_value("--windows").map(|w| {
         w.parse::<u64>().ok().filter(|&n| n > 0).unwrap_or_else(|| {
@@ -146,11 +150,12 @@ fn main() {
         });
         bband_core::fault::set_plan_override(plan);
     }
+    let names = TARGETS.map(|(name, _)| name);
     if args.is_empty() {
         eprintln!(
             "usage: repro [--quick] [--serial] [--reference] [--seed N] [--faults PLAN.json] [--json DIR] [--timing-json PATH] [--out OUT.json] [--bench put_bw|am_lat|osu|multicore] [--windows N] [--telemetry] <target>... | all"
         );
-        eprintln!("targets: {}", ALL_TARGETS.join(" "));
+        eprintln!("targets: {}", names.join(" "));
         std::process::exit(2);
     }
     if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
@@ -158,13 +163,13 @@ fn main() {
         std::process::exit(2);
     }
     let targets: Vec<&str> = if args.len() == 1 && args[0] == "all" {
-        ALL_TARGETS.to_vec()
+        names.to_vec()
     } else {
         args.iter().map(String::as_str).collect()
     };
     for t in &targets {
-        if !ALL_TARGETS.contains(t) {
-            eprintln!("unknown target {t}; known: {}", ALL_TARGETS.join(" "));
+        if !names.contains(t) {
+            eprintln!("unknown target {t}; known: {}", names.join(" "));
             std::process::exit(2);
         }
     }
@@ -172,7 +177,7 @@ fn main() {
         eprintln!("--telemetry requires the sweep-ranks target");
         std::process::exit(2);
     }
-    if trace_out.is_some()
+    if out_path.is_some()
         && !targets.contains(&"trace")
         && !targets.contains(&"metrics")
         && !telemetry
@@ -218,70 +223,51 @@ fn main() {
         }
     }
 
+    let opts = Opts {
+        scale,
+        bench: trace_bench,
+        windows,
+        telemetry,
+        artifacts: json_dir.is_some() || out_path.is_some(),
+    };
     let pool = if serial {
         WorkerPool::with_threads(1)
     } else {
         WorkerPool::new()
     };
     let started = Instant::now();
-    // One task per figure; each returns (rendered text, optional artifact,
-    // wall-clock seconds). Results come back in paper order regardless of
-    // which worker ran what.
-    let results: Vec<(String, Option<String>, f64)> = pool.map(targets.clone(), |_, t| {
+    // One task per figure; each returns its output and wall-clock seconds.
+    // Results come back in paper order regardless of which worker ran
+    // what.
+    let results: Vec<(Output, f64)> = pool.map(targets.clone(), |_, t| {
         let t0 = Instant::now();
-        let text = match (t, &trace_bench) {
-            ("trace", Some(b)) => bband_bench::ext_trace_bench(b, scale),
-            ("metrics", Some(b)) => bband_bench::ext_metrics_bench(b, scale),
-            ("metrics", None) if windows.is_some() => {
-                bband_bench::ext_metrics_windowed(scale, windows.unwrap())
-            }
-            ("sweep-ranks", _) if telemetry => bband_bench::ext_sweep_ranks_telemetry(scale),
-            _ => run_target(t, scale),
-        };
-        let artifact = json_dir
-            .as_ref()
-            .and_then(|_| json_artifact(t, scale, trace_bench.as_deref()));
-        (text, artifact, t0.elapsed().as_secs_f64())
+        let out = run_target(t, &opts);
+        (out, t0.elapsed().as_secs_f64())
     });
     let total = started.elapsed().as_secs_f64();
 
-    for (t, (text, artifact, _)) in targets.iter().zip(&results) {
+    for (t, (out, _)) in targets.iter().zip(&results) {
         println!("==== {t} ====");
-        println!("{text}");
-        if let (Some(dir), Some(json)) = (&json_dir, artifact) {
+        println!("{}", out.text);
+        if let Some(dir) = &json_dir {
             std::fs::create_dir_all(dir).expect("create artifact dir");
-            let path = Path::new(dir).join(format!("{t}.json"));
-            std::fs::write(&path, json).expect("write artifact");
-            eprintln!("wrote {}", path.display());
+            for (name, json) in &out.artifacts {
+                let path = Path::new(dir).join(format!("{name}.json"));
+                std::fs::write(&path, json).expect("write artifact");
+                eprintln!("wrote {}", path.display());
+            }
         }
     }
 
-    // The telemetry artifact rides along with the sweep-ranks one so the
-    // CI byte-diff loop (`--quick --json regen all`) covers it too.
-    if let Some(dir) = json_dir
-        .as_ref()
-        .filter(|_| targets.contains(&"sweep-ranks"))
-    {
-        std::fs::create_dir_all(dir).expect("create artifact dir");
-        let path = Path::new(dir).join("fabric-telemetry.json");
-        std::fs::write(&path, bband_bench::fabric_telemetry_json_string(scale))
-            .expect("write telemetry artifact");
-        eprintln!("wrote {}", path.display());
-    }
-
-    if let Some(path) = &trace_out {
-        // `trace` takes precedence when both targets ran; `metrics` gets
-        // the quantile artifact.
-        let json = if targets.contains(&"trace") {
-            match &trace_bench {
-                Some(b) => bband_bench::trace_bench_chrome_json(b, scale),
-                None => bband_bench::trace_chrome_json(),
-            }
-        } else if targets.contains(&"metrics") {
-            bband_bench::metrics_json_string(scale)
-        } else {
-            bband_bench::fabric_telemetry_json_string(scale)
-        };
+    if let Some(path) = &out_path {
+        let json = OUT_ARTIFACTS
+            .iter()
+            .find_map(|want| {
+                let mut artifacts = results.iter().flat_map(|(out, _)| &out.artifacts);
+                artifacts.find(|(name, _)| name == want)
+            })
+            .map(|(_, json)| json)
+            .expect("--out requires a target that exports one of OUT_ARTIFACTS");
         std::fs::write(path, json).expect("write output json");
         eprintln!("wrote {path}");
     }
@@ -290,7 +276,7 @@ fn main() {
         let per_target: Vec<Value> = targets
             .iter()
             .zip(&results)
-            .map(|(t, (_, _, secs))| {
+            .map(|(t, (_, secs))| {
                 Value::Obj(vec![
                     ("target".into(), Value::Str((*t).into())),
                     ("ms".into(), Value::Float(secs * 1e3)),
@@ -310,68 +296,4 @@ fn main() {
         .expect("write timing json");
         eprintln!("wrote {path}");
     }
-}
-
-/// Machine-readable form of the analytical targets (those with a stable
-/// schema; trace/distribution targets export through the library API).
-fn json_artifact(target: &str, scale: Scale, trace_bench: Option<&str>) -> Option<String> {
-    let c = Calibration::default();
-    let w = WhatIf::new(c.clone());
-    let panel = |comps: &[Component], latency: bool, title: &str| {
-        let curves: Vec<_> = comps
-            .iter()
-            .map(|&comp| (comp, w.curve(comp, latency, &WhatIf::GRID)))
-            .collect();
-        to_json(&curves_json(title, &curves))
-    };
-    Some(match target {
-        "fig4" => to_json(&breakdown_json(&InjectionModel::llp_post_breakdown(&c))),
-        "fig8" => to_json(&breakdown_json(
-            &InjectionModel::from_calibration(&c).breakdown(),
-        )),
-        "fig12" => to_json(&breakdown_json(
-            &OverallInjectionModel::from_calibration(&c).breakdown(),
-        )),
-        "fig13" => to_json(&breakdown_json(
-            &EndToEndLatencyModel::from_calibration(&c).breakdown(),
-        )),
-        "fig15" => to_json(&breakdown_json(
-            &EndToEndLatencyModel::from_calibration(&c).category_breakdown(),
-        )),
-        "fig16" => to_json(&breakdown_json(
-            &EndToEndLatencyModel::from_calibration(&c).on_node_breakdown(),
-        )),
-        "fig17a" => panel(&Component::FIG17A, false, "fig17a"),
-        "fig17b" => panel(&Component::FIG17B, true, "fig17b"),
-        "fig17c" => panel(&Component::FIG17C, true, "fig17c"),
-        "fig17d" => panel(&Component::FIG17D, true, "fig17d"),
-        // Recomputed with the same plan/seed/scale as the rendered text;
-        // identical inputs give identical points.
-        "loss" => to_json(&loss_sweep_json(
-            "latency_under_loss",
-            &bband_bench::loss_sweep(scale),
-        )),
-        // Fixed message count: the Chrome trace artifact is
-        // scale-independent (see `trace_chrome_json`). With --bench the
-        // artifact is the traced live microbenchmark instead.
-        "trace" => match trace_bench {
-            Some(b) => bband_bench::trace_bench_chrome_json(b, scale),
-            None => bband_bench::trace_chrome_json(),
-        },
-        // Quantile summaries + counters of the metered e2e run (same
-        // plan/seed/scale as the rendered table).
-        "metrics" => bband_bench::metrics_json_string(scale),
-        // The payload-size curve: quantiles, stage attributions, the
-        // eager→rendezvous crossover, and the embedded fast-vs-reference
-        // fault check on a segmented lossy plan.
-        "sweep-size" => bband_bench::sweep_size_json_string(scale),
-        // The rank-scaling grid: collectives per topology with congestion
-        // counters and the embedded 2-node equivalence gate.
-        "sweep-ranks" => bband_bench::sweep_ranks_json_string(scale),
-        // The thread-scaling grid: message rate per lock granularity over
-        // first-class endpoints, with the 1-thread bit-exactness gate and
-        // the Zambre scalability ratio.
-        "sweep-threads" => bband_bench::sweep_threads_json_string(scale),
-        _ => return None,
-    })
 }

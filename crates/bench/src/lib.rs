@@ -1,6 +1,6 @@
-//! Shared plumbing for the `repro` harness binary: one function per
-//! table/figure of the paper, each returning the rendered text that
-//! regenerates it.
+//! The `repro` harness's target table: one entry per table/figure of the
+//! paper, each running its experiment once and returning the rendered
+//! text plus every artifact exported from that same run.
 
 use bband_core::fault;
 use bband_core::latency::Category;
@@ -22,10 +22,11 @@ use bband_microbench::{
 };
 use bband_mpi::{collective_scaling_with, Collective};
 use bband_report::{
-    fabric_telemetry_json, metrics_json, rank_sweep_json, render_bar, render_critical_path,
-    render_curves, render_fabric_heatmap, render_fault_check, render_flame, render_histogram,
-    render_loss_sweep, render_quantiles, render_rank_sweep, render_recovery_attribution,
-    render_size_sweep, render_table1, render_thread_sweep, segmented_fault_check, size_sweep_json,
+    breakdown_json, curves_json, fabric_telemetry_json, loss_sweep_json, metrics_json,
+    rank_sweep_json, render_bar, render_critical_path, render_curves, render_fabric_heatmap,
+    render_fault_check, render_flame, render_histogram, render_loss_sweep, render_quantiles,
+    render_rank_sweep, render_recovery_attribution, render_size_sweep, render_table1,
+    render_thread_sweep, render_windowed_quantiles, segmented_fault_check, size_sweep_json,
     thread_sweep_json, to_json, ThreadBaseline, ThreadPoint, ZambreCheck,
 };
 use bband_sim::{SimDuration, WorkerPool};
@@ -55,18 +56,75 @@ impl Scale {
     }
 }
 
+/// What `repro`'s flags ask of a target.
+#[derive(Debug)]
+pub struct Opts {
+    pub scale: Scale,
+    /// `--bench`: `trace` or `metrics` runs this live microbenchmark
+    /// instead of the fault engine.
+    pub bench: Option<String>,
+    /// `--windows N`: `metrics` also splits its histograms into N
+    /// virtual-time windows.
+    pub windows: Option<u64>,
+    /// `--telemetry`: `sweep-ranks` also renders its fabric heatmaps.
+    pub telemetry: bool,
+    /// `--json` or `--out` was given: targets export their artifacts.
+    pub artifacts: bool,
+}
+
+/// One target's result: the text `repro` prints and, when
+/// [`Opts::artifacts`] is set, the artifacts of the same run as
+/// `(name, JSON)` pairs, written as `NAME.json`.
+#[derive(Debug)]
+pub struct Output {
+    pub text: String,
+    pub artifacts: Vec<(&'static str, String)>,
+}
+
+impl Output {
+    /// Attach artifact `name`, rendering `json` only if artifacts were
+    /// asked for.
+    fn with(mut self, o: &Opts, name: &'static str, json: impl FnOnce() -> String) -> Self {
+        if o.artifacts {
+            self.artifacts.push((name, json()));
+        }
+        self
+    }
+}
+
+impl From<String> for Output {
+    fn from(text: String) -> Self {
+        Output {
+            text,
+            artifacts: Vec::new(),
+        }
+    }
+}
+
 /// Table 1.
-pub fn table1() -> String {
+fn table1() -> String {
     render_table1(&Calibration::default())
 }
 
+/// A breakdown figure: `b` and then each of `more` rendered as bars; the
+/// artifact is `b` alone.
+fn breakdown_figure(o: &Opts, name: &'static str, b: &Breakdown, more: &[Breakdown]) -> Output {
+    let mut text = render_bar(b);
+    for m in more {
+        text.push('\n');
+        text.push_str(&render_bar(m));
+    }
+    Output::from(text).with(o, name, || to_json(&breakdown_json(b)))
+}
+
 /// Figure 4: LLP_post phase breakdown.
-pub fn fig4() -> String {
-    render_bar(&InjectionModel::llp_post_breakdown(&Calibration::default()))
+fn fig4(o: &Opts) -> Output {
+    let b = InjectionModel::llp_post_breakdown(&Calibration::default());
+    breakdown_figure(o, "fig4", &b, &[])
 }
 
 /// Figure 6: PCIe trace snippet (downstream transactions of put_bw).
-pub fn fig6(scale: Scale) -> String {
+fn fig6(scale: Scale) -> String {
     let report = put_bw(&PutBwConfig {
         stack: StackConfig::default(),
         messages: scale.put_bw_messages().min(64),
@@ -83,7 +141,7 @@ pub fn fig6(scale: Scale) -> String {
 }
 
 /// Figure 7: distribution of the observed injection overhead.
-pub fn fig7(scale: Scale) -> String {
+fn fig7(scale: Scale) -> String {
     let report = put_bw(&PutBwConfig {
         stack: StackConfig::default(),
         messages: scale.put_bw_messages(),
@@ -99,12 +157,13 @@ pub fn fig7(scale: Scale) -> String {
 }
 
 /// Figure 8: LLP-level injection breakdown.
-pub fn fig8() -> String {
-    render_bar(&InjectionModel::from_calibration(&Calibration::default()).breakdown())
+fn fig8(o: &Opts) -> Output {
+    let b = InjectionModel::from_calibration(&Calibration::default()).breakdown();
+    breakdown_figure(o, "fig8", &b, &[])
 }
 
 /// Figure 10: LLP-level latency breakdown (plus the am_lat observation).
-pub fn fig10(scale: Scale) -> String {
+fn fig10(scale: Scale) -> String {
     let c = Calibration::default();
     let model = LlpLatencyModel::from_calibration(&c);
     let mut out = render_bar(&model.breakdown());
@@ -126,7 +185,7 @@ pub fn fig10(scale: Scale) -> String {
 }
 
 /// Figure 11: HLP split between MPICH and UCP.
-pub fn fig11() -> String {
+fn fig11() -> String {
     let c = Calibration::default();
     let mut out = render_bar(&hlp_breakdown::isend_split(&c));
     out.push('\n');
@@ -135,21 +194,22 @@ pub fn fig11() -> String {
 }
 
 /// Figure 12: overall injection breakdown.
-pub fn fig12() -> String {
-    render_bar(&OverallInjectionModel::from_calibration(&Calibration::default()).breakdown())
+fn fig12(o: &Opts) -> Output {
+    let b = OverallInjectionModel::from_calibration(&Calibration::default()).breakdown();
+    breakdown_figure(o, "fig12", &b, &[])
 }
 
 /// Figure 13: end-to-end latency breakdown.
-pub fn fig13() -> String {
-    let model = EndToEndLatencyModel::from_calibration(&Calibration::default());
-    let b: Breakdown = model.breakdown();
-    let mut out = render_bar(&b);
-    out.push_str(&format!("  end-to-end total: {}\n", b.total()));
+fn fig13(o: &Opts) -> Output {
+    let b = EndToEndLatencyModel::from_calibration(&Calibration::default()).breakdown();
+    let mut out = breakdown_figure(o, "fig13", &b, &[]);
+    out.text
+        .push_str(&format!("  end-to-end total: {}\n", b.total()));
     out
 }
 
 /// Figure 14: HLP vs LLP during initiation and progress.
-pub fn fig14() -> String {
+fn fig14() -> String {
     let c = Calibration::default();
     let mut out = String::new();
     for b in [
@@ -168,51 +228,49 @@ pub fn fig14() -> String {
 }
 
 /// Figure 15: category breakdown of the end-to-end latency.
-pub fn fig15() -> String {
+fn fig15(o: &Opts) -> Output {
     let model = EndToEndLatencyModel::from_calibration(&Calibration::default());
-    let mut out = render_bar(&model.category_breakdown());
-    for cat in [Category::Cpu, Category::Io, Category::Network] {
-        out.push('\n');
-        out.push_str(&render_bar(&model.category_sub_breakdown(cat)));
-    }
-    out
+    let subs = [Category::Cpu, Category::Io, Category::Network]
+        .map(|cat| model.category_sub_breakdown(cat));
+    breakdown_figure(o, "fig15", &model.category_breakdown(), &subs)
 }
 
 /// Figure 16: on-node time breakdown.
-pub fn fig16() -> String {
+fn fig16(o: &Opts) -> Output {
     let model = EndToEndLatencyModel::from_calibration(&Calibration::default());
-    let mut out = render_bar(&model.on_node_breakdown());
-    for b in [
+    let splits = [
         model.initiator_split(),
         model.target_split(),
         model.target_io_split(),
-    ] {
-        out.push('\n');
-        out.push_str(&render_bar(&b));
-    }
-    out
+    ];
+    breakdown_figure(o, "fig16", &model.on_node_breakdown(), &splits)
 }
 
-/// One panel of Figure 17.
-pub fn fig17(panel: char) -> String {
+/// One panel of Figure 17; its artifact carries the curves under the
+/// short title `fig17<panel>`.
+fn fig17(o: &Opts, panel: char) -> Output {
     let w = WhatIf::new(Calibration::default());
-    let (title, comps, latency): (&str, &[Component], bool) = match panel {
+    let (name, title, comps, latency): (_, _, &[Component], _) = match panel {
         'a' => (
+            "fig17a",
             "Figure 17a: injection speedup vs CPU-component reduction",
             &Component::FIG17A,
             false,
         ),
         'b' => (
+            "fig17b",
             "Figure 17b: latency speedup vs CPU-component reduction",
             &Component::FIG17B,
             true,
         ),
         'c' => (
+            "fig17c",
             "Figure 17c: latency speedup vs I/O-component reduction",
             &Component::FIG17C,
             true,
         ),
         'd' => (
+            "fig17d",
             "Figure 17d: latency speedup vs network-component reduction",
             &Component::FIG17D,
             true,
@@ -223,11 +281,12 @@ pub fn fig17(panel: char) -> String {
         .iter()
         .map(|&c| (c, w.curve(c, latency, &WhatIf::GRID)))
         .collect();
-    render_curves(title, &curves)
+    Output::from(render_curves(title, &curves))
+        .with(o, name, || to_json(&curves_json(name, &curves)))
 }
 
 /// §7's headline claims, evaluated.
-pub fn claims() -> String {
+fn claims() -> String {
     let mut out = String::from("Section 7 claims:\n");
     for c in WhatIf::new(Calibration::default()).claims() {
         out.push_str(&format!(
@@ -242,7 +301,7 @@ pub fn claims() -> String {
 }
 
 /// Model-vs-observed validation table.
-pub fn validation(scale: Scale) -> String {
+fn validation(scale: Scale) -> String {
     let s = match scale {
         Scale::Quick => ValidationScale::quick(),
         Scale::Full => ValidationScale::default(),
@@ -275,7 +334,7 @@ pub fn validation(scale: Scale) -> String {
 }
 
 /// Extension experiments beyond the paper's figures.
-pub fn ext_scaling() -> String {
+fn ext_scaling() -> String {
     let m = ScalingModel::new(Calibration::default());
     let mut out = String::from(
         "Message-size scaling (UCT latency model; extension of §1's argument)
@@ -305,7 +364,7 @@ pub fn ext_scaling() -> String {
 }
 
 /// Eager-vs-rendezvous crossover, measured on the simulated stack.
-pub fn ext_crossover() -> String {
+fn ext_crossover() -> String {
     let rows = eager_rndv_sweep(
         &StackConfig::validation(),
         &[4 * 1024, 16 * 1024, 64 * 1024, 256 * 1024],
@@ -329,7 +388,7 @@ pub fn ext_crossover() -> String {
 /// and its `markov_stall` block parks the NICs in correlated stall
 /// windows, so faulted configurations show the onset moving to fewer
 /// cores.
-pub fn ext_multicore() -> String {
+fn ext_multicore() -> String {
     let plan = fault::active_plan();
     let credits = plan.credits.map(|c| (c.hdr, c.data, c.update_batch));
     let stalls = plan
@@ -376,7 +435,7 @@ pub fn ext_multicore() -> String {
 /// A `--faults` plan's `credits`/`markov_stall` blocks reach the live
 /// fabric (its two fault knobs — it has no lossy wire), and engaged runs
 /// report their recovery counters per rank count.
-pub fn ext_collectives(scale: Scale) -> String {
+fn ext_collectives(scale: Scale) -> String {
     let counts: &[u32] = match scale {
         Scale::Quick => &[2, 4, 8],
         Scale::Full => &[2, 4, 8, 16, 32],
@@ -423,7 +482,7 @@ pub fn ext_collectives(scale: Scale) -> String {
 }
 
 /// Alternative system profiles (the §7 optimizations as whole systems).
-pub fn ext_profiles() -> String {
+fn ext_profiles() -> String {
     let mut out = String::from(
         "Alternative system calibrations (end-to-end latency)
 ",
@@ -454,7 +513,7 @@ pub fn ext_profiles() -> String {
 
 /// §6's four insights, evaluated on the calibrated system and on the
 /// integrated-NIC profile (where insight 3 weakens — the point of §7.1).
-pub fn ext_insights() -> String {
+fn ext_insights() -> String {
     let mut out = String::from(
         "Section 6 insights (calibrated system):
 ",
@@ -491,201 +550,124 @@ pub fn ext_insights() -> String {
 /// probability swept over [`fault::DEFAULT_LOSS_GRID`]; each grid point is
 /// one pool task with an RNG stream derived from `(seed, index)`, so
 /// pooled and `--serial` runs emit identical bytes.
-pub fn ext_loss(scale: Scale) -> String {
+fn loss(o: &Opts) -> Output {
     let base = fault::active_plan();
-    let mut out = render_loss_sweep(
-        "Latency under fabric loss (8-byte messages, go-back-N recovery)",
-        &loss_sweep(scale),
-    );
-    if !base.is_zero() {
-        out.push_str("  (active fault plan injects additional faults via --faults)\n");
-    }
-    out
-}
-
-/// The `latency_under_loss` sweep at a given scale, under the active fault
-/// plan and seed override. Shared by [`ext_loss`] and the `repro` JSON
-/// artifact so both emit identical points.
-pub fn loss_sweep(scale: Scale) -> Vec<bband_core::LossPoint> {
-    let messages = match scale {
+    let messages = match o.scale {
         Scale::Quick => 120,
         Scale::Full => 1_000,
     };
-    fault::latency_under_loss(
+    let points = fault::latency_under_loss(
         &Calibration::default(),
-        &fault::active_plan(),
+        &base,
         &fault::DEFAULT_LOSS_GRID,
         messages,
         StackConfig::default().seed,
         &WorkerPool::new(),
-    )
-}
-
-/// Per-scale shape of the `sweep-size` experiment: the payload grid and
-/// the messages per grid point. Shared by the rendered target and the
-/// JSON artifact so both swing through identical points.
-fn size_sweep_shape(scale: Scale) -> (&'static [u32], u64) {
-    match scale {
-        Scale::Quick => (&[8, 4096, 65_536, 1 << 20], 8),
-        Scale::Full => (&tracepath::DEFAULT_SIZE_GRID, 64),
+    );
+    let mut text = render_loss_sweep(
+        "Latency under fabric loss (8-byte messages, go-back-N recovery)",
+        &points,
+    );
+    if !base.is_zero() {
+        text.push_str("  (active fault plan injects additional faults via --faults)\n");
     }
-}
-
-/// The size sweep at a given scale: one pool task per payload, RNG streams
-/// derived from `(seed, index)`, so pooled and `--serial` runs emit
-/// identical bytes. The driver itself asserts every engine run reproduces
-/// the sized analytical model bit-exactly.
-fn size_sweep(scale: Scale) -> Vec<tracepath::SizeSweepPoint> {
-    let (sizes, messages) = size_sweep_shape(scale);
-    tracepath::sweep_message_sizes(
-        &Calibration::default(),
-        sizes,
-        messages,
-        StackConfig::default().seed,
-        &WorkerPool::new(),
-    )
-    .0
+    Output::from(text).with(o, "loss", || {
+        to_json(&loss_sweep_json("latency_under_loss", &points))
+    })
 }
 
 /// Extension: the payload-size axis (`repro sweep-size`) — latency and
 /// goodput from 8 B to 4 MB across the eager→rendezvous crossover, each
 /// point a traced, metered engine run with per-size critical-path stage
 /// attribution, plus the segmented-lossy fast-vs-reference fault check.
-pub fn ext_sweep_size(scale: Scale) -> String {
+/// One pool task per payload with RNG streams derived from
+/// `(seed, index)`, so pooled and `--serial` runs emit identical bytes;
+/// [`tracepath::sweep_message_sizes`] asserts every engine run reproduces
+/// the sized analytical model bit-exactly.
+fn sweep_size(o: &Opts) -> Output {
     let c = Calibration::default();
+    let seed = StackConfig::default().seed;
     let crossover = bband_core::SizedLatencyModel::from_calibration(&c).crossover();
-    let (sizes, messages) = size_sweep_shape(scale);
-    let mut out = render_size_sweep(
+    let (sizes, messages): (&[u32], u64) = match o.scale {
+        Scale::Quick => (&[8, 4096, 65_536, 1 << 20], 8),
+        Scale::Full => (&tracepath::DEFAULT_SIZE_GRID, 64),
+    };
+    let (points, _) = tracepath::sweep_message_sizes(&c, sizes, messages, seed, &WorkerPool::new());
+    let check = segmented_fault_check(&c, 12, seed);
+    let mut text = render_size_sweep(
         &format!(
             "Message-size sweep: {messages} e2e messages per point, \
              MTU segmentation + protocol selection ({} points)",
             sizes.len()
         ),
-        &size_sweep(scale),
+        &points,
         crossover,
     );
-    out.push_str(&render_fault_check(&segmented_fault_check(
-        &c,
-        12,
-        StackConfig::default().seed,
-    )));
-    out
-}
-
-/// JSON artifact of the `sweep-size` target (`repro --json DIR sweep-size`):
-/// the full curve with quantiles, stage attributions, the model crossover,
-/// and the embedded fast-vs-reference fault check.
-pub fn sweep_size_json_string(scale: Scale) -> String {
-    let c = Calibration::default();
-    let crossover = bband_core::SizedLatencyModel::from_calibration(&c).crossover();
-    let fc = segmented_fault_check(&c, 12, StackConfig::default().seed);
-    to_json(&size_sweep_json(
-        &format!("sweep-size ({})", scale.name()),
-        &size_sweep(scale),
-        crossover,
-        fc,
-    ))
-}
-
-/// Per-scale shape of the `sweep-ranks` experiment: the rank grid shared
-/// by the rendered target and the JSON artifact.
-fn rank_sweep_shape(scale: Scale) -> &'static [u32] {
-    match scale {
-        Scale::Quick => &[16, 64, 256],
-        Scale::Full => &[128, 512, 1024, 2048, 4096],
-    }
-}
-
-/// The rank sweep at a given scale: one pool task per (topology, ranks)
-/// cell, each running barrier/bcast/allreduce-rd/allreduce-ring on a
-/// fresh flow fabric. Cells share nothing, so pooled and `--serial` runs
-/// emit identical bytes.
-fn rank_sweep(scale: Scale) -> Vec<bband_cluster::RankPoint> {
-    bband_cluster::sweep_ranks(rank_sweep_shape(scale), &WorkerPool::new())
-}
-
-fn rank_sweep_title(scale: Scale) -> String {
-    let ranks = rank_sweep_shape(scale);
-    format!(
-        "Rank-scaling sweep: collectives on fat-tree and dragonfly fabrics \
-         ({} rank counts up to {}, {} B payloads, credit flow control + ECN)",
-        ranks.len(),
-        ranks.last().unwrap(),
-        bband_cluster::SWEEP_PAYLOAD_BYTES
-    )
+    text.push_str(&render_fault_check(&check));
+    Output::from(text).with(o, "sweep-size", || {
+        let title = format!("sweep-size ({})", o.scale.name());
+        to_json(&size_sweep_json(&title, &points, crossover, check))
+    })
 }
 
 /// Extension: the cluster-scale rank axis (`repro sweep-ranks`) —
 /// completion latency and achieved bisection goodput for four collectives
 /// across fat-tree and dragonfly topologies, with per-port credit flow
 /// control and ECN backpressure resolved by the flow fabric, plus the
-/// 2-node bit-exactness gate against the calibrated `NetworkModel`.
-pub fn ext_sweep_ranks(scale: Scale) -> String {
-    render_rank_sweep(
-        &rank_sweep_title(scale),
-        &rank_sweep(scale),
-        &bband_cluster::two_node_equivalence(),
-    )
-}
-
-/// JSON artifact of the `sweep-ranks` target (`repro --json DIR
-/// sweep-ranks`): the full grid with congestion counters and the embedded
-/// 2-node equivalence gate.
-pub fn sweep_ranks_json_string(scale: Scale) -> String {
-    to_json(&rank_sweep_json(
-        &format!("sweep-ranks ({})", scale.name()),
-        &rank_sweep(scale),
-        &bband_cluster::two_node_equivalence(),
-    ))
-}
-
-/// The rank sweep with per-port telemetry recording: same grid, same
-/// `RankPoint`s (observation never perturbs — tested in bband-cluster),
-/// plus one condensed `TelemetryReport` per cell.
-fn rank_sweep_telemetry(scale: Scale) -> Vec<bband_cluster::TelemetryPoint> {
-    bband_cluster::sweep_ranks_telemetry(rank_sweep_shape(scale), &WorkerPool::new())
-}
-
-/// Extension: `repro sweep-ranks --telemetry` — the rank sweep table
-/// followed by the per-cell fabric heatmaps: per-link-class utilization
-/// over virtual-time windows, per-group global-link strips (dragonfly),
-/// and the top-k contended-link table that names the links behind the
-/// dragonfly congestion knee.
-pub fn ext_sweep_ranks_telemetry(scale: Scale) -> String {
-    let cells = rank_sweep_telemetry(scale);
-    let points: Vec<bband_cluster::RankPoint> = cells.iter().map(|c| c.point.clone()).collect();
-    let mut out = render_rank_sweep(
-        &rank_sweep_title(scale),
+/// 2-node bit-exactness gate against the calibrated `NetworkModel`. One
+/// pool task per (topology, ranks) cell; cells share nothing, so pooled
+/// and `--serial` runs emit identical bytes.
+///
+/// With `--telemetry` the table is followed by the per-cell fabric
+/// heatmaps: per-link-class utilization over virtual-time windows,
+/// per-group global-link strips (dragonfly), and the top-k
+/// contended-link table that names the links behind the dragonfly
+/// congestion knee. The `fabric-telemetry` artifact always rides along
+/// with `sweep-ranks`, so CI's byte-diff covers it.
+fn sweep_ranks(o: &Opts) -> Output {
+    let ranks: &[u32] = match o.scale {
+        Scale::Quick => &[16, 64, 256],
+        Scale::Full => &[128, 512, 1024, 2048, 4096],
+    };
+    let pool = WorkerPool::new();
+    // Recording never perturbs the simulation (tested in bband-cluster),
+    // so when telemetry is wanted its one sweep also yields the points.
+    let cells =
+        (o.telemetry || o.artifacts).then(|| bband_cluster::sweep_ranks_telemetry(ranks, &pool));
+    let points = match &cells {
+        Some(cells) => cells.iter().map(|c| c.point.clone()).collect(),
+        None => bband_cluster::sweep_ranks(ranks, &pool),
+    };
+    let gate = bband_cluster::two_node_equivalence();
+    let mut text = render_rank_sweep(
+        &format!(
+            "Rank-scaling sweep: collectives on fat-tree and dragonfly fabrics \
+             ({} rank counts up to {}, {} B payloads, credit flow control + ECN)",
+            ranks.len(),
+            ranks.last().expect("the rank grid is non-empty"),
+            bband_cluster::SWEEP_PAYLOAD_BYTES
+        ),
         &points,
-        &bband_cluster::two_node_equivalence(),
+        &gate,
     );
-    out.push('\n');
-    out.push_str(&render_fabric_heatmap(
-        "Fabric telemetry: link-class utilization heatmaps and contended links",
-        &cells,
-    ));
-    out
-}
-
-/// JSON artifact of `repro sweep-ranks --telemetry` (also written by
-/// `--json DIR sweep-ranks` so CI's byte-diff covers it): per-port
-/// time-series condensed per cell, with the bit-exact conservation
-/// reconciliation embedded.
-pub fn fabric_telemetry_json_string(scale: Scale) -> String {
-    to_json(&fabric_telemetry_json(
-        &format!("sweep-ranks --telemetry ({})", scale.name()),
-        &rank_sweep_telemetry(scale),
-    ))
-}
-
-/// Per-scale shape of the `sweep-threads` experiment: the thread-count
-/// grid and messages per thread, shared by the rendered target and the
-/// JSON artifact.
-fn thread_sweep_shape(scale: Scale) -> (&'static [u32], u64) {
-    match scale {
-        Scale::Quick => (&[1, 2, 4, 8], 400),
-        Scale::Full => (&[1, 2, 3, 4, 5, 6, 7, 8], 1_000),
+    if let Some(cells) = cells.as_ref().filter(|_| o.telemetry) {
+        text.push('\n');
+        text.push_str(&render_fabric_heatmap(
+            "Fabric telemetry: link-class utilization heatmaps and contended links",
+            cells,
+        ));
     }
+    let mut out = Output::from(text).with(o, "sweep-ranks", || {
+        let title = format!("sweep-ranks ({})", o.scale.name());
+        to_json(&rank_sweep_json(&title, &points, &gate))
+    });
+    if let Some(cells) = &cells {
+        out = out.with(o, "fabric-telemetry", || {
+            let title = format!("sweep-ranks --telemetry ({})", o.scale.name());
+            to_json(&fabric_telemetry_json(&title, cells))
+        });
+    }
+    out
 }
 
 /// One Zambre curve: `(name, endpoints(threads), lock granularity)`.
@@ -704,48 +686,10 @@ const THREAD_CURVES: [ThreadCurve; 3] = [
     ("independent", |t| t, LockGranularity::Independent),
 ];
 
-/// The thread sweep at a given scale: one pool task per (curve, threads)
-/// cell, each running [`endpoint_injection`] on a fresh cluster. Cells
-/// share nothing, so pooled and `--serial` runs emit identical bytes.
-fn thread_sweep(scale: Scale) -> Vec<ThreadPoint> {
-    let (threads, messages) = thread_sweep_shape(scale);
-    let cells: Vec<(usize, u32)> = (0..THREAD_CURVES.len())
-        .flat_map(|c| threads.iter().map(move |&t| (c, t)))
-        .collect();
-    WorkerPool::new().map(cells, move |_, (curve_idx, t)| {
-        let (curve, endpoints_of, lock) = THREAD_CURVES[curve_idx];
-        let r = endpoint_injection(&ThreadSweepConfig {
-            stack: StackConfig::validation(),
-            threads: t,
-            endpoints: endpoints_of(t),
-            lock,
-            messages_per_thread: messages,
-            ring_depth: 16,
-            credits: None,
-            stalls: None,
-        });
-        ThreadPoint {
-            curve,
-            threads: r.threads,
-            endpoints: r.endpoints,
-            lock: r.lock.name(),
-            rate_per_us: r.aggregate_rate_per_us,
-            per_thread_ns: r.per_thread_overhead.as_ns_f64(),
-            busy_posts: r.busy_posts,
-            lock_acquisitions: r.lock_acquisitions,
-            lock_contended: r.lock_contended,
-            lock_wait_ns: r.lock_wait_time.as_ns_f64(),
-            rc_stalled: r.rc_stalled,
-            credit_waits: r.counters.credit_stalls,
-        }
-    })
-}
-
 /// The 1-thread equivalence gate: the sweep's 1-thread/1-endpoint point
 /// (even under a global lock — one thread never contends) must land on
 /// the exact virtual end time of the pre-refactor multicore driver.
-fn thread_sweep_baseline(scale: Scale) -> ThreadBaseline {
-    let (_, messages) = thread_sweep_shape(scale);
+fn thread_sweep_baseline(messages: u64) -> ThreadBaseline {
     let mc = multicore_injection(&MulticoreConfig {
         stack: StackConfig::validation(),
         cores: 1,
@@ -798,55 +742,89 @@ fn zambre_check(points: &[ThreadPoint]) -> ZambreCheck {
     }
 }
 
-fn thread_sweep_title(scale: Scale) -> String {
-    let (threads, messages) = thread_sweep_shape(scale);
-    format!(
-        "Thread-scaling sweep: message rate vs lock granularity over \
-         first-class endpoints ({} thread counts up to {}, {} msgs/thread)",
-        threads.len(),
-        threads.last().unwrap(),
-        messages
-    )
-}
-
 /// Extension: the MPI+threads axis (`repro sweep-threads`) — Zambre et
 /// al.'s scalable-endpoints experiment on the calibrated stack: aggregate
 /// message rate for 1..=8 threads driving a single global-locked
 /// endpoint, per-endpoint-locked shared endpoints, and independent VIs,
 /// with the 1-thread bit-exactness gate against the pre-refactor
-/// multicore path and the ≥4× scalability ratio at 8 threads.
-pub fn ext_sweep_threads(scale: Scale) -> String {
-    let points = thread_sweep(scale);
+/// multicore path and the ≥4× scalability ratio at 8 threads. One pool
+/// task per (curve, threads) cell, each running [`endpoint_injection`] on
+/// a fresh cluster; cells share nothing, so pooled and `--serial` runs
+/// emit identical bytes.
+fn sweep_threads(o: &Opts) -> Output {
+    let (threads, messages): (&[u32], u64) = match o.scale {
+        Scale::Quick => (&[1, 2, 4, 8], 400),
+        Scale::Full => (&[1, 2, 3, 4, 5, 6, 7, 8], 1_000),
+    };
+    let cells: Vec<(usize, u32)> = (0..THREAD_CURVES.len())
+        .flat_map(|c| threads.iter().map(move |&t| (c, t)))
+        .collect();
+    let points = WorkerPool::new().map(cells, move |_, (curve_idx, t)| {
+        let (curve, endpoints_of, lock) = THREAD_CURVES[curve_idx];
+        let r = endpoint_injection(&ThreadSweepConfig {
+            stack: StackConfig::validation(),
+            threads: t,
+            endpoints: endpoints_of(t),
+            lock,
+            messages_per_thread: messages,
+            ring_depth: 16,
+            credits: None,
+            stalls: None,
+        });
+        ThreadPoint {
+            curve,
+            threads: r.threads,
+            endpoints: r.endpoints,
+            lock: r.lock.name(),
+            rate_per_us: r.aggregate_rate_per_us,
+            per_thread_ns: r.per_thread_overhead.as_ns_f64(),
+            busy_posts: r.busy_posts,
+            lock_acquisitions: r.lock_acquisitions,
+            lock_contended: r.lock_contended,
+            lock_wait_ns: r.lock_wait_time.as_ns_f64(),
+            rc_stalled: r.rc_stalled,
+            credit_waits: r.counters.credit_stalls,
+        }
+    });
+    let baseline = thread_sweep_baseline(messages);
     let zambre = zambre_check(&points);
-    render_thread_sweep(
-        &thread_sweep_title(scale),
-        &points,
-        &thread_sweep_baseline(scale),
-        &zambre,
+    let title = format!(
+        "Thread-scaling sweep: message rate vs lock granularity over \
+         first-class endpoints ({} thread counts up to {}, {} msgs/thread)",
+        threads.len(),
+        threads.last().expect("the thread grid is non-empty"),
+        messages
+    );
+    Output::from(render_thread_sweep(&title, &points, &baseline, &zambre)).with(
+        o,
+        "sweep-threads",
+        || {
+            let title = format!("sweep-threads ({})", o.scale.name());
+            to_json(&thread_sweep_json(&title, &points, &baseline, &zambre))
+        },
     )
 }
 
-/// JSON artifact of the `sweep-threads` target (`repro --json DIR
-/// sweep-threads`): the full grid with lock-contention counters and the
-/// embedded equivalence + scalability gates.
-pub fn sweep_threads_json_string(scale: Scale) -> String {
-    let points = thread_sweep(scale);
-    let zambre = zambre_check(&points);
-    to_json(&thread_sweep_json(
-        &format!("sweep-threads ({})", scale.name()),
-        &points,
-        &thread_sweep_baseline(scale),
-        &zambre,
-    ))
+/// Extension: `repro trace` — the whole-stack traced run, or with
+/// `--bench` a traced live microbenchmark. The `trace` artifact is the
+/// Chrome trace-format JSON (Perfetto-loadable) of the very run the text
+/// renders; stage edges export as flow arrows, and under `--faults` the
+/// recovery track shows go-back-N replay windows and backoff gaps.
+fn trace(o: &Opts) -> Output {
+    let (text, trace) = match o.bench.as_deref() {
+        Some(b) => trace_bench(b, o.scale),
+        None => trace_engine(o.scale),
+    };
+    Output::from(text).with(o, "trace", || trace.to_chrome_json())
 }
 
-/// Extension: the whole-stack traced run — the end-to-end fault pipeline
-/// recorded span by span on the virtual clock, rendered as a flame view
-/// plus the trace-derived Figure-13 breakdown. Under a zero fault plan the
-/// reconstruction is bit-exact against the analytical model (and says so);
-/// under `--faults` the Recovery-layer events (drops, go-back-N rounds,
-/// backoff gaps, replay windows) become visible by name.
-pub fn ext_trace(scale: Scale) -> String {
+/// The end-to-end fault pipeline recorded span by span on the virtual
+/// clock, rendered as a flame view plus the trace-derived Figure-13
+/// breakdown. Under a zero fault plan the reconstruction is bit-exact
+/// against the analytical model (and says so); under `--faults` the
+/// Recovery-layer events (drops, go-back-N rounds, backoff gaps, replay
+/// windows) become visible by name.
+fn trace_engine(scale: Scale) -> (String, Trace) {
     let c = Calibration::default();
     let plan = fault::active_plan();
     let messages = match scale {
@@ -916,7 +894,7 @@ pub fn ext_trace(scale: Scale) -> String {
         )),
         Err(e) => out.push_str(&format!("  ! {e}\n")),
     }
-    out
+    (out, trace)
 }
 
 /// Live microbenchmarks that can run under the tracer
@@ -1010,14 +988,14 @@ fn run_traced_bench(which: &str, scale: Scale) -> (String, Trace) {
     }
 }
 
-/// Extension: a live microbenchmark under the tracer, reconstructed by
-/// the same DAG pipeline the fault engine's traces flow through. For
-/// `put_bw` the critical path is strictly shorter than the stage sum —
-/// the hardware chain hides behind the serial CPU spine — and the
-/// per-stage exposed/hidden split quantifies exactly what pipelining
-/// buys. The zero-fault diff at the end cross-checks the live stack's
-/// shared stages against the model-faithful fault engine.
-pub fn ext_trace_bench(which: &str, scale: Scale) -> String {
+/// A live microbenchmark under the tracer, reconstructed by the same DAG
+/// pipeline the fault engine's traces flow through. For `put_bw` the
+/// critical path is strictly shorter than the stage sum — the hardware
+/// chain hides behind the serial CPU spine — and the per-stage
+/// exposed/hidden split quantifies exactly what pipelining buys. The
+/// zero-fault diff at the end cross-checks the live stack's shared stages
+/// against the model-faithful fault engine.
+fn trace_bench(which: &str, scale: Scale) -> (String, Trace) {
     let (label, trace) = run_traced_bench(which, scale);
     let mut out = render_flame(&format!("Traced live microbenchmark: {label}"), &trace);
     out.push('\n');
@@ -1055,7 +1033,7 @@ pub fn ext_trace_bench(which: &str, scale: Scale) -> String {
         out.push('\n');
         out.push_str(&trace_diff(&trace));
     }
-    out
+    (out, trace)
 }
 
 /// Stage names with identical semantics in the live cluster and the
@@ -1081,7 +1059,7 @@ const DIFF_STAGES: [&str; 8] = [
 /// compare the mean per-span duration. The two implementations share
 /// nothing but the calibration, so agreement here means the live
 /// cluster's per-stage charges really are the model's slices.
-pub fn trace_diff(live: &Trace) -> String {
+fn trace_diff(live: &Trace) -> String {
     let c = Calibration::default();
     let (res, reference) = tracepath::traced_e2e(
         &c,
@@ -1134,91 +1112,43 @@ pub fn trace_diff(live: &Trace) -> String {
     out
 }
 
-/// Chrome trace-format JSON of the traced run (Perfetto-loadable). A fixed
-/// message count keeps the artifact scale-independent; the active fault
-/// plan and seed override apply, so `repro --faults ... trace` exports the
-/// faulted timeline.
-pub fn trace_chrome_json() -> String {
-    let (_, trace) = tracepath::traced_e2e(
-        &Calibration::default(),
-        &fault::active_plan(),
-        24,
-        StackConfig::default().seed,
-    );
-    trace.to_chrome_json()
-}
-
-/// Chrome trace-format JSON of a traced live microbenchmark
-/// (`repro trace --bench <which> --out trace.json`). Stage edges export
-/// as flow arrows, so Perfetto draws the hardware chain threading
-/// through the CPU spine.
-pub fn trace_bench_chrome_json(which: &str, scale: Scale) -> String {
-    run_traced_bench(which, scale).1.to_chrome_json()
-}
-
-/// The metered end-to-end run behind the `metrics` target: a fixed task
-/// fan-out (so quick/full differ only in per-task message count), the
-/// active fault plan and seed override applied, drained task-major. The
-/// registry records on the virtual clock, so pooled and `--serial` runs
-/// are byte-identical.
-fn metered(scale: Scale) -> (String, Vec<bband_core::fault::FaultRunStats>, MetricsSet) {
-    let plan = fault::active_plan();
-    let messages_per_task = match scale {
-        Scale::Quick => 64,
-        Scale::Full => 500,
+/// Extension: `repro metrics` — the virtual-time metrics registry's
+/// per-stage p50/p95/p99/p99.9 latency quantile tables over the metered
+/// end-to-end run, or with `--bench` over a live microbenchmark's
+/// per-iteration latencies. The `metrics` artifact holds the quantile
+/// summaries and counters of the run the table renders.
+fn metrics(o: &Opts) -> Output {
+    let (title, set, tail) = match o.bench.as_deref() {
+        Some(b) => {
+            let (label, task) = run_metered_bench(b, o.scale);
+            let set = MetricsSet::from_tasks(vec![task]);
+            (
+                format!("Live microbenchmark quantiles: {label}"),
+                set,
+                String::new(),
+            )
+        }
+        None => metered_engine(o),
     };
-    const TASKS: u64 = 4;
-    let (runs, set) = tracepath::metered_e2e(
-        &Calibration::default(),
-        &plan,
-        messages_per_task,
-        TASKS,
-        StackConfig::default().seed,
-        &WorkerPool::new(),
-    );
-    let title = format!(
-        "Per-stage latency quantiles: {TASKS} tasks x {messages_per_task} 8-byte e2e messages \
-         ({} fault plan)",
-        if plan.is_zero() { "zero" } else { "active" }
-    );
-    (
-        title,
-        runs.into_iter().map(|(stats, _)| stats).collect(),
-        set,
-    )
+    let text = render_quantiles(&title, &set) + &tail;
+    Output::from(text).with(o, "metrics", || to_json(&metrics_json(&title, &set)))
 }
 
-/// Extension: the virtual-time metrics registry over the metered
-/// end-to-end run — per-stage p50/p95/p99/p99.9 latency quantile tables
-/// plus the recovery counters. On a zero fault plan every stage row is a
-/// spike at its calibrated mean; under `--faults` the e2e histogram grows
-/// the retransmission/backoff tail the quantiles pin down.
-pub fn ext_metrics(scale: Scale) -> String {
-    let (title, runs, set) = metered(scale);
-    let mut out = render_quantiles(&title, &set);
-    let completed: u64 = runs.iter().map(|r| r.completed).sum();
-    let messages: u64 = runs.iter().map(|r| r.messages).sum();
-    out.push_str(&format!("  completed {completed}/{messages} messages\n"));
-    let mut counters = bband_profiling::RecoveryCounters::new();
-    for r in &runs {
-        counters.merge(&r.counters);
-    }
-    if !counters.is_clean() {
-        out.push_str(&format!("  recovery: {}\n", counters.render_compact()));
-    }
-    out
-}
-
-/// Extension: the metrics target with the registry in time-windowed mode
-/// (`repro metrics --windows N`): the aggregate quantile table plus a
-/// per-window breakdown of the end-to-end latency distribution — `n`
-/// fixed-width windows spanning the modeled run, so bursts and drift
-/// that aggregate quantiles average away become visible rows. Windowed
-/// merge is deterministic, so pooled == `--serial` holds here too.
-pub fn ext_metrics_windowed(scale: Scale, n: u64) -> String {
-    assert!(n > 0, "--windows needs at least one window");
+/// The metered end-to-end run behind `metrics`: a fixed task fan-out (so
+/// quick/full differ only in per-task message count), the active fault
+/// plan and seed override applied, drained task-major. The registry
+/// records on the virtual clock, so pooled and `--serial` runs are
+/// byte-identical. On a zero fault plan every stage row is a spike at its
+/// calibrated mean; under `--faults` the e2e histogram grows the
+/// retransmission/backoff tail the quantiles pin down. With `--windows N`
+/// the registry also splits every histogram into `N` fixed-width windows
+/// spanning the modeled run, so bursts and drift that aggregate quantiles
+/// average away become rows of their own. Returns the title, the merged
+/// registry, and the lines printed under the quantile table.
+fn metered_engine(o: &Opts) -> (String, MetricsSet, String) {
+    let c = Calibration::default();
     let plan = fault::active_plan();
-    let messages_per_task = match scale {
+    let messages_per_task = match o.scale {
         Scale::Quick => 64,
         Scale::Full => 500,
     };
@@ -1226,10 +1156,12 @@ pub fn ext_metrics_windowed(scale: Scale, n: u64) -> String {
     // Window width: the modeled span of one task's message stream split
     // into n windows. The virtual clock starts at zero, so this covers
     // the whole run (the last window absorbs fault-plan overshoot).
-    let model = EndToEndLatencyModel::from_calibration(&Calibration::default()).total();
-    let width = SimDuration::from_ps((model * messages_per_task).as_ps().div_ceil(n));
-    let (runs, set) = tracepath::metered_e2e_windowed(
-        &Calibration::default(),
+    let model = EndToEndLatencyModel::from_calibration(&c).total();
+    let width = o
+        .windows
+        .map(|n| SimDuration::from_ps((model * messages_per_task).as_ps().div_ceil(n)));
+    let (runs, set) = tracepath::metered_e2e(
+        &c,
         &plan,
         messages_per_task,
         TASKS,
@@ -1237,28 +1169,30 @@ pub fn ext_metrics_windowed(scale: Scale, n: u64) -> String {
         width,
         &WorkerPool::new(),
     );
+    let windows = o
+        .windows
+        .map(|n| format!(" ({n} virtual-time windows)"))
+        .unwrap_or_default();
     let title = format!(
-        "Per-stage latency quantiles ({n} virtual-time windows): {TASKS} tasks x \
-         {messages_per_task} 8-byte e2e messages ({} fault plan)",
+        "Per-stage latency quantiles{windows}: {TASKS} tasks x {messages_per_task} 8-byte \
+         e2e messages ({} fault plan)",
         if plan.is_zero() { "zero" } else { "active" }
     );
-    let mut out = render_quantiles(&title, &set);
     let completed: u64 = runs.iter().map(|(r, _)| r.completed).sum();
     let messages: u64 = runs.iter().map(|(r, _)| r.messages).sum();
-    out.push_str(&format!("  completed {completed}/{messages} messages\n"));
-    out.push_str(&bband_report::render_windowed_quantiles(
-        &set,
-        "e2e_latency",
-    ));
-    out
-}
-
-/// JSON artifact of the `metrics` target (`repro metrics --out ...` and
-/// `repro --json DIR metrics`): the quantile summaries and counters with
-/// a stable schema.
-pub fn metrics_json_string(scale: Scale) -> String {
-    let (title, _, set) = metered(scale);
-    to_json(&metrics_json(&title, &set))
+    let mut tail = format!("  completed {completed}/{messages} messages\n");
+    if o.windows.is_some() {
+        tail.push_str(&render_windowed_quantiles(&set, "e2e_latency"));
+    } else {
+        let mut counters = bband_profiling::RecoveryCounters::new();
+        for (r, _) in &runs {
+            counters.merge(&r.counters);
+        }
+        if !counters.is_clean() {
+            tail.push_str(&format!("  recovery: {}\n", counters.render_compact()));
+        }
+    }
+    (title, set, tail)
 }
 
 /// Live microbenchmarks that can run under the metrics registry
@@ -1325,91 +1259,93 @@ fn run_metered_bench(which: &str, scale: Scale) -> (String, bband_metrics::TaskM
     }
 }
 
-/// Extension: a live microbenchmark metered by the virtual-time metrics
-/// registry (`repro metrics --bench <name>`) — per-iteration latency
-/// quantiles (p50/p95/p99/p99.9) next to the mean, from the same histogram
-/// machinery the fault-engine `metrics` target uses.
-pub fn ext_metrics_bench(which: &str, scale: Scale) -> String {
-    let (label, task) = run_metered_bench(which, scale);
-    let set = MetricsSet::from_tasks(vec![task]);
-    render_quantiles(&format!("Live microbenchmark quantiles: {label}"), &set)
-}
+/// A `repro` target: its name and the function that runs it once.
+pub type Target = (&'static str, fn(&Opts) -> Output);
 
-/// Every figure id the harness knows.
-pub const ALL_TARGETS: [&str; 30] = [
-    "table1",
-    "fig4",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "fig15",
-    "fig16",
-    "fig17a",
-    "fig17b",
-    "fig17c",
-    "fig17d",
-    "claims",
-    "validate",
-    "scaling",
-    "crossover",
-    "multicore",
-    "collectives",
-    "profiles",
-    "insights",
-    "loss",
-    "sweep-size",
-    "sweep-ranks",
-    "sweep-threads",
-    "trace",
-    "metrics",
+/// Every target the harness knows, in paper order.
+pub const TARGETS: [Target; 30] = [
+    ("table1", |_| table1().into()),
+    ("fig4", fig4),
+    ("fig6", |o| fig6(o.scale).into()),
+    ("fig7", |o| fig7(o.scale).into()),
+    ("fig8", fig8),
+    ("fig10", |o| fig10(o.scale).into()),
+    ("fig11", |_| fig11().into()),
+    ("fig12", fig12),
+    ("fig13", fig13),
+    ("fig14", |_| fig14().into()),
+    ("fig15", fig15),
+    ("fig16", fig16),
+    ("fig17a", |o| fig17(o, 'a')),
+    ("fig17b", |o| fig17(o, 'b')),
+    ("fig17c", |o| fig17(o, 'c')),
+    ("fig17d", |o| fig17(o, 'd')),
+    ("claims", |_| claims().into()),
+    ("validate", |o| validation(o.scale).into()),
+    ("scaling", |_| ext_scaling().into()),
+    ("crossover", |_| ext_crossover().into()),
+    ("multicore", |_| ext_multicore().into()),
+    ("collectives", |o| ext_collectives(o.scale).into()),
+    ("profiles", |_| ext_profiles().into()),
+    ("insights", |_| ext_insights().into()),
+    ("loss", loss),
+    ("sweep-size", sweep_size),
+    ("sweep-ranks", sweep_ranks),
+    ("sweep-threads", sweep_threads),
+    ("trace", trace),
+    ("metrics", metrics),
 ];
 
-/// Run one target by name.
-pub fn run_target(name: &str, scale: Scale) -> String {
-    match name {
-        "table1" => table1(),
-        "fig4" => fig4(),
-        "fig6" => fig6(scale),
-        "fig7" => fig7(scale),
-        "fig8" => fig8(),
-        "fig10" => fig10(scale),
-        "fig11" => fig11(),
-        "fig12" => fig12(),
-        "fig13" => fig13(),
-        "fig14" => fig14(),
-        "fig15" => fig15(),
-        "fig16" => fig16(),
-        "fig17a" => fig17('a'),
-        "fig17b" => fig17('b'),
-        "fig17c" => fig17('c'),
-        "fig17d" => fig17('d'),
-        "claims" => claims(),
-        "validate" => validation(scale),
-        "scaling" => ext_scaling(),
-        "crossover" => ext_crossover(),
-        "multicore" => ext_multicore(),
-        "collectives" => ext_collectives(scale),
-        "profiles" => ext_profiles(),
-        "insights" => ext_insights(),
-        "loss" => ext_loss(scale),
-        "sweep-size" => ext_sweep_size(scale),
-        "sweep-ranks" => ext_sweep_ranks(scale),
-        "sweep-threads" => ext_sweep_threads(scale),
-        "trace" => ext_trace(scale),
-        "metrics" => ext_metrics(scale),
-        other => panic!("unknown target {other}; known: {ALL_TARGETS:?}"),
-    }
+/// Run the target called `name` once.
+pub fn run_target(name: &str, o: &Opts) -> Output {
+    let (_, run) = TARGETS
+        .iter()
+        .find(|(n, _)| *n == name)
+        .unwrap_or_else(|| panic!("unknown target {name}"));
+    run(o)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use serde_json::Value;
+
+    /// Quick scale with artifacts on, the way CI regenerates `artifacts/`.
+    fn quick() -> Opts {
+        Opts {
+            scale: Scale::Quick,
+            bench: None,
+            windows: None,
+            telemetry: false,
+            artifacts: true,
+        }
+    }
+
+    fn bench(name: &str) -> Opts {
+        Opts {
+            bench: Some(name.into()),
+            ..quick()
+        }
+    }
+
+    /// The parsed artifact `name` of `out`.
+    fn artifact(out: &Output, name: &str) -> Value {
+        let (_, json) = out
+            .artifacts
+            .iter()
+            .find(|(n, _)| *n == name)
+            .unwrap_or_else(|| panic!("no {name} artifact"));
+        serde_json::from_str(json).unwrap()
+    }
+
+    fn num(v: &Value) -> f64 {
+        v.as_f64().unwrap_or_else(|| panic!("not a number: {v:?}"))
+    }
+
+    fn arr(v: &Value) -> &[Value] {
+        v.as_array()
+            .unwrap_or_else(|| panic!("not an array: {v:?}"))
+    }
 
     #[test]
     fn every_target_renders_nonempty() {
@@ -1424,13 +1360,50 @@ mod tests {
             ("fig13", "HLP_rx_prog"),
             ("table1", "240.96"),
         ];
-        for t in ALL_TARGETS {
-            let out = run_target(t, Scale::Quick);
-            assert!(!out.trim().is_empty(), "target {t} rendered nothing");
+        let plain = Opts {
+            artifacts: false,
+            ..quick()
+        };
+        let mut exported = Vec::new();
+        for (t, run) in TARGETS {
+            let out = run(&quick());
+            assert!(!out.text.trim().is_empty(), "target {t} rendered nothing");
             for (_, row) in rows.iter().filter(|(target, _)| *target == t) {
-                assert!(out.contains(row), "target {t} lacks {row:?}:\n{out}");
+                assert!(
+                    out.text.contains(row),
+                    "target {t} lacks {row:?}:\n{}",
+                    out.text
+                );
             }
+            // Artifacts are exports of the run whose text is printed:
+            // asking for them changes no byte of the text.
+            let bare = run(&plain);
+            assert_eq!(bare.text, out.text, "target {t}");
+            assert!(bare.artifacts.is_empty(), "target {t}");
+            exported.extend(out.artifacts.iter().map(|(name, _)| *name));
         }
+        assert_eq!(
+            exported,
+            [
+                "fig4",
+                "fig8",
+                "fig12",
+                "fig13",
+                "fig15",
+                "fig16",
+                "fig17a",
+                "fig17b",
+                "fig17c",
+                "fig17d",
+                "loss",
+                "sweep-size",
+                "sweep-ranks",
+                "fabric-telemetry",
+                "sweep-threads",
+                "trace",
+                "metrics",
+            ]
+        );
     }
 
     #[test]
@@ -1442,10 +1415,14 @@ mod tests {
 
     #[test]
     fn fig17_panels_render_all_lines() {
-        assert!(fig17('a').contains("LLP_post"));
-        assert!(fig17('b').contains("HLP_rx_prog"));
-        assert!(fig17('c').contains("Integrated NIC"));
-        assert!(fig17('d').contains("Switch"));
+        for (panel, line) in [
+            ('a', "LLP_post"),
+            ('b', "HLP_rx_prog"),
+            ('c', "Integrated NIC"),
+            ('d', "Switch"),
+        ] {
+            assert!(fig17(&quick(), panel).text.contains(line), "panel {panel}");
+        }
     }
 
     #[test]
@@ -1462,7 +1439,7 @@ mod tests {
 
     #[test]
     fn zero_fault_trace_target_is_bit_exact() {
-        let out = ext_trace(Scale::Quick);
+        let out = run_target("trace", &quick()).text;
         assert!(out.contains("sequential slice sum vs model"), "{out}");
         assert!(
             out.contains("DAG critical path vs one-message model"),
@@ -1471,18 +1448,50 @@ mod tests {
         assert!(!out.contains("MISMATCH"), "{out}");
     }
 
+    /// The `trace` artifact satisfies the Chrome trace schema, and the
+    /// happens-after edges export as balanced flow-event pairs with
+    /// matching ids whose finish events bind to the enclosing slice.
+    #[test]
+    fn trace_artifact_is_a_chrome_trace_with_paired_flows() {
+        let d = artifact(&run_target("trace", &quick()), "trace");
+        let evs = arr(&d["traceEvents"]);
+        assert!(!evs.is_empty(), "empty traceEvents");
+        for e in evs {
+            assert!(
+                ["X", "i", "M", "s", "f"].contains(&e["ph"].as_str().unwrap()),
+                "{e:?}"
+            );
+            assert!(e.get("pid").is_some() && e.get("name").is_some(), "{e:?}");
+        }
+        let flows = |ph: &str| -> Vec<&Value> { evs.iter().filter(|e| e["ph"] == ph).collect() };
+        let (starts, finishes) = (flows("s"), flows("f"));
+        assert!(!starts.is_empty(), "stage edges must emit flow events");
+        assert_eq!(starts.len(), finishes.len());
+        let ids = |evs: &[&Value]| {
+            let mut ids: Vec<u64> = evs.iter().map(|e| e["id"].as_u64().unwrap()).collect();
+            ids.sort_unstable();
+            ids.dedup();
+            ids
+        };
+        assert_eq!(ids(&starts), ids(&finishes));
+        assert!(finishes.iter().all(|e| e["bp"] == "e"));
+        assert!(starts.iter().chain(&finishes).all(|e| e["cat"] == "flow"));
+    }
+
     #[test]
     fn traced_put_bw_diffs_clean_against_the_fault_engine() {
-        let out = ext_trace_bench("put_bw", Scale::Quick);
+        let out = run_target("trace", &bench("put_bw")).text;
         assert!(out.contains("critical path"), "{out}");
-        assert!(out.contains("hidden"), "{out}");
+        // Real overlap: the critical path is shorter than the stage sum.
+        assert!(out.contains("% hidden"), "{out}");
         assert!(out.contains("trace-diff: OK"), "{out}");
+        assert!(!out.contains("trace-diff: MISMATCH"), "{out}");
     }
 
     #[test]
     fn every_trace_bench_renders() {
         for b in TRACE_BENCHES {
-            let out = ext_trace_bench(b, Scale::Quick);
+            let out = run_target("trace", &bench(b)).text;
             assert!(!out.trim().is_empty(), "bench {b} rendered nothing");
             assert!(!out.contains("trace-diff: MISMATCH"), "bench {b}:\n{out}");
         }
@@ -1490,31 +1499,42 @@ mod tests {
 
     #[test]
     fn metrics_target_renders_spiked_quantiles_on_the_clean_plan() {
-        let out = ext_metrics(Scale::Quick);
+        let out = run_target("metrics", &quick()).text;
         assert!(out.contains("p99.9"), "{out}");
         assert!(out.contains("e2e_latency"), "{out}");
         for name in bband_core::tracepath::FIG13_SLICES {
             assert!(out.contains(name), "missing {name} in:\n{out}");
         }
         assert!(out.contains("completed 256/256 messages"), "{out}");
-        // Deterministic: two invocations render the same bytes.
-        assert_eq!(out, ext_metrics(Scale::Quick));
     }
 
+    /// The `metrics` artifact: a stable schema whose quantiles are
+    /// monotone and bracketed by each stage's min and max.
     #[test]
     fn metrics_json_artifact_is_deterministic_and_parses() {
-        let a = metrics_json_string(Scale::Quick);
-        assert_eq!(a, metrics_json_string(Scale::Quick));
-        let v = serde_json::from_str::<serde_json::Value>(&a).unwrap();
-        assert!(v
-            .get("stages")
-            .and_then(|s| s.as_array())
-            .is_some_and(|s| s.len() >= 10));
+        let out = run_target("metrics", &quick());
+        // Deterministic: the registry records on the virtual clock.
+        assert_eq!(out.artifacts, run_target("metrics", &quick()).artifacts);
+        let d = artifact(&out, "metrics");
+        assert!(d["dropped"] == 0, "name-table overflow");
+        let stages = arr(&d["stages"]);
+        assert!(stages.len() >= 10, "nine Fig-13 slices plus e2e_latency");
+        for s in stages {
+            let q = ["p50_ns", "p95_ns", "p99_ns", "p999_ns"].map(|k| num(&s[k]));
+            assert!(q.windows(2).all(|w| w[0] <= w[1]), "{s:?}");
+            assert!(
+                num(&s["min_ns"]) <= q[0] && q[3] <= num(&s["max_ns"]) + 1e-9,
+                "{s:?}"
+            );
+            assert!(num(&s["count"]) > 0.0 && num(&s["mean_ns"]) > 0.0, "{s:?}");
+        }
+        assert!(stages.iter().any(|s| s["name"] == "e2e_latency"));
+        assert!(arr(&d["counters"]).iter().any(|c| c["name"] == "completed"));
     }
 
     #[test]
     fn multicore_trace_bench_exposes_credit_waits() {
-        let out = ext_trace_bench("multicore", Scale::Quick);
+        let out = run_target("trace", &bench("multicore")).text;
         assert!(out.contains("credit_wait"), "{out}");
         assert!(
             out.contains("recovery (credit waits / stall windows)"),
@@ -1529,13 +1549,13 @@ mod tests {
         // 8 threads over 4 per-endpoint-locked endpoints: the exposed
         // lock serialization is a first-class attributed stage next to
         // the credit stalls.
-        let out = ext_trace_bench("multicore", Scale::Quick);
+        let out = run_target("trace", &bench("multicore")).text;
         assert!(out.contains("lock_wait"), "{out}");
     }
 
     #[test]
     fn osu_trace_diff_covers_the_aggregate_hlp_stages() {
-        let out = ext_trace_bench("osu", Scale::Quick);
+        let out = run_target("trace", &bench("osu")).text;
         assert!(out.contains("HLP_post"), "{out}");
         assert!(out.contains("HLP_rx_prog"), "{out}");
         assert!(out.contains("trace-diff: OK"), "{out}");
@@ -1548,150 +1568,268 @@ mod tests {
             ("am_lat", "am_lat_iter"),
             ("osu", "osu_iter"),
         ] {
-            let out = ext_metrics_bench(b, Scale::Quick);
-            assert!(out.contains("p99.9"), "bench {b}:\n{out}");
-            assert!(out.contains(stage), "bench {b} missing {stage}:\n{out}");
+            let out = run_target("metrics", &bench(b));
+            assert!(out.text.contains("p99.9"), "bench {b}:\n{}", out.text);
+            assert!(out.text.contains(stage), "bench {b} missing {stage}");
+            // The artifact is this bench's run, not the engine's.
+            let title = artifact(&out, "metrics")["title"]
+                .as_str()
+                .unwrap()
+                .to_string();
+            assert!(out.text.starts_with(&title), "bench {b}: {title}");
             // Deterministic: the registry records on the virtual clock.
-            assert_eq!(out, ext_metrics_bench(b, Scale::Quick), "bench {b}");
+            assert_eq!(out.text, run_target("metrics", &bench(b)).text, "bench {b}");
         }
     }
 
     #[test]
     fn sweep_size_target_crosses_protocols_and_passes_the_fault_check() {
-        let out = ext_sweep_size(Scale::Quick);
+        let run = run_target("sweep-size", &quick());
+        let out = &run.text;
         assert!(out.contains("eager"), "{out}");
         assert!(out.contains("rendezvous"), "{out}");
         assert!(out.contains("crossover at"), "{out}");
         assert!(out.contains("fault-check: OK"), "{out}");
         // Deterministic: virtual clock + per-task RNG streams.
-        assert_eq!(out, ext_sweep_size(Scale::Quick));
+        let rerun = run_target("sweep-size", &quick());
+        assert_eq!((out, &run.artifacts), (&rerun.text, &rerun.artifacts));
     }
 
+    /// The `sweep-size` artifact: the payload curve rises with size,
+    /// crosses into rendezvous with the crossover attributed to named
+    /// stages, and embeds a passing segmented-lossy fault check.
     #[test]
-    fn sweep_ranks_target_covers_both_topologies_and_the_gate() {
-        let out = ext_sweep_ranks(Scale::Quick);
-        assert!(out.contains("-- fat-tree"), "{out}");
-        assert!(out.contains("-- dragonfly"), "{out}");
-        assert!(out.contains("allreduce-ring"), "{out}");
-        assert!(out.contains("2-node equivalence: OK"), "{out}");
-        assert_eq!(out, ext_sweep_ranks(Scale::Quick), "reruns are identical");
-    }
-
-    #[test]
-    fn sweep_ranks_json_artifact_is_deterministic_and_schema_tagged() {
-        let a = sweep_ranks_json_string(Scale::Quick);
-        assert_eq!(a, sweep_ranks_json_string(Scale::Quick));
-        assert!(a.contains("bband/sweep-ranks/v1"), "{a}");
-        let v = serde_json::from_str::<Value>(&a).unwrap();
-        assert_eq!(
-            v.get("two_node")
-                .and_then(|t| t.get("exact"))
-                .and_then(|b| b.as_bool()),
-            Some(true),
-            "the 2-node gate must hold in the artifact"
+    fn sweep_size_json_artifact_is_deterministic_and_schema_tagged() {
+        let d = artifact(&run_target("sweep-size", &quick()), "sweep-size");
+        assert!(d["schema"] == "bband/sweep-size/v1");
+        let pts = arr(&d["points"]);
+        assert_eq!(pts.len(), 4);
+        assert!(pts[0]["payload_bytes"] == 8 && pts[0]["protocol"] == "eager");
+        assert!(pts[pts.len() - 1]["protocol"] == "rendezvous");
+        for w in pts.windows(2) {
+            assert!(num(&w[0]["payload_bytes"]) < num(&w[1]["payload_bytes"]));
+            assert!(
+                num(&w[0]["model_ns"]) <= num(&w[1]["model_ns"]),
+                "latency must rise"
+            );
+        }
+        for p in pts {
+            let q = ["p50_ns", "p95_ns", "p99_ns"].map(|k| num(&p[k]));
+            assert!(q[0] <= q[1] && q[1] <= q[2], "{p:?}");
+            assert!(num(&p["segments"]) >= 1.0, "{p:?}");
+            assert!(num(&p["wire_bytes"]) > num(&p["payload_bytes"]), "{p:?}");
+            assert!(!arr(&p["top_stages"]).is_empty(), "stage attribution");
+        }
+        let rndv_stage = |s: &Value| {
+            let name = s["name"].as_str().unwrap();
+            name.starts_with("RTS") || name == "cts_flight" || name == "DMA_fetch"
+        };
+        assert!(pts
+            .iter()
+            .filter(|p| p["protocol"] == "rendezvous")
+            .any(|p| arr(&p["top_stages"]).iter().any(rndv_stage)));
+        assert!((8.0..(1u32 << 22) as f64).contains(&num(&d["crossover_bytes"])));
+        let fc = &d["fault_check"];
+        assert!(fc["identical"] == true, "fast path diverged");
+        assert!(
+            num(&fc["rc_retransmissions"]) > 0.0,
+            "go-back-N unexercised"
         );
     }
 
     #[test]
+    fn sweep_ranks_target_covers_both_topologies_and_the_gate() {
+        let run = run_target("sweep-ranks", &quick());
+        let out = &run.text;
+        assert!(out.contains("-- fat-tree"), "{out}");
+        assert!(out.contains("-- dragonfly"), "{out}");
+        assert!(out.contains("allreduce-ring"), "{out}");
+        assert!(out.contains("2-node equivalence: OK"), "{out}");
+        assert!(!out.contains("Fabric telemetry"), "{out}");
+        let rerun = run_target("sweep-ranks", &quick());
+        assert_eq!((out, &run.artifacts), (&rerun.text, &rerun.artifacts));
+    }
+
+    /// The `sweep-ranks` artifact: the full grid on both topologies, the
+    /// 2-node gate exact, and completion growing with rank count.
+    #[test]
+    fn sweep_ranks_json_artifact_is_deterministic_and_schema_tagged() {
+        let d = artifact(&run_target("sweep-ranks", &quick()), "sweep-ranks");
+        assert!(d["schema"] == "bband/sweep-ranks/v1");
+        let tn = &d["two_node"];
+        assert!(
+            tn["exact"] == true,
+            "flow fabric diverged from NetworkModel"
+        );
+        assert!((num(&tn["model_ns"]) - 382.81).abs() < 1e-6);
+        assert_eq!(num(&tn["model_ns"]), num(&tn["fabric_ns"]));
+        let pts = arr(&d["points"]);
+        for p in pts {
+            assert!(
+                num(&p["rounds"]) >= 1.0 && num(&p["messages"]) >= 1.0,
+                "{p:?}"
+            );
+            assert!(num(&p["completion_ns"]) > 0.0, "{p:?}");
+            assert!(
+                num(&p["msg_p50_ns"]) <= num(&p["msg_p99_ns"]) + 1e-9,
+                "{p:?}"
+            );
+            assert!(num(&p["achieved_gbps"]) <= num(&p["capacity_gbps"]) * 1.000001);
+        }
+        for topo in ["fat-tree", "dragonfly"] {
+            for coll in ["barrier", "bcast", "allreduce-rd", "allreduce-ring"] {
+                let mut curve: Vec<(f64, f64)> = pts
+                    .iter()
+                    .filter(|p| p["topology"] == topo && p["collective"] == coll)
+                    .map(|p| (num(&p["ranks"]), num(&p["completion_ns"])))
+                    .collect();
+                assert_eq!(curve.len(), 3, "{topo} {coll}");
+                curve.sort_by(|a, b| a.0.total_cmp(&b.0));
+                if coll == "barrier" || coll == "allreduce-rd" {
+                    assert!(curve[0].1 < curve[2].1, "{topo} {coll}: {curve:?}");
+                }
+            }
+        }
+    }
+
+    /// `sweep-ranks --telemetry`: every one of the 24 cells reconciles
+    /// bit-exactly against the flow counters, and the dragonfly's global
+    /// links hit the contention knee by 256 ranks while the fat-tree keeps
+    /// recursive doubling unsaturated at every rank count.
+    #[test]
+    fn fabric_telemetry_cells_conserve_and_show_the_dragonfly_knee() {
+        let o = Opts {
+            telemetry: true,
+            ..quick()
+        };
+        let out = run_target("sweep-ranks", &o);
+        for line in [
+            "Fabric telemetry",
+            "top contended links",
+            "conservation exact",
+        ] {
+            assert!(out.text.contains(line), "missing {line:?}");
+        }
+        let d = artifact(&out, "fabric-telemetry");
+        assert!(d["schema"] == "bband/fabric-telemetry/v1");
+        let cells = arr(&d["cells"]);
+        assert_eq!(
+            cells.len(),
+            24,
+            "2 topologies x 4 collectives x 3 rank counts"
+        );
+        for c in cells {
+            assert!(c["conservation"]["exact"] == true, "{c:?}");
+            assert!(num(&c["windows"]) >= 1.0 && num(&c["window_ps"]) > 0.0);
+            let a = &c["attribution"];
+            let parts = ["wire_ps", "queue_ps", "credit_ps"].map(|k| a[k].as_u64().unwrap());
+            assert_eq!(a["latency_ps"].as_u64().unwrap(), parts.iter().sum::<u64>());
+            assert!(!arr(&c["hotspots"]).is_empty(), "every cell names hotspots");
+            if c["topology"] == "fat-tree" && c["collective"] == "allreduce-rd" {
+                assert!(c["saturated_links"] == 0, "{c:?}");
+            }
+        }
+        assert!(cells.iter().any(|c| c["topology"] == "dragonfly"
+            && c["collective"] == "allreduce-rd"
+            && c["ranks"] == 256
+            && num(&c["saturated_links"]) >= 1.0));
+        // The plain sweep's artifact rides along, and the heatmaps only
+        // add to its text.
+        let plain = run_target("sweep-ranks", &quick());
+        assert!(out.text.starts_with(&plain.text));
+        assert_eq!(plain.artifacts, out.artifacts);
+    }
+
+    #[test]
     fn sweep_threads_target_renders_all_curves_and_gates() {
-        let out = ext_sweep_threads(Scale::Quick);
+        let run = run_target("sweep-threads", &quick());
+        let out = &run.text;
         assert!(out.contains("-- shared (lock: global)"), "{out}");
         assert!(out.contains("-- per-endpoint"), "{out}");
         assert!(out.contains("-- independent"), "{out}");
         assert!(out.contains("1-thread equivalence: OK"), "{out}");
         assert!(out.contains("SCALABLE"), "{out}");
         assert!(!out.contains("NOT SCALABLE"), "{out}");
-        // Pooled cells share nothing: reruns are byte-identical (the
-        // pooled == --serial determinism CI asserts).
-        assert_eq!(out, ext_sweep_threads(Scale::Quick), "reruns identical");
+        // Pooled cells share nothing: reruns are byte-identical.
+        let rerun = run_target("sweep-threads", &quick());
+        assert_eq!((out, &run.artifacts), (&rerun.text, &rerun.artifacts));
     }
 
     #[test]
     fn sweep_threads_json_artifact_holds_every_gate() {
-        let a = sweep_threads_json_string(Scale::Quick);
-        assert_eq!(a, sweep_threads_json_string(Scale::Quick));
-        assert!(a.contains("bband/sweep-threads/v1"), "{a}");
-        let v = serde_json::from_str::<Value>(&a).unwrap();
-        assert_eq!(
-            v.get("baseline")
-                .and_then(|b| b.get("bit_exact"))
-                .and_then(|b| b.as_bool()),
-            Some(true),
+        let d = artifact(&run_target("sweep-threads", &quick()), "sweep-threads");
+        assert!(d["schema"] == "bband/sweep-threads/v1");
+        let base = &d["baseline"];
+        assert!(
+            base["bit_exact"] == true,
             "the 1-thread point must be bit-exact vs the multicore path"
         );
-        let zambre = v.get("zambre").unwrap();
-        assert_eq!(zambre.get("scalable").and_then(|b| b.as_bool()), Some(true));
+        assert_eq!(num(&base["multicore_ns"]), num(&base["sweep_ns"]));
+        let zambre = &d["zambre"];
+        assert!(zambre["threads"] == 8 && zambre["scalable"] == true);
         assert!(
-            zambre.get("ratio").and_then(|r| r.as_f64()).unwrap() >= 4.0,
+            num(&zambre["ratio"]) >= 4.0,
             "independent VIs must deliver >=4x the locked-endpoint rate"
         );
         // Grid: 3 curves x 4 thread counts at quick scale.
-        let points = v.get("points").and_then(|p| p.as_array()).unwrap();
+        let points = arr(&d["points"]);
         assert_eq!(points.len(), 12);
         // Monotone ordering at 8 threads: independent >= per-endpoint >=
         // global — Zambre's lock-granularity spectrum.
-        let rate = |curve: &str| {
+        let at8 = |curve: &str| {
             points
                 .iter()
-                .find(|p| {
-                    p.get("curve").and_then(|c| c.as_str()) == Some(curve)
-                        && p.get("threads").and_then(|t| t.as_u64()) == Some(8)
-                })
-                .and_then(|p| p.get("rate_per_us"))
-                .and_then(|r| r.as_f64())
-                .unwrap()
+                .find(|p| p["curve"] == curve && p["threads"] == 8)
+                .unwrap_or_else(|| panic!("no {curve} point at 8 threads"))
         };
+        let rate = |curve: &str| num(&at8(curve)["rate_per_us"]);
         let (shared, per_ep, indep) = (rate("shared"), rate("per-endpoint"), rate("independent"));
         assert!(
             indep >= per_ep && per_ep >= shared,
             "rate ordering violated at 8 threads: {indep} vs {per_ep} vs {shared}"
         );
-        // The independent curve records no lock traffic at all.
-        for p in points {
-            if p.get("curve").and_then(|c| c.as_str()) == Some("independent") {
-                assert_eq!(p.get("lock_acquisitions").and_then(|a| a.as_u64()), Some(0));
-                assert_eq!(p.get("lock_wait_ns").and_then(|w| w.as_f64()), Some(0.0));
-            }
+        // The independent curve records no lock traffic at all; the
+        // shared endpoint contends at 8 threads.
+        for p in points.iter().filter(|p| p["curve"] == "independent") {
+            assert!(
+                p["lock_acquisitions"] == 0 && p["lock_wait_ns"] == 0.0,
+                "{p:?}"
+            );
         }
+        let shared8 = at8("shared");
+        assert!(num(&shared8["lock_contended"]) > 0.0 && num(&shared8["lock_wait_ns"]) > 0.0);
     }
 
     #[test]
     fn windowed_metrics_renders_per_window_rows() {
-        let out = ext_metrics_windowed(Scale::Quick, 6);
-        assert!(out.contains("windows of e2e_latency"), "{out}");
-        assert!(out.contains("6 virtual-time windows"), "{out}");
-        assert_eq!(out, ext_metrics_windowed(Scale::Quick, 6));
+        let o = Opts {
+            windows: Some(6),
+            ..quick()
+        };
+        let out = run_target("metrics", &o);
+        assert!(out.text.contains("windows of e2e_latency"), "{}", out.text);
+        assert!(out.text.contains("6 virtual-time windows"), "{}", out.text);
+        assert_eq!(out.text, run_target("metrics", &o).text);
         // The aggregate table still leads the windowed view.
-        assert!(out.contains("p99.9"), "{out}");
-    }
-
-    #[test]
-    fn sweep_size_json_artifact_is_deterministic_and_schema_tagged() {
-        let a = sweep_size_json_string(Scale::Quick);
-        assert_eq!(a, sweep_size_json_string(Scale::Quick));
-        assert!(a.contains("bband/sweep-size/v1"), "{a}");
-        let v = serde_json::from_str::<serde_json::Value>(&a).unwrap();
-        assert!(v
-            .get("points")
-            .and_then(|p| p.as_array())
-            .is_some_and(|p| p.len() == 4));
-        assert_eq!(
-            v.get("fault_check")
-                .and_then(|f| f.get("identical"))
-                .and_then(|b| b.as_bool()),
-            Some(true)
-        );
+        assert!(out.text.contains("p99.9"), "{}", out.text);
+        // The artifact is this windowed run's.
+        let title = artifact(&out, "metrics")["title"]
+            .as_str()
+            .unwrap()
+            .to_string();
+        assert!(title.contains("6 virtual-time windows"), "{title}");
     }
 
     #[test]
     fn trace_bench_chrome_json_is_deterministic_and_has_flows() {
-        let a = trace_bench_chrome_json("put_bw", Scale::Quick);
-        let b = trace_bench_chrome_json("put_bw", Scale::Quick);
-        assert_eq!(a, b);
+        let a = run_target("trace", &bench("put_bw"));
+        let b = run_target("trace", &bench("put_bw"));
+        assert_eq!(a.artifacts, b.artifacts);
+        let (_, json) = &a.artifacts[0];
         assert!(
-            a.contains("\"ph\": \"s\""),
+            json.contains("\"ph\": \"s\""),
             "stage edges must export as flows"
         );
-        assert!(a.contains("\"ph\": \"f\""));
+        assert!(json.contains("\"ph\": \"f\""));
     }
 }

@@ -36,6 +36,18 @@ fn bad_fault_plans_exit_2_with_a_message() {
         (r#"{"loss_probability": -0.5}"#, "loss_probability = -0.5"),
         (r#"{"loss_probability": 1e400}"#, "loss_probability = inf"),
         (r#"{"loss_probability": "high"}"#, "expected f64"),
+        (
+            r#"{"nic_stalls": [{"start_ns": 18446744073709551615, "duration_ns": 1}]}"#,
+            "nic_stalls[0] (start_ns = 18446744073709551615, duration_ns = 1) must end by",
+        ),
+        (
+            r#"{"markov_stall": {"mean_down_ns": 1e300}}"#,
+            "markov_stall.mean_down_ns = 1e300 is not a mean dwell",
+        ),
+        (
+            r#"{"markov_stall": {"mean_up_ns": -5, "mean_down_ns": 100}}"#,
+            "markov_stall.mean_up_ns = -5.0 is not a mean dwell",
+        ),
     ] {
         let plan = dir.join("plan.json");
         std::fs::write(&plan, json).expect("write plan");

@@ -293,10 +293,12 @@ impl FaultPlan {
     }
 
     /// Refuse a plan the engine cannot run: a probability that is not a
-    /// finite number in [0, 1], or a credit pool that would deadlock the
+    /// finite number in [0, 1]; a credit pool that would deadlock the
     /// simulation rather than stall it — one that can never issue the
     /// plan's largest MMIO write, or whose UpdateFC batch can never fill
-    /// once the header pool empties.
+    /// once the header pool empties; a `nic_stalls` window that ends past
+    /// [`PLAN_HORIZON_NS`]; or a `markov_stall` mean outside
+    /// `[0, MAX_MEAN_DWELL_NS]`.
     pub fn check(&self) -> Result<(), PlanError> {
         let burst = self.burst_loss.map(|g| {
             [
@@ -341,6 +343,26 @@ impl FaultPlan {
                 });
             }
         }
+        if let Some((index, &w)) = self.nic_stalls.iter().enumerate().find(|(_, w)| {
+            w.start_ns
+                .checked_add(w.duration_ns)
+                .is_none_or(|end| end > PLAN_HORIZON_NS)
+        }) {
+            return Err(PlanError::StallWindow { index, window: w });
+        }
+        let means = self.markov_stall.map(|m| {
+            [
+                ("markov_stall.mean_up_ns", m.mean_up_ns),
+                ("markov_stall.mean_down_ns", m.mean_down_ns),
+            ]
+        });
+        if let Some((field, value)) = means
+            .into_iter()
+            .flatten()
+            .find(|(_, mean)| !(0.0..=MAX_MEAN_DWELL_NS).contains(mean))
+        {
+            return Err(PlanError::MeanDwell { field, value });
+        }
         Ok(())
     }
 
@@ -358,6 +380,21 @@ impl FaultPlan {
     }
 }
 
+/// Latest simulated time, in nanoseconds, a `nic_stalls` window may end
+/// at (10 s). Every message posted inside a window waits it out, and the
+/// engine sums those waits in u64 picoseconds: this bound leaves room for
+/// over a million messages to wait out a window spanning the whole
+/// horizon, where a window ending near `u64::MAX` ns would overflow
+/// [`SimTime`].
+pub const PLAN_HORIZON_NS: u64 = 10_000_000_000;
+
+/// Largest `markov_stall` mean dwell, nanoseconds (1 s). One draw is at
+/// most 53·ln 2 ≈ 36.7 times its mean (the uniform has 53 bits), so even
+/// worst-case dwells leave room for half a million stalls in the same
+/// ledger, where a mean of 1e300 would overflow [`SimTime`] on its
+/// first draw.
+pub const MAX_MEAN_DWELL_NS: f64 = 1e9;
+
 /// Why [`FaultPlan::from_json_str`] or [`FaultPlan::check`] refused a plan.
 #[derive(Debug, Clone)]
 pub enum PlanError {
@@ -371,6 +408,12 @@ pub enum PlanError {
     /// `credits.update_batch` is zero or larger than `credits.hdr`, so no
     /// UpdateFC ever returns the header credits.
     UpdateBatch { update_batch: u32, hdr: u32 },
+    /// `nic_stalls[index]` ends past [`PLAN_HORIZON_NS`], where waiting it
+    /// out would overflow [`SimTime`].
+    StallWindow { index: usize, window: StallWindow },
+    /// A `markov_stall` mean dwell that is negative, non-finite or above
+    /// [`MAX_MEAN_DWELL_NS`].
+    MeanDwell { field: &'static str, value: f64 },
 }
 
 impl std::fmt::Display for PlanError {
@@ -389,6 +432,16 @@ impl std::fmt::Display for PlanError {
                 f,
                 "credits.update_batch = {update_batch} must be between 1 and \
                  credits.hdr = {hdr}"
+            ),
+            PlanError::StallWindow { index, window } => write!(
+                f,
+                "nic_stalls[{index}] (start_ns = {}, duration_ns = {}) must end by \
+                 {PLAN_HORIZON_NS} ns",
+                window.start_ns, window.duration_ns
+            ),
+            PlanError::MeanDwell { field, value } => write!(
+                f,
+                "{field} = {value:?} is not a mean dwell in [0, {MAX_MEAN_DWELL_NS:e}] ns"
             ),
         }
     }
@@ -2685,6 +2738,68 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    /// Stall plans that would panic with "SimTime overflow" (a window
+    /// ending near `u64::MAX` ns, a Markov mean of 1e300) or be clamped
+    /// silently (a negative mean) are refused with a typed error; the
+    /// bounds themselves still run.
+    #[test]
+    fn stall_plans_past_the_simtime_range_are_refused() {
+        let mean = "is not a mean dwell in [0, 1e9] ns";
+        for (json, message) in [
+            (
+                r#"{"nic_stalls": [{"start_ns": 0, "duration_ns": 18446744073709551615}]}"#,
+                "nic_stalls[0] (start_ns = 0, duration_ns = 18446744073709551615) must end by \
+                 10000000000 ns"
+                    .to_string(),
+            ),
+            (
+                r#"{"nic_stalls": [{"start_ns": 10, "duration_ns": 5},
+                    {"start_ns": 10000000000, "duration_ns": 1}]}"#,
+                "nic_stalls[1] (start_ns = 10000000000, duration_ns = 1) must end by \
+                 10000000000 ns"
+                    .to_string(),
+            ),
+            (
+                r#"{"markov_stall": {"mean_down_ns": 1e300}}"#,
+                format!("markov_stall.mean_down_ns = 1e300 {mean}"),
+            ),
+            (
+                r#"{"markov_stall": {"mean_up_ns": -5, "mean_down_ns": 100}}"#,
+                format!("markov_stall.mean_up_ns = -5.0 {mean}"),
+            ),
+            (
+                r#"{"markov_stall": {"mean_up_ns": 1e400}}"#,
+                format!("markov_stall.mean_up_ns = inf {mean}"),
+            ),
+        ] {
+            let e = FaultPlan::from_json_str(json).expect_err(json);
+            assert!(
+                matches!(
+                    e,
+                    PlanError::StallWindow { .. } | PlanError::MeanDwell { .. }
+                ),
+                "{json}: {e:?}"
+            );
+            assert_eq!(e.to_string(), message, "{json}");
+        }
+        let mut plan = FaultPlan::none();
+        plan.markov_stall = Some(MarkovStall {
+            mean_up_ns: f64::NAN,
+            mean_down_ns: 0.0,
+        });
+        assert!(matches!(plan.check(), Err(PlanError::MeanDwell { .. })));
+        // At the bounds the engine runs: a NIC stalled up to the horizon,
+        // and one that goes dark for dwells of the largest mean at once.
+        for json in [
+            r#"{"nic_stalls": [{"start_ns": 0, "duration_ns": 10000000000}]}"#,
+            r#"{"markov_stall": {"mean_up_ns": 0, "mean_down_ns": 1e9}}"#,
+        ] {
+            let plan = FaultPlan::from_json_str(json).expect(json);
+            let stats = run_e2e_under_faults(&cal(), &plan, 64, 7).expect(json);
+            assert!(stats.counters.nic_stalls > 0, "{json}");
+        }
     }
 
     /// A bad plan built in code never reaches `from_json_str`; the engine

@@ -316,19 +316,27 @@ fn feed_recovery_counters(stats: &FaultRunStats) {
 /// identical sets. The span rings themselves are small and discarded:
 /// only the histograms leave the tasks, which is what lets this scale to
 /// message counts a retained trace could not.
+///
+/// With a `window` width the registry runs in fixed-width virtual-time
+/// window mode (`repro metrics --windows N`): every stage histogram is
+/// additionally split into `width`-wide windows of the virtual clock, so
+/// long runs expose drift and bursts the aggregate quantiles average
+/// away. Window merging keys on `(name, index)` and is deterministic, so
+/// pooled and `--serial` runs stay byte-identical in this mode too.
 pub fn metered_e2e(
     cal: &Calibration,
     plan: &FaultPlan,
     messages_per_task: u64,
     tasks: u64,
     seed: u64,
+    window: Option<SimDuration>,
     pool: &WorkerPool,
 ) -> (Vec<(FaultRunStats, Option<RetryExhausted>)>, MetricsSet) {
     let path = crate::fault::active_engine_path();
     let idxs: Vec<u64> = (0..tasks).collect();
     let results = pool.map(idxs, |idx, _| {
         let task_seed = Pcg64::new(seed).fork(idx as u64).next_u64();
-        metrics::collect(|| {
+        let run = || {
             // Tracing must be live for the stage stream to exist; a small
             // ring that freely wraps keeps the memory flat — the
             // histograms, not the spans, are this run's product.
@@ -337,38 +345,11 @@ pub fn metered_e2e(
             });
             feed_recovery_counters(&run.0);
             run
-        })
-    });
-    let (runs, metric_tasks): (Vec<_>, Vec<_>) = results.into_iter().unzip();
-    (runs, MetricsSet::from_tasks(metric_tasks))
-}
-
-/// [`metered_e2e`] with the registry in fixed-width virtual-time window
-/// mode (`repro metrics --windows N`): every stage histogram is
-/// additionally split into `width`-wide windows of the virtual clock, so
-/// long runs expose drift and bursts the aggregate quantiles average
-/// away. Window merging keys on `(name, index)` and is deterministic, so
-/// pooled and `--serial` runs stay byte-identical in this mode too.
-pub fn metered_e2e_windowed(
-    cal: &Calibration,
-    plan: &FaultPlan,
-    messages_per_task: u64,
-    tasks: u64,
-    seed: u64,
-    width: SimDuration,
-    pool: &WorkerPool,
-) -> (Vec<(FaultRunStats, Option<RetryExhausted>)>, MetricsSet) {
-    let path = crate::fault::active_engine_path();
-    let idxs: Vec<u64> = (0..tasks).collect();
-    let results = pool.map(idxs, |idx, _| {
-        let task_seed = Pcg64::new(seed).fork(idx as u64).next_u64();
-        metrics::collect_windowed(width, || {
-            let (run, _spans) = trace::collect(1 << 12, || {
-                run_raw_on(path, cal, plan, messages_per_task, task_seed)
-            });
-            feed_recovery_counters(&run.0);
-            run
-        })
+        };
+        match window {
+            Some(width) => metrics::collect_windowed(width, run),
+            None => metrics::collect(run),
+        }
     });
     let (runs, metric_tasks): (Vec<_>, Vec<_>) = results.into_iter().unzip();
     (runs, MetricsSet::from_tasks(metric_tasks))
@@ -682,8 +663,18 @@ mod tests {
         let c = cal();
         let mut plan = FaultPlan::none();
         plan.loss_probability = 0.01;
-        let (runs_a, set_a) = metered_e2e(&c, &plan, 50, 4, 0x5EED, &WorkerPool::with_threads(1));
-        let (runs_b, set_b) = metered_e2e(&c, &plan, 50, 4, 0x5EED, &WorkerPool::with_threads(4));
+        let run = |threads| {
+            metered_e2e(
+                &c,
+                &plan,
+                50,
+                4,
+                0x5EED,
+                None,
+                &WorkerPool::with_threads(threads),
+            )
+        };
+        let ((runs_a, set_a), (runs_b, set_b)) = (run(1), run(4));
         assert_eq!(runs_a, runs_b);
         assert_eq!(set_a, set_b);
         assert_eq!(set_a.counter_value("completed"), 200);
@@ -691,7 +682,7 @@ mod tests {
         assert_eq!(e2e.count, 200);
     }
 
-    /// The windowed variant keeps the pool-invariance contract: windows
+    /// The windowed mode keeps the pool-invariance contract: windows
     /// merge keyed on `(name, index)`, so serial and pooled runs produce
     /// the same windowed [`MetricsSet`] value, and the windowed slices
     /// sum back to the aggregate histogram.
@@ -701,24 +692,18 @@ mod tests {
         let mut plan = FaultPlan::none();
         plan.loss_probability = 0.01;
         let width = SimDuration::from_us(25);
-        let (runs_a, set_a) = metered_e2e_windowed(
-            &c,
-            &plan,
-            50,
-            4,
-            0x5EED,
-            width,
-            &WorkerPool::with_threads(1),
-        );
-        let (runs_b, set_b) = metered_e2e_windowed(
-            &c,
-            &plan,
-            50,
-            4,
-            0x5EED,
-            width,
-            &WorkerPool::with_threads(4),
-        );
+        let run = |threads| {
+            metered_e2e(
+                &c,
+                &plan,
+                50,
+                4,
+                0x5EED,
+                Some(width),
+                &WorkerPool::with_threads(threads),
+            )
+        };
+        let ((runs_a, set_a), (runs_b, set_b)) = (run(1), run(4));
         assert_eq!(runs_a, runs_b);
         assert_eq!(set_a, set_b);
         let series = set_a.window_series("e2e_latency").expect("windowed e2e");
@@ -742,6 +727,7 @@ mod tests {
             32,
             2,
             0x5EED,
+            None,
             &WorkerPool::with_threads(2),
         );
         let e2e = set.hist("e2e_latency").unwrap();

@@ -266,6 +266,7 @@ mod tests {
             16,
             2,
             0x5EED,
+            None,
             &WorkerPool::with_threads(1),
         );
         let text = render_quantiles("per-stage latency quantiles", &set);
@@ -286,6 +287,7 @@ mod tests {
             32,
             2,
             0x5EED,
+            None,
             &WorkerPool::with_threads(1),
         );
         let json = to_json(&metrics_json("metrics", &set));
@@ -301,13 +303,13 @@ mod tests {
 
     #[test]
     fn windowed_rendering_splits_the_e2e_distribution() {
-        let (_, set) = bband_core::tracepath::metered_e2e_windowed(
+        let (_, set) = metered_e2e(
             &Calibration::default(),
             &FaultPlan::none(),
             32,
             2,
             0x5EED,
-            SimDuration::from_us(20),
+            Some(SimDuration::from_us(20)),
             &WorkerPool::with_threads(1),
         );
         let text = render_windowed_quantiles(&set, "e2e_latency");
@@ -322,6 +324,7 @@ mod tests {
             32,
             2,
             0x5EED,
+            None,
             &WorkerPool::with_threads(1),
         );
         assert!(render_windowed_quantiles(&plain, "e2e_latency").is_empty());
