@@ -48,6 +48,14 @@ fn bad_fault_plans_exit_2_with_a_message() {
             r#"{"markov_stall": {"mean_up_ns": -5, "mean_down_ns": 100}}"#,
             "markov_stall.mean_up_ns = -5.0 is not a mean dwell",
         ),
+        (
+            r#"{"payload_bytes": 4294967295}"#,
+            "payload_bytes = 4294967295 exceeds the 67108864-byte (64 MiB) payload limit",
+        ),
+        (
+            r#"{"payload_cycle": [8, 67108865]}"#,
+            "payload_cycle[1] = 67108865 exceeds",
+        ),
     ] {
         let plan = dir.join("plan.json");
         std::fs::write(&plan, json).expect("write plan");

@@ -16,7 +16,7 @@
 //! a pure function of the schedule. Pooled and serial sweeps are
 //! byte-identical.
 
-use crate::flow::ClusterFabric;
+use crate::flow::{ClusterFabric, PortHop};
 use bband_sim::{SimDuration, SimTime};
 
 /// Collective operation to run at flow level.
@@ -68,7 +68,7 @@ impl EndpointCosts {
 }
 
 /// One directed transfer within a round.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Xfer {
     src: u32,
     dst: u32,
@@ -91,6 +91,10 @@ pub struct FlowReport {
 
 /// Ranks `0..n` run `coll`; returns the completion report. The fabric's
 /// transient state is reset first so repeated runs are independent.
+///
+/// A round whose transfers equal the previous round's (every ring step)
+/// reuses that round's resolved paths, so each distinct round is routed
+/// once and every message is one allocation-free fabric walk.
 pub fn run_flow_collective(
     fab: &mut ClusterFabric,
     n: u32,
@@ -107,28 +111,50 @@ pub fn run_flow_collective(
     let mut bisection_bytes = 0u64;
     let half = n / 2;
 
-    let mut r = 0u32;
-    loop {
-        let xfers = round_schedule(n, coll, r);
-        if xfers.is_empty() {
+    // `sched` holds the transfers whose paths are resolved: transfer `i`
+    // walks `hops[bounds[i]..bounds[i + 1]]`. Each round's schedule lands
+    // in `next` and replaces `sched`, resolved afresh, only if it differs.
+    let (mut sched, mut next) = (Vec::new(), Vec::new());
+    let mut hops: Vec<PortHop> = Vec::new();
+    let mut bounds: Vec<usize> = Vec::new();
+    // `(depart_ps << 64 | src << 32 | dst, transfer index)`: one integer
+    // key in the `(depart, src, dst)` order.
+    let mut pending: Vec<(u128, usize)> = Vec::new();
+    for r in 0.. {
+        round_schedule(n, coll, r, &mut next);
+        if next.is_empty() {
             break;
         }
         rounds += 1;
+        if next != sched {
+            std::mem::swap(&mut sched, &mut next);
+            hops.clear();
+            bounds.clear();
+            bounds.push(0);
+            for x in &sched {
+                fab.resolve_into(x.src, x.dst, &mut hops);
+                bounds.push(hops.len());
+            }
+        }
         // Inject in rank order, then walk the fabric in global departure
         // order — the deterministic arbitration order.
-        let mut pending: Vec<(SimTime, Xfer)> = xfers
-            .iter()
-            .map(|&x| {
-                let ready = clock[x.src as usize] + costs.send_overhead;
-                (fab.inject(x.src, ready, x.bytes), x)
-            })
-            .collect();
-        pending.sort_by_key(|&(depart, x)| (depart, x.src, x.dst));
+        pending.clear();
+        pending.extend(sched.iter().enumerate().map(|(i, x)| {
+            let ready = clock[x.src as usize] + costs.send_overhead;
+            let depart = fab.inject(x.src, ready, x.bytes);
+            let key =
+                u128::from(depart.as_ps()) << 64 | u128::from(x.src) << 32 | u128::from(x.dst);
+            (key, i)
+        }));
+        pending.sort_by_key(|&(key, _)| key);
 
-        let mut recv_at = vec![SimTime::ZERO; n as usize];
-        let mut sent_by = vec![SimTime::ZERO; n as usize];
-        for &(depart, x) in &pending {
-            let d = fab.send(depart, x.src, x.dst, x.bytes);
+        // Every injection above has read its sender's clock, so the walks
+        // can advance the clocks in place: a rank leaves the round once
+        // its send has left the NIC and its receive has been delivered.
+        for &(key, i) in &pending {
+            let depart = SimTime::from_ps((key >> 64) as u64);
+            let x = sched[i];
+            let d = fab.walk(depart, &hops[bounds[i]..bounds[i + 1]], x.bytes);
             messages += 1;
             if (x.src < half) != (x.dst < half) {
                 bisection_bytes += d.wire_bytes;
@@ -136,14 +162,10 @@ pub fn run_flow_collective(
             if d.ecn_marked {
                 fab.apply_ecn_backoff(x.src);
             }
-            sent_by[x.src as usize] = sent_by[x.src as usize].max_of(depart);
+            clock[x.src as usize] = clock[x.src as usize].max_of(depart);
             let done = d.deliver_at + costs.recv_overhead;
-            recv_at[x.dst as usize] = recv_at[x.dst as usize].max_of(done);
+            clock[x.dst as usize] = clock[x.dst as usize].max_of(done);
         }
-        for i in 0..n as usize {
-            clock[i] = clock[i].max_of(sent_by[i]).max_of(recv_at[i]);
-        }
-        r += 1;
     }
 
     let completion = clock
@@ -158,49 +180,44 @@ pub fn run_flow_collective(
     }
 }
 
-/// The transfers of round `r`, empty once the schedule is exhausted.
-fn round_schedule(n: u32, coll: FlowCollective, r: u32) -> Vec<Xfer> {
+/// The transfers of round `r` into `out` (cleared first), empty once the
+/// schedule is exhausted.
+fn round_schedule(n: u32, coll: FlowCollective, r: u32, out: &mut Vec<Xfer>) {
+    out.clear();
     match coll {
         FlowCollective::Barrier => {
             if 1u64 << r >= n as u64 {
-                return Vec::new();
+                return;
             }
             let dist = 1u32 << r;
-            (0..n)
-                .map(|i| Xfer {
-                    src: i,
-                    dst: (i + dist) % n,
-                    bytes: 8,
-                })
-                .collect()
+            out.extend((0..n).map(|i| Xfer {
+                src: i,
+                dst: (i + dist) % n,
+                bytes: 8,
+            }));
         }
         FlowCollective::Bcast { bytes } => {
             if 1u64 << r >= n as u64 {
-                return Vec::new();
+                return;
             }
             let dist = 1u32 << r;
-            (0..n)
-                .filter(|&i| i < dist && i + dist < n)
-                .map(|i| Xfer {
-                    src: i,
-                    dst: i + dist,
-                    bytes,
-                })
-                .collect()
+            out.extend((0..n).filter(|&i| i < dist && i + dist < n).map(|i| Xfer {
+                src: i,
+                dst: i + dist,
+                bytes,
+            }));
         }
-        FlowCollective::AllreduceRd { bytes } => allreduce_rd_round(n, bytes, r),
+        FlowCollective::AllreduceRd { bytes } => allreduce_rd_round(n, bytes, r, out),
         FlowCollective::AllreduceRing { bytes } => {
             if r >= 2 * (n - 1) {
-                return Vec::new();
+                return;
             }
             let chunk = (bytes as u64).div_ceil(n as u64).max(1) as u32;
-            (0..n)
-                .map(|i| Xfer {
-                    src: i,
-                    dst: (i + 1) % n,
-                    bytes: chunk,
-                })
-                .collect()
+            out.extend((0..n).map(|i| Xfer {
+                src: i,
+                dst: (i + 1) % n,
+                bytes: chunk,
+            }));
         }
     }
 }
@@ -209,7 +226,7 @@ fn round_schedule(n: u32, coll: FlowCollective, r: u32) -> Vec<Xfer> {
 /// `bband_mpi::run_collective`: a pre-round folds the `n - pow` excess
 /// ranks onto even partners, `log2(pow)` core rounds exchange among the
 /// power-of-two survivors, and a post-round redistributes the result.
-fn allreduce_rd_round(n: u32, bytes: u32, r: u32) -> Vec<Xfer> {
+fn allreduce_rd_round(n: u32, bytes: u32, r: u32, out: &mut Vec<Xfer>) {
     let pow = if n.is_power_of_two() {
         n
     } else {
@@ -219,29 +236,25 @@ fn allreduce_rd_round(n: u32, bytes: u32, r: u32) -> Vec<Xfer> {
     let pre = u32::from(rem > 0);
     let core = pow.trailing_zeros();
     if r >= core + 2 * pre {
-        return Vec::new();
+        return;
     }
     if pre == 1 && r == 0 {
         // Fold: each odd rank below 2*rem contributes to its even peer.
-        return (0..n)
-            .filter(|i| i % 2 == 1 && *i < 2 * rem)
-            .map(|i| Xfer {
-                src: i,
-                dst: i - 1,
-                bytes,
-            })
-            .collect();
+        out.extend((0..n).filter(|i| i % 2 == 1 && *i < 2 * rem).map(|i| Xfer {
+            src: i,
+            dst: i - 1,
+            bytes,
+        }));
+        return;
     }
     if pre == 1 && r == core + 1 {
         // Redistribute the reduced result back to the folded ranks.
-        return (0..n)
-            .filter(|i| i % 2 == 0 && *i < 2 * rem)
-            .map(|i| Xfer {
-                src: i,
-                dst: i + 1,
-                bytes,
-            })
-            .collect();
+        out.extend((0..n).filter(|i| i % 2 == 0 && *i < 2 * rem).map(|i| Xfer {
+            src: i,
+            dst: i + 1,
+            bytes,
+        }));
+        return;
     }
     let rr = r - pre;
     let vrank = |i: u32| -> Option<u32> {
@@ -262,23 +275,24 @@ fn allreduce_rd_round(n: u32, bytes: u32, r: u32) -> Vec<Xfer> {
             v + rem
         }
     };
-    (0..n)
-        .filter_map(|i| {
-            let v = vrank(i)?;
-            let peer = unvrank(v ^ (1 << rr));
-            Some(Xfer {
-                src: i,
-                dst: peer,
-                bytes,
-            })
+    out.extend((0..n).filter_map(|i| {
+        let v = vrank(i)?;
+        let peer = unvrank(v ^ (1 << rr));
+        Some(Xfer {
+            src: i,
+            dst: peer,
+            bytes,
         })
-        .collect()
+    }));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::{dragonfly_for, fat_tree_for, SWEEP_PAYLOAD_BYTES};
+    use crate::telemetry::TelemetryConfig;
     use crate::topo::FabricGraph;
+    use bband_metrics as metrics;
 
     fn fab(hosts_pow: u32) -> ClusterFabric {
         ClusterFabric::paper_default(FabricGraph::fat_tree(4, hosts_pow))
@@ -375,5 +389,106 @@ mod tests {
             costs,
         );
         assert_eq!(a, b, "reset_transients makes runs independent");
+    }
+
+    /// `run_flow_collective` before round reuse, kept as the reference:
+    /// every transfer of every round routed afresh by `fab.send`, in
+    /// `(depart, src, dst)` tuple order.
+    fn reference_collective(
+        fab: &mut ClusterFabric,
+        n: u32,
+        coll: FlowCollective,
+        costs: EndpointCosts,
+    ) -> FlowReport {
+        fab.reset_transients();
+        let mut clock = vec![SimTime::ZERO; n as usize];
+        let (mut rounds, mut messages, mut bisection_bytes) = (0u32, 0u64, 0u64);
+        let half = n / 2;
+        let mut xfers = Vec::new();
+        for r in 0.. {
+            round_schedule(n, coll, r, &mut xfers);
+            if xfers.is_empty() {
+                break;
+            }
+            rounds += 1;
+            let mut pending: Vec<(SimTime, Xfer)> = xfers
+                .iter()
+                .map(|&x| {
+                    let ready = clock[x.src as usize] + costs.send_overhead;
+                    (fab.inject(x.src, ready, x.bytes), x)
+                })
+                .collect();
+            pending.sort_by_key(|&(depart, x)| (depart, x.src, x.dst));
+            let mut recv_at = vec![SimTime::ZERO; n as usize];
+            let mut sent_by = vec![SimTime::ZERO; n as usize];
+            for &(depart, x) in &pending {
+                let d = fab.send(depart, x.src, x.dst, x.bytes);
+                messages += 1;
+                if (x.src < half) != (x.dst < half) {
+                    bisection_bytes += d.wire_bytes;
+                }
+                if d.ecn_marked {
+                    fab.apply_ecn_backoff(x.src);
+                }
+                sent_by[x.src as usize] = sent_by[x.src as usize].max_of(depart);
+                let done = d.deliver_at + costs.recv_overhead;
+                recv_at[x.dst as usize] = recv_at[x.dst as usize].max_of(done);
+            }
+            for i in 0..n as usize {
+                clock[i] = clock[i].max_of(sent_by[i]).max_of(recv_at[i]);
+            }
+        }
+        FlowReport {
+            completion: clock
+                .iter()
+                .fold(SimTime::ZERO, |acc, &t| acc.max_of(t))
+                .since(SimTime::ZERO),
+            rounds,
+            messages,
+            bisection_bytes,
+        }
+    }
+
+    /// Byte identity of round reuse: reused resolved paths and the packed
+    /// sort key give the per-message reference's report, fabric counters,
+    /// collected metrics (every `fabric_hop` and credit-wait stage
+    /// included) and telemetry report, on every collective and topology,
+    /// across rank counts that are and are not powers of two.
+    #[test]
+    fn round_reuse_matches_the_per_message_reference() {
+        type Collective = fn(&mut ClusterFabric, u32, FlowCollective, EndpointCosts) -> FlowReport;
+        let costs = EndpointCosts::paper_default();
+        let bytes = SWEEP_PAYLOAD_BYTES;
+        let colls = [
+            FlowCollective::Barrier,
+            FlowCollective::Bcast { bytes },
+            FlowCollective::AllreduceRd { bytes },
+            FlowCollective::AllreduceRing { bytes },
+        ];
+        for graph_for in [fat_tree_for as fn(u32) -> FabricGraph, dragonfly_for] {
+            for n in [2u32, 3, 5, 16, 100, 384] {
+                let mut fab = ClusterFabric::paper_default(graph_for(n));
+                fab.enable_telemetry(TelemetryConfig::paper_default());
+                for coll in colls {
+                    let mut run = |collective: Collective| {
+                        let (report, task) =
+                            metrics::collect(|| collective(&mut fab, n, coll, costs));
+                        let telemetry = fab
+                            .telemetry()
+                            .expect("telemetry enabled")
+                            .summarize(&fab.graph, &fab.counters);
+                        (report, fab.counters, task, telemetry)
+                    };
+                    let fast = run(run_flow_collective);
+                    let reference = run(reference_collective);
+                    assert!(
+                        fast == reference,
+                        "{} n={n} {}",
+                        fab.graph.params(),
+                        coll.name()
+                    );
+                }
+            }
+        }
     }
 }

@@ -119,6 +119,21 @@ pub struct Delivery {
     pub credit_waited: SimDuration,
 }
 
+/// One switch traversal of a resolved path, in the fabric's global port
+/// ids: the egress port the message leaves through, and the input buffer
+/// it lands in at the next switch ([`PortHop::HOST`] when the egress
+/// ejects to the destination host).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PortHop {
+    pub(crate) egress: u32,
+    pub(crate) next_buf: u32,
+}
+
+impl PortHop {
+    /// `next_buf` of a host-facing egress: the last hop of every path.
+    pub(crate) const HOST: u32 = u32::MAX;
+}
+
 /// One switch input buffer: FIFO of in-flight reservations. An entry
 /// frees at the instant the upstream sees the credit return — after the
 /// message finished streaming out of this switch plus one cable flight.
@@ -142,7 +157,9 @@ pub struct ClusterFabric {
     nic_free: Vec<SimTime>,
     /// ECN mark threshold in bytes (precomputed from the config).
     ecn_bytes: u64,
+    /// Reused buffers of [`ClusterFabric::send`]'s resolve step.
     route: Vec<RouteHop>,
+    path: Vec<PortHop>,
     pub counters: FlowCounters,
     /// Optional per-port time-series recording (`None` costs nothing on
     /// the send path beyond one branch).
@@ -163,6 +180,7 @@ impl ClusterFabric {
             nic_free: vec![SimTime::ZERO; hosts],
             ecn_bytes,
             route: Vec::new(),
+            path: Vec::new(),
             counters: FlowCounters::default(),
             telemetry: None,
         }
@@ -254,6 +272,37 @@ impl ClusterFabric {
     /// delivery. Emits one `fabric_hop` traced stage per switch and a
     /// `fabric_msg_latency` metric per message.
     pub fn send(&mut self, depart: SimTime, src: u32, dst: u32, payload: u32) -> Delivery {
+        let mut path = std::mem::take(&mut self.path);
+        path.clear();
+        self.resolve_into(src, dst, &mut path);
+        let d = self.walk(depart, &path, payload);
+        self.path = path;
+        d
+    }
+
+    /// Route `src` to `dst` and append the route to `out` as global port
+    /// ids, one [`PortHop`] per switch: the routing half of
+    /// [`ClusterFabric::send`], for callers that walk one path many times.
+    pub(crate) fn resolve_into(&mut self, src: u32, dst: u32, out: &mut Vec<PortHop>) {
+        self.graph.route_into(src, dst, &mut self.route);
+        let graph = &self.graph;
+        out.extend(self.route.iter().map(|hop| PortHop {
+            egress: graph.gid(hop.sw, hop.port) as u32,
+            next_buf: match graph.ports[hop.sw as usize][hop.port as usize] {
+                PortTarget::Switch { sw, port } => graph.gid(sw, port) as u32,
+                PortTarget::Host(h) => {
+                    debug_assert_eq!(h, dst, "route delivered to the wrong host");
+                    PortHop::HOST
+                }
+            },
+        }));
+    }
+
+    /// Walk one message along a resolved `path` (from
+    /// [`ClusterFabric::resolve_into`]), departing the NIC at `depart`:
+    /// the hop loop of [`ClusterFabric::send`], with its state updates,
+    /// probes and telemetry hooks.
+    pub(crate) fn walk(&mut self, depart: SimTime, path: &[PortHop], payload: u32) -> Delivery {
         let seg = segmented_wire_bytes(payload, self.cfg.mtu);
         // First-hop wire: SerDes/propagation plus full serialization at
         // the injection link — identical to `WireModel::latency_mean` for
@@ -266,11 +315,8 @@ impl ClusterFabric {
         let msg_id = self.counters.messages;
         self.counters.messages += 1;
 
-        // route/graph are disjoint fields; take the route buffer out to
-        // keep the borrow checker out of the hop loop (same for the
-        // telemetry recorder, which borrows nothing of the fabric).
-        let mut route = std::mem::take(&mut self.route);
-        self.graph.route_into(src, dst, &mut route);
+        // The telemetry recorder borrows nothing of the fabric; take it
+        // out to keep the borrow checker out of the hop loop.
         let mut tel = self.telemetry.take();
 
         let mut t = depart + wire_lat; // header arrival at the first switch
@@ -280,13 +326,13 @@ impl ClusterFabric {
         // The input-buffer entry pushed at the previous hop; its free
         // time is patched once this hop's egress start is known.
         let mut patch: Option<usize> = None;
-        for hop in &route {
+        for hop in path {
             let arrival = t;
             let mut ready = arrival + self.cfg.switch_base;
             if self.cfg.forwarding == Forwarding::StoreAndForward {
                 ready += ser;
             }
-            let out_gid = self.graph.gid(hop.sw, hop.port);
+            let out_gid = hop.egress as usize;
             let mut start = ready.max_of(self.egress_busy[out_gid]);
             // Egress start after the queue drained, before credit stalls:
             // the boundary between the hop's queue and credit phases.
@@ -297,12 +343,11 @@ impl ClusterFabric {
                 metrics::counter("fabric_contended", 1);
                 queued += start.since(ready);
             }
-            let target = self.graph.ports[hop.sw as usize][hop.port as usize];
-            if let PortTarget::Switch { sw, port } = target {
+            if hop.next_buf != PortHop::HOST {
                 // Credit flow control: the next hop's input buffer must
                 // have room before egress may start. Buffers are FIFOs:
                 // reservations free in arrival order.
-                let buf = &mut self.bufs[self.graph.gid(sw, port)];
+                let buf = &mut self.bufs[hop.next_buf as usize];
                 while buf.occupied + need > self.cfg.input_buffer_bytes {
                     let (free_at, bytes) = buf
                         .q
@@ -357,48 +402,38 @@ impl ClusterFabric {
                 msg_id,
                 &[],
             );
-            match target {
-                PortTarget::Switch { sw, port } => {
-                    let bgid = self.graph.gid(sw, port);
-                    let buf = &mut self.bufs[bgid];
-                    // Provisional free time (patched at the next hop).
-                    buf.q
-                        .push_back((start + ser + self.cfg.inter_switch_cable, need));
-                    buf.occupied += need;
-                    let occupied = buf.occupied;
-                    // `>=`: a buffer sitting exactly at the threshold is
-                    // already at the configured fraction — mark it. (The
-                    // old `>` let boundary-exact occupancy dodge ECN.)
-                    if occupied >= self.ecn_bytes {
-                        marked = true;
-                        self.counters.ecn_marks += 1;
-                        metrics::counter("fabric_ecn_marks", 1);
-                        if let Some(tel) = tel.as_deref_mut() {
-                            tel.on_ecn_mark(bgid, start.as_ps());
-                        }
-                    }
+            if hop.next_buf != PortHop::HOST {
+                let bgid = hop.next_buf as usize;
+                let buf = &mut self.bufs[bgid];
+                // Provisional free time (patched at the next hop).
+                buf.q
+                    .push_back((start + ser + self.cfg.inter_switch_cable, need));
+                buf.occupied += need;
+                let occupied = buf.occupied;
+                // `>=`: a buffer sitting exactly at the threshold is
+                // already at the configured fraction — mark it. (The
+                // old `>` let boundary-exact occupancy dodge ECN.)
+                if occupied >= self.ecn_bytes {
+                    marked = true;
+                    self.counters.ecn_marks += 1;
+                    metrics::counter("fabric_ecn_marks", 1);
                     if let Some(tel) = tel.as_deref_mut() {
-                        tel.on_occupancy(
-                            bgid,
-                            start.as_ps(),
-                            occupied,
-                            self.cfg.input_buffer_bytes,
-                        );
+                        tel.on_ecn_mark(bgid, start.as_ps());
                     }
-                    patch = Some(bgid);
-                    t = start + self.cfg.inter_switch_cable;
                 }
-                PortTarget::Host(h) => {
-                    debug_assert_eq!(h, dst, "route delivered to the wrong host");
-                    // Cut-through delivery: the final cable segment is
-                    // folded into the wire calibration, exactly as the
-                    // legacy single-switch model accounts it.
-                    t = start;
+                if let Some(tel) = tel.as_deref_mut() {
+                    tel.on_occupancy(bgid, start.as_ps(), occupied, self.cfg.input_buffer_bytes);
                 }
+                patch = Some(bgid);
+                t = start + self.cfg.inter_switch_cable;
+            } else {
+                // Cut-through delivery: the final cable segment is
+                // folded into the wire calibration, exactly as the
+                // legacy single-switch model accounts it.
+                t = start;
             }
         }
-        let hops = route.len() as u32;
-        self.route = route;
+        let hops = path.len() as u32;
         let latency = t.since(depart);
         if let Some(tel) = tel.as_deref_mut() {
             // Analytic uncontended cost of the walk: first-hop wire plus
@@ -474,6 +509,37 @@ mod tests {
         }
         // And the 8-byte probe lands on the paper's 382.81 ns.
         assert_eq!(fab.uncontended_latency(0, 1, 8).as_ps(), 382_810);
+    }
+
+    /// `resolve_into` appends each route hop as the global id of its
+    /// egress port and of the input buffer at the port's far end, or the
+    /// host marker on the last hop, which ejects to the destination.
+    #[test]
+    fn resolved_paths_agree_with_the_port_tables() {
+        for graph in [FabricGraph::fat_tree(4, 3), FabricGraph::dragonfly(4, 2, 2)] {
+            let mut fab = ClusterFabric::paper_default(graph.clone());
+            let (mut route, mut path) = (Vec::new(), Vec::new());
+            for src in 0..graph.hosts {
+                path.clear();
+                for dst in (0..graph.hosts).filter(|&d| d != src) {
+                    graph.route_into(src, dst, &mut route);
+                    let lo = path.len();
+                    fab.resolve_into(src, dst, &mut path);
+                    assert_eq!(path.len() - lo, route.len(), "{src}->{dst}");
+                    for (i, (hop, resolved)) in route.iter().zip(&path[lo..]).enumerate() {
+                        assert_eq!(resolved.egress as usize, graph.gid(hop.sw, hop.port));
+                        let next_buf = match graph.ports[hop.sw as usize][hop.port as usize] {
+                            PortTarget::Switch { sw, port } => graph.gid(sw, port) as u32,
+                            PortTarget::Host(h) => {
+                                assert_eq!((h, i), (dst, route.len() - 1), "{src}->{dst}");
+                                PortHop::HOST
+                            }
+                        };
+                        assert_eq!(resolved.next_buf, next_buf, "{src}->{dst} hop {i}");
+                    }
+                }
+            }
+        }
     }
 
     /// A 3-switch fat-tree walk reproduces the legacy two-level fat-tree

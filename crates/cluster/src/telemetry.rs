@@ -782,3 +782,129 @@ pub struct TelemetryReport {
     pub totals: AttributionTotals,
     pub conservation: Conservation,
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A deterministic stream of `msgs` messages over `graph`'s ports, one
+    /// per 2^22 ps (400 span ~200 default 2^23 ps windows): hops whose
+    /// spans cross window boundaries, some queued, some credit-stalled,
+    /// with ECN marks and occupancy samples, each followed by a delivery
+    /// whose split is exact. Returns the fabric counters the stream
+    /// implies.
+    fn record(
+        tel: &mut FabricTelemetry,
+        graph: &FabricGraph,
+        seed: u64,
+        msgs: u64,
+    ) -> FlowCounters {
+        let ports = graph.total_ports as u64;
+        let mut x = seed | 1;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut counters = FlowCounters::default();
+        for m in 0..msgs {
+            let gid = (next() % ports) as usize;
+            let ready = m * (1 << 22) + next() % (1 << 22);
+            let queue = if next() % 3 == 0 {
+                next() % (1 << 24)
+            } else {
+                0
+            };
+            let credit_events = u64::from(next() % 4 == 0);
+            let credit = credit_events * (1 + next() % (1 << 20));
+            let start = ready + queue + credit;
+            let end = start + 1 + next() % (1 << 25);
+            tel.on_hop(gid, ready, ready + queue, start, end, credit_events);
+            counters.contended += u64::from(queue > 0);
+            counters.credit_waits += credit_events;
+            if next() % 5 == 0 {
+                tel.on_ecn_mark(gid, start);
+                counters.ecn_marks += 1;
+            }
+            tel.on_occupancy(gid, start, next() % (64 << 10), 64 << 10);
+            let wire = 1 + next() % 1_000_000;
+            tel.on_delivery(wire + queue + credit, wire, queue, credit, end);
+            counters.messages += 1;
+        }
+        counters
+    }
+
+    fn recorder(max_windows: u64) -> FabricTelemetry {
+        let cfg = TelemetryConfig {
+            max_windows,
+            ..TelemetryConfig::paper_default()
+        };
+        FabricTelemetry::new(FabricGraph::fat_tree(4, 2).total_ports as usize, cfg)
+    }
+
+    /// Window widening merges windows exactly: four windows or a
+    /// thousand, the same hops give the same per-class and per-port
+    /// busy/queue/credit totals, the same attribution and occupancy, and
+    /// both recordings reconcile.
+    #[test]
+    fn window_budget_changes_resolution_not_totals() {
+        let graph = FabricGraph::fat_tree(4, 2);
+        let report = |max_windows: u64| {
+            let mut tel = recorder(max_windows);
+            let counters = record(&mut tel, &graph, 7, 400);
+            tel.summarize(&graph, &counters)
+        };
+        let (coarse, fine) = (report(4), report(1024));
+        assert!(coarse.windows <= 4 && coarse.window_ps > fine.window_ps);
+        assert!(fine.windows > 64, "the stream spans many default windows");
+        let totals = |r: &TelemetryReport| -> Vec<(u64, u64, u64, u64)> {
+            r.classes
+                .iter()
+                .map(|c| (c.links, c.busy_ps, c.queue_ps, c.credit_ps))
+                .collect()
+        };
+        assert_eq!(totals(&coarse), totals(&fine));
+        assert_eq!(coarse.hotspots, fine.hotspots);
+        assert_eq!(coarse.totals, fine.totals);
+        assert_eq!(coarse.occupancy, fine.occupancy);
+        assert_eq!(coarse.saturated_links, fine.saturated_links);
+        assert!(coarse.conservation.exact(), "{:?}", coarse.conservation);
+        assert!(fine.conservation.exact(), "{:?}", fine.conservation);
+    }
+
+    /// `reset` clears every recording and the widened window: re-recording
+    /// a shorter run after it reports exactly what a fresh recorder does.
+    #[test]
+    fn reset_then_rerecord_equals_a_fresh_recorder() {
+        let graph = FabricGraph::fat_tree(4, 2);
+        let mut reused = recorder(8);
+        record(&mut reused, &graph, 3, 400);
+        reused.reset();
+        let counters = record(&mut reused, &graph, 11, 40);
+        let mut fresh = recorder(8);
+        assert_eq!(record(&mut fresh, &graph, 11, 40), counters);
+        assert_eq!(
+            reused.summarize(&graph, &counters),
+            fresh.summarize(&graph, &counters)
+        );
+    }
+
+    /// A delivery whose wire + queue + credit split misses its latency
+    /// breaks the attribution check, and with it `exact()`.
+    #[test]
+    fn inexact_delivery_split_fails_conservation() {
+        let graph = FabricGraph::fat_tree(2, 1);
+        let one = FlowCounters {
+            messages: 1,
+            ..FlowCounters::default()
+        };
+        let mut exact = FabricTelemetry::new(2, TelemetryConfig::paper_default());
+        exact.on_delivery(100, 60, 30, 10, 100);
+        assert!(exact.summarize(&graph, &one).conservation.exact());
+        let mut off = FabricTelemetry::new(2, TelemetryConfig::paper_default());
+        off.on_delivery(100, 60, 30, 11, 100);
+        let c = off.summarize(&graph, &one).conservation;
+        assert!(!c.attribution && !c.exact(), "{c:?}");
+    }
+}

@@ -375,38 +375,39 @@ impl FabricGraph {
     }
 
     fn fat_tree_route(&self, k: u32, n: u32, src: u32, dst: u32, out: &mut Vec<RouteHop>) {
-        let width = pow_u32(k, n - 1);
-        let digit = |x: u32, i: u32| (x / pow_u32(k, i)) % k;
-        // Lowest common ancestor level: the highest differing digit.
-        let mut m = 0;
-        for i in 0..n {
-            if digit(src, i) != digit(dst, i) {
-                m = i;
-            }
-        }
-        // Ascend choosing digit l := dst digit l+1 (destination-based), so
-        // the descent runs straight down the destination's column.
-        let mut w = src / k;
-        for l in 0..m {
+        debug_assert!(out.is_empty(), "the descent reads the ascent back");
+        let width = self.switches() / n;
+        // The route descends the destination's leaf column `col`. On the
+        // way up, the level-l switch keeps the source column's digits from
+        // l up (`a = src/k / k^l`) and has taken the destination's below l
+        // (`lo = col % k^l`); it leaves by up port `k + ` the destination's
+        // digit l (`b % k`, `b = col / k^l`). The lowest common ancestor is
+        // the first level where `a == b`.
+        let col = dst / k;
+        let (mut a, mut b, mut lo, mut pl, mut m) = (src / k, col, 0, 1, 0);
+        while a != b {
+            let d = b % k;
             out.push(RouteHop {
-                sw: l * width + w,
-                port: k + digit(dst, l + 1),
+                sw: m * width + a * pl + lo,
+                port: k + d,
             });
-            let pl = pow_u32(k, l);
-            w = w - digit(w, l) * pl + digit(dst, l + 1) * pl;
+            lo += d * pl;
+            pl *= k;
+            a /= k;
+            b /= k;
+            m += 1;
         }
-        // Descend: at level l the down port is dst digit l.
+        // Descend `col`: the down port at level l is the digit the ascent
+        // took at level l-1.
         for l in (1..=m).rev() {
             out.push(RouteHop {
-                sw: l * width + w,
-                port: digit(dst, l),
+                sw: l * width + col,
+                port: out[l as usize - 1].port - k,
             });
-            let pl = pow_u32(k, l - 1);
-            w = w - digit(w, l - 1) * pl + digit(dst, l) * pl;
         }
         out.push(RouteHop {
-            sw: w,
-            port: digit(dst, 0),
+            sw: col,
+            port: dst % k,
         });
     }
 
@@ -564,6 +565,63 @@ mod tests {
         g.route_into(0, 1, &mut route);
         assert_eq!(route.len(), 1);
         assert_eq!(walk(&g, 0, &route), 1);
+    }
+
+    /// The digit-by-digit D-mod-k route the closed form replaced: find
+    /// the highest differing base-k digit, then rewrite the switch column
+    /// one digit per level on the way up and down.
+    fn digit_route(k: u32, n: u32, src: u32, dst: u32) -> Vec<RouteHop> {
+        let width = pow_u32(k, n - 1);
+        let digit = |x: u32, i: u32| (x / pow_u32(k, i)) % k;
+        let mut m = 0;
+        for i in 0..n {
+            if digit(src, i) != digit(dst, i) {
+                m = i;
+            }
+        }
+        let mut out = Vec::new();
+        let mut w = src / k;
+        for l in 0..m {
+            out.push(RouteHop {
+                sw: l * width + w,
+                port: k + digit(dst, l + 1),
+            });
+            let pl = pow_u32(k, l);
+            w = w - digit(w, l) * pl + digit(dst, l + 1) * pl;
+        }
+        for l in (1..=m).rev() {
+            out.push(RouteHop {
+                sw: l * width + w,
+                port: digit(dst, l),
+            });
+            let pl = pow_u32(k, l - 1);
+            w = w - digit(w, l - 1) * pl + digit(dst, l) * pl;
+        }
+        out.push(RouteHop {
+            sw: w,
+            port: digit(dst, 0),
+        });
+        out
+    }
+
+    /// The closed-form route equals the digit-by-digit formula for every
+    /// ordered host pair, including a radix that is not a power of two.
+    #[test]
+    fn closed_form_fat_tree_route_matches_the_digit_formula() {
+        let mut route = Vec::new();
+        for (k, n) in [(2, 1), (2, 6), (3, 3), (4, 3), (4, 5)] {
+            let g = FabricGraph::fat_tree(k, n);
+            for src in 0..g.hosts {
+                for dst in (0..g.hosts).filter(|&d| d != src) {
+                    g.route_into(src, dst, &mut route);
+                    assert_eq!(
+                        route,
+                        digit_route(k, n, src, dst),
+                        "k={k},n={n}: {src}->{dst}"
+                    );
+                }
+            }
+        }
     }
 
     /// Telemetry labeling helpers: every port belongs to exactly one

@@ -297,8 +297,8 @@ impl FaultPlan {
     /// simulation rather than stall it — one that can never issue the
     /// plan's largest MMIO write, or whose UpdateFC batch can never fill
     /// once the header pool empties; a `nic_stalls` window that ends past
-    /// [`PLAN_HORIZON_NS`]; or a `markov_stall` mean outside
-    /// `[0, MAX_MEAN_DWELL_NS]`.
+    /// [`PLAN_HORIZON_NS`]; a `markov_stall` mean outside
+    /// `[0, MAX_MEAN_DWELL_NS]`; or a payload above [`MAX_PAYLOAD_BYTES`].
     pub fn check(&self) -> Result<(), PlanError> {
         let burst = self.burst_loss.map(|g| {
             [
@@ -318,6 +318,13 @@ impl FaultPlan {
             .find(|(_, p)| !(0.0..=1.0).contains(p))
         {
             return Err(PlanError::Probability { field, value });
+        }
+        let cycle = self.payload_cycle.iter().enumerate();
+        if let Some((index, bytes)) = std::iter::once((None, self.payload_bytes))
+            .chain(cycle.map(|(i, &bytes)| (Some(i), bytes)))
+            .find(|&(_, bytes)| bytes > MAX_PAYLOAD_BYTES)
+        {
+            return Err(PlanError::Payload { index, bytes });
         }
         if let Some(c) = self.credits {
             let max_chunks = if self.payload_cycle.is_empty() {
@@ -395,6 +402,11 @@ pub const PLAN_HORIZON_NS: u64 = 10_000_000_000;
 /// first draw.
 pub const MAX_MEAN_DWELL_NS: f64 = 1e9;
 
+/// Largest payload a plan may post, bytes (64 MiB, 16× the largest
+/// `sweep-size` point). One message's simulation cost grows with its
+/// segment count, so a payload near `u32::MAX` would run for minutes.
+pub const MAX_PAYLOAD_BYTES: u32 = 64 << 20;
+
 /// Why [`FaultPlan::from_json_str`] or [`FaultPlan::check`] refused a plan.
 #[derive(Debug, Clone)]
 pub enum PlanError {
@@ -414,6 +426,9 @@ pub enum PlanError {
     /// A `markov_stall` mean dwell that is negative, non-finite or above
     /// [`MAX_MEAN_DWELL_NS`].
     MeanDwell { field: &'static str, value: f64 },
+    /// `payload_bytes` (`index` `None`) or `payload_cycle[index]` is above
+    /// [`MAX_PAYLOAD_BYTES`].
+    Payload { index: Option<usize>, bytes: u32 },
 }
 
 impl std::fmt::Display for PlanError {
@@ -443,6 +458,16 @@ impl std::fmt::Display for PlanError {
                 f,
                 "{field} = {value:?} is not a mean dwell in [0, {MAX_MEAN_DWELL_NS:e}] ns"
             ),
+            PlanError::Payload { index, bytes } => {
+                match index {
+                    None => write!(f, "payload_bytes")?,
+                    Some(i) => write!(f, "payload_cycle[{i}]")?,
+                }
+                write!(
+                    f,
+                    " = {bytes} exceeds the {MAX_PAYLOAD_BYTES}-byte (64 MiB) payload limit"
+                )
+            }
         }
     }
 }
@@ -2799,6 +2824,38 @@ mod tests {
             let plan = FaultPlan::from_json_str(json).expect(json);
             let stats = run_e2e_under_faults(&cal(), &plan, 64, 7).expect(json);
             assert!(stats.counters.nic_stalls > 0, "{json}");
+        }
+    }
+
+    /// Payloads above 64 MiB, which would run for minutes near `u32::MAX`,
+    /// are refused with a typed error naming the field; the bound itself
+    /// passes.
+    #[test]
+    fn payloads_past_64_mib_are_refused() {
+        let limit = "exceeds the 67108864-byte (64 MiB) payload limit";
+        for (json, message) in [
+            (
+                r#"{"payload_bytes": 4294967295}"#,
+                format!("payload_bytes = 4294967295 {limit}"),
+            ),
+            (
+                r#"{"payload_bytes": 67108865}"#,
+                format!("payload_bytes = 67108865 {limit}"),
+            ),
+            (
+                r#"{"payload_cycle": [8, 4096, 2147483648]}"#,
+                format!("payload_cycle[2] = 2147483648 {limit}"),
+            ),
+        ] {
+            let e = FaultPlan::from_json_str(json).expect_err(json);
+            assert!(matches!(e, PlanError::Payload { .. }), "{json}: {e:?}");
+            assert_eq!(e.to_string(), message, "{json}");
+        }
+        for json in [
+            r#"{"payload_bytes": 67108864}"#,
+            r#"{"payload_cycle": [8, 67108864]}"#,
+        ] {
+            FaultPlan::from_json_str(json).expect(json);
         }
     }
 
