@@ -15,10 +15,9 @@ use bband_core::{
 use bband_llp::LockGranularity;
 use bband_metrics::MetricsSet;
 use bband_microbench::{
-    am_lat, credit_exhaustion_onset_with, eager_rndv_sweep, endpoint_injection,
-    multicore_injection, osu_latency, put_bw, traced_am_lat, traced_endpoint_injection,
-    traced_osu_latency, traced_put_bw, AmLatConfig, MulticoreConfig, OsuLatConfig, PutBwConfig,
-    StackConfig, ThreadSweepConfig,
+    am_lat, credit_exhaustion_onset_with, eager_rndv_sweep, endpoint_injection, osu_latency,
+    put_bw, traced_am_lat, traced_endpoint_injection, traced_osu_latency, traced_put_bw,
+    AmLatConfig, OsuLatConfig, PutBwConfig, StackConfig, ThreadSweepConfig,
 };
 use bband_mpi::{collective_scaling_with, Collective};
 use bband_report::{
@@ -688,30 +687,25 @@ const THREAD_CURVES: [ThreadCurve; 3] = [
 
 /// The 1-thread equivalence gate: the sweep's 1-thread/1-endpoint point
 /// (even under a global lock — one thread never contends) must land on
-/// the exact virtual end time of the pre-refactor multicore driver.
+/// the exact virtual end time of the multicore credit probe's 1-core
+/// point (one independent endpoint).
 fn thread_sweep_baseline(messages: u64) -> ThreadBaseline {
-    let mc = multicore_injection(&MulticoreConfig {
-        stack: StackConfig::validation(),
-        cores: 1,
-        messages_per_core: messages,
-        ring_depth: 16,
-        credits: None,
-        stalls: None,
-    });
-    let sw = endpoint_injection(&ThreadSweepConfig {
+    let one_thread = |lock| ThreadSweepConfig {
         stack: StackConfig::validation(),
         threads: 1,
         endpoints: 1,
-        lock: LockGranularity::GlobalLock,
+        lock,
         messages_per_thread: messages,
         ring_depth: 16,
         credits: None,
         stalls: None,
-    });
+    };
+    let mc = endpoint_injection(&one_thread(LockGranularity::Independent));
+    let sw = endpoint_injection(&one_thread(LockGranularity::GlobalLock));
     ThreadBaseline {
-        multicore_ns: mc.per_core_overhead.as_ns_f64(),
+        multicore_ns: mc.per_thread_overhead.as_ns_f64(),
         sweep_ns: sw.per_thread_overhead.as_ns_f64(),
-        bit_exact: mc.per_core_overhead == sw.per_thread_overhead,
+        bit_exact: mc.per_thread_overhead == sw.per_thread_overhead,
     }
 }
 

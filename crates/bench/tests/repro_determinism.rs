@@ -77,3 +77,34 @@ fn parallel_output_is_byte_identical_to_serial() {
         "--seed had no effect on stochastic output"
     );
 }
+
+/// `--seed 0` is a seed like any other: it must not fall back to the
+/// default seed 0x5EED, which `--seed 24301` names explicitly.
+#[test]
+fn seed_zero_is_not_the_default_seed() {
+    let fig7 = |seed: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .arg("--quick")
+            .args(seed)
+            .arg("fig7")
+            .output()
+            .expect("spawn repro");
+        assert!(
+            out.status.success(),
+            "repro {seed:?} fig7 failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out.stdout
+    };
+    let default = fig7(&[]);
+    assert_ne!(
+        fig7(&["--seed", "0"]),
+        default,
+        "--seed 0 ran the default seed"
+    );
+    assert_eq!(
+        fig7(&["--seed", "24301"]),
+        default,
+        "the default seed is 0x5EED"
+    );
+}

@@ -229,25 +229,6 @@ impl ClusterFabric {
         self.telemetry.as_deref()
     }
 
-    /// Detach and return the telemetry recording.
-    pub fn take_telemetry(&mut self) -> Option<Box<FabricTelemetry>> {
-        self.telemetry.take()
-    }
-
-    /// Live congestion signal: how much longer egress port `gid` stays
-    /// busy as of `now` (zero when idle). This is the per-egress query
-    /// an adaptive (UGAL-style) router reads when comparing minimal vs
-    /// non-minimal candidates — available whether or not telemetry
-    /// recording is enabled.
-    pub fn egress_occupancy(&self, gid: usize, now: SimTime) -> SimDuration {
-        self.egress_busy[gid].saturating_since(now)
-    }
-
-    /// Live reserved bytes in the input buffer behind port `gid`.
-    pub fn input_buffer_occupancy(&self, gid: usize) -> u64 {
-        self.bufs[gid].occupied
-    }
-
     /// Admit a message to `src`'s injection link: the NIC serializes
     /// back-to-back sends and carries any ECN backoff debt. Returns the
     /// departure instant.
@@ -761,32 +742,6 @@ mod tests {
         assert_eq!(run(&mut fresh), first);
         // And a clean clone taken before any traffic behaves the same.
         assert_eq!(run(&mut cloned), first);
-    }
-
-    /// The live query the adaptive-routing PR will poll: egress busy
-    /// horizon and input-buffer occupancy, observable without telemetry.
-    #[test]
-    fn egress_occupancy_exposes_live_congestion() {
-        let mut fab = ClusterFabric::paper_default(FabricGraph::fat_tree(2, 2));
-        let t0 = SimTime::ZERO;
-        let total = fab.graph.total_ports as usize;
-        assert!((0..total).all(|g| fab.egress_occupancy(g, t0).is_zero()));
-        fab.send(t0, 0, 3, 4096);
-        // Some egress on the path is still draining at t0...
-        let busy: Vec<usize> = (0..total)
-            .filter(|&g| !fab.egress_occupancy(g, t0).is_zero())
-            .collect();
-        assert!(!busy.is_empty());
-        // ...the signal decays monotonically with `now`...
-        for &g in &busy {
-            let now_half = t0 + fab.egress_occupancy(g, t0) / 2;
-            assert!(fab.egress_occupancy(g, now_half) < fab.egress_occupancy(g, t0));
-            assert!(fab
-                .egress_occupancy(g, SimTime::from_ns(1_000_000))
-                .is_zero());
-        }
-        // ...and the in-flight reservation shows up as buffer occupancy.
-        assert!((0..total).any(|g| fab.input_buffer_occupancy(g) > 0));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! Layers:
 //! - [`topo`]: graph builders ([`FabricGraph::fat_tree`] k-ary n-trees,
 //!   [`FabricGraph::dragonfly`]) with deterministic routing — digit-wise
-//!   up*/down* for fat trees, minimal and Valiant for dragonflies.
+//!   up*/down* for fat trees, minimal local–global–local for dragonflies.
 //! - [`flow`]: the per-port runtime ([`ClusterFabric`]) — finite input
 //!   buffers, credit flow control, cut-through vs store-and-forward,
 //!   egress arbitration, ECN marks fed back to injecting NICs.
@@ -23,7 +23,7 @@
 //! - [`telemetry`]: deterministic per-port time-series (utilization,
 //!   queue/credit stalls, ECN, occupancy gauges) and flow-level path
 //!   attribution over [`ClusterFabric`] — the sensor layer behind
-//!   `repro sweep-ranks --telemetry` and future adaptive routing.
+//!   `repro sweep-ranks --telemetry`.
 //! - [`sweep`]: the rank-scaling grid behind `repro sweep-ranks`.
 
 pub mod collective;

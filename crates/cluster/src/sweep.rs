@@ -10,7 +10,7 @@
 use crate::collective::{run_flow_collective, EndpointCosts, FlowCollective};
 use crate::flow::ClusterFabric;
 use crate::telemetry::{TelemetryConfig, TelemetryReport};
-use crate::topo::{FabricGraph, TopologyKind};
+use crate::topo::FabricGraph;
 use bband_metrics as metrics;
 use bband_sim::{SimDuration, WorkerPool};
 
@@ -228,11 +228,6 @@ pub fn two_node_equivalence() -> TwoNodeCheck {
         fabric_ns: probe8.1.as_ns_f64(),
         exact,
     }
-}
-
-/// Which topology a point's `topology` string maps to, for reporting.
-pub fn kind_of(graph: &FabricGraph) -> &TopologyKind {
-    &graph.kind
 }
 
 #[cfg(test)]

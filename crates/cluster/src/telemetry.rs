@@ -3,19 +3,19 @@
 //!
 //! PR 8 left the fabric a black box of run-total counters (`contended`,
 //! `credit_waits`, `ecn_marks` summed over a whole collective). This
-//! module is the sensor layer underneath congestion-aware routing: it
-//! records, per egress port and per fixed-width virtual-time window,
+//! module is the fabric's sensor layer: it records, per egress port and
+//! per fixed-width virtual-time window,
 //!
 //! * **busy time** (link utilization) — every serialization span an
-//!   egress transmits (the windowing model of
-//!   [`bband_metrics::SpanAccum`], laid out hot/cold for fabric rates);
+//!   egress transmits, split across the windows it overlaps and laid out
+//!   hot/cold for fabric rates;
 //! * **queue-wait and credit-stall time** — how long arriving flows
 //!   waited for the egress to drain and for downstream credits, with the
 //!   per-window event counts replacing the old run totals;
 //! * **ECN marks** per input buffer over time;
-//! * **input-buffer occupancy** — a time-weighted integral (the same
-//!   accounting as [`bband_metrics::TimeGauge`], kept as two words per
-//!   port so the per-reservation update is one dense cache access),
+//! * **input-buffer occupancy** — a time-weighted integral of the
+//!   reserved bytes, kept as two words per port so the per-reservation
+//!   update is one dense cache access,
 //!   plus a high-water mark and an occupancy-fraction histogram;
 //! * **flow path attribution** — each delivery's latency split bit-exactly
 //!   into wire/serialization vs egress queueing vs credit wait, the same
@@ -32,6 +32,8 @@
 //! exceed [`TelemetryConfig::max_windows`], so memory stays bounded at
 //! any scale without a second pass — the same auto-resize idea HDR
 //! histograms use, driven purely by recorded virtual time.
+//!
+//! [`ClusterFabric`]: crate::ClusterFabric
 
 use crate::flow::FlowCounters;
 use crate::topo::FabricGraph;
@@ -244,8 +246,9 @@ impl Series {
     }
 }
 
-/// The recording state attached to a [`ClusterFabric`] when telemetry is
-/// enabled. All hooks take raw picoseconds (the fabric's native unit).
+/// The recording state attached to a
+/// [`ClusterFabric`](crate::ClusterFabric) when telemetry is enabled. All
+/// hooks take raw picoseconds (the fabric's native unit).
 #[derive(Debug, Clone)]
 pub struct FabricTelemetry {
     pub cfg: TelemetryConfig,

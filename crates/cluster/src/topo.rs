@@ -13,10 +13,8 @@
 //!   the up*/down* order, which is deadlock-free by construction.
 //! * **dragonfly** — `g = a·h + 1` groups of `a` routers, `p` hosts per
 //!   router, `h` global links per router, one global link between every
-//!   pair of groups (the canonical balanced configuration). Minimal
-//!   routing is local–global–local (≤ 3 switch-to-switch hops); Valiant
-//!   routing detours through a deterministically hashed intermediate
-//!   group to spread adversarial traffic.
+//!   pair of groups (the canonical balanced configuration). Routing is
+//!   minimal: local–global–local (≤ 3 switch-to-switch hops).
 
 use serde::Serialize;
 
@@ -334,43 +332,7 @@ impl FabricGraph {
                 routers,
                 hosts_per_router,
                 globals_per_router,
-            } => self.dragonfly_route(
-                routers,
-                hosts_per_router,
-                globals_per_router,
-                src,
-                dst,
-                None,
-                out,
-            ),
-        }
-    }
-
-    /// Valiant variant: on a dragonfly, detour through an intermediate
-    /// group chosen by a deterministic hash of `(src, dst, salt)` — the
-    /// classic randomized load-balancing step, derandomized so pooled and
-    /// serial runs agree. Fat-tree routes are already balanced by the
-    /// digit spread, so they fall back to minimal.
-    pub fn route_valiant_into(&self, src: u32, dst: u32, salt: u64, out: &mut Vec<RouteHop>) {
-        out.clear();
-        debug_assert!(src < self.hosts && dst < self.hosts && src != dst);
-        match self.kind {
-            TopologyKind::FatTree { radix, levels } => {
-                self.fat_tree_route(radix, levels, src, dst, out)
-            }
-            TopologyKind::Dragonfly {
-                routers,
-                hosts_per_router,
-                globals_per_router,
-            } => self.dragonfly_route(
-                routers,
-                hosts_per_router,
-                globals_per_router,
-                src,
-                dst,
-                Some(salt),
-                out,
-            ),
+            } => self.dragonfly_route(routers, hosts_per_router, globals_per_router, src, dst, out),
         }
     }
 
@@ -411,37 +373,11 @@ impl FabricGraph {
         });
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn dragonfly_route(
-        &self,
-        a: u32,
-        p: u32,
-        h: u32,
-        src: u32,
-        dst: u32,
-        valiant: Option<u64>,
-        out: &mut Vec<RouteHop>,
-    ) {
-        let g = a * h + 1;
-        let (s_sw, d_sw) = (src / p, dst / p);
-        let (gs, gd) = (s_sw / a, d_sw / a);
-        let mut cur = s_sw;
-        if let Some(salt) = valiant {
-            if gs != gd && g > 2 {
-                // Deterministic "random" intermediate group != source/dest.
-                let mut x = (u64::from(src) << 32) ^ u64::from(dst) ^ salt;
-                x ^= x >> 33;
-                x = x.wrapping_mul(0xff51afd7ed558ccd);
-                x ^= x >> 33;
-                let mut gv = (x % u64::from(g)) as u32;
-                while gv == gs || gv == gd {
-                    gv = (gv + 1) % g;
-                }
-                cur = self.hop_to_group(a, p, h, cur, gv, out);
-            }
-        }
-        if cur / a != gd {
-            cur = self.hop_to_group(a, p, h, cur, gd, out);
+    fn dragonfly_route(&self, a: u32, p: u32, h: u32, src: u32, dst: u32, out: &mut Vec<RouteHop>) {
+        let d_sw = dst / p;
+        let mut cur = src / p;
+        if cur / a != d_sw / a {
+            cur = self.hop_to_group(a, p, h, cur, d_sw / a, out);
         }
         if cur != d_sw {
             out.push(RouteHop {
@@ -681,25 +617,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn dragonfly_valiant_detours_but_delivers() {
-        let g = FabricGraph::dragonfly(4, 2, 2);
-        let (mut min_r, mut val_r) = (Vec::new(), Vec::new());
-        let mut detoured = false;
-        for (src, dst) in [(0u32, 70u32), (3, 40), (11, 60)] {
-            g.route_into(src, dst, &mut min_r);
-            g.route_valiant_into(src, dst, 0xD15EA5E, &mut val_r);
-            assert_eq!(walk(&g, src, &val_r), dst);
-            assert!(val_r.len() <= 7, "valiant is at most l-g-l-g-l + host");
-            detoured |= val_r.len() > min_r.len();
-        }
-        assert!(detoured, "some valiant route must take the detour");
-        // Same-group traffic never detours (group 0 is hosts 0..8).
-        g.route_valiant_into(0, 7, 7, &mut val_r);
-        g.route_into(0, 7, &mut min_r);
-        assert_eq!(val_r, min_r);
     }
 
     proptest::proptest! {

@@ -2425,7 +2425,7 @@ pub(crate) fn run_raw(
     run_raw_on(active_engine_path(), cal, plan, messages, seed)
 }
 
-/// [`run_raw`] on an explicit engine path — the hook the report layer's
+/// `run_raw` on an explicit engine path — the hook the report layer's
 /// fast-vs-reference fault check drives both engines through.
 pub fn run_raw_on(
     path: EnginePath,

@@ -47,8 +47,7 @@ pub use latency::{
 };
 pub use scaling::ScalingModel;
 pub use tracepath::{
-    sweep_message_sizes, traced_e2e, traced_injection, traced_loss_sweep, SizeSweepPoint,
-    DEFAULT_SIZE_GRID,
+    sweep_message_sizes, traced_e2e, traced_injection, SizeSweepPoint, DEFAULT_SIZE_GRID,
 };
 pub use validate::{validate_all, ValidationReport};
 pub use whatif::{Component, WhatIf};

@@ -32,10 +32,13 @@
 //! hidden time. A wrapped span ring fails reconstruction loudly
 //! ([`DagError::Truncated`]) instead of producing a silently truncated
 //! breakdown.
+//!
+//! [`EndToEndLatencyModel`]: crate::EndToEndLatencyModel
+//! [`EndToEndLatencyModel::total`]: crate::EndToEndLatencyModel::total
 
 use crate::breakdown::Breakdown;
 use crate::calibration::Calibration;
-use crate::fault::{run_raw, run_raw_on, FaultPlan, FaultRunStats, LossPoint, RetryExhausted};
+use crate::fault::{run_raw, run_raw_on, FaultPlan, FaultRunStats, RetryExhausted};
 use crate::injection::InjectionModel;
 use crate::latency::{SizedLatencyModel, MTU_BYTES};
 use bband_metrics as metrics;
@@ -93,36 +96,6 @@ pub fn traced_e2e(
         }
     });
     (out, Trace::from_task(task))
-}
-
-/// The traced loss sweep: one pool task per grid point, each recording
-/// into its own ring, merged by task index. Which OS thread ran a point
-/// is invisible, so serial and pooled sweeps produce byte-identical
-/// merged traces (the determinism test in this module).
-pub fn traced_loss_sweep(
-    cal: &Calibration,
-    base: &FaultPlan,
-    grid: &[f64],
-    messages: u64,
-    seed: u64,
-    pool: &WorkerPool,
-) -> (Vec<LossPoint>, Trace) {
-    let points: Vec<f64> = grid.to_vec();
-    let results = pool.map(points, |idx, loss| {
-        let mut plan = base.clone();
-        plan.loss_probability = loss;
-        let task_seed = Pcg64::new(seed).fork(idx as u64).next_u64();
-        trace::collect(ring_capacity(messages, &plan), || {
-            let (stats, aborted) = run_raw(cal, &plan, messages, task_seed);
-            LossPoint {
-                loss_probability: loss,
-                stats,
-                retry_exhausted: aborted,
-            }
-        })
-    });
-    let (points, tasks): (Vec<_>, Vec<_>) = results.into_iter().unzip();
-    (points, Trace::from_tasks(tasks))
 }
 
 /// One point of the `repro sweep-size` latency/bandwidth curve: a traced,
@@ -400,8 +373,9 @@ pub fn injection_breakdown_from_trace(t: &Trace) -> Result<Breakdown, DagError> 
 }
 
 /// Sum of the nine Figure-13 slices across the trace — the *sequential*
-/// total, `n ×` [`EndToEndLatencyModel::total`] on a zero-fault trace of
-/// `n` messages. The DAG counterpart is [`reconstruct`]'s critical path,
+/// total, `n ×`
+/// [`EndToEndLatencyModel::total`](crate::EndToEndLatencyModel::total)
+/// on a zero-fault trace of `n` messages. The DAG counterpart is [`reconstruct`]'s critical path,
 /// which on the same trace is one message's chain, not the sum.
 pub fn slice_sum_total(t: &Trace) -> SimDuration {
     FIG13_SLICES
@@ -425,7 +399,6 @@ pub fn recovery_total(t: &Trace) -> SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::DEFAULT_LOSS_GRID;
     use crate::latency::EndToEndLatencyModel;
 
     fn cal() -> Calibration {
@@ -541,33 +514,6 @@ mod tests {
             .spans()
             .any(|(_, s)| s.name == "pkt_drop" || s.name == "rto_backoff"));
         assert!(t.spans().any(|(_, s)| s.name == "ack_flight"));
-    }
-
-    /// Satellite: serial and pooled sweeps record byte-identical merged
-    /// traces — the Chrome JSON strings are equal, not merely equivalent.
-    #[test]
-    fn traced_sweep_is_pool_invariant_byte_identical() {
-        let c = cal();
-        let base = FaultPlan::none();
-        let (pts_a, trace_a) = traced_loss_sweep(
-            &c,
-            &base,
-            &DEFAULT_LOSS_GRID,
-            40,
-            0x5EED,
-            &WorkerPool::with_threads(1),
-        );
-        let (pts_b, trace_b) = traced_loss_sweep(
-            &c,
-            &base,
-            &DEFAULT_LOSS_GRID,
-            40,
-            0x5EED,
-            &WorkerPool::with_threads(4),
-        );
-        assert_eq!(pts_a, pts_b);
-        assert_eq!(trace_a.len(), trace_b.len());
-        assert_eq!(trace_a.to_chrome_json(), trace_b.to_chrome_json());
     }
 
     /// The zero-fault traced run and the untraced run agree on latency —

@@ -17,7 +17,7 @@ use crate::injection::OverallInjectionModel;
 use crate::latency::EndToEndLatencyModel;
 use bband_llp::Phase;
 use bband_microbench::{am_lat, put_bw, AmLatConfig, PutBwConfig, StackConfig};
-use bband_sim::{SimDuration, WorkerPool};
+use bband_sim::SimDuration;
 
 /// The optimizable components of Figure 17.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -165,16 +165,6 @@ pub struct Claim {
     pub holds: bool,
 }
 
-/// The two overall-metric baselines a sweep divides by, memoized so a
-/// dense sweep builds each model once instead of once per grid point.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SweepBaselines {
-    /// Equation 2's overall injection overhead, in nanoseconds.
-    pub injection_ns: f64,
-    /// The end-to-end latency model total, in nanoseconds.
-    pub latency_ns: f64,
-}
-
 /// The what-if engine.
 #[derive(Debug, Clone)]
 pub struct WhatIf {
@@ -194,23 +184,6 @@ impl WhatIf {
 
     /// The paper's five-step reduction grid (10%…90%).
     pub const GRID: [f64; 5] = [0.1, 0.3, 0.5, 0.7, 0.9];
-
-    /// Both sweep baselines, computed once. The curves are linear in the
-    /// reduction with a fixed share/baseline ratio, so a sweep only needs
-    /// the two model totals once — not one model reconstruction per grid
-    /// point. Per-point arithmetic downstream uses the identical f64
-    /// operand sequence as [`WhatIf::injection_speedup`], so memoized
-    /// sweeps stay bit-identical to the point-at-a-time formulas.
-    pub fn baselines(&self) -> SweepBaselines {
-        SweepBaselines {
-            injection_ns: OverallInjectionModel::from_calibration(&self.calib)
-                .total()
-                .as_ns_f64(),
-            latency_ns: EndToEndLatencyModel::from_calibration(&self.calib)
-                .total()
-                .as_ns_f64(),
-        }
-    }
 
     /// The shared per-point formula: `share·r / baseline · 100`.
     fn speedup_from(share_ns: f64, baseline_ns: f64, reduction: f64) -> f64 {
@@ -242,43 +215,35 @@ impl WhatIf {
         ))
     }
 
-    /// One full curve against memoized baselines: the component share is
-    /// resolved once and every grid point is a single multiply chain.
-    fn curve_with(
-        &self,
-        component: Component,
-        latency: bool,
-        grid: &[f64],
-        baselines: &SweepBaselines,
-    ) -> Vec<Point> {
-        let (share, baseline_ns) = if latency {
-            (component.latency_time(&self.calib), baselines.latency_ns)
+    /// One full curve for a figure panel: the component share and the
+    /// model baseline are resolved once, and every grid point is the
+    /// shared formula (the same f64 operand sequence as the per-point
+    /// entry points, so a curve is bit-identical to calling them).
+    pub fn curve(&self, component: Component, latency: bool, grid: &[f64]) -> Vec<Point> {
+        let (share, baseline) = if latency {
+            (
+                component.latency_time(&self.calib),
+                EndToEndLatencyModel::from_calibration(&self.calib).total(),
+            )
         } else {
             (
                 component.injection_time(&self.calib),
-                baselines.injection_ns,
+                OverallInjectionModel::from_calibration(&self.calib).total(),
             )
         };
         let share_ns = share.map(|s| s.as_ns_f64());
-        // Bounds-check the grid once up front; each point is then the bare
-        // shared formula (same f64 operand sequence as the per-point entry
-        // points, so the hoist cannot perturb a single bit).
-        for r in grid {
-            assert!((0.0..=1.0).contains(r));
-        }
+        let baseline_ns = baseline.as_ns_f64();
         grid.iter()
-            .map(|&r| Point {
-                reduction: r,
-                speedup_pct: share_ns
-                    .map(|s| Self::speedup_from(s, baseline_ns, r))
-                    .unwrap_or(0.0),
+            .map(|&r| {
+                assert!((0.0..=1.0).contains(&r));
+                Point {
+                    reduction: r,
+                    speedup_pct: share_ns
+                        .map(|s| Self::speedup_from(s, baseline_ns, r))
+                        .unwrap_or(0.0),
+                }
             })
             .collect()
-    }
-
-    /// One full curve for a figure panel.
-    pub fn curve(&self, component: Component, latency: bool, grid: &[f64]) -> Vec<Point> {
-        self.curve_with(component, latency, grid, &self.baselines())
     }
 
     /// All four panels of Figure 17 on the paper's grid.
@@ -295,76 +260,6 @@ impl WhatIf {
             panel(&Component::FIG17C, true),
             panel(&Component::FIG17D, true),
         ]
-    }
-
-    /// Every component paired with both metrics — the dense-sweep task
-    /// list.
-    fn sweep_tasks() -> Vec<(Component, bool)> {
-        let all = [
-            Component::Hlp,
-            Component::Llp,
-            Component::LlpPost,
-            Component::Pio,
-            Component::HlpTxProg,
-            Component::HlpPost,
-            Component::LlpTxProg,
-            Component::HlpRxProg,
-            Component::LlpProg,
-            Component::IntegratedNic,
-            Component::Pcie,
-            Component::RcToMem,
-            Component::Wire,
-            Component::Switch,
-        ];
-        all.iter().flat_map(|&c| [(c, false), (c, true)]).collect()
-    }
-
-    /// The dense-sweep reduction grid (1%…99%).
-    fn dense_grid() -> Vec<f64> {
-        (1..100).map(|i| i as f64 / 100.0).collect()
-    }
-
-    /// Dense sweep (1%…99% for every component on both metrics), fanned
-    /// out across a [`WorkerPool`] — the grid is embarrassingly parallel.
-    /// Tasks are pure functions of `(component, metric)`, so the pool's
-    /// in-order result collection makes this bit-identical to a serial
-    /// loop. Incremental: the two model baselines are computed once and
-    /// every cell re-uses them; [`WhatIf::dense_sweep_reference`] keeps
-    /// the point-at-a-time recomputation for cross-checks.
-    pub fn dense_sweep(&self) -> Vec<(Component, bool, Vec<Point>)> {
-        let tasks = Self::sweep_tasks();
-        let grid = Self::dense_grid();
-        let baselines = self.baselines();
-        WorkerPool::new().map(tasks, |_, (comp, latency)| {
-            (
-                comp,
-                latency,
-                self.curve_with(comp, latency, &grid, &baselines),
-            )
-        })
-    }
-
-    /// The reference dense sweep: rebuilds the injection/latency model at
-    /// every grid point, exactly as [`WhatIf::injection_speedup`] /
-    /// [`WhatIf::latency_speedup`] do. Kept as the oracle the memoized
-    /// [`WhatIf::dense_sweep`] is benchmarked and byte-compared against.
-    pub fn dense_sweep_reference(&self) -> Vec<(Component, bool, Vec<Point>)> {
-        let tasks = Self::sweep_tasks();
-        let grid = Self::dense_grid();
-        WorkerPool::new().map(tasks, |_, (comp, latency)| {
-            let curve = grid
-                .iter()
-                .map(|&r| Point {
-                    reduction: r,
-                    speedup_pct: if latency {
-                        self.latency_speedup(comp, r).unwrap_or(0.0)
-                    } else {
-                        self.injection_speedup(comp, r).unwrap_or(0.0)
-                    },
-                })
-                .collect();
-            (comp, latency, curve)
-        })
     }
 
     /// The §7 headline claims.
@@ -612,43 +507,19 @@ mod tests {
     }
 
     #[test]
-    fn dense_sweep_covers_everything() {
-        let sweep = engine().dense_sweep();
-        assert_eq!(sweep.len(), 28, "14 components x 2 metrics");
-        for (_, _, curve) in &sweep {
-            assert_eq!(curve.len(), 99);
-        }
-    }
-
-    #[test]
-    fn dense_sweep_matches_serial_computation() {
-        // The pool fan-out must produce exactly what a serial loop
-        // does — thread scheduling cannot leak into results.
+    fn curves_match_the_point_formulas_bit_exactly() {
         let w = engine();
-        let sweep = w.dense_sweep();
-        for (comp, latency, curve) in sweep {
-            for p in curve {
-                let serial = if latency {
-                    w.latency_speedup(comp, p.reduction).unwrap_or(0.0)
-                } else {
-                    w.injection_speedup(comp, p.reduction).unwrap_or(0.0)
-                };
-                assert_eq!(p.speedup_pct, serial, "{comp:?} latency={latency}");
+        for (panel, latency) in w.figure17().iter().zip([false, true, true, true]) {
+            for (comp, curve) in panel {
+                for p in curve {
+                    let point = if latency {
+                        w.latency_speedup(*comp, p.reduction)
+                    } else {
+                        w.injection_speedup(*comp, p.reduction)
+                    };
+                    assert_eq!(Some(p.speedup_pct), point, "{comp:?} latency={latency}");
+                }
             }
-        }
-    }
-
-    #[test]
-    fn dense_sweep_matches_reference_bit_exactly() {
-        // The memoized sweep (baselines computed once) must be
-        // indistinguishable from rebuilding the models at every point.
-        let w = engine();
-        let fast = w.dense_sweep();
-        let reference = w.dense_sweep_reference();
-        assert_eq!(fast.len(), reference.len());
-        for ((fc, fl, fcurve), (rc, rl, rcurve)) in fast.iter().zip(reference.iter()) {
-            assert_eq!((fc, fl), (rc, rl));
-            assert_eq!(fcurve, rcurve, "{fc:?} latency={fl}");
         }
     }
 

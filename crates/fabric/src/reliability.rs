@@ -7,7 +7,7 @@
 //! numbers (PSNs), go-back-N retransmission on timeout or explicit
 //! out-of-sequence NAK — so failure-injection tests can exercise loss.
 
-use crate::packet::{Packet, PacketId};
+use crate::packet::Packet;
 use bband_sim::{SimDuration, SimTime};
 use bband_trace as trace;
 use std::collections::VecDeque;
@@ -304,15 +304,10 @@ impl LossyFabric {
     }
 }
 
-/// Identity helper for tests pairing packets with ids.
-pub fn packet_key(p: &Packet) -> PacketId {
-    p.id
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::{NodeId, PacketKind};
+    use crate::packet::{NodeId, PacketId, PacketKind};
 
     fn pkt(i: u64) -> Packet {
         Packet::message(PacketId(i), PacketKind::Send, NodeId(0), NodeId(1), 8)

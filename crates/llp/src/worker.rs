@@ -439,19 +439,9 @@ impl Worker {
         (self.core, self.ep)
     }
 
-    /// Rebundle a core with an endpoint.
-    pub fn from_parts(core: Core, ep: Endpoint) -> Self {
-        Worker { core, ep }
-    }
-
     /// The CPU half.
     pub fn core(&self) -> &Core {
         &self.core
-    }
-
-    /// Mutable CPU half.
-    pub fn core_mut(&mut self) -> &mut Core {
-        &mut self.core
     }
 
     /// The endpoint this worker drives.

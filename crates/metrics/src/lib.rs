@@ -6,7 +6,7 @@
 //! registry accumulates them into fixed-shape histograms so a run can
 //! report p50/p95/p99/p99.9 per stage instead of collapsing the
 //! distribution. Three constraints shape the design, mirroring
-//! [`bband_trace`]:
+//! `bband_trace`:
 //!
 //! * **No allocation while recording.** A registry preallocates its name
 //!   table and one contiguous bucket block at [`collect`] time; recording
@@ -27,10 +27,6 @@
 //! fixed [`NUM_BUCKETS`]-slot array — no per-value allocation, ever.
 //! Values are virtual-time picoseconds (or any u64 the caller keys by).
 
-pub mod series;
-
-pub use series::{SpanAccum, TimeGauge};
-
 use bband_sim::SimDuration;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -50,7 +46,7 @@ pub const SUB_BUCKETS: usize = 1 << SUB_BITS;
 pub const NUM_BUCKETS: usize = (64 - SUB_BITS as usize + 1) * SUB_BUCKETS;
 
 /// Bucket index for a recorded value. Values below [`SUB_BUCKETS`] get
-/// exact single-value buckets; above, the top [`SUB_BITS`] bits after the
+/// exact single-value buckets; above, the top `SUB_BITS` bits after the
 /// most significant bit select a linear sub-bucket within the octave.
 #[inline]
 pub fn bucket_index(v: u64) -> usize {

@@ -14,6 +14,9 @@
 //!   completions). Its inverse is the overall injection overhead (§6).
 //! * [`osu_latency`] — OSU's point-to-point latency test over MPI; the
 //!   observed end-to-end latency (§6).
+//!
+//! [`put_bw`]: fn@put_bw
+//! [`am_lat`]: fn@am_lat
 
 pub mod am_lat;
 pub mod common;
@@ -26,14 +29,11 @@ pub mod ucp_lat;
 pub use am_lat::{am_lat, AmLatConfig, AmLatReport};
 pub use common::{set_seed_override, BenchClock, StackConfig};
 pub use multicore::{
-    credit_exhaustion_onset, credit_exhaustion_onset_with, endpoint_injection, multicore_injection,
-    MulticoreConfig, MulticoreReport, ThreadSweepConfig, ThreadSweepReport,
+    credit_exhaustion_onset_with, endpoint_injection, ThreadSweepConfig, ThreadSweepReport,
 };
 pub use osu::{
     osu_latency, osu_message_rate, OsuLatConfig, OsuLatReport, OsuMrConfig, OsuMrReport,
 };
 pub use put_bw::{put_bw, PutBwConfig, PutBwReport};
-pub use traced::{
-    traced_am_lat, traced_endpoint_injection, traced_multicore, traced_osu_latency, traced_put_bw,
-};
+pub use traced::{traced_am_lat, traced_endpoint_injection, traced_osu_latency, traced_put_bw};
 pub use ucp_lat::{eager_rndv_sweep, ucp_latency, UcpLatConfig};

@@ -217,98 +217,14 @@ pub fn endpoint_injection(cfg: &ThreadSweepConfig) -> ThreadSweepReport {
     }
 }
 
-/// Configuration for the multi-core injection experiment (the
-/// one-independent-endpoint-per-core special case of
-/// [`ThreadSweepConfig`], kept as the credit-probe's native shape).
-#[derive(Debug, Clone)]
-pub struct MulticoreConfig {
-    pub stack: StackConfig,
-    /// Number of injecting cores on node 0.
-    pub cores: u32,
-    /// Messages per core.
-    pub messages_per_core: u64,
-    /// Per-core software ring depth.
-    pub ring_depth: u32,
-    /// See [`ThreadSweepConfig::credits`].
-    pub credits: Option<(u32, u32, u32)>,
-    /// See [`ThreadSweepConfig::stalls`].
-    pub stalls: Option<(f64, f64)>,
-}
-
-impl Default for MulticoreConfig {
-    fn default() -> Self {
-        MulticoreConfig {
-            stack: StackConfig::default(),
-            cores: 4,
-            messages_per_core: 1_000,
-            ring_depth: 16,
-            credits: None,
-            stalls: None,
-        }
-    }
-}
-
-impl MulticoreConfig {
-    /// The equivalent thread-sweep point: one independent endpoint per
-    /// core.
-    pub fn as_thread_sweep(&self) -> ThreadSweepConfig {
-        ThreadSweepConfig {
-            stack: self.stack.clone(),
-            threads: self.cores,
-            endpoints: self.cores,
-            lock: LockGranularity::Independent,
-            messages_per_thread: self.messages_per_core,
-            ring_depth: self.ring_depth,
-            credits: self.credits,
-            stalls: self.stalls,
-        }
-    }
-}
-
-/// Results of a multi-core run.
-#[derive(Debug)]
-pub struct MulticoreReport {
-    pub cores: u32,
-    /// Aggregate messages per microsecond reaching the fabric.
-    pub aggregate_rate_per_us: f64,
-    /// Mean per-message injection overhead seen by one core.
-    pub per_core_overhead: SimDuration,
-    /// Did the RC ever stall an MMIO write for credits?
-    pub rc_stalled: bool,
-    /// Total busy posts across cores.
-    pub busy_posts: u64,
-    /// Cluster-level recovery counters (credit stall episodes).
-    pub counters: RecoveryCounters,
-}
-
-/// Run `cores` independent injectors against one node's RC + NIC — a thin
-/// shim over [`endpoint_injection`] at the one-independent-endpoint-
-/// per-core point, bit-identical to the pre-endpoint-refactor driver.
-pub fn multicore_injection(cfg: &MulticoreConfig) -> MulticoreReport {
-    let r = endpoint_injection(&cfg.as_thread_sweep());
-    debug_assert_eq!(r.lock_acquisitions, 0, "independent VIs take no lock");
-    MulticoreReport {
-        cores: cfg.cores,
-        aggregate_rate_per_us: r.aggregate_rate_per_us,
-        per_core_overhead: r.per_thread_overhead,
-        rc_stalled: r.rc_stalled,
-        busy_posts: r.busy_posts,
-        counters: r.counters,
-    }
-}
-
-/// Sweep core counts and report where credits first exhaust. Each count
-/// simulates an independent cluster (seeded only by `stack.seed` and the
-/// core index), so the sweep fans out across a [`WorkerPool`] with results
-/// identical to the serial loop it replaces.
-pub fn credit_exhaustion_onset(stack: &StackConfig, core_counts: &[u32]) -> Vec<(u32, bool)> {
-    credit_exhaustion_onset_with(stack, core_counts, None, None)
-}
-
-/// [`credit_exhaustion_onset`] under an optional posted-credit override
-/// and/or a correlated-stall process — a starved pool pulls the onset down
-/// to fewer cores, and Markov stall windows back the NIC up so in-flight
-/// credits pile on during bursts.
+/// Sweep core counts and report where credits first exhaust, under an
+/// optional posted-credit override and/or a correlated-stall process — a
+/// starved pool pulls the onset down to fewer cores, and Markov stall
+/// windows back the NIC up so in-flight credits pile on during bursts.
+/// Each count runs [`endpoint_injection`] with one independent endpoint
+/// per core on an independent cluster (seeded only by `stack.seed` and
+/// the core index), so the sweep fans out across a [`WorkerPool`] with
+/// results identical to a serial loop.
 pub fn credit_exhaustion_onset_with(
     stack: &StackConfig,
     core_counts: &[u32],
@@ -316,10 +232,12 @@ pub fn credit_exhaustion_onset_with(
     stalls: Option<(f64, f64)>,
 ) -> Vec<(u32, bool)> {
     WorkerPool::new().map(core_counts.to_vec(), |_, cores| {
-        let r = multicore_injection(&MulticoreConfig {
+        let r = endpoint_injection(&ThreadSweepConfig {
             stack: stack.clone(),
-            cores,
-            messages_per_core: 400,
+            threads: cores,
+            endpoints: cores,
+            lock: LockGranularity::Independent,
+            messages_per_thread: 400,
             ring_depth: 16,
             credits,
             stalls,
@@ -331,17 +249,6 @@ pub fn credit_exhaustion_onset_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn det(cores: u32) -> MulticoreConfig {
-        MulticoreConfig {
-            stack: StackConfig::validation(),
-            cores,
-            messages_per_core: 500,
-            ring_depth: 16,
-            credits: None,
-            stalls: None,
-        }
-    }
 
     fn sweep(threads: u32, endpoints: u32, lock: LockGranularity) -> ThreadSweepConfig {
         ThreadSweepConfig {
@@ -356,12 +263,18 @@ mod tests {
         }
     }
 
+    /// The multicore credit probe's shape: one independent endpoint per
+    /// core.
+    fn det(cores: u32) -> ThreadSweepConfig {
+        sweep(cores, cores, LockGranularity::Independent)
+    }
+
     #[test]
     fn single_core_matches_the_paper() {
-        let r = multicore_injection(&det(1));
+        let r = endpoint_injection(&det(1));
         assert!(!r.rc_stalled, "one core must never stall the RC (§4.2)");
         // One core posting + opportunistic poll ≈ LLP_post + LLP_prog.
-        let ns = r.per_core_overhead.as_ns_f64();
+        let ns = r.per_thread_overhead.as_ns_f64();
         assert!(
             (ns - 237.05).abs() < 15.0,
             "single-core overhead {ns} vs ~237 (175.42+61.63)"
@@ -370,8 +283,8 @@ mod tests {
 
     #[test]
     fn few_cores_scale_without_stalling() {
-        let r1 = multicore_injection(&det(1));
-        let r8 = multicore_injection(&det(8));
+        let r1 = endpoint_injection(&det(1));
+        let r8 = endpoint_injection(&det(8));
         assert!(!r8.rc_stalled, "8 cores fit in the credit pool");
         assert!(
             r8.aggregate_rate_per_us > 6.0 * r1.aggregate_rate_per_us,
@@ -385,7 +298,7 @@ mod tests {
     fn many_cores_exhaust_credits() {
         // ~0.9·k header credits in flight; the 64-credit pool must
         // saturate well before 128 cores.
-        let r = multicore_injection(&det(128));
+        let r = endpoint_injection(&det(128));
         assert!(
             r.rc_stalled,
             "128 cores must exhaust the RC's posted-write credits"
@@ -395,7 +308,7 @@ mod tests {
     #[test]
     fn exhaustion_onset_is_monotone() {
         let stack = StackConfig::validation();
-        let onset = credit_exhaustion_onset(&stack, &[1, 8, 128]);
+        let onset = credit_exhaustion_onset_with(&stack, &[1, 8, 128], None, None);
         assert_eq!(onset[0], (1, false));
         assert_eq!(onset[1], (8, false));
         assert_eq!(onset[2], (128, true));
@@ -406,7 +319,7 @@ mod tests {
         // A pool of 4 header credits replenished 2 at a time: 8 concurrent
         // posters exhaust it, where the ConnectX-4-class default absorbs
         // them without a stall.
-        let r = multicore_injection(&MulticoreConfig {
+        let r = endpoint_injection(&ThreadSweepConfig {
             credits: Some((4, 64, 2)),
             ..det(8)
         });
@@ -414,7 +327,7 @@ mod tests {
         assert!(r.counters.credit_stalls > 0);
         assert!(!r.counters.is_clean());
         // And the default remains clean at the same core count.
-        let clean = multicore_injection(&det(8));
+        let clean = endpoint_injection(&det(8));
         assert!(clean.counters.is_clean());
     }
 
@@ -423,13 +336,13 @@ mod tests {
         // Long down-dwells park the NIC; posted writes keep landing, so the
         // stall episodes show up in the recovery counters and throughput
         // drops against the clean run.
-        let stalled = multicore_injection(&MulticoreConfig {
+        let stalled = endpoint_injection(&ThreadSweepConfig {
             stalls: Some((4_000.0, 2_000.0)),
             ..det(4)
         });
         assert!(stalled.counters.nic_stalls > 0, "stall windows must fire");
         assert!(!stalled.counters.is_clean());
-        let clean = multicore_injection(&det(4));
+        let clean = endpoint_injection(&det(4));
         assert!(clean.counters.nic_stalls == 0);
         assert!(
             stalled.aggregate_rate_per_us < clean.aggregate_rate_per_us,
@@ -437,24 +350,6 @@ mod tests {
             stalled.aggregate_rate_per_us,
             clean.aggregate_rate_per_us
         );
-    }
-
-    #[test]
-    fn independent_sweep_point_is_bit_identical_to_multicore() {
-        // The refactor's no-regression gate: the one-independent-endpoint-
-        // per-thread sweep point IS the old multicore experiment.
-        for cores in [1, 4, 8] {
-            let mc = multicore_injection(&det(cores));
-            let ts = endpoint_injection(&sweep(cores, cores, LockGranularity::Independent));
-            assert_eq!(
-                mc.per_core_overhead, ts.per_thread_overhead,
-                "virtual end times must agree at {cores} threads"
-            );
-            assert_eq!(mc.busy_posts, ts.busy_posts);
-            assert_eq!(mc.rc_stalled, ts.rc_stalled);
-            assert_eq!(ts.lock_acquisitions, 0);
-            assert_eq!(ts.lock_wait_time, SimDuration::ZERO);
-        }
     }
 
     #[test]

@@ -15,10 +15,7 @@
 //! worth of stages on every layer with 2× headroom.
 
 use crate::am_lat::{am_lat, AmLatConfig, AmLatReport};
-use crate::multicore::{
-    endpoint_injection, multicore_injection, MulticoreConfig, MulticoreReport, ThreadSweepConfig,
-    ThreadSweepReport,
-};
+use crate::multicore::{endpoint_injection, ThreadSweepConfig, ThreadSweepReport};
 use crate::osu::{osu_latency, OsuLatConfig, OsuLatReport};
 use crate::put_bw::{put_bw, PutBwConfig, PutBwReport};
 use bband_trace::{self as trace, Trace};
@@ -64,33 +61,23 @@ pub fn traced_osu_latency(cfg: &OsuLatConfig) -> (OsuLatReport, Trace) {
     (report, Trace::from_task(task))
 }
 
-/// Run [`multicore_injection`] with stage tracing enabled.
+/// Run [`endpoint_injection`] with stage tracing enabled.
 ///
-/// Each core's `LLP_post`/`busy_post`/`LLP_prog` spans form that core's
-/// serial CPU spine, while every core's MMIO writes funnel through the one
-/// root complex: a write that parks for posted-write credits records a
-/// `credit_wait` recovery stage chained after both its own core and the
-/// RC's previous departure. On a starved pool the DAG critical path
-/// therefore threads *across* cores through the shared RC track, and the
-/// credit stalls show up as exposed recovery time — the congestion the
-/// paper scopes out of its single-core model (§4.2), made attributable.
-pub fn traced_multicore(cfg: &MulticoreConfig) -> (MulticoreReport, Trace) {
-    let units = cfg
-        .messages_per_core
-        .saturating_mul(u64::from(cfg.cores.max(1)));
-    let (report, task) = trace::collect(ring_capacity(units), || multicore_injection(cfg));
-    (report, Trace::from_task(task))
-}
-
-/// Run [`endpoint_injection`] with stage tracing enabled — the one driver
-/// behind both the multicore credit probe and the scalable-endpoints
-/// sweep, with tracing as a flag rather than a separate loop.
+/// Each thread's `LLP_post`/`busy_post`/`LLP_prog` spans form that
+/// thread's serial CPU spine, while every thread's MMIO writes funnel
+/// through the one root complex: a write that parks for posted-write
+/// credits records a `credit_wait` recovery stage chained after both its
+/// own thread and the RC's previous departure. On a starved pool the DAG
+/// critical path therefore threads *across* cores through the shared RC
+/// track, and the credit stalls show up as exposed recovery time — the
+/// congestion the paper scopes out of its single-core model (§4.2), made
+/// attributable.
 ///
-/// On top of the multicore structure, threads sharing a locked endpoint
-/// record `lock_wait` recovery stages: each wait chains after both the
-/// waiter's own CPU spine and the previous wait on the same lock, so
-/// cross-thread serialization threads through the trace the same way
-/// credit stalls thread through the shared RC track.
+/// Threads sharing a locked endpoint also record `lock_wait` recovery
+/// stages: each wait chains after both the waiter's own CPU spine and the
+/// previous wait on the same lock, so cross-thread serialization threads
+/// through the trace the same way credit stalls thread through the shared
+/// RC track.
 pub fn traced_endpoint_injection(cfg: &ThreadSweepConfig) -> (ThreadSweepReport, Trace) {
     let units = cfg
         .messages_per_thread
@@ -103,6 +90,7 @@ pub fn traced_endpoint_injection(cfg: &ThreadSweepConfig) -> (ThreadSweepReport,
 mod tests {
     use super::*;
     use crate::common::StackConfig;
+    use bband_llp::LockGranularity;
     use bband_sim::SimDuration;
     use bband_trace::critical_path;
 
@@ -189,11 +177,13 @@ mod tests {
         );
     }
 
-    fn starved_mc_cfg() -> MulticoreConfig {
-        MulticoreConfig {
+    fn starved_mc_cfg() -> ThreadSweepConfig {
+        ThreadSweepConfig {
             stack: StackConfig::validation(),
-            cores: 8,
-            messages_per_core: 300,
+            threads: 8,
+            endpoints: 8,
+            lock: LockGranularity::Independent,
+            messages_per_thread: 300,
             ring_depth: 16,
             // 4 header credits replenished 2 at a time: 8 concurrent
             // posters must park MMIO writes at the RC.
@@ -204,7 +194,7 @@ mod tests {
 
     #[test]
     fn starved_multicore_exposes_credit_waits_on_the_critical_path() {
-        let (report, trace) = traced_multicore(&starved_mc_cfg());
+        let (report, trace) = traced_endpoint_injection(&starved_mc_cfg());
         assert!(report.rc_stalled, "the starved pool must stall");
         assert_eq!(trace.dropped(), 0, "ring sized to never wrap");
         let cp = critical_path(&trace).unwrap();
@@ -227,7 +217,7 @@ mod tests {
         // recovery-track stages, so the trace's Recovery-layer total and
         // the counters' recovery_time agree in integer picoseconds — the
         // same single-bookkeeping invariant the fault engine holds.
-        let (report, trace) = traced_multicore(&MulticoreConfig {
+        let (report, trace) = traced_endpoint_injection(&ThreadSweepConfig {
             stalls: Some((4_000.0, 2_000.0)),
             ..starved_mc_cfg()
         });
@@ -244,10 +234,12 @@ mod tests {
 
     #[test]
     fn unstarved_multicore_records_no_recovery_stages() {
-        let (report, trace) = traced_multicore(&MulticoreConfig {
+        let (report, trace) = traced_endpoint_injection(&ThreadSweepConfig {
             stack: StackConfig::validation(),
-            cores: 4,
-            messages_per_core: 200,
+            threads: 4,
+            endpoints: 4,
+            lock: LockGranularity::Independent,
+            messages_per_thread: 200,
             ring_depth: 16,
             credits: None,
             stalls: None,
@@ -263,8 +255,6 @@ mod tests {
 
     #[test]
     fn locked_sweep_exposes_lock_waits_on_the_critical_path() {
-        use crate::multicore::ThreadSweepConfig;
-        use bband_llp::LockGranularity;
         // 8 threads funneling through one global-locked endpoint: almost
         // every post waits, and the waits must surface as first-class
         // recovery stages alongside the per-thread CPU spines.
@@ -294,8 +284,6 @@ mod tests {
 
     #[test]
     fn sweep_ledger_matches_the_recovery_track_bit_exactly() {
-        use crate::multicore::ThreadSweepConfig;
-        use bband_llp::LockGranularity;
         // Single bookkeeping across both wait sources: the trace's
         // Recovery-layer total is exactly the cluster's recovery_time
         // (credit + NIC stalls) plus the lock model's wait ledger, in
@@ -330,8 +318,6 @@ mod tests {
 
     #[test]
     fn independent_sweep_records_no_lock_waits() {
-        use crate::multicore::ThreadSweepConfig;
-        use bband_llp::LockGranularity;
         let (report, trace) = traced_endpoint_injection(&ThreadSweepConfig {
             stack: StackConfig::validation(),
             threads: 4,

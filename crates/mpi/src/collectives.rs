@@ -46,7 +46,9 @@ pub enum Collective {
 pub struct CollectiveReport {
     /// Virtual time from the start of the run to the last rank finishing.
     pub completion: SimTime,
-    /// Rounds executed (= ⌈log₂N⌉).
+    /// Rounds executed: ⌈log₂N⌉ for barrier and bcast; for allreduce
+    /// the recursive-doubling core plus, when N is not a power of two,
+    /// the fold-in and fold-out steps (⌈log₂N⌉ + 1).
     pub rounds: u32,
     /// Recovery engagement observed by the cluster over the whole job so
     /// far (credit-starved RCs parking MMIO writes, Markov stall windows).
@@ -234,7 +236,7 @@ pub fn run_collective(
     let end = ranks.iter().map(|r| r.now()).max().expect("ranks");
     CollectiveReport {
         completion: end,
-        rounds,
+        rounds: steps,
         counters: cluster.recovery_counters(),
     }
 }

@@ -147,14 +147,15 @@ struct NodeState {
     link_rng: Pcg64,
 }
 
+/// Node whose link carries the analyzer (the paper's "node 1").
+const ANALYZER_NODE: NodeId = NodeId(0);
+
 /// The assembled system.
 pub struct Cluster {
     queue: EventQueue<HwEvent>,
     nodes: Vec<NodeState>,
     network: NetworkModel,
     net_rng: Pcg64,
-    /// Node whose link carries the analyzer (the paper taps node 1).
-    tap_node: NodeId,
     next_packet_id: u64,
     /// Diagnostics: total messages injected (launched onto the fabric).
     pub messages_injected: u64,
@@ -204,7 +205,6 @@ impl Cluster {
             nodes,
             network,
             net_rng: root.fork(0xFAB),
-            tap_node: NodeId(0),
             next_packet_id: 0,
             messages_injected: 0,
             acks_received: 0,
@@ -230,12 +230,6 @@ impl Cluster {
             n.link = n.link.clone().deterministic();
         }
         self
-    }
-
-    /// Which node's link the analyzer taps (default: node 0, the paper's
-    /// "node 1").
-    pub fn set_tap_node(&mut self, node: NodeId) {
-        self.tap_node = node;
     }
 
     /// One-way mean PCIe latency of node 0's link for a 64-byte TLP — the
@@ -315,8 +309,9 @@ impl Cluster {
     /// here is fault-free (no loss or corruption is injected below the
     /// transport), so only credit stalls and configured Markov stall
     /// windows can engage; the other counters stay zero and
-    /// [`RecoveryCounters::is_clean`] holds iff no RC ever parked an MMIO
-    /// write and no stall window deferred a launch.
+    /// [`RecoveryCounters::is_clean`](bband_profiling::RecoveryCounters::is_clean)
+    /// holds iff no RC ever parked an MMIO write and no stall window
+    /// deferred a launch.
     pub fn recovery_counters(&self) -> bband_profiling::RecoveryCounters {
         let mut k = bband_profiling::RecoveryCounters::new();
         k.credit_stalls = self.nodes.iter().map(|n| n.rc.stalled_issues).sum();
@@ -361,24 +356,6 @@ impl Cluster {
     /// Hardware ring occupancy of a node's NIC, summed over its QPs.
     pub fn nic_occupancy(&self, node: NodeId) -> u32 {
         self.nodes[node.0 as usize].nic.occupancy.values().sum()
-    }
-
-    /// Hardware ring occupancy of one queue pair's doorbell ring.
-    pub fn nic_qp_occupancy(&self, node: NodeId, qp: QpId) -> u32 {
-        self.nodes[node.0 as usize]
-            .nic
-            .occupancy
-            .get(&qp)
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Number of completions currently visible on a node's CQ for `qp`.
-    pub fn cq_depth(&self, node: NodeId, qp: QpId) -> usize {
-        self.nodes[node.0 as usize]
-            .host_cq
-            .get(&qp)
-            .map_or(0, VecDeque::len)
     }
 
     /// Time of the next pending hardware event.
@@ -561,11 +538,6 @@ impl Cluster {
             .map(|c| c.visible_at)
     }
 
-    /// Peek without consuming.
-    pub fn peek_cqe(&self, node: NodeId, qp: QpId) -> Option<&Cqe> {
-        self.nodes[node.0 as usize].host_cq.get(&qp)?.front()
-    }
-
     // ------------------------------------------------------------------
     // Event plumbing
     // ------------------------------------------------------------------
@@ -630,7 +602,7 @@ impl Cluster {
 
     /// NIC sends an upstream TLP toward the RC (tap sees the departure).
     fn nic_send_upstream(&mut self, now: SimTime, node: NodeId, tlp: Tlp, tap: &mut dyn LinkTap) {
-        if node == self.tap_node {
+        if node == ANALYZER_NODE {
             tap.on_tlp(now, LinkDirection::Upstream, &tlp);
         }
         let dep = self.tlp_dep(tlp.id);
@@ -652,7 +624,7 @@ impl Cluster {
 
     /// NIC sends an upstream DLLP toward the RC.
     fn nic_send_dllp(&mut self, now: SimTime, node: NodeId, dllp: Dllp, tap: &mut dyn LinkTap) {
-        if node == self.tap_node {
+        if node == ANALYZER_NODE {
             tap.on_dllp(now, LinkDirection::Upstream, &dllp);
         }
         let n = &mut self.nodes[node.0 as usize];
@@ -787,7 +759,7 @@ impl Cluster {
     fn handle(&mut self, at: SimTime, ev: HwEvent, tap: &mut dyn LinkTap) {
         match ev {
             HwEvent::TlpAtNic { node, tlp } => {
-                if node == self.tap_node {
+                if node == ANALYZER_NODE {
                     tap.on_tlp(at, LinkDirection::Downstream, &tlp);
                 }
                 // Data-link layer: NIC ACKs the TLP and may return credits.
@@ -834,7 +806,7 @@ impl Cluster {
                 self.apply_rc_actions(node, actions);
             }
             HwEvent::DllpAtNic { node, dllp } => {
-                if node == self.tap_node {
+                if node == ANALYZER_NODE {
                     tap.on_dllp(at, LinkDirection::Downstream, &dllp);
                 }
                 // ACK/UpdateFC arriving at the NIC: data-link bookkeeping

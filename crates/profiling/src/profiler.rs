@@ -124,11 +124,6 @@ impl Profiler {
         self.regions.keys().map(String::as_str)
     }
 
-    /// The calibrated overhead mean in nanoseconds.
-    pub fn overhead_mean_ns(&self) -> f64 {
-        self.overhead_mean
-    }
-
     /// Drop all samples, keeping calibration.
     pub fn reset(&mut self) {
         self.regions.clear();

@@ -40,15 +40,6 @@ pub fn render_bar(b: &Breakdown) -> String {
     out
 }
 
-/// CSV export of a breakdown: `component,time_ns,percent`.
-pub fn breakdown_csv(b: &Breakdown) -> String {
-    let mut out = String::from("component,time_ns,percent\n");
-    for ((name, dur), (_, pct)) in b.items().iter().zip(b.percentages()) {
-        out.push_str(&format!("{},{:.3},{:.3}\n", name, dur.as_ns_f64(), pct));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,14 +66,5 @@ mod tests {
         let bar_line = s.lines().nth(1).unwrap();
         let inner: String = bar_line.trim().trim_matches('|').chars().collect();
         assert_eq!(inner.chars().count(), 60);
-    }
-
-    #[test]
-    fn csv_roundtrip_fields() {
-        let csv = breakdown_csv(&sample());
-        let mut lines = csv.lines();
-        assert_eq!(lines.next(), Some("component,time_ns,percent"));
-        assert_eq!(lines.next(), Some("a,25.000,25.000"));
-        assert_eq!(lines.next(), Some("b,75.000,75.000"));
     }
 }

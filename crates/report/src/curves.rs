@@ -23,22 +23,6 @@ pub fn render_curves(title: &str, curves: &[(Component, Vec<Point>)]) -> String 
     out
 }
 
-/// CSV export: `component,reduction,speedup_pct`.
-pub fn curves_csv(curves: &[(Component, Vec<Point>)]) -> String {
-    let mut out = String::from("component,reduction,speedup_pct\n");
-    for (comp, curve) in curves {
-        for p in curve {
-            out.push_str(&format!(
-                "{},{:.2},{:.4}\n",
-                comp.label(),
-                p.reduction,
-                p.speedup_pct
-            ));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -57,16 +41,5 @@ mod tests {
         assert!(out.contains("10%"));
         assert!(out.contains("90%"));
         assert_eq!(out.lines().count(), 2 + 5);
-    }
-
-    #[test]
-    fn csv_lists_every_point() {
-        let w = WhatIf::new(Calibration::default());
-        let curves: Vec<_> = Component::FIG17C
-            .iter()
-            .map(|&c| (c, w.curve(c, true, &WhatIf::GRID)))
-            .collect();
-        let csv = curves_csv(&curves);
-        assert_eq!(csv.lines().count(), 1 + 3 * 5);
     }
 }

@@ -6,7 +6,6 @@
 
 use bband_core::whatif::{Component, Point};
 use bband_core::Breakdown;
-use bband_profiling::SampleSet;
 use serde::Serialize;
 
 /// JSON form of a breakdown figure.
@@ -40,40 +39,6 @@ pub fn breakdown_json(b: &Breakdown) -> BreakdownJson {
                 percent: pct,
             })
             .collect(),
-    }
-}
-
-/// JSON form of a distribution figure (Figure 7).
-#[derive(Debug, Serialize)]
-pub struct DistributionJson {
-    pub title: String,
-    pub count: usize,
-    pub mean_ns: f64,
-    pub median_ns: f64,
-    pub min_ns: f64,
-    pub max_ns: f64,
-    pub std_dev_ns: f64,
-    pub histogram: Vec<(f64, f64)>,
-}
-
-/// Convert a sample set for serialization.
-pub fn distribution_json(
-    title: &str,
-    s: &SampleSet,
-    lo: f64,
-    hi: f64,
-    bins: usize,
-) -> DistributionJson {
-    let sum = s.summary();
-    DistributionJson {
-        title: title.to_string(),
-        count: sum.count,
-        mean_ns: sum.mean,
-        median_ns: sum.median,
-        min_ns: sum.min,
-        max_ns: sum.max,
-        std_dev_ns: sum.std_dev,
-        histogram: s.histogram(lo, hi, bins),
     }
 }
 
@@ -127,7 +92,6 @@ pub fn to_json<T: Serialize>(value: &T) -> String {
 mod tests {
     use super::*;
     use bband_core::{Calibration, EndToEndLatencyModel, WhatIf};
-    use bband_sim::SimDuration;
 
     #[test]
     fn breakdown_json_roundtrips_totals() {
@@ -140,20 +104,6 @@ mod tests {
         // Valid JSON: parses back.
         let v: serde_json::Value = serde_json::from_str(&json).unwrap();
         assert_eq!(v["components"].as_array().unwrap().len(), 9);
-    }
-
-    #[test]
-    fn distribution_json_carries_stats() {
-        let mut s = SampleSet::new();
-        for ns in [280.0, 290.0, 300.0] {
-            s.push(SimDuration::from_ns_f64(ns));
-        }
-        let j = distribution_json("fig7", &s, 0.0, 500.0, 10);
-        assert_eq!(j.count, 3);
-        assert!((j.mean_ns - 290.0).abs() < 1e-9);
-        assert_eq!(j.histogram.len(), 10);
-        let v: serde_json::Value = serde_json::from_str(&to_json(&j)).unwrap();
-        assert_eq!(v["count"], 3);
     }
 
     #[test]

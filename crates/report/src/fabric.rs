@@ -9,6 +9,8 @@
 //! `trace::dag`'s critical-path stage ranking. The JSON carries the full
 //! numeric series plus the bit-exact [`Conservation`] reconciliation
 //! against the fabric's aggregate counters, which CI asserts.
+//!
+//! [`Conservation`]: bband_cluster::Conservation
 
 use bband_cluster::TelemetryPoint;
 use serde::Serialize;

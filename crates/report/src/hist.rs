@@ -29,15 +29,6 @@ pub fn render_histogram(title: &str, s: &SampleSet, lo: f64, hi: f64, bins: usiz
     out
 }
 
-/// CSV export: `bin_center_ns,density`.
-pub fn histogram_csv(s: &SampleSet, lo: f64, hi: f64, bins: usize) -> String {
-    let mut out = String::from("bin_center_ns,density\n");
-    for (center, density) in s.histogram(lo, hi, bins) {
-        out.push_str(&format!("{center:.3},{density:.6}\n"));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -64,12 +55,5 @@ mod tests {
     fn histogram_has_requested_bins() {
         let out = render_histogram("x", &sample(), 200.0, 400.0, 8);
         assert_eq!(out.lines().count(), 2 + 8);
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let csv = histogram_csv(&sample(), 200.0, 400.0, 4);
-        assert_eq!(csv.lines().count(), 5);
-        assert!(csv.starts_with("bin_center_ns,density"));
     }
 }

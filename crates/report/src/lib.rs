@@ -9,7 +9,9 @@
 //! * a **set of curves** (Figure 17) — [`curves::render_curves`];
 //!
 //! plus the Figure 6 trace listing, which `bband-analyzer` renders itself.
-//! All renderers produce plain text (terminal-friendly) and CSV.
+//! All renderers produce plain text (terminal-friendly); the JSON
+//! artifacts `repro --json` writes come from [`export`] and the
+//! per-experiment modules.
 
 pub mod bars;
 pub mod curves;
@@ -26,7 +28,7 @@ pub mod threads;
 
 pub use bars::render_bar;
 pub use curves::render_curves;
-pub use export::{breakdown_json, curves_json, distribution_json, to_json};
+pub use export::{breakdown_json, curves_json, to_json};
 pub use fabric::{fabric_telemetry_json, render_fabric_heatmap, FABRIC_TELEMETRY_SCHEMA};
 pub use flame::{render_critical_path, render_flame};
 pub use hist::render_histogram;

@@ -73,15 +73,6 @@ pub fn render_table1(c: &Calibration) -> String {
     out
 }
 
-/// CSV export of Table 1.
-pub fn table1_csv(c: &Calibration) -> String {
-    let mut out = String::from("component,time_ns\n");
-    for (name, ns) in table1_rows(c) {
-        out.push_str(&format!("\"{name}\",{ns:.2}\n"));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,11 +101,5 @@ mod tests {
         assert!(out.contains("175.42"));
         assert!(out.contains("RC-to-MEM(8B)"));
         assert!(out.contains("240.96"));
-    }
-
-    #[test]
-    fn csv_has_all_rows() {
-        let csv = table1_csv(&Calibration::default());
-        assert_eq!(csv.lines().count(), 22);
     }
 }

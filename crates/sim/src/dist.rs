@@ -61,7 +61,7 @@ impl Jitter {
     /// Hot path: the floored log-normal factors as `base · m(u)` where the
     /// multiplier quantile `m` depends only on `(sigma, floor_frac)`, so
     /// the draw is one uniform word and one lerp through a precomputed
-    /// 1024-entry inverse-CDF table ([`lookup_table`]) — no `ln`/`exp`/
+    /// 1024-entry inverse-CDF table (`lookup_table`) — no `ln`/`exp`/
     /// Box–Muller per sample. [`Jitter::sample_exact`] keeps the closed
     /// form as the reference the table is tested against.
     #[inline]

@@ -1,13 +1,13 @@
 //! A reusable work-stealing worker pool for embarrassingly parallel
 //! experiment batches.
 //!
-//! Every parallel surface of the workspace — the what-if dense sweep, the
-//! multicore injection sweeps, the multi-rank collective driver, and figure
-//! regeneration in `repro` — has the same shape: a finite batch of
-//! independent tasks whose per-task cost is wildly uneven (a 2-rank barrier
-//! vs. a 128-rank alltoall differ by orders of magnitude). Static chunking
-//! (what `dense_sweep` used to do) leaves threads idle behind the worker
-//! that drew the expensive chunk; this pool instead distributes tasks
+//! Every parallel surface of the workspace — the fault-engine loss and
+//! size sweeps, the multicore injection sweeps, the multi-rank collective
+//! drivers, and figure regeneration in `repro` — has the same shape: a
+//! finite batch of independent tasks whose per-task cost is wildly uneven
+//! (a 2-rank barrier vs. a 128-rank alltoall differ by orders of
+//! magnitude). Static chunking leaves threads idle behind the worker that
+//! drew the expensive chunk; this pool instead distributes tasks
 //! round-robin across per-worker deques and lets idle workers steal from
 //! the back of busy ones, so the batch finishes in max-task time rather
 //! than max-chunk time.

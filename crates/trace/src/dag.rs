@@ -37,6 +37,8 @@
 //! critical path is the maximum over tasks, and only the maximising task's
 //! chain is marked exposed, so `sum(exposed) == critical_path` holds for
 //! the whole report.
+//!
+//! [`SpanRecord::deps`]: crate::SpanRecord::deps
 
 use crate::{Layer, Trace};
 use bband_sim::SimDuration;

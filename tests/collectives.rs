@@ -1,7 +1,12 @@
 //! Collectives at integration scope: the dissemination barrier and
 //! recursive-doubling allreduce across cluster sizes and topologies,
-//! through the public facade.
+//! through the public facade, plus a differential check of the
+//! event-level tier (`bband_mpi`) against the flow-level one
+//! (`bband_cluster`).
 
+use bband_cluster::{
+    fat_tree_for, run_flow_collective, ClusterFabric, EndpointCosts, FlowCollective,
+};
 use breaking_band::fabric::{NetworkModel, NodeId};
 use breaking_band::hlp::{UcpCosts, UcpWorker};
 use breaking_band::llp::{LlpCosts, Worker};
@@ -106,4 +111,33 @@ fn bcast_completion_independent_of_root() {
         spread < 100.0,
         "binomial bcast should be root-symmetric on a flat switch: {times:?}"
     );
+}
+
+/// Where the event-level and flow-level tiers overlap (barrier, bcast
+/// from root 0, recursive-doubling allreduce) they run the same schedule,
+/// so they must report the same round count, the MPICH fold's extra step
+/// at rank counts that are not a power of two included.
+#[test]
+fn event_and_flow_level_collectives_agree_on_rounds() {
+    let mut tap = NullTap;
+    for n in [2u32, 3, 4, 5, 6, 7, 8, 13, 16] {
+        let mut fab = ClusterFabric::paper_default(fat_tree_for(n));
+        for (event, flow) in [
+            (Collective::Barrier, FlowCollective::Barrier),
+            (
+                Collective::Bcast { root: 0, bytes: 64 },
+                FlowCollective::Bcast { bytes: 64 },
+            ),
+            (
+                Collective::Allreduce { bytes: 64 },
+                FlowCollective::AllreduceRd { bytes: 64 },
+            ),
+        ] {
+            let (mut cl, mut ranks) = make_ranks(n as usize, NetworkModel::paper_default(), 25);
+            let event_rounds = run_collective(&mut cl, &mut ranks, event, &mut tap).rounds;
+            let flow_rounds =
+                run_flow_collective(&mut fab, n, flow, EndpointCosts::paper_default()).rounds;
+            assert_eq!(event_rounds, flow_rounds, "{} at {n} ranks", flow.name());
+        }
+    }
 }

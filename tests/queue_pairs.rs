@@ -3,8 +3,8 @@
 //! facade.
 
 use breaking_band::fabric::NodeId;
-use breaking_band::llp::{LlpCosts, Worker};
-use breaking_band::microbench::{multicore_injection, MulticoreConfig, StackConfig};
+use breaking_band::llp::{LlpCosts, LockGranularity, Worker};
+use breaking_band::microbench::{endpoint_injection, StackConfig, ThreadSweepConfig};
 use breaking_band::nic::{Cluster, CqeKind, Opcode, QpId};
 use breaking_band::pcie::NullTap;
 use proptest::prelude::*;
@@ -63,10 +63,12 @@ fn per_qp_moderation_does_not_mix_backlogs() {
 #[test]
 fn multicore_message_conservation() {
     for cores in [2u32, 8, 32] {
-        let r = multicore_injection(&MulticoreConfig {
+        let r = endpoint_injection(&ThreadSweepConfig {
             stack: StackConfig::validation(),
-            cores,
-            messages_per_core: 200,
+            threads: cores,
+            endpoints: cores,
+            lock: LockGranularity::Independent,
+            messages_per_thread: 200,
             ring_depth: 8,
             credits: None,
             stalls: None,
@@ -74,9 +76,9 @@ fn multicore_message_conservation() {
         // Per-core overhead must stay at least the single-core cost: more
         // cores cannot make one core faster.
         assert!(
-            r.per_core_overhead.as_ns_f64() > 200.0,
+            r.per_thread_overhead.as_ns_f64() > 200.0,
             "{cores} cores: per-core overhead {}",
-            r.per_core_overhead
+            r.per_thread_overhead
         );
     }
 }
