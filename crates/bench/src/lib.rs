@@ -19,7 +19,7 @@ use bband_microbench::{
     put_bw, traced_am_lat, traced_endpoint_injection, traced_osu_latency, traced_put_bw,
     AmLatConfig, OsuLatConfig, PutBwConfig, StackConfig, ThreadSweepConfig,
 };
-use bband_mpi::{collective_scaling_with, Collective};
+use bband_mpi::{collective_scaling, Collective};
 use bband_report::{
     breakdown_json, curves_json, fabric_telemetry_json, loss_sweep_json, metrics_json,
     rank_sweep_json, render_bar, render_critical_path, render_curves, render_fabric_heatmap,
@@ -445,8 +445,8 @@ fn ext_collectives(scale: Scale) -> String {
         .markov_stall
         .filter(|m| !m.is_zero())
         .map(|m| (m.mean_up_ns, m.mean_down_ns));
-    let barrier = collective_scaling_with(counts, Collective::Barrier, 9, credits, stalls);
-    let allreduce = collective_scaling_with(
+    let barrier = collective_scaling(counts, Collective::Barrier, 9, credits, stalls);
+    let allreduce = collective_scaling(
         counts,
         Collective::Allreduce { bytes: 256 },
         9,

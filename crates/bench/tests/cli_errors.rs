@@ -56,6 +56,19 @@ fn bad_fault_plans_exit_2_with_a_message() {
             r#"{"payload_cycle": [8, 67108865]}"#,
             "payload_cycle[1] = 67108865 exceeds",
         ),
+        (
+            r#"{"retry": {"timeout_ns": 0}}"#,
+            "retry.timeout_ns = 0 must be positive",
+        ),
+        (r#"{"retry": 5}"#, "RetryPolicy: expected a JSON object"),
+        (
+            r#"{"loss_probabilty": 0.01}"#,
+            "unknown field loss_probabilty",
+        ),
+        (
+            r#"{"retry": {"timeout": 10}}"#,
+            "unknown field retry.timeout",
+        ),
     ] {
         let plan = dir.join("plan.json");
         std::fs::write(&plan, json).expect("write plan");

@@ -1,7 +1,7 @@
-//! Flow-level collectives over [`ClusterFabric`]: the `mpi` crate's
-//! barrier/bcast/allreduce schedules (plus a bandwidth-optimal ring
-//! allreduce), driven as synchronous communication rounds across
-//! hundreds to thousands of simulated ranks.
+//! Flow-level collectives over [`ClusterFabric`]: the schedules of
+//! [`bband_fabric::schedule`] (barrier, bcast from rank 0, and the
+//! recursive-doubling and ring allreduces), driven as synchronous
+//! communication rounds across hundreds to thousands of simulated ranks.
 //!
 //! Where `bband-mpi` runs a handful of ranks through the full per-packet
 //! NIC/transport pipeline, this driver models each rank as an endpoint
@@ -17,24 +17,39 @@
 //! byte-identical.
 
 use crate::flow::{ClusterFabric, PortHop};
+use bband_fabric::Pattern;
 use bband_sim::{SimDuration, SimTime};
 
 /// Collective operation to run at flow level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlowCollective {
-    /// Dissemination barrier: `ceil(log2 n)` rounds of 8-byte tokens.
+    /// Dissemination barrier of 8-byte tokens.
     Barrier,
     /// Binomial-tree broadcast from rank 0 of a `bytes`-sized payload.
     Bcast { bytes: u32 },
-    /// Recursive-doubling allreduce with the MPICH non-power-of-two
-    /// fold (the schedule `bband-mpi` runs packet-level).
+    /// Recursive-doubling allreduce of `bytes` (the schedule `bband-mpi`
+    /// runs packet-level).
     AllreduceRd { bytes: u32 },
-    /// Ring allreduce: `2(n-1)` steps of `bytes/n` chunks — the
+    /// Ring allreduce of `bytes` in `bytes/n` chunks — the
     /// bandwidth-optimal schedule large-message collectives use.
     AllreduceRing { bytes: u32 },
 }
 
 impl FlowCollective {
+    /// The shared schedule this collective runs over `n` ranks, and the
+    /// bytes each of its messages carries.
+    fn pattern(self, n: u32) -> (Pattern, u32) {
+        match self {
+            FlowCollective::Barrier => (Pattern::Barrier, 8),
+            FlowCollective::Bcast { bytes } => (Pattern::Bcast { root: 0 }, bytes),
+            FlowCollective::AllreduceRd { bytes } => (Pattern::AllreduceRd, bytes),
+            FlowCollective::AllreduceRing { bytes } => (
+                Pattern::AllreduceRing,
+                (bytes as u64).div_ceil(n as u64).max(1) as u32,
+            ),
+        }
+    }
+
     pub fn name(&self) -> &'static str {
         match self {
             FlowCollective::Barrier => "barrier",
@@ -184,106 +199,15 @@ pub fn run_flow_collective(
 /// schedule is exhausted.
 fn round_schedule(n: u32, coll: FlowCollective, r: u32, out: &mut Vec<Xfer>) {
     out.clear();
-    match coll {
-        FlowCollective::Barrier => {
-            if 1u64 << r >= n as u64 {
-                return;
-            }
-            let dist = 1u32 << r;
-            out.extend((0..n).map(|i| Xfer {
-                src: i,
-                dst: (i + dist) % n,
-                bytes: 8,
-            }));
-        }
-        FlowCollective::Bcast { bytes } => {
-            if 1u64 << r >= n as u64 {
-                return;
-            }
-            let dist = 1u32 << r;
-            out.extend((0..n).filter(|&i| i < dist && i + dist < n).map(|i| Xfer {
-                src: i,
-                dst: i + dist,
-                bytes,
-            }));
-        }
-        FlowCollective::AllreduceRd { bytes } => allreduce_rd_round(n, bytes, r, out),
-        FlowCollective::AllreduceRing { bytes } => {
-            if r >= 2 * (n - 1) {
-                return;
-            }
-            let chunk = (bytes as u64).div_ceil(n as u64).max(1) as u32;
-            out.extend((0..n).map(|i| Xfer {
-                src: i,
-                dst: (i + 1) % n,
-                bytes: chunk,
-            }));
-        }
-    }
-}
-
-/// Recursive doubling with the MPICH fold, mirroring
-/// `bband_mpi::run_collective`: a pre-round folds the `n - pow` excess
-/// ranks onto even partners, `log2(pow)` core rounds exchange among the
-/// power-of-two survivors, and a post-round redistributes the result.
-fn allreduce_rd_round(n: u32, bytes: u32, r: u32, out: &mut Vec<Xfer>) {
-    let pow = if n.is_power_of_two() {
-        n
-    } else {
-        n.next_power_of_two() / 2
-    };
-    let rem = n - pow;
-    let pre = u32::from(rem > 0);
-    let core = pow.trailing_zeros();
-    if r >= core + 2 * pre {
-        return;
-    }
-    if pre == 1 && r == 0 {
-        // Fold: each odd rank below 2*rem contributes to its even peer.
-        out.extend((0..n).filter(|i| i % 2 == 1 && *i < 2 * rem).map(|i| Xfer {
-            src: i,
-            dst: i - 1,
-            bytes,
+    let (pattern, bytes) = coll.pattern(n);
+    if r < pattern.rounds(n) {
+        // Reserving at once keeps growth reallocations from raising peak RSS.
+        out.reserve(n as usize);
+        out.extend((0..n).filter_map(|src| {
+            let dst = pattern.step(n, r, src).send_to?;
+            Some(Xfer { src, dst, bytes })
         }));
-        return;
     }
-    if pre == 1 && r == core + 1 {
-        // Redistribute the reduced result back to the folded ranks.
-        out.extend((0..n).filter(|i| i % 2 == 0 && *i < 2 * rem).map(|i| Xfer {
-            src: i,
-            dst: i + 1,
-            bytes,
-        }));
-        return;
-    }
-    let rr = r - pre;
-    let vrank = |i: u32| -> Option<u32> {
-        if i < 2 * rem {
-            if i.is_multiple_of(2) {
-                Some(i / 2)
-            } else {
-                None
-            }
-        } else {
-            Some(i - rem)
-        }
-    };
-    let unvrank = |v: u32| -> u32 {
-        if v < rem {
-            2 * v
-        } else {
-            v + rem
-        }
-    };
-    out.extend((0..n).filter_map(|i| {
-        let v = vrank(i)?;
-        let peer = unvrank(v ^ (1 << rr));
-        Some(Xfer {
-            src: i,
-            dst: peer,
-            bytes,
-        })
-    }));
 }
 
 #[cfg(test)]

@@ -58,7 +58,11 @@ use std::sync::OnceLock;
 /// after which the run surfaces [`RetryExhausted`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct RetryPolicy {
-    /// Base retransmission timeout in nanoseconds.
+    /// Base retransmission timeout in nanoseconds; must be positive (a
+    /// zero timeout backs off to zero and fires before any ACK returns).
+    /// A timeout below the ~0.77 µs fault-free round trip is legal: it
+    /// only retransmits spuriously. At loss 0, timeouts of 1, 100 and
+    /// 500 ns still complete every message at the fault-free 1387.02 ns.
     pub timeout_ns: u64,
     /// Timer-driven go-back-N rounds the oldest packet may survive before
     /// the run aborts.
@@ -221,8 +225,8 @@ impl Deserialize for MarkovStall {
 /// A serializable description of every fault the recovery simulation can
 /// inject. `FaultPlan::none()` is the calibrated fast path.
 ///
-/// The JSON form is forgiving: omitted fields take their fault-free
-/// defaults, so `{"loss_probability": 1e-3}` is a complete plan.
+/// The JSON form is sparse: omitted fields take their fault-free defaults,
+/// so `{"loss_probability": 1e-3}` is a complete plan; unknown keys are refused.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FaultPlan {
     /// Per-packet drop probability on the fabric (data and ACK/NAK alike),
@@ -298,8 +302,12 @@ impl FaultPlan {
     /// plan's largest MMIO write, or whose UpdateFC batch can never fill
     /// once the header pool empties; a `nic_stalls` window that ends past
     /// [`PLAN_HORIZON_NS`]; a `markov_stall` mean outside
-    /// `[0, MAX_MEAN_DWELL_NS]`; or a payload above [`MAX_PAYLOAD_BYTES`].
+    /// `[0, MAX_MEAN_DWELL_NS]`; a payload above [`MAX_PAYLOAD_BYTES`]; or
+    /// a zero `retry.timeout_ns`.
     pub fn check(&self) -> Result<(), PlanError> {
+        if self.retry.timeout_ns == 0 {
+            return Err(PlanError::ZeroTimeout);
+        }
         let burst = self.burst_loss.map(|g| {
             [
                 ("burst_loss.p_good_to_bad", g.p_good_to_bad),
@@ -373,10 +381,16 @@ impl FaultPlan {
         Ok(())
     }
 
-    /// Parse a plan from JSON; omitted fields default to fault-free. The
-    /// plan must also pass [`FaultPlan::check`].
+    /// Parse a plan from JSON; omitted fields default to fault-free. A
+    /// key that does not survive the round trip through the parsed plan's
+    /// serialized form, at any depth, is refused as unknown; the plan must
+    /// also pass [`FaultPlan::check`].
     pub fn from_json_str(s: &str) -> Result<Self, PlanError> {
-        let plan = Self::from_value(&serde::json::parse(s)?)?;
+        let v = serde::json::parse(s)?;
+        let plan = Self::from_value(&v)?;
+        if let Some(path) = unknown_key(&v, &plan.to_value(), "") {
+            return Err(PlanError::UnknownField { path });
+        }
         plan.check()?;
         Ok(plan)
     }
@@ -385,6 +399,26 @@ impl FaultPlan {
     pub fn to_json_string(&self) -> String {
         self.to_value().render_pretty()
     }
+}
+
+/// The path (`retry.timeout`, `nic_stalls[1].length`) of the first key
+/// of `v` that `known` lacks, comparing objects key by key and arrays
+/// element by element.
+fn unknown_key(v: &Value, known: &Value, path: &str) -> Option<String> {
+    if let (Some(fields), Some(_)) = (v.as_object(), known.as_object()) {
+        let dot = if path.is_empty() { "" } else { "." };
+        return fields.iter().find_map(|(key, x)| {
+            let at = format!("{path}{dot}{key}");
+            match known.get(key) {
+                None => Some(at),
+                Some(k) => unknown_key(x, k, &at),
+            }
+        });
+    }
+    let items = v.as_array()?.iter().zip(known.as_array()?);
+    items
+        .enumerate()
+        .find_map(|(i, (x, k))| unknown_key(x, k, &format!("{path}[{i}]")))
 }
 
 /// Latest simulated time, in nanoseconds, a `nic_stalls` window may end
@@ -429,6 +463,11 @@ pub enum PlanError {
     /// `payload_bytes` (`index` `None`) or `payload_cycle[index]` is above
     /// [`MAX_PAYLOAD_BYTES`].
     Payload { index: Option<usize>, bytes: u32 },
+    /// A key no plan has, e.g. a misspelt field, at `path`.
+    UnknownField { path: String },
+    /// `retry.timeout_ns` is zero: the backed-off timeout stays zero, so
+    /// the timer always fires first and even a lossless run aborts.
+    ZeroTimeout,
 }
 
 impl std::fmt::Display for PlanError {
@@ -468,6 +507,8 @@ impl std::fmt::Display for PlanError {
                     " = {bytes} exceeds the {MAX_PAYLOAD_BYTES}-byte (64 MiB) payload limit"
                 )
             }
+            PlanError::UnknownField { path } => write!(f, "unknown field {path}"),
+            PlanError::ZeroTimeout => write!(f, "retry.timeout_ns = 0 must be positive"),
         }
     }
 }
@@ -512,6 +553,9 @@ impl Deserialize for FaultPlan {
 
 impl Deserialize for RetryPolicy {
     fn from_value(v: &Value) -> Result<Self, JsonError> {
+        if v.as_object().is_none() {
+            return Err(JsonError::msg("RetryPolicy: expected a JSON object"));
+        }
         let d = RetryPolicy::default();
         Ok(RetryPolicy {
             timeout_ns: opt_field(v, "timeout_ns")?.unwrap_or(d.timeout_ns),
@@ -2639,6 +2683,7 @@ mod tests {
         assert!(sized.is_zero());
         assert!(FaultPlan::from_json_str("{}").unwrap().is_zero());
         assert!(FaultPlan::from_json_str("42").is_err());
+        assert!(FaultPlan::from_json_str(r#"{"retry": 5}"#).is_err());
     }
 
     /// A bursty channel must engage go-back-N recovery, and every message
@@ -2747,6 +2792,35 @@ mod tests {
             (
                 r#"{"burst_loss": {"loss_bad": 2}}"#,
                 format!("burst_loss.loss_bad = 2 {not_a_probability}"),
+            ),
+            (
+                r#"{"retry": {"timeout_ns": 0}}"#,
+                "retry.timeout_ns = 0 must be positive".to_string(),
+            ),
+            (
+                r#"{"loss_probabilty": 0.01}"#,
+                "unknown field loss_probabilty".to_string(),
+            ),
+            (
+                r#"{"retry": {"timeout": 10}}"#,
+                "unknown field retry.timeout".to_string(),
+            ),
+            (
+                r#"{"burst_loss": {"loss_bda": 0.5}}"#,
+                "unknown field burst_loss.loss_bda".to_string(),
+            ),
+            (
+                r#"{"credits": {"hdr": 4, "data": 64, "update_batch": 2, "dta": 1}}"#,
+                "unknown field credits.dta".to_string(),
+            ),
+            (
+                r#"{"markov_stall": {"mean_up": 5}}"#,
+                "unknown field markov_stall.mean_up".to_string(),
+            ),
+            (
+                r#"{"nic_stalls": [{"start_ns": 0, "duration_ns": 5},
+                    {"start_ns": 9, "duration_ns": 1, "length": 3}]}"#,
+                "unknown field nic_stalls[1].length".to_string(),
             ),
         ] {
             let e = FaultPlan::from_json_str(json).expect_err(json);
@@ -2887,10 +2961,32 @@ mod tests {
             r#"{"burst_loss": {"p_good_to_bad": 1, "loss_bad": 1}}"#,
             r#"{"credits": {"hdr": 1, "data": 64, "update_batch": 1}}"#,
             r#"{"credits": {"hdr": 4, "data": 64, "update_batch": 2}, "payload_cycle": [8, 1048576]}"#,
+            r#"{"loss_probability": 1e-3, "corruption_probability": 1e-4,
+                "credits": {"hdr": 2, "data": 64, "update_batch": 1},
+                "nic_stalls": [{"start_ns": 3000, "duration_ns": 10000}],
+                "markov_stall": {"mean_up_ns": 10000, "mean_down_ns": 800},
+                "retry": {"timeout_ns": 2000, "max_retries": 12}}"#,
         ] {
             if let Err(e) = FaultPlan::from_json_str(json) {
                 panic!("{json}: {e}");
             }
+        }
+    }
+
+    /// Retry timeouts below the fault-free round trip only retransmit
+    /// spuriously: every message still completes at the model latency.
+    #[test]
+    fn short_retry_timeouts_still_run_at_the_model_latency() {
+        let model_ns = EndToEndLatencyModel::from_calibration(&cal())
+            .total()
+            .as_ns_f64();
+        for (timeout_ns, spurious) in [(1, 1079), (100, 359), (500, 119)] {
+            let json = format!(r#"{{"retry": {{"timeout_ns": {timeout_ns}}}}}"#);
+            let plan = FaultPlan::from_json_str(&json).expect(&json);
+            let stats = run_e2e_under_faults(&cal(), &plan, 120, 7).expect(&json);
+            assert_eq!(stats.completed, 120, "{json}");
+            assert_eq!((stats.min_ns, stats.max_ns), (model_ns, model_ns), "{json}");
+            assert_eq!(stats.counters.rc_retransmissions, spurious, "{json}");
         }
     }
 

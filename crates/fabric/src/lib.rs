@@ -9,15 +9,20 @@
 //! reduce — higher-order PAM signalling needs forward error correction that
 //! can *add* up to ~300 ns — so the model exposes SerDes/FEC as an explicit
 //! knob for what-if runs.
+//!
+//! [`schedule`] holds the one collective schedule generator both
+//! collective tiers (`bband-mpi` and `bband-cluster`) run.
 
 pub mod packet;
 pub mod reliability;
+pub mod schedule;
 pub mod switch;
 pub mod topology;
 pub mod wire;
 
 pub use packet::{segmented_wire_bytes, NodeId, Packet, PacketId, PacketKind, IB_HEADER_BYTES};
 pub use reliability::{LossyFabric, Psn, RcReceiver, RcSender, RcVerdict};
+pub use schedule::{Pattern, Step};
 pub use switch::SwitchModel;
 pub use topology::{NetworkModel, Topology};
 pub use wire::WireModel;

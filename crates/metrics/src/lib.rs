@@ -592,16 +592,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_recording_is_a_no_op() {
-        assert!(!enabled());
-        record_ps("nothing", 42);
-        counter("nothing", 1);
-        let (_, task) = collect(|| ());
-        assert!(task.hists.is_empty());
-        assert!(task.counters.is_empty());
-    }
-
-    #[test]
     fn bucket_index_is_exact_below_the_first_octave() {
         for v in 0..SUB_BUCKETS as u64 {
             assert_eq!(bucket_index(v), v as usize);

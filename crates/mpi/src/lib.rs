@@ -25,8 +25,7 @@ pub mod costs;
 pub mod proc;
 
 pub use collectives::{
-    barrier, collective_scaling, collective_scaling_with, run_collective, Collective,
-    CollectiveReport,
+    collective_scaling, deterministic_ranks, run_collective, Collective, CollectiveReport,
 };
 pub use costs::MpiCosts;
 pub use proc::{MpiProcess, MpiRequest, RequestState, ANY_TAG};

@@ -34,9 +34,7 @@ fn main() {
 /// switch and on a two-level fat tree.
 fn collective_scaling() {
     use breaking_band::fabric::NetworkModel;
-    use breaking_band::hlp::{UcpCosts, UcpWorker};
-    use breaking_band::llp::{LlpCosts, Worker};
-    use breaking_band::mpi::{barrier, MpiCosts, MpiProcess};
+    use breaking_band::mpi::{deterministic_ranks, run_collective, Collective};
     use breaking_band::nic::{Cluster, NicConfig};
 
     println!("\nBarrier scaling (dissemination, deterministic):");
@@ -44,26 +42,12 @@ fn collective_scaling() {
         "  {:>6}  {:>14}  {:>14}",
         "ranks", "single switch", "fat tree (pod=2)"
     );
-    for n in [2usize, 4, 8, 16] {
+    for n in [2u32, 4, 8, 16] {
         let run = |network: NetworkModel| {
-            let mut cluster = Cluster::new(n, network, NicConfig::default(), 17).deterministic();
-            let mut tap = NullTap;
-            let mut ranks: Vec<MpiProcess> = (0..n)
-                .map(|i| {
-                    let uct = Worker::new(
-                        NodeId(i as u32),
-                        LlpCosts::default().deterministic(),
-                        300 + i as u64,
-                    );
-                    let mut p = MpiProcess::new(
-                        UcpWorker::new(uct, UcpCosts::default().unmoderated()),
-                        MpiCosts::default(),
-                    );
-                    p.init(&mut cluster, &mut tap);
-                    p
-                })
-                .collect();
-            barrier(&mut cluster, &mut ranks, &mut tap)
+            let mut cluster =
+                Cluster::new(n as usize, network, NicConfig::default(), 17).deterministic();
+            let mut ranks = deterministic_ranks(&mut cluster, n);
+            run_collective(&mut cluster, &mut ranks, Collective::Barrier, &mut NullTap)
                 .completion
                 .as_ns_f64()
         };

@@ -7,31 +7,14 @@
 use bband_cluster::{
     fat_tree_for, run_flow_collective, ClusterFabric, EndpointCosts, FlowCollective,
 };
-use breaking_band::fabric::{NetworkModel, NodeId};
-use breaking_band::hlp::{UcpCosts, UcpWorker};
-use breaking_band::llp::{LlpCosts, Worker};
-use breaking_band::mpi::{barrier, run_collective, Collective, MpiCosts, MpiProcess};
+use breaking_band::fabric::NetworkModel;
+use breaking_band::mpi::{deterministic_ranks, run_collective, Collective, MpiProcess};
 use breaking_band::nic::{Cluster, NicConfig};
 use breaking_band::pcie::NullTap;
 
-fn make_ranks(n: usize, network: NetworkModel, seed: u64) -> (Cluster, Vec<MpiProcess>) {
-    let mut cluster = Cluster::new(n, network, NicConfig::default(), seed).deterministic();
-    let mut tap = NullTap;
-    let ranks = (0..n)
-        .map(|i| {
-            let uct = Worker::new(
-                NodeId(i as u32),
-                LlpCosts::default().deterministic(),
-                seed + i as u64,
-            );
-            let mut p = MpiProcess::new(
-                UcpWorker::new(uct, UcpCosts::default().unmoderated()),
-                MpiCosts::default(),
-            );
-            p.init(&mut cluster, &mut tap);
-            p
-        })
-        .collect();
+fn make_ranks(n: u32, network: NetworkModel, seed: u64) -> (Cluster, Vec<MpiProcess>) {
+    let mut cluster = Cluster::new(n as usize, network, NicConfig::default(), seed).deterministic();
+    let ranks = deterministic_ranks(&mut cluster, n);
     (cluster, ranks)
 }
 
@@ -39,10 +22,10 @@ fn make_ranks(n: usize, network: NetworkModel, seed: u64) -> (Cluster, Vec<MpiPr
 fn barrier_round_structure_is_logarithmic() {
     let mut tap = NullTap;
     let mut times = Vec::new();
-    for n in [2usize, 4, 8, 16] {
+    for n in [2u32, 4, 8, 16] {
         let (mut cl, mut ranks) = make_ranks(n, NetworkModel::paper_default(), 21);
-        let rep = barrier(&mut cl, &mut ranks, &mut tap);
-        assert_eq!(rep.rounds, (n as u32).trailing_zeros());
+        let rep = run_collective(&mut cl, &mut ranks, Collective::Barrier, &mut tap);
+        assert_eq!(rep.rounds, n.trailing_zeros());
         times.push(rep.completion.as_ns_f64());
     }
     // Completion time grows with the round count, roughly linearly in
@@ -60,9 +43,13 @@ fn barrier_round_structure_is_logarithmic() {
 fn fat_tree_barrier_pays_inter_pod_rounds() {
     let mut tap = NullTap;
     let (mut c1, mut r1) = make_ranks(8, NetworkModel::paper_default(), 22);
-    let single = barrier(&mut c1, &mut r1, &mut tap).completion.as_ns_f64();
+    let single = run_collective(&mut c1, &mut r1, Collective::Barrier, &mut tap)
+        .completion
+        .as_ns_f64();
     let (mut c2, mut r2) = make_ranks(8, NetworkModel::fat_tree(2), 22);
-    let fat = barrier(&mut c2, &mut r2, &mut tap).completion.as_ns_f64();
+    let fat = run_collective(&mut c2, &mut r2, Collective::Barrier, &mut tap)
+        .completion
+        .as_ns_f64();
     assert!(
         fat > single + 300.0,
         "fat-tree barrier {fat} should exceed single-switch {single} by the \
@@ -133,7 +120,7 @@ fn event_and_flow_level_collectives_agree_on_rounds() {
                 FlowCollective::AllreduceRd { bytes: 64 },
             ),
         ] {
-            let (mut cl, mut ranks) = make_ranks(n as usize, NetworkModel::paper_default(), 25);
+            let (mut cl, mut ranks) = make_ranks(n, NetworkModel::paper_default(), 25);
             let event_rounds = run_collective(&mut cl, &mut ranks, event, &mut tap).rounds;
             let flow_rounds =
                 run_flow_collective(&mut fab, n, flow, EndpointCosts::paper_default()).rounds;
