@@ -9,7 +9,6 @@
 //! repro --quick all        # smaller runs (CI-friendly)
 //! repro --serial all       # one figure at a time (same bytes, slower)
 //! repro --json DIR fig13   # also write machine-readable artifacts
-//! repro --timing-json P all  # write per-figure wall-clock to P
 //! repro --seed 7 fig7      # re-seed every stochastic experiment
 //! repro --faults plan.json loss  # inject a fault plan (loss sweep etc.)
 //! repro trace              # whole-stack traced run (flame view)
@@ -80,9 +79,7 @@
 use bband_bench::{run_target, Opts, Output, Scale, TARGETS};
 use bband_core::FaultPlan;
 use bband_sim::WorkerPool;
-use serde_json::Value;
 use std::path::Path;
-use std::time::Instant;
 
 /// The artifacts `--out` can write, by precedence: the first of these any
 /// requested target exported.
@@ -123,7 +120,6 @@ fn main() {
         })
     };
     let json_dir = flag_value("--json");
-    let timing_path = flag_value("--timing-json");
     let out_path = flag_value("--out");
     let trace_bench = flag_value("--bench");
     let windows = flag_value("--windows").map(|w| {
@@ -153,7 +149,7 @@ fn main() {
     let names = TARGETS.map(|(name, _)| name);
     if args.is_empty() {
         eprintln!(
-            "usage: repro [--quick] [--serial] [--reference] [--seed N] [--faults PLAN.json] [--json DIR] [--timing-json PATH] [--out OUT.json] [--bench put_bw|am_lat|osu|multicore] [--windows N] [--telemetry] <target>... | all"
+            "usage: repro [--quick] [--serial] [--reference] [--seed N] [--faults PLAN.json] [--json DIR] [--out OUT.json] [--bench put_bw|am_lat|osu|multicore] [--windows N] [--telemetry] <target>... | all"
         );
         eprintln!("targets: {}", names.join(" "));
         std::process::exit(2);
@@ -235,25 +231,18 @@ fn main() {
     } else {
         WorkerPool::new()
     };
-    let started = Instant::now();
-    // One task per figure; each returns its output and wall-clock seconds.
-    // Results come back in paper order regardless of which worker ran
-    // what.
-    let results: Vec<(Output, f64)> = pool.map(targets.clone(), |_, t| {
-        let t0 = Instant::now();
-        let out = run_target(t, &opts);
-        (out, t0.elapsed().as_secs_f64())
-    });
-    let total = started.elapsed().as_secs_f64();
+    // One task per figure. Results come back in paper order regardless
+    // of which worker ran what.
+    let results: Vec<Output> = pool.map(targets.clone(), |_, t| run_target(t, &opts));
 
-    for (t, (out, _)) in targets.iter().zip(&results) {
+    for (t, out) in targets.iter().zip(&results) {
         println!("==== {t} ====");
         println!("{}", out.text);
         if let Some(dir) = &json_dir {
-            std::fs::create_dir_all(dir).expect("create artifact dir");
+            std::fs::create_dir_all(dir).unwrap_or_else(|e| exit_unwritable(Path::new(dir), e));
             for (name, json) in &out.artifacts {
                 let path = Path::new(dir).join(format!("{name}.json"));
-                std::fs::write(&path, json).expect("write artifact");
+                std::fs::write(&path, json).unwrap_or_else(|e| exit_unwritable(&path, e));
                 eprintln!("wrote {}", path.display());
             }
         }
@@ -263,37 +252,19 @@ fn main() {
         let json = OUT_ARTIFACTS
             .iter()
             .find_map(|want| {
-                let mut artifacts = results.iter().flat_map(|(out, _)| &out.artifacts);
+                let mut artifacts = results.iter().flat_map(|out| &out.artifacts);
                 artifacts.find(|(name, _)| name == want)
             })
             .map(|(_, json)| json)
             .expect("--out requires a target that exports one of OUT_ARTIFACTS");
-        std::fs::write(path, json).expect("write output json");
+        std::fs::write(path, json).unwrap_or_else(|e| exit_unwritable(Path::new(path), e));
         eprintln!("wrote {path}");
     }
+}
 
-    if let Some(path) = &timing_path {
-        let per_target: Vec<Value> = targets
-            .iter()
-            .zip(&results)
-            .map(|(t, (_, secs))| {
-                Value::Obj(vec![
-                    ("target".into(), Value::Str((*t).into())),
-                    ("ms".into(), Value::Float(secs * 1e3)),
-                ])
-            })
-            .collect();
-        let doc = Value::Obj(vec![
-            ("scale".into(), Value::Str(scale.name().into())),
-            ("threads".into(), Value::UInt(pool.threads() as u64)),
-            ("total_ms".into(), Value::Float(total * 1e3)),
-            ("targets".into(), Value::Arr(per_target)),
-        ]);
-        std::fs::write(
-            path,
-            serde_json::to_string_pretty(&doc).expect("render timings"),
-        )
-        .expect("write timing json");
-        eprintln!("wrote {path}");
-    }
+/// End the run with exit code 2 and one line naming `path` and the OS
+/// error, as every other bad input does.
+fn exit_unwritable(path: &Path, e: std::io::Error) -> ! {
+    eprintln!("cannot write {}: {e}", path.display());
+    std::process::exit(2);
 }

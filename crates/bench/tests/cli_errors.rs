@@ -80,6 +80,30 @@ fn bad_fault_plans_exit_2_with_a_message() {
 
 #[test]
 fn unknown_targets_and_flags_exit_2() {
+    let timing = std::env::temp_dir().join(format!("repro-timing-{}.json", std::process::id()));
     assert_refused(&repro(&["bench-engine"]), "unknown target bench-engine");
     assert_refused(&repro(&["--smoke", "all"]), "unknown argument --smoke");
+    assert_refused(
+        &repro(&["--quick", "--timing-json", timing.to_str().unwrap(), "fig4"]),
+        "unknown argument --timing-json",
+    );
+    let _ = std::fs::remove_file(&timing);
+}
+
+/// Output paths under a regular file cannot be created, even by root:
+/// `--out` and `--json` name the path and the OS error instead of
+/// panicking once the targets have run.
+#[test]
+fn unwritable_output_paths_exit_2() {
+    let file = std::env::temp_dir().join(format!("repro-not-a-dir-{}", std::process::id()));
+    std::fs::write(&file, "").expect("create a regular file");
+    let (out, dir) = (file.join("x.json"), file.join("dir"));
+    let (out, dir) = (out.to_str().unwrap(), dir.to_str().unwrap());
+    for (args, path) in [
+        (["--quick", "--out", out, "trace"], out),
+        (["--quick", "--json", dir, "fig4"], dir),
+    ] {
+        assert_refused(&repro(&args), &format!("cannot write {path}: "));
+    }
+    let _ = std::fs::remove_file(&file);
 }

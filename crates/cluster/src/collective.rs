@@ -375,9 +375,9 @@ mod tests {
 
     /// Byte identity of round reuse: reused resolved paths and the packed
     /// sort key give the per-message reference's report, fabric counters,
-    /// collected metrics (every `fabric_hop` and credit-wait stage
-    /// included) and telemetry report, on every collective and topology,
-    /// across rank counts that are and are not powers of two.
+    /// collected metrics (the per-message `fabric_msg_latency` histogram)
+    /// and telemetry report, on every collective and topology, across
+    /// rank counts that are and are not powers of two.
     #[test]
     fn round_reuse_matches_the_per_message_reference() {
         type Collective = fn(&mut ClusterFabric, u32, FlowCollective, EndpointCosts) -> FlowReport;

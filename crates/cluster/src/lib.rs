@@ -20,10 +20,10 @@
 //! - [`collective`]: synchronous-round drivers for barrier, binomial
 //!   bcast, recursive-doubling allreduce (with the MPICH fold), and
 //!   ring allreduce.
-//! - [`telemetry`]: deterministic per-port time-series (utilization,
-//!   queue/credit stalls, ECN, occupancy gauges) and flow-level path
-//!   attribution over [`ClusterFabric`] — the sensor layer behind
-//!   `repro sweep-ranks --telemetry`.
+//! - [`telemetry`]: deterministic link-class utilization series, per-port
+//!   contention totals (queue/credit stalls, ECN), occupancy gauges and
+//!   flow-level path attribution over [`ClusterFabric`] — the sensor
+//!   layer behind `repro sweep-ranks --telemetry`.
 //! - [`sweep`]: the rank-scaling grid behind `repro sweep-ranks`.
 
 pub mod collective;

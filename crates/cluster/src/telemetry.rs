@@ -1,29 +1,29 @@
-//! Deterministic virtual-time telemetry over [`ClusterFabric`]: per-port
-//! time series, occupancy gauges, and flow-level path attribution.
+//! Deterministic virtual-time telemetry over [`ClusterFabric`]: link
+//! utilization over time, per-port contention, input-buffer occupancy,
+//! and flow-level path attribution.
 //!
-//! PR 8 left the fabric a black box of run-total counters (`contended`,
-//! `credit_waits`, `ecn_marks` summed over a whole collective). This
-//! module is the fabric's sensor layer: it records, per egress port and
-//! per fixed-width virtual-time window,
+//! The fabric's own [`FlowCounters`] are totals over a whole run. This
+//! module is its sensor layer, and it records exactly what
+//! [`FabricTelemetry::summarize`] reports:
 //!
-//! * **busy time** (link utilization) — every serialization span an
-//!   egress transmits, split across the windows it overlaps and laid out
-//!   hot/cold for fabric rates;
-//! * **queue-wait and credit-stall time** — how long arriving flows
-//!   waited for the egress to drain and for downstream credits, with the
-//!   per-window event counts replacing the old run totals;
-//! * **ECN marks** per input buffer over time;
+//! * **per-port lifetime totals** — busy (serialization) time and flows
+//!   sent, egress queue-wait time and contended hops, credit-stall time
+//!   and credit pops, and ECN marks at the port's input buffer; the
+//!   hotspot table, saturation count and class and group totals read
+//!   these;
+//! * **one busy series per link class** — every serialization span,
+//!   split across the fixed-width virtual-time windows it overlaps and
+//!   summed over the class's ports: the utilization heatmap;
 //! * **input-buffer occupancy** — a time-weighted integral of the
-//!   reserved bytes, kept as two words per port so the per-reservation
-//!   update is one dense cache access,
-//!   plus a high-water mark and an occupancy-fraction histogram;
+//!   reserved bytes, kept as two words per port, plus a high-water mark
+//!   and an occupancy-fraction histogram;
 //! * **flow path attribution** — each delivery's latency split bit-exactly
 //!   into wire/serialization vs egress queueing vs credit wait, the same
 //!   decomposition `trace::dag` applies to critical-path stages.
 //!
 //! Everything is integer picoseconds keyed by the virtual clock, so
 //! telemetry is deterministic (pooled == serial, byte for byte) and
-//! *conservative*: per-port series reconcile bit-exactly against the
+//! *conservative*: the recording reconciles bit-exactly against the
 //! fabric's [`FlowCounters`] — [`FabricTelemetry::summarize`] embeds the
 //! checks in [`Conservation`] and tests assert them.
 //!
@@ -79,171 +79,17 @@ impl TelemetryConfig {
     }
 }
 
-/// Per-port cursor of one [`Series`]: lifetime totals plus the open
-/// window. `cur_idx == u64::MAX` marks "no window open yet". The cell is
-/// 32 bytes and `Copy`, so the hop hook loads it, mutates in registers,
-/// and stores it back — one random access per series touched.
-#[derive(Debug, Clone, Copy)]
-struct HotCell {
-    total: u64,
-    events: u64,
-    cur_idx: u64,
-    cur_ps: u64,
-}
-
-const EMPTY_CELL: HotCell = HotCell {
-    total: 0,
-    events: 0,
-    cur_idx: u64::MAX,
-    cur_ps: 0,
-};
-
-/// The three per-egress cursors of one port, bundled and 128-byte
-/// aligned so the hop hook's random access lands on as few lines as the
-/// hop's contention state allows: `busy` and `queue` share the first
-/// cache line (a queue-contended hop — the common case on a congested
-/// fabric — still touches exactly one line), `credit` sits alone on the
-/// adjacent second line. The bundle has no embedded pointers; closed
-/// windows drain to the shared spill logs on [`FabricTelemetry`].
-#[repr(align(128))]
-#[derive(Debug, Clone, Copy)]
-struct HotPort {
-    busy: HotCell,
-    queue: HotCell,
-    credit: HotCell,
-}
-
-const EMPTY_PORT: HotPort = HotPort {
-    busy: EMPTY_CELL,
-    queue: EMPTY_CELL,
-    credit: EMPTY_CELL,
-};
-
-/// Accumulate the span `[from, to)` into `h`'s windows (width `2^shift`
-/// ps) and count `events`; returns the last window index touched. The
-/// common case — the span lands inside the port's open window — is a
-/// handful of register ops against the already-loaded cell; everything
-/// else takes the [`cell_roll`] cold path into the spill log.
-///
-/// Spill-log entries are `(port gid, window idx, accumulated value)`.
-/// Duplicate `(gid, idx)` entries are allowed — aggregation is additive
-/// — which makes window-halving an in-place integer sweep and keeps the
-/// hot path allocation-free (a per-port `Vec<(idx, ps)>` layout spent
-/// more of the telemetry budget in the allocator than in recording).
-#[inline]
-fn cell_add_span(
-    h: &mut HotCell,
-    spill: &mut Vec<(u32, u32, u64)>,
-    gid: usize,
-    shift: u32,
-    from_ps: u64,
-    to_ps: u64,
-    events: u64,
-) -> u64 {
-    debug_assert!(to_ps > from_ps);
-    h.total += to_ps - from_ps;
-    h.events += events;
-    let last = (to_ps - 1) >> shift;
-    if from_ps >> shift == h.cur_idx && last == h.cur_idx {
-        h.cur_ps += to_ps - from_ps;
-    } else {
-        cell_roll(h, spill, gid, shift, from_ps, to_ps, last);
-    }
-    last
-}
-
-/// Cold path of [`cell_add_span`]: the span reaches outside the open
-/// window. Drains the cursor (and every whole window the span crosses)
-/// to the spill log and re-opens at the span's last window.
-#[cold]
-fn cell_roll(
-    h: &mut HotCell,
-    spill: &mut Vec<(u32, u32, u64)>,
-    gid: usize,
-    shift: u32,
-    from_ps: u64,
-    to_ps: u64,
-    last: u64,
-) {
-    debug_assert!(last <= u32::MAX as u64);
-    if h.cur_idx != u64::MAX {
-        spill.push((gid as u32, h.cur_idx as u32, h.cur_ps));
-    }
-    let mut at = from_ps;
-    for idx in (from_ps >> shift)..last {
-        let end = (idx + 1) << shift;
-        spill.push((gid as u32, idx as u32, end - at));
-        at = end;
-    }
-    h.cur_idx = last;
-    h.cur_ps = to_ps - at;
-}
-
-/// Halve one cursor: window merging is exact in integer index
-/// arithmetic, so deferred widening records byte-identically.
-#[inline]
-fn cell_halve(h: &mut HotCell) {
-    if h.cur_idx != u64::MAX {
-        h.cur_idx /= 2;
-    }
-}
-
-/// A windowed per-port event counter (ECN marks): [`HotCell`] cursors
-/// plus a shared spill log, the same hot/cold layout as the hop series
-/// but single-celled — marks are far rarer than hops, so these stay in
-/// their own dense array instead of widening [`HotPort`].
-#[derive(Debug, Clone)]
-struct Series {
-    hot: Vec<HotCell>,
-    /// Closed windows: `(port gid, window idx, event count)`.
-    spill: Vec<(u32, u32, u64)>,
-}
-
-impl Series {
-    fn new(ports: usize) -> Self {
-        Series {
-            hot: vec![EMPTY_CELL; ports],
-            spill: Vec::new(),
-        }
-    }
-
-    /// Zero every cursor and drop the log, keeping both allocations.
-    fn reset(&mut self) {
-        self.hot.fill(EMPTY_CELL);
-        self.spill.clear();
-    }
-
-    /// Count one event at `at_ps` — the window cell accumulates event
-    /// *counts* rather than time; returns the window index.
-    #[inline]
-    fn add_at(&mut self, gid: usize, shift: u32, at_ps: u64) -> u64 {
-        let mut h = self.hot[gid];
-        h.total += 1;
-        h.events += 1;
-        let idx = at_ps >> shift;
-        if idx == h.cur_idx {
-            h.cur_ps += 1;
-        } else {
-            debug_assert!(idx <= u32::MAX as u64);
-            if h.cur_idx != u64::MAX {
-                self.spill.push((gid as u32, h.cur_idx as u32, h.cur_ps));
-            }
-            h.cur_idx = idx;
-            h.cur_ps = 1;
-        }
-        self.hot[gid] = h;
-        idx
-    }
-
-    /// Merge adjacent window pairs (exact; see [`cell_halve`]).
-    fn halve(&mut self) {
-        for h in &mut self.hot {
-            cell_halve(h);
-        }
-        for e in &mut self.spill {
-            e.1 /= 2;
-        }
-    }
+/// Lifetime totals of one port: its egress hops and the ECN marks of
+/// its input buffer.
+#[derive(Debug, Clone, Copy, Default)]
+struct PortTotals {
+    busy_ps: u64,
+    flows: u64,
+    queue_ps: u64,
+    contended: u64,
+    credit_ps: u64,
+    credit_events: u64,
+    ecn_marks: u64,
 }
 
 /// The recording state attached to a
@@ -257,18 +103,13 @@ pub struct FabricTelemetry {
     /// division at fabric message rates).
     shift: u32,
     max_idx: u64,
-    /// Per-egress cursor bundles: busy spans (`events` = flows
-    /// transmitted), queue-wait spans (`events` = contended hops), and
-    /// credit-stall spans (`events` = FIFO credit pops).
-    hot: Vec<HotPort>,
-    /// Closed busy windows `(gid, idx, ps)`; see [`cell_add_span`].
-    busy_spill: Vec<(u32, u32, u64)>,
-    /// Closed queue-wait windows.
-    queue_spill: Vec<(u32, u32, u64)>,
-    /// Closed credit-stall windows.
-    credit_spill: Vec<(u32, u32, u64)>,
-    /// Per-input-port ECN marks; window cells hold mark counts.
-    ecn: Series,
+    /// Link class of each port: an index into
+    /// [`FabricGraph::link_classes`].
+    class_of: Vec<u8>,
+    ports: Vec<PortTotals>,
+    /// Busy picoseconds per link class and window. A series grows to its
+    /// highest written window, which stays below `max_windows`.
+    class_busy: Vec<Vec<u64>>,
     /// Per-input-port occupancy state `(level bytes, last update ps)`;
     /// the report only needs the global integral and high-water mark, so
     /// the per-port record stays two words — one dense cache access per
@@ -293,22 +134,28 @@ pub struct FabricTelemetry {
 }
 
 impl FabricTelemetry {
-    pub fn new(total_ports: usize, cfg: TelemetryConfig) -> Self {
+    /// An empty recording over `graph`'s ports.
+    pub fn new(graph: &FabricGraph, cfg: TelemetryConfig) -> Self {
         assert!(
             cfg.window > SimDuration::ZERO,
             "telemetry window must be positive"
         );
         assert!(cfg.max_windows >= 2, "telemetry needs at least two windows");
+        let ports = graph.total_ports as usize;
+        let mut class_of = vec![0u8; ports];
+        for sw in 0..graph.switches() {
+            for port in 0..graph.ports[sw as usize].len() as u32 {
+                class_of[graph.gid(sw, port)] = graph.link_class(sw, port) as u8;
+            }
+        }
         FabricTelemetry {
             cfg,
             shift: cfg.window.as_ps().next_power_of_two().trailing_zeros(),
             max_idx: 0,
-            hot: vec![EMPTY_PORT; total_ports],
-            busy_spill: Vec::new(),
-            queue_spill: Vec::new(),
-            credit_spill: Vec::new(),
-            ecn: Series::new(total_ports),
-            occ: vec![(0, 0); total_ports],
+            class_of,
+            ports: vec![PortTotals::default(); ports],
+            class_busy: vec![Vec::new(); graph.link_classes().len()],
+            occ: vec![(0, 0); ports],
             occ_integral: 0,
             occ_hwm: 0,
             occ_hist: [0; OCC_BINS],
@@ -325,16 +172,15 @@ impl FabricTelemetry {
     /// Drop every recording, keeping the configuration — called from
     /// [`ClusterFabric::reset_transients`](crate::ClusterFabric::reset_transients)
     /// so a reused fabric records a fresh, byte-identical run. Clears in
-    /// place: the per-port arrays (and their spill capacity) survive, so
-    /// resetting costs a sweep over touched state, not a reallocation.
+    /// place, so resetting costs a sweep over the arrays, not a
+    /// reallocation.
     pub fn reset(&mut self) {
         self.shift = self.cfg.window.as_ps().next_power_of_two().trailing_zeros();
         self.max_idx = 0;
-        self.hot.fill(EMPTY_PORT);
-        self.busy_spill.clear();
-        self.queue_spill.clear();
-        self.credit_spill.clear();
-        self.ecn.reset();
+        self.ports.fill(PortTotals::default());
+        for series in &mut self.class_busy {
+            series.clear();
+        }
         self.occ.fill((0, 0));
         self.occ_integral = 0;
         self.occ_hwm = 0;
@@ -353,6 +199,10 @@ impl FabricTelemetry {
         1u64 << self.shift
     }
 
+    /// Widen until window `idx` (at the current width) fits the budget.
+    /// Each doubling adds adjacent window pairs, which is exact in
+    /// integer picoseconds, so a span split after widening lands in the
+    /// same cells as one split before it and merged.
     #[inline]
     fn note(&mut self, idx: u64) {
         if idx <= self.max_idx {
@@ -360,21 +210,13 @@ impl FabricTelemetry {
         }
         self.max_idx = idx;
         while self.max_idx >= self.cfg.max_windows {
-            for p in &mut self.hot {
-                cell_halve(&mut p.busy);
-                cell_halve(&mut p.queue);
-                cell_halve(&mut p.credit);
+            for series in &mut self.class_busy {
+                let half = series.len().div_ceil(2);
+                for i in 0..half {
+                    series[i] = series[2 * i..].iter().take(2).sum();
+                }
+                series.truncate(half);
             }
-            for e in &mut self.busy_spill {
-                e.1 /= 2;
-            }
-            for e in &mut self.queue_spill {
-                e.1 /= 2;
-            }
-            for e in &mut self.credit_spill {
-                e.1 /= 2;
-            }
-            self.ecn.halve();
             self.shift += 1;
             self.max_idx /= 2;
         }
@@ -384,9 +226,7 @@ impl FabricTelemetry {
     /// time: the flow arrived ready at `ready_ps`, waited for the egress
     /// to drain until `drained_ps`, stalled on downstream credits through
     /// `credit_events` FIFO pops (mirroring `FlowCounters::credit_waits`)
-    /// until `start_ps`, then transmitted until `end_ps`. One call
-    /// records all three series; the uncontended hop (the common case)
-    /// touches only the busy series' hot cell.
+    /// until `start_ps`, then transmitted until `end_ps`.
     #[inline]
     pub fn on_hop(
         &mut self,
@@ -397,47 +237,38 @@ impl FabricTelemetry {
         end_ps: u64,
         credit_events: u64,
     ) {
+        let p = &mut self.ports[gid];
+        p.busy_ps += end_ps - start_ps;
+        p.flows += 1;
+        p.queue_ps += drained_ps - ready_ps;
+        p.contended += u64::from(drained_ps > ready_ps);
+        p.credit_ps += start_ps - drained_ps;
+        p.credit_events += credit_events;
+        // Widen before cutting: the span's last window then fits the
+        // budget, so no series grows past `max_windows` cells.
+        self.note((end_ps - 1) >> self.shift);
         let shift = self.shift;
-        let p = &mut self.hot[gid];
-        let idx = cell_add_span(
-            &mut p.busy,
-            &mut self.busy_spill,
-            gid,
-            shift,
-            start_ps,
-            end_ps,
-            1,
+        let (first, last) = (
+            (start_ps >> shift) as usize,
+            ((end_ps - 1) >> shift) as usize,
         );
-        if drained_ps > ready_ps {
-            cell_add_span(
-                &mut p.queue,
-                &mut self.queue_spill,
-                gid,
-                shift,
-                ready_ps,
-                drained_ps,
-                1,
-            );
+        let series = &mut self.class_busy[self.class_of[gid] as usize];
+        if last >= series.len() {
+            series.resize(last + 1, 0);
         }
-        if credit_events > 0 {
-            cell_add_span(
-                &mut p.credit,
-                &mut self.credit_spill,
-                gid,
-                shift,
-                drained_ps,
-                start_ps,
-                credit_events,
-            );
+        let mut at = start_ps;
+        for cell in &mut series[first..last] {
+            let boundary = ((at >> shift) + 1) << shift;
+            *cell += boundary - at;
+            at = boundary;
         }
-        self.note(idx);
+        series[last] += end_ps - at;
     }
 
-    /// Input buffer `gid` ECN-marked a reservation at `at_ps`.
+    /// Input buffer `gid` ECN-marked a reservation.
     #[inline]
-    pub fn on_ecn_mark(&mut self, gid: usize, at_ps: u64) {
-        let idx = self.ecn.add_at(gid, self.shift, at_ps);
-        self.note(idx);
+    pub fn on_ecn_mark(&mut self, gid: usize) {
+        self.ports[gid].ecn_marks += 1;
     }
 
     /// Input buffer `gid` holds `occupied` of `capacity` bytes at `at_ps`
@@ -481,7 +312,8 @@ impl FabricTelemetry {
 
     /// Condense the recording into the report the artifact and heatmap
     /// renderer consume, reconciling against the fabric's run-total
-    /// `counters` bit-exactly.
+    /// `counters` bit-exactly. `graph` is the one the recorder was built
+    /// over.
     pub fn summarize(&self, graph: &FabricGraph, counters: &FlowCounters) -> TelemetryReport {
         let span_ps = self.span_end_ps;
         let n_windows = self.max_idx + 1;
@@ -515,82 +347,50 @@ impl FabricTelemetry {
 
         // Hotspot candidates stay lightweight keys `(contention, gid)`
         // until after the cut: materializing a labeled `Hotspot` row (a
-        // `String` clone) for every active port of every cell just to
-        // keep the top five dominated the whole summarize cost.
+        // `String` clone) for every active port just to keep the top
+        // five dominated the whole summarize cost.
         let mut hot_keys: Vec<(u64, usize)> = Vec::new();
         let mut saturated = 0u64;
-        let mut windows_sum = true;
         let (mut contended_ev, mut credit_ev, mut ecn_ev) = (0u64, 0u64, 0u64);
-
-        // Link class per gid, precomputed once: the spill-log replay
-        // below is keyed by gid alone.
-        let n_ports = self.hot.len();
-        let mut class_of = vec![0u8; n_ports];
-        for sw in 0..graph.switches() {
-            for port in 0..graph.ports[sw as usize].len() as u32 {
-                class_of[graph.gid(sw, port)] = graph.link_class(sw, port) as u8;
-            }
-        }
-
-        // Replay the busy series — spill log plus open cursors — into
-        // the per-class windowed utilization, accumulating per-port
-        // window sums for the `windows_sum` conservation check (every
-        // port's cells must sum back to its lifetime busy total).
-        let mut port_win = vec![0u64; n_ports];
-        for &(gid, idx, ps) in &self.busy_spill {
-            port_win[gid as usize] += ps;
-            class_rows[class_of[gid as usize] as usize].util[idx as usize] += ps as f64;
-        }
-        for (gid, p) in self.hot.iter().enumerate() {
-            if p.busy.cur_idx != u64::MAX {
-                port_win[gid] += p.busy.cur_ps;
-                class_rows[class_of[gid] as usize].util[p.busy.cur_idx as usize] +=
-                    p.busy.cur_ps as f64;
-            }
-        }
-
         for sw in 0..graph.switches() {
             for port in 0..graph.ports[sw as usize].len() as u32 {
                 let gid = graph.gid(sw, port);
-                let class = class_of[gid] as usize;
-                let HotPort {
-                    busy,
-                    queue,
-                    credit,
-                } = self.hot[gid];
-                contended_ev += queue.events;
-                credit_ev += credit.events;
-                ecn_ev += self.ecn.hot[gid].events;
-                windows_sum &= busy.total == port_win[gid];
+                let class = self.class_of[gid] as usize;
+                let p = self.ports[gid];
+                contended_ev += p.contended;
+                credit_ev += p.credit_events;
+                ecn_ev += p.ecn_marks;
 
                 let row = &mut class_rows[class];
                 row.links += 1;
-                row.busy_ps += busy.total;
-                row.queue_ps += queue.total;
-                row.credit_ps += credit.total;
+                row.busy_ps += p.busy_ps;
+                row.queue_ps += p.queue_ps;
+                row.credit_ps += p.credit_ps;
                 if !groups.is_empty() && class == global_class {
                     let g = &mut groups[graph.switch_group(sw).unwrap() as usize];
                     g.links += 1;
-                    g.busy_ps += busy.total;
+                    g.busy_ps += p.busy_ps;
                 }
                 if span_ps > 0
-                    && (queue.total + credit.total) as f64
-                        >= self.cfg.sat_contention * span_ps as f64
+                    && (p.queue_ps + p.credit_ps) as f64 >= self.cfg.sat_contention * span_ps as f64
                 {
                     saturated += 1;
                 }
-                if busy.total > 0 || queue.total > 0 || credit.total > 0 {
-                    hot_keys.push((queue.total + credit.total, gid));
+                if p.busy_ps > 0 || p.queue_ps > 0 || p.credit_ps > 0 {
+                    hot_keys.push((p.queue_ps + p.credit_ps, gid));
                 }
             }
         }
         // Normalize class series to utilization fractions of aggregate
-        // class capacity (links × window width).
-        for row in &mut class_rows {
+        // class capacity (links × window width). Each window sum stays
+        // far below 2^53 ps, so its one conversion to `f64` is exact.
+        let mut windows_sum = true;
+        for (row, series) in class_rows.iter_mut().zip(&self.class_busy) {
+            windows_sum &= series.iter().sum::<u64>() == row.busy_ps;
             if row.links > 0 {
                 let denom = row.links as f64 * self.window_ps() as f64;
-                for u in &mut row.util {
-                    *u /= denom;
+                for (u, &ps) in row.util.iter_mut().zip(series) {
+                    *u = ps as f64 / denom;
                 }
             }
             row.peak_util = row.util.iter().copied().fold(0.0, f64::max);
@@ -610,26 +410,22 @@ impl FabricTelemetry {
             .into_iter()
             .map(|(_, gid)| {
                 let (sw, port) = graph.port_of_gid(gid);
-                let HotPort {
-                    busy,
-                    queue,
-                    credit,
-                } = self.hot[gid];
+                let p = self.ports[gid];
                 Hotspot {
                     sw,
                     port,
-                    class: classes[class_of[gid] as usize].clone(),
+                    class: classes[self.class_of[gid] as usize].clone(),
                     util: if span_ps > 0 {
-                        busy.total as f64 / span_ps as f64
+                        p.busy_ps as f64 / span_ps as f64
                     } else {
                         0.0
                     },
-                    busy_ps: busy.total,
-                    queue_ps: queue.total,
-                    credit_ps: credit.total,
-                    credit_events: credit.events,
-                    ecn_marks: self.ecn.hot[gid].events,
-                    flows: busy.events,
+                    busy_ps: p.busy_ps,
+                    queue_ps: p.queue_ps,
+                    credit_ps: p.credit_ps,
+                    credit_events: p.credit_events,
+                    ecn_marks: p.ecn_marks,
+                    flows: p.flows,
                 }
             })
             .collect();
@@ -746,7 +542,7 @@ pub struct Conservation {
     pub credit_waits: bool,
     /// Per-port ECN marks sum to `counters.ecn_marks`.
     pub ecn_marks: bool,
-    /// Every port's window cells sum to its busy total.
+    /// Every link class's window cells sum to its ports' busy totals.
     pub windows_sum: bool,
     /// Every flow's wire + queue + credit split equals its latency.
     pub attribution: bool,
@@ -790,18 +586,21 @@ pub struct TelemetryReport {
 mod tests {
     use super::*;
 
+    /// One recorded egress hop's busy span: `(port gid, start ps, end ps)`.
+    type Span = (usize, u64, u64);
+
     /// A deterministic stream of `msgs` messages over `graph`'s ports, one
     /// per 2^22 ps (400 span ~200 default 2^23 ps windows): hops whose
     /// spans cross window boundaries, some queued, some credit-stalled,
     /// with ECN marks and occupancy samples, each followed by a delivery
     /// whose split is exact. Returns the fabric counters the stream
-    /// implies.
+    /// implies and every hop's busy span.
     fn record(
         tel: &mut FabricTelemetry,
         graph: &FabricGraph,
         seed: u64,
         msgs: u64,
-    ) -> FlowCounters {
+    ) -> (FlowCounters, Vec<Span>) {
         let ports = graph.total_ports as u64;
         let mut x = seed | 1;
         let mut next = move || {
@@ -811,6 +610,7 @@ mod tests {
             x
         };
         let mut counters = FlowCounters::default();
+        let mut spans = Vec::new();
         for m in 0..msgs {
             let gid = (next() % ports) as usize;
             let ready = m * (1 << 22) + next() % (1 << 22);
@@ -824,10 +624,11 @@ mod tests {
             let start = ready + queue + credit;
             let end = start + 1 + next() % (1 << 25);
             tel.on_hop(gid, ready, ready + queue, start, end, credit_events);
+            spans.push((gid, start, end));
             counters.contended += u64::from(queue > 0);
             counters.credit_waits += credit_events;
             if next() % 5 == 0 {
-                tel.on_ecn_mark(gid, start);
+                tel.on_ecn_mark(gid);
                 counters.ecn_marks += 1;
             }
             tel.on_occupancy(gid, start, next() % (64 << 10), 64 << 10);
@@ -835,15 +636,15 @@ mod tests {
             tel.on_delivery(wire + queue + credit, wire, queue, credit, end);
             counters.messages += 1;
         }
-        counters
+        (counters, spans)
     }
 
-    fn recorder(max_windows: u64) -> FabricTelemetry {
+    fn recorder(graph: &FabricGraph, max_windows: u64) -> FabricTelemetry {
         let cfg = TelemetryConfig {
             max_windows,
             ..TelemetryConfig::paper_default()
         };
-        FabricTelemetry::new(FabricGraph::fat_tree(4, 2).total_ports as usize, cfg)
+        FabricTelemetry::new(graph, cfg)
     }
 
     /// Window widening merges windows exactly: four windows or a
@@ -854,8 +655,8 @@ mod tests {
     fn window_budget_changes_resolution_not_totals() {
         let graph = FabricGraph::fat_tree(4, 2);
         let report = |max_windows: u64| {
-            let mut tel = recorder(max_windows);
-            let counters = record(&mut tel, &graph, 7, 400);
+            let mut tel = recorder(&graph, max_windows);
+            let (counters, _) = record(&mut tel, &graph, 7, 400);
             tel.summarize(&graph, &counters)
         };
         let (coarse, fine) = (report(4), report(1024));
@@ -876,17 +677,60 @@ mod tests {
         assert!(fine.conservation.exact(), "{:?}", fine.conservation);
     }
 
+    /// Oracle for the windowed series: cut every busy span at the
+    /// report's final window width by brute force, sum the pieces per
+    /// link class, and normalize by the class's capacity. Each class's
+    /// `util` must equal that bit for bit, whatever the window budget
+    /// (including one that is not a power of two).
+    #[test]
+    fn class_utilization_matches_brute_force_window_split() {
+        let graph = FabricGraph::dragonfly(4, 2, 2);
+        let classes = graph.link_classes().len();
+        let class_of = |gid: usize| {
+            let (sw, port) = graph.port_of_gid(gid);
+            graph.link_class(sw, port)
+        };
+        let mut links = vec![0u64; classes];
+        for gid in 0..graph.total_ports as usize {
+            links[class_of(gid)] += 1;
+        }
+        for max_windows in [4u64, 5, 8, 64, 1024] {
+            let mut tel = recorder(&graph, max_windows);
+            let (counters, spans) = record(&mut tel, &graph, 5, 400);
+            let report = tel.summarize(&graph, &counters);
+            let width = report.window_ps;
+            let mut busy = vec![vec![0u64; report.windows as usize]; classes];
+            for &(gid, start, end) in &spans {
+                for (w, cell) in busy[class_of(gid)].iter_mut().enumerate() {
+                    let (lo, hi) = (w as u64 * width, (w as u64 + 1) * width);
+                    if start < hi && end > lo {
+                        *cell += end.min(hi) - start.max(lo);
+                    }
+                }
+            }
+            for (c, row) in report.classes.iter().enumerate() {
+                assert_eq!(row.links, links[c]);
+                let expect: Vec<f64> = busy[c]
+                    .iter()
+                    .map(|&ps| ps as f64 / (links[c] as f64 * width as f64))
+                    .collect();
+                assert_eq!(row.util, expect, "max_windows {max_windows}, {}", row.label);
+            }
+            assert!(report.conservation.exact(), "{:?}", report.conservation);
+        }
+    }
+
     /// `reset` clears every recording and the widened window: re-recording
     /// a shorter run after it reports exactly what a fresh recorder does.
     #[test]
     fn reset_then_rerecord_equals_a_fresh_recorder() {
         let graph = FabricGraph::fat_tree(4, 2);
-        let mut reused = recorder(8);
+        let mut reused = recorder(&graph, 8);
         record(&mut reused, &graph, 3, 400);
         reused.reset();
-        let counters = record(&mut reused, &graph, 11, 40);
-        let mut fresh = recorder(8);
-        assert_eq!(record(&mut fresh, &graph, 11, 40), counters);
+        let (counters, _) = record(&mut reused, &graph, 11, 40);
+        let mut fresh = recorder(&graph, 8);
+        assert_eq!(record(&mut fresh, &graph, 11, 40).0, counters);
         assert_eq!(
             reused.summarize(&graph, &counters),
             fresh.summarize(&graph, &counters)
@@ -902,10 +746,10 @@ mod tests {
             messages: 1,
             ..FlowCounters::default()
         };
-        let mut exact = FabricTelemetry::new(2, TelemetryConfig::paper_default());
+        let mut exact = FabricTelemetry::new(&graph, TelemetryConfig::paper_default());
         exact.on_delivery(100, 60, 30, 10, 100);
         assert!(exact.summarize(&graph, &one).conservation.exact());
-        let mut off = FabricTelemetry::new(2, TelemetryConfig::paper_default());
+        let mut off = FabricTelemetry::new(&graph, TelemetryConfig::paper_default());
         off.on_delivery(100, 60, 30, 11, 100);
         let c = off.summarize(&graph, &one).conservation;
         assert!(!c.attribution && !c.exact(), "{c:?}");

@@ -235,7 +235,7 @@ impl FabricGraph {
     }
 
     /// Labels of the topology's link classes, in render order. Telemetry
-    /// groups per-port series by these: a fat tree gets one class per
+    /// keeps one busy series per class: a fat tree gets one class per
     /// cable level and direction (`L0->host`, `L0->L1`, `L1->L0`, ...),
     /// a dragonfly the canonical `host` / `local` / `global` split.
     pub fn link_classes(&self) -> Vec<String> {

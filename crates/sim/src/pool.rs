@@ -62,11 +62,6 @@ impl WorkerPool {
         WorkerPool { threads }
     }
 
-    /// Number of workers this pool runs.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Apply `f` to every item and return the results in input order.
     ///
     /// `f` receives the task's index alongside the item so stochastic
