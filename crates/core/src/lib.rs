@@ -15,8 +15,8 @@
 //!   end-to-end path: serializable [`FaultPlan`]s, the discrete-event
 //!   recovery simulation, and the `latency_under_loss` sweep;
 //! * [`tracepath`] — trace-derived breakdowns: traced runs of the fault
-//!   path and Equation 1's injection loop, reduced back to the paper's
-//!   figures and proven bit-exact against the models;
+//!   path, reduced back to the paper's figures and proven bit-exact
+//!   against the models;
 //! * [`hlp_breakdown`] — the HLP-vs-LLP and MPICH-vs-UCP splits of
 //!   Figures 11 and 14;
 //! * [`whatif`] — the §7 simulated-optimization engine behind Figure 17,
@@ -46,8 +46,6 @@ pub use latency::{
     INLINE_CUTOFF_BYTES, MTU_BYTES, RNDV_CTRL_BYTES,
 };
 pub use scaling::ScalingModel;
-pub use tracepath::{
-    sweep_message_sizes, traced_e2e, traced_injection, SizeSweepPoint, DEFAULT_SIZE_GRID,
-};
+pub use tracepath::{sweep_message_sizes, traced_e2e, SizeSweepPoint, DEFAULT_SIZE_GRID};
 pub use validate::{validate_all, ValidationReport};
 pub use whatif::{Component, WhatIf};

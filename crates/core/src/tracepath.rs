@@ -1,20 +1,13 @@
 //! Trace-derived breakdowns: rebuild the paper's figures from recorded
 //! spans and prove them against the analytical models.
 //!
-//! The instrumented fault path ([`crate::fault`]) and the model-faithful
-//! injection loop below emit [`bband_trace`] spans named after the
-//! paper's breakdown slices. This module reduces a recorded [`Trace`]
-//! back into [`Breakdown`]s and asserts — in tests, bit-exactly in
-//! integer picoseconds — that the reconstruction agrees with
-//! [`EndToEndLatencyModel`] and [`InjectionModel`]:
-//!
-//! * a zero-fault traced run of [`traced_e2e`] yields exactly the nine
-//!   Figure-13 slices per message, summing to
-//!   [`EndToEndLatencyModel::total`];
-//! * [`traced_injection`] replays Equation 1's per-message CPU charges
-//!   (`LLP_post + LLP_prog + busy_post + measurement_update`) and its
-//!   trace reduces to the Figure-8 three-way split, summing to
-//!   [`InjectionModel::total`].
+//! The instrumented fault path ([`crate::fault`]) emits [`bband_trace`]
+//! spans named after the paper's breakdown slices. This module reduces a
+//! recorded [`Trace`] back into [`Breakdown`]s and asserts — in tests,
+//! bit-exactly in integer picoseconds — that the reconstruction agrees
+//! with [`EndToEndLatencyModel`]: a zero-fault traced run of
+//! [`traced_e2e`] yields exactly the nine Figure-13 slices per message,
+//! summing to [`EndToEndLatencyModel::total`].
 //!
 //! This is the cross-check the paper performs by measurement (model vs
 //! observed, §5): here both sides live in the same integer virtual
@@ -39,11 +32,10 @@
 use crate::breakdown::Breakdown;
 use crate::calibration::Calibration;
 use crate::fault::{run_raw, run_raw_on, FaultPlan, FaultRunStats, RetryExhausted};
-use crate::injection::InjectionModel;
 use crate::latency::{SizedLatencyModel, MTU_BYTES};
 use bband_metrics as metrics;
 use bband_metrics::MetricsSet;
-use bband_sim::{Pcg64, SimDuration, SimTime, WorkerPool};
+use bband_sim::{Pcg64, SimDuration, WorkerPool};
 use bband_trace as trace;
 use bband_trace::{CriticalPath, DagError, Trace};
 
@@ -216,55 +208,6 @@ pub fn sweep_message_sizes(
     (points, Trace::from_tasks(tasks))
 }
 
-/// Replay Equation 1's injection loop with tracing: each message charges
-/// `LLP_post`, `LLP_prog`, `busy_post`, and `measurement_update`
-/// sequentially on the virtual clock — the same integer-picosecond
-/// charges [`InjectionModel`] sums analytically. The loop is genuinely
-/// serial (one CPU does everything), so the stages form one chain across
-/// all messages and the DAG critical path equals the elapsed time.
-/// Returns the loop's total elapsed virtual time and the recorded trace.
-pub fn traced_injection(cal: &Calibration, messages: u64) -> (SimDuration, Trace) {
-    let m = InjectionModel::from_calibration(cal);
-    let (elapsed, task) = trace::collect(ring_capacity(messages, &FaultPlan::none()), || {
-        let mut t = SimTime::ZERO;
-        let mut prev = trace::SpanId::NONE;
-        for msg in 0..messages {
-            let post_done = t + m.llp_post;
-            let a = trace::stage(trace::Layer::Llp, "LLP_post", t, post_done, msg, &[prev]);
-            let prog_done = post_done + m.llp_prog;
-            let b = trace::stage(
-                trace::Layer::Llp,
-                "LLP_prog",
-                post_done,
-                prog_done,
-                msg,
-                &[a],
-            );
-            let busy_done = prog_done + m.busy_post;
-            let c = trace::stage(
-                trace::Layer::Llp,
-                "busy_post",
-                prog_done,
-                busy_done,
-                msg,
-                &[b],
-            );
-            let next = busy_done + m.measurement_update;
-            prev = trace::stage(
-                trace::Layer::Llp,
-                "measurement_update",
-                busy_done,
-                next,
-                msg,
-                &[c],
-            );
-            t = next;
-        }
-        t.since(SimTime::ZERO)
-    });
-    (elapsed, Trace::from_task(task))
-}
-
 /// Feed a finished run's per-layer recovery counters into the metrics
 /// registry as named counters (no-op unless a collector is live).
 fn feed_recovery_counters(stats: &FaultRunStats) {
@@ -286,9 +229,10 @@ fn feed_recovery_counters(stats: &FaultRunStats) {
 /// per-message end-to-end latency, and its recovery counters into a
 /// per-task metrics registry. Registries merge by task index —
 /// [`MetricsSet::from_tasks`] — so serial and pooled runs produce
-/// identical sets. The span rings themselves are small and discarded:
-/// only the histograms leave the tasks, which is what lets this scale to
-/// message counts a retained trace could not.
+/// identical sets. No span ring is installed: a traced stage records into
+/// the metrics registry whether or not tracing is on, so only the
+/// histograms leave the tasks, which is what lets this scale to message
+/// counts a retained trace could not.
 ///
 /// With a `window` width the registry runs in fixed-width virtual-time
 /// window mode (`repro metrics --windows N`): every stage histogram is
@@ -310,12 +254,7 @@ pub fn metered_e2e(
     let results = pool.map(idxs, |idx, _| {
         let task_seed = Pcg64::new(seed).fork(idx as u64).next_u64();
         let run = || {
-            // Tracing must be live for the stage stream to exist; a small
-            // ring that freely wraps keeps the memory flat — the
-            // histograms, not the spans, are this run's product.
-            let (run, _spans) = trace::collect(1 << 12, || {
-                run_raw_on(path, cal, plan, messages_per_task, task_seed)
-            });
+            let run = run_raw_on(path, cal, plan, messages_per_task, task_seed);
             feed_recovery_counters(&run.0);
             run
         };
@@ -356,20 +295,6 @@ pub fn e2e_breakdown_from_trace(t: &Trace) -> Result<Breakdown, DagError> {
         b.push(name, t.total_for(name));
     }
     Ok(b)
-}
-
-/// Rebuild the Figure-8 injection breakdown from a [`traced_injection`]
-/// trace: `Misc` re-aggregates the separately-recorded `busy_post` and
-/// `measurement_update` spans, exactly as Equation 1 defines it.
-pub fn injection_breakdown_from_trace(t: &Trace) -> Result<Breakdown, DagError> {
-    check_complete(t)?;
-    Ok(Breakdown::new("Injection overhead, trace-derived (Fig. 8)")
-        .with("LLP_post", t.total_for("LLP_post"))
-        .with("LLP_prog", t.total_for("LLP_prog"))
-        .with(
-            "Misc",
-            t.total_for("busy_post") + t.total_for("measurement_update"),
-        ))
 }
 
 /// Sum of the nine Figure-13 slices across the trace — the *sequential*
@@ -445,33 +370,6 @@ mod tests {
         }
     }
 
-    /// Equation 1, reconstructed: the traced injection loop's total and
-    /// Figure-8 split equal [`InjectionModel`] bit-exactly — and because
-    /// the loop is one serial chain, the DAG critical path equals the
-    /// sequential sum (chain degeneracy on a live trace).
-    #[test]
-    fn traced_injection_matches_eq1_bit_exactly() {
-        let c = cal();
-        let n = 100u64;
-        let m = InjectionModel::from_calibration(&c);
-        let (elapsed, t) = traced_injection(&c, n);
-        assert_eq!(elapsed, m.total() * n);
-        assert_eq!(t.dropped(), 0);
-
-        let b = injection_breakdown_from_trace(&t).unwrap();
-        assert_eq!(b.get("LLP_post").unwrap(), m.llp_post * n);
-        assert_eq!(b.get("LLP_prog").unwrap(), m.llp_prog * n);
-        assert_eq!(b.get("Misc").unwrap(), m.misc() * n);
-        assert_eq!(b.total(), m.total() * n);
-        // And the shares reproduce the modeled Figure-8 percentages.
-        assert!((b.pct("LLP_post").unwrap() - 59.32).abs() < 0.1);
-
-        let cp = reconstruct(&t).unwrap();
-        assert_eq!(cp.length, cp.stage_sum, "a serial loop is a chain");
-        assert_eq!(cp.length, m.total() * n);
-        assert_eq!(cp.hidden_total(), SimDuration::ZERO);
-    }
-
     /// Satellite: a wrapped ring fails reconstruction loudly — every
     /// trace-derived view refuses to summarise a truncated recording.
     #[test]
@@ -487,7 +385,6 @@ mod tests {
             Err(DagError::Truncated { dropped }) if dropped > 0
         ));
         assert!(e2e_breakdown_from_trace(&t).is_err());
-        assert!(injection_breakdown_from_trace(&t).is_err());
         let msg = reconstruct(&t).unwrap_err().to_string();
         assert!(msg.contains("ring wrapped"), "{msg}");
     }

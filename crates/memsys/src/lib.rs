@@ -9,21 +9,15 @@
 //! * **memory types** — the PIO copy targets memory-mapped *Device-GRE*
 //!   memory, which is ~90% slower to write than *Normal* memory (§7.1,
 //!   "Improving the initiation of a message in LLP");
-//! * **registered memory** — NIC DMA may only target registered regions and
-//!   must translate virtual to physical addresses (§2, step 3);
 //! * **RC-to-MEM(xB)** — the root complex writing an x-byte payload to
 //!   memory on behalf of the NIC (240.96 ns for 8 B, Table 1).
 //!
-//! This crate models all four with calibrated cost functions and a real
-//! registration/translation table, so the NIC model can fail loudly on
-//! unregistered DMA exactly like real hardware raises a protection error.
+//! This crate models all three with calibrated cost functions.
 
 pub mod barrier;
 pub mod rc_write;
-pub mod region;
 pub mod types;
 
 pub use barrier::{Barrier, BarrierModel};
 pub use rc_write::RcToMemModel;
-pub use region::{AccessFlags, MemoryMap, MrKey, RegionError};
 pub use types::{MemoryType, WriteCostModel};

@@ -9,7 +9,10 @@
 //! Only the 8-byte point is published, so we model the size dependence as
 //! `base + len * per_byte`, with `per_byte` derived from sustained DDR4
 //! write bandwidth and `base` solved from the 8-byte point (see DESIGN.md
-//! §7). The choice only affects the `p` lower-bound check, not any figure.
+//! §7). At 64 B it enters the `p` lower-bound check. It also sets the
+//! large-message RC-to-MEM of `repro sweep-size`: the sized latency model
+//! charges [`RcToMemModel::cost`] on every MTU segment, serialized on the
+//! RC write port, so at 1 MiB RC-to-MEM is most of the end-to-end latency.
 
 use bband_sim::SimDuration;
 

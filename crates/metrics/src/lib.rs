@@ -8,10 +8,12 @@
 //! distribution. Three constraints shape the design, mirroring
 //! `bband_trace`:
 //!
-//! * **No allocation while recording.** A registry preallocates its name
-//!   table and one contiguous bucket block at [`collect`] time; recording
-//!   is a name lookup plus a handful of index writes. Names beyond
-//!   [`MAX_NAMES`] are counted in `dropped`, never silently folded.
+//! * **No allocation once a name is in use.** A registry reserves its
+//!   name tables at [`collect`] time. A histogram's bucket array is
+//!   allocated on its name's first record, as a window's is on the first
+//!   sample that lands in it; after that, recording is a name lookup plus
+//!   a handful of index writes. Names beyond [`MAX_NAMES`] are counted in
+//!   `dropped`, never silently folded.
 //! * **One atomic load when disabled.** The whole crate is gated on a
 //!   process-wide collector count; with no [`collect`] scope live anywhere
 //!   the fast path of [`record_ps`]/[`counter`] is a single relaxed atomic
@@ -93,6 +95,27 @@ pub struct Histogram {
 }
 
 impl Histogram {
+    fn new(name: &'static str) -> Self {
+        Histogram {
+            name,
+            buckets: vec![0; NUM_BUCKETS],
+            count: 0,
+            sum: 0,
+            min: u64::MAX,
+            max: 0,
+        }
+    }
+
+    /// The one per-sample update, for aggregates and windows alike.
+    #[inline]
+    fn record(&mut self, v: u64) {
+        self.buckets[bucket_index(v)] += 1;
+        self.count += 1;
+        self.sum += v;
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
+    }
+
     /// Exact mean of the recorded values, in nanoseconds (values are
     /// picoseconds).
     pub fn mean_ns(&self) -> f64 {
@@ -275,53 +298,20 @@ impl MetricsSet {
     }
 }
 
-/// The recording registry for one collect scope: a preallocated name
-/// table, one contiguous bucket block, and exact sidecars. Recording
-/// never allocates — every `Vec` below is filled or reserved up front.
+/// The recording registry for one collect scope. Its tables are
+/// reserved for [`MAX_NAMES`] entries up front; a histogram (and a window)
+/// allocates its buckets on first use, and recording never allocates
+/// after that.
 struct Registry {
-    names: Vec<&'static str>,
-    /// `MAX_NAMES × NUM_BUCKETS` block; histogram `h` owns the slice
-    /// `[h * NUM_BUCKETS, (h + 1) * NUM_BUCKETS)`.
-    buckets: Vec<u64>,
-    counts: Vec<u64>,
-    sums: Vec<u64>,
-    mins: Vec<u64>,
-    maxs: Vec<u64>,
-    counter_names: Vec<&'static str>,
-    counter_vals: Vec<u64>,
+    /// Histograms in first-recording order.
+    hists: Vec<Histogram>,
+    counters: Vec<Counter>,
     /// Window width in ps; 0 disables windowing (plain [`collect`]).
     window_width: u64,
-    /// Occupied window indices per histogram name, sorted ascending;
-    /// parallel to `names`.
-    win_indices: Vec<Vec<u64>>,
-    /// Window cells parallel to `win_indices`. Windowed collection is the
-    /// one documented exception to "no allocation while recording": a cell
-    /// is allocated lazily the first time a sample lands in a new window,
-    /// because the number of occupied windows is data-dependent.
-    win_cells: Vec<Vec<WinCell>>,
+    /// Occupied windows per histogram, parallel to `hists`, sorted by
+    /// index. How many windows a run occupies depends on its data.
+    windows: Vec<Vec<WindowSlice>>,
     dropped: u64,
-}
-
-/// One lazily-allocated window cell: the same fixed bucket shape as the
-/// aggregate histograms plus exact sidecars.
-struct WinCell {
-    buckets: Vec<u64>,
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-}
-
-impl WinCell {
-    fn new() -> Self {
-        WinCell {
-            buckets: vec![0; NUM_BUCKETS],
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
 }
 
 impl Registry {
@@ -331,34 +321,22 @@ impl Registry {
 
     fn with_window(window_width: u64) -> Self {
         Registry {
-            names: Vec::with_capacity(MAX_NAMES),
-            buckets: vec![0; MAX_NAMES * NUM_BUCKETS],
-            counts: Vec::with_capacity(MAX_NAMES),
-            sums: Vec::with_capacity(MAX_NAMES),
-            mins: Vec::with_capacity(MAX_NAMES),
-            maxs: Vec::with_capacity(MAX_NAMES),
-            counter_names: Vec::with_capacity(MAX_NAMES),
-            counter_vals: Vec::with_capacity(MAX_NAMES),
+            hists: Vec::with_capacity(MAX_NAMES),
+            counters: Vec::with_capacity(MAX_NAMES),
             window_width,
-            win_indices: Vec::with_capacity(MAX_NAMES),
-            win_cells: Vec::with_capacity(MAX_NAMES),
+            windows: Vec::with_capacity(MAX_NAMES),
             dropped: 0,
         }
     }
 
     #[inline]
     fn name_slot(&mut self, name: &'static str) -> Option<usize> {
-        match self.names.iter().position(|&n| n == name) {
+        match self.hists.iter().position(|h| h.name == name) {
             Some(h) => Some(h),
-            None if self.names.len() < MAX_NAMES => {
-                self.names.push(name);
-                self.counts.push(0);
-                self.sums.push(0);
-                self.mins.push(u64::MAX);
-                self.maxs.push(0);
-                self.win_indices.push(Vec::new());
-                self.win_cells.push(Vec::new());
-                Some(self.names.len() - 1)
+            None if self.hists.len() < MAX_NAMES => {
+                self.hists.push(Histogram::new(name));
+                self.windows.push(Vec::new());
+                Some(self.hists.len() - 1)
             }
             None => {
                 self.dropped += 1;
@@ -369,125 +347,67 @@ impl Registry {
 
     #[inline]
     fn record(&mut self, name: &'static str, v: u64) {
-        let Some(h) = self.name_slot(name) else {
-            return;
-        };
-        self.buckets[h * NUM_BUCKETS + bucket_index(v)] += 1;
-        self.counts[h] += 1;
-        self.sums[h] += v;
-        self.mins[h] = self.mins[h].min(v);
-        self.maxs[h] = self.maxs[h].max(v);
+        if let Some(h) = self.name_slot(name) {
+            self.hists[h].record(v);
+        }
     }
 
     /// Timestamped recording: aggregate as [`Registry::record`] plus, when
-    /// windowing is on, the window cell containing `at_ps`.
+    /// windowing is on, the window containing `at_ps`.
     #[inline]
     fn record_at(&mut self, name: &'static str, v: u64, at_ps: u64) {
         let Some(h) = self.name_slot(name) else {
             return;
         };
-        self.buckets[h * NUM_BUCKETS + bucket_index(v)] += 1;
-        self.counts[h] += 1;
-        self.sums[h] += v;
-        self.mins[h] = self.mins[h].min(v);
-        self.maxs[h] = self.maxs[h].max(v);
+        self.hists[h].record(v);
         if self.window_width == 0 {
             return;
         }
-        let wi = at_ps / self.window_width;
-        let indices = &mut self.win_indices[h];
-        let cells = &mut self.win_cells[h];
+        let index = at_ps / self.window_width;
+        let slices = &mut self.windows[h];
         // Samples mostly arrive in nondecreasing virtual time, so the hot
-        // path is "same window as last time" or "append a new one".
-        let pos = match indices.last() {
-            Some(&last) if last == wi => indices.len() - 1,
-            Some(&last) if last < wi => {
-                indices.push(wi);
-                cells.push(WinCell::new());
-                indices.len() - 1
-            }
-            None => {
-                indices.push(wi);
-                cells.push(WinCell::new());
-                0
-            }
-            _ => match indices.binary_search(&wi) {
-                Ok(p) => p,
-                Err(p) => {
-                    indices.insert(p, wi);
-                    cells.insert(p, WinCell::new());
+        // path is the window of the previous sample.
+        let pos = if slices.last().map(|s| s.index) == Some(index) {
+            slices.len() - 1
+        } else {
+            slices
+                .binary_search_by_key(&index, |s| s.index)
+                .unwrap_or_else(|p| {
+                    let hist = Histogram::new(name);
+                    slices.insert(p, WindowSlice { index, hist });
                     p
-                }
-            },
+                })
         };
-        let cell = &mut cells[pos];
-        cell.buckets[bucket_index(v)] += 1;
-        cell.count += 1;
-        cell.sum += v;
-        cell.min = cell.min.min(v);
-        cell.max = cell.max.max(v);
+        slices[pos].hist.record(v);
     }
 
     #[inline]
     fn counter(&mut self, name: &'static str, delta: u64) {
-        match self.counter_names.iter().position(|&n| n == name) {
-            Some(c) => self.counter_vals[c] += delta,
-            None if self.counter_names.len() < MAX_NAMES => {
-                self.counter_names.push(name);
-                self.counter_vals.push(delta);
+        match self.counters.iter().position(|c| c.name == name) {
+            Some(c) => self.counters[c].value += delta,
+            None if self.counters.len() < MAX_NAMES => {
+                self.counters.push(Counter { name, value: delta });
             }
             None => self.dropped += 1,
         }
     }
 
     fn into_task(self) -> TaskMetrics {
-        let hists = self
-            .names
-            .iter()
-            .enumerate()
-            .map(|(h, &name)| Histogram {
-                name,
-                buckets: self.buckets[h * NUM_BUCKETS..(h + 1) * NUM_BUCKETS].to_vec(),
-                count: self.counts[h],
-                sum: self.sums[h],
-                min: self.mins[h],
-                max: self.maxs[h],
-            })
-            .collect();
-        let counters = self
-            .counter_names
-            .iter()
-            .zip(&self.counter_vals)
-            .map(|(&name, &value)| Counter { name, value })
-            .collect();
+        let width_ps = self.window_width;
         let windows = self
-            .names
+            .hists
             .iter()
-            .enumerate()
-            .filter(|(h, _)| !self.win_indices[*h].is_empty())
-            .map(|(h, &name)| WindowSeries {
-                name,
-                width_ps: self.window_width,
-                windows: self.win_indices[h]
-                    .iter()
-                    .zip(&self.win_cells[h])
-                    .map(|(&index, cell)| WindowSlice {
-                        index,
-                        hist: Histogram {
-                            name,
-                            buckets: cell.buckets.clone(),
-                            count: cell.count,
-                            sum: cell.sum,
-                            min: cell.min,
-                            max: cell.max,
-                        },
-                    })
-                    .collect(),
+            .zip(self.windows)
+            .filter(|(_, windows)| !windows.is_empty())
+            .map(|(h, windows)| WindowSeries {
+                name: h.name,
+                width_ps,
+                windows,
             })
             .collect();
         TaskMetrics {
-            hists,
-            counters,
+            hists: self.hists,
+            counters: self.counters,
             windows,
             dropped: self.dropped,
         }

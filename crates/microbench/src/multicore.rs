@@ -404,6 +404,49 @@ mod tests {
         assert!(per_ep.lock_wait_time < global.lock_wait_time);
     }
 
+    /// Without credit pressure the deterministic stack has a closed form:
+    /// a post plus its opportunistic poll costs 175.42 + 61.63 = 237.05 ns,
+    /// and `s` threads serialize on the busiest lock, so each thread
+    /// spends `s × 237.05` ns per message and `T` threads inject
+    /// `T / (s × 237.05 ns)`. Two kinds of cell are left out: per-endpoint
+    /// locks over an uneven split abort (the min-clock driver lets a
+    /// contended acquirer post ahead of other endpoints' threads), and
+    /// independent VIs with fewer endpoints than threads share rings.
+    #[test]
+    fn thread_sweep_rates_match_the_closed_form() {
+        let mut cells = Vec::new();
+        for t in 1..=8u32 {
+            for e in 1..=t {
+                cells.push((t, e, LockGranularity::GlobalLock, t));
+                if t % e == 0 {
+                    cells.push((t, e, LockGranularity::PerEndpointLock, t / e));
+                }
+            }
+            cells.push((t, t, LockGranularity::Independent, 1));
+        }
+        assert_eq!(cells.len(), 64);
+        for (t, e, lock, s) in cells {
+            let r = endpoint_injection(&ThreadSweepConfig {
+                messages_per_thread: 200,
+                ..sweep(t, e, lock)
+            });
+            let cell = format!("{t} threads over {e} endpoints, {lock:?}");
+            assert_eq!(
+                r.per_thread_overhead,
+                SimDuration::from_ps(u64::from(s) * 237_050),
+                "{cell}"
+            );
+            // The driver divides in another order, so allow a few ulps; the
+            // end instant is integer picoseconds, so this still pins it.
+            let rate = f64::from(t) / (f64::from(s) * 0.237_05);
+            assert!(
+                (r.aggregate_rate_per_us / rate - 1.0).abs() < 1e-12,
+                "{cell}: {} msg/us vs {rate}",
+                r.aggregate_rate_per_us
+            );
+        }
+    }
+
     #[test]
     fn single_thread_lock_models_cost_nothing() {
         // One thread never contends, so every granularity lands on the

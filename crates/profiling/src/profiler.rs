@@ -29,7 +29,6 @@ pub struct Profiler {
     overhead_mean: f64,
     overhead_sigma: f64,
     rng: Pcg64,
-    enabled: bool,
 }
 
 impl Profiler {
@@ -40,24 +39,7 @@ impl Profiler {
             overhead_mean: UCS_OVERHEAD_MEAN_NS,
             overhead_sigma: UCS_OVERHEAD_SIGMA_NS,
             rng: Pcg64::new(seed ^ 0x9a0f),
-            enabled: true,
         }
-    }
-
-    /// A profiler that records nothing and costs nothing — the
-    /// "instrumentation compiled out" configuration. §3: "while measuring
-    /// time of a component, we do not simultaneously measure time in any
-    /// other component"; benchmarks use a disabled profiler for all regions
-    /// except the one under study.
-    pub fn disabled() -> Self {
-        let mut p = Profiler::new(0);
-        p.enabled = false;
-        p
-    }
-
-    /// Whether measurements are being taken.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// One sampled instrumentation overhead (Gaussian around the calibrated
@@ -70,10 +52,8 @@ impl Profiler {
     /// Open a measurement region: charges the timer-read cost to `cpu` and
     /// snapshots its clock.
     pub fn begin(&mut self, cpu: &mut CpuClock) -> RegionHandle {
-        if self.enabled {
-            let oh = self.sample_overhead();
-            cpu.advance(oh);
-        }
+        let oh = self.sample_overhead();
+        cpu.advance(oh);
         RegionHandle { start: cpu.now() }
     }
 
@@ -84,9 +64,6 @@ impl Profiler {
     /// We instead charge the closing read inside the interval: symmetric
     /// and equivalent in the mean.
     pub fn end(&mut self, name: &str, handle: RegionHandle, cpu: &mut CpuClock) {
-        if !self.enabled {
-            return;
-        }
         let oh = self.sample_overhead();
         cpu.advance(oh);
         let raw = cpu.now().since(handle.start);
@@ -173,16 +150,6 @@ mod tests {
             elapsed > 100.0 + 2.0 * 40.0 && elapsed < 100.0 + 2.0 * 60.0,
             "elapsed {elapsed}"
         );
-    }
-
-    #[test]
-    fn disabled_profiler_is_free_and_silent() {
-        let mut p = Profiler::disabled();
-        let mut cpu = CpuClock::new();
-        run_region(&mut p, &mut cpu, "x", 100.0);
-        assert!((cpu.now().as_ns_f64() - 100.0).abs() < 1e-9);
-        assert!(p.region("x").is_none());
-        assert!(!p.is_enabled());
     }
 
     #[test]

@@ -131,11 +131,6 @@ impl<E> EventQueue<E> {
         EventKey(seq)
     }
 
-    /// Schedule `event` to fire `after` from `from`.
-    pub fn push_after(&mut self, from: SimTime, after: SimDuration, event: E) -> EventKey {
-        self.push(from + after, event)
-    }
-
     /// Retract a still-pending event. The entry becomes a tombstone that is
     /// skipped (never delivered) by subsequent pops; tombstones are purged
     /// from the heap in bulk once they outnumber live entries. Returns
@@ -340,12 +335,6 @@ impl CpuClock {
         CpuClock { now: SimTime::ZERO }
     }
 
-    /// A core starting at an arbitrary instant (e.g. the target node's CPU
-    /// in a ping-pong, offset to when it posted its receive).
-    pub fn starting_at(t: SimTime) -> Self {
-        CpuClock { now: t }
-    }
-
     /// Current local time.
     #[inline]
     pub fn now(&self) -> SimTime {
@@ -430,13 +419,6 @@ mod tests {
     }
 
     #[test]
-    fn push_after_composes() {
-        let mut q = EventQueue::new();
-        q.push_after(SimTime::from_ns(100), SimDuration::from_ns(37), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_ns(137)));
-    }
-
-    #[test]
     fn cpu_clock_advances_monotonically() {
         let mut cpu = CpuClock::new();
         assert_eq!(cpu.now(), SimTime::ZERO);
@@ -445,14 +427,6 @@ mod tests {
         assert_eq!(cpu.now(), SimTime::from_ns(100));
         cpu.advance_to(SimTime::from_ns(150));
         assert_eq!(cpu.now(), SimTime::from_ns(150));
-    }
-
-    #[test]
-    fn cpu_clock_starting_at() {
-        let mut cpu = CpuClock::starting_at(SimTime::from_ns(500));
-        assert_eq!(cpu.now(), SimTime::from_ns(500));
-        cpu.advance(SimDuration::from_ns(10));
-        assert_eq!(cpu.now(), SimTime::from_ns(510));
     }
 
     #[test]

@@ -48,8 +48,8 @@ pub use dag::{
     RecoverySplit, StageAttribution,
 };
 pub use recorder::{
-    collect, enabled, instant, instant_now, now, set_now, span, span_dur, stage, stage_dur, Layer,
-    SpanId, SpanRecord, TaskTrace, MAX_DEPS,
+    collect, enabled, instant, instant_now, now, set_now, span, stage, stage_dur, Layer, SpanId,
+    SpanRecord, TaskTrace, MAX_DEPS,
 };
 
 use bband_sim::SimDuration;

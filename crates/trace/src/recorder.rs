@@ -269,18 +269,6 @@ pub fn span(layer: Layer, name: &'static str, start: SimTime, end: SimTime, arg:
     stage(layer, name, start, end, arg, &[])
 }
 
-/// Record a span of `dur` starting at `start`.
-#[inline]
-pub fn span_dur(
-    layer: Layer,
-    name: &'static str,
-    start: SimTime,
-    dur: SimDuration,
-    arg: u64,
-) -> SpanId {
-    stage_dur(layer, name, start, dur, arg, &[])
-}
-
 /// Record a pipeline stage: a span from `start` to `end` that happens
 /// after every span in `deps` (null ids are skipped — threading
 /// [`SpanId::NONE`] through untraced runs is free). This is the edge-
