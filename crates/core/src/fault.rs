@@ -675,6 +675,7 @@ pub const DEFAULT_LOSS_GRID: [f64; 6] = [0.0, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2];
 /// [`trace::SpanId`] of the stage that scheduled them, so the target-side
 /// stages can declare their happens-after edges; the id is
 /// [`trace::SpanId::NONE`] (and costs nothing) on untraced runs.
+#[derive(Clone, Copy)]
 enum Ev {
     /// The initiator CPU starts posting message `msg`.
     Post { msg: u64 },
@@ -1923,7 +1924,7 @@ impl FaultSim {
         while self.completed < messages {
             let pending_post =
                 (self.next_post < messages).then(|| self.post_time[self.next_post as usize]);
-            let take_post = match (pending_post, self.queue.next_live_time()) {
+            let take_post = match (pending_post, self.queue.peek_time()) {
                 (Some(p), Some(q)) => p <= q,
                 (Some(_), None) => true,
                 (None, Some(_)) => false,
@@ -3189,7 +3190,7 @@ mod tests {
     /// The fast loop keeps the heap bounded by in-flight work: a long
     /// lossy run must not accumulate one Post event per message or one
     /// stale Timer poll per RTO reset (the silent-poll index cancels
-    /// superseded timers, and tombstones are purged).
+    /// superseded timers, which leave the heap at once).
     #[test]
     fn fast_path_elides_silent_polls() {
         let c = cal();

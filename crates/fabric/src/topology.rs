@@ -7,9 +7,8 @@
 use crate::packet::Packet;
 use crate::switch::SwitchModel;
 use crate::wire::WireModel;
-use bband_sim::{Pcg64, SimDuration, SimTime};
+use bband_sim::{IdMap, Pcg64, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Path shape between two NICs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -35,8 +34,8 @@ pub struct NetworkModel {
     pub inter_switch_cable: SimDuration,
     /// Per-switch-instance state (egress contention), created on demand:
     /// leaf switches keyed by pod id, spines by spine index.
-    leaf_switches: HashMap<u32, SwitchModel>,
-    spine_switches: HashMap<u32, SwitchModel>,
+    leaf_switches: IdMap<u32, SwitchModel>,
+    spine_switches: IdMap<u32, SwitchModel>,
 }
 
 impl NetworkModel {
@@ -63,8 +62,8 @@ impl NetworkModel {
             wire: WireModel::default(),
             switch: SwitchModel::default(),
             inter_switch_cable: SimDuration::from_ns_f64(50.0),
-            leaf_switches: HashMap::new(),
-            spine_switches: HashMap::new(),
+            leaf_switches: IdMap::default(),
+            spine_switches: IdMap::default(),
         }
     }
 

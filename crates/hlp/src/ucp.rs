@@ -7,9 +7,9 @@ use bband_fabric::NodeId;
 use bband_llp::{Core, Endpoint, Worker};
 use bband_nic::{Cluster, Cqe, CqeKind, Opcode};
 use bband_pcie::LinkTap;
-use bband_sim::SimTime;
+use bband_sim::{IdMap, SimTime};
 use bband_trace as trace;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Identifies a UCP request (send or receive).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -97,18 +97,18 @@ pub struct UcpWorker {
     pub frag_size: u32,
     /// In-progress receive-side reassembly: (src, frag op) →
     /// (bytes so far, fragments seen, total fragments).
-    frag_assembly: HashMap<(NodeId, RndvId), (u32, u32, u32)>,
+    frag_assembly: IdMap<(NodeId, RndvId), (u32, u32, u32)>,
     /// User tag of each in-progress assembly (learned from the last frag).
-    frag_tags: HashMap<(NodeId, RndvId), u64>,
+    frag_tags: IdMap<(NodeId, RndvId), u64>,
     next_rndv: RndvId,
     /// Sender-side rendezvous operations awaiting CTS.
-    rndv_send: HashMap<RndvId, RndvSend>,
+    rndv_send: IdMap<RndvId, RndvSend>,
     /// Receiver-side rendezvous operations awaiting FIN, keyed by
     /// (sender, id) so ids allocated by different peers can never
     /// collide in this table.
-    rndv_recv: HashMap<(NodeId, RndvId), RndvRecv>,
+    rndv_recv: IdMap<(NodeId, RndvId), RndvRecv>,
     /// Protocol-internal sends, keyed by their transport request.
-    internal: HashMap<ReqId, InternalOp>,
+    internal: IdMap<ReqId, InternalOp>,
     /// Control messages to emit at the next progress (deferred when no
     /// cluster handle is in scope, e.g. a match made inside tag_recv_nb).
     pending_ctrl: VecDeque<(NodeId, u64)>,
@@ -153,12 +153,12 @@ impl UcpWorker {
             last_dst: None,
             rndv_threshold: 8192,
             frag_size: 4096,
-            frag_assembly: HashMap::new(),
-            frag_tags: HashMap::new(),
+            frag_assembly: IdMap::default(),
+            frag_tags: IdMap::default(),
             next_rndv: RndvId::first_for_endpoint(ep_index),
-            rndv_send: HashMap::new(),
-            rndv_recv: HashMap::new(),
-            internal: HashMap::new(),
+            rndv_send: IdMap::default(),
+            rndv_recv: IdMap::default(),
+            internal: IdMap::default(),
             pending_ctrl: VecDeque::new(),
             rx_pool_target: 64,
             rx_pool_posted: 0,

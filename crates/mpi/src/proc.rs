@@ -6,9 +6,8 @@ use bband_hlp::ucp::ReqId;
 use bband_hlp::{TagMask, UcpEvent, UcpWorker};
 use bband_nic::Cluster;
 use bband_pcie::LinkTap;
-use bband_sim::SimTime;
+use bband_sim::{IdMap, SimTime};
 use bband_trace as trace;
-use std::collections::HashMap;
 
 /// MPI_ANY_TAG.
 pub const ANY_TAG: i64 = -1;
@@ -32,9 +31,10 @@ pub enum RequestState {
 pub struct MpiProcess {
     ucp: UcpWorker,
     costs: MpiCosts,
-    states: HashMap<MpiRequest, RequestState>,
-    by_ucp: HashMap<ReqId, MpiRequest>,
-    next_req: u64,
+    /// State of every request ever allocated, indexed by its handle
+    /// (handles are dense from 0).
+    states: Vec<RequestState>,
+    by_ucp: IdMap<ReqId, MpiRequest>,
     /// Diagnostics: progress-loop iterations spent spinning in waits.
     pub wait_spins: u64,
 }
@@ -45,9 +45,8 @@ impl MpiProcess {
         MpiProcess {
             ucp,
             costs,
-            states: HashMap::new(),
-            by_ucp: HashMap::new(),
-            next_req: 0,
+            states: Vec::new(),
+            by_ucp: IdMap::default(),
             wait_spins: 0,
         }
     }
@@ -78,16 +77,18 @@ impl MpiProcess {
     }
 
     fn alloc(&mut self, ucp_req: ReqId) -> MpiRequest {
-        let req = MpiRequest(self.next_req);
-        self.next_req += 1;
-        self.states.insert(req, RequestState::Pending);
+        let req = MpiRequest(self.states.len() as u64);
+        self.states.push(RequestState::Pending);
         self.by_ucp.insert(ucp_req, req);
         req
     }
 
     /// State of a request.
     pub fn state(&self, req: MpiRequest) -> RequestState {
-        *self.states.get(&req).expect("unknown MPI request")
+        *self
+            .states
+            .get(req.0 as usize)
+            .expect("unknown MPI request")
     }
 
     /// Non-blocking tagged send: `MPI_Isend`.
@@ -151,7 +152,7 @@ impl MpiProcess {
     fn complete(&mut self, ucp_req: ReqId) {
         // Internal UCP requests (e.g. flush no-ops) have no MPI request.
         if let Some(req) = self.by_ucp.remove(&ucp_req) {
-            self.states.insert(req, RequestState::Complete);
+            self.states[req.0 as usize] = RequestState::Complete;
         }
     }
 
@@ -211,11 +212,15 @@ impl MpiProcess {
     /// amortize `LLP_prog`, and MPICH/UCP pay their per-operation
     /// bookkeeping for every completed operation.
     pub fn waitall(&mut self, cluster: &mut Cluster, reqs: &[MpiRequest], tap: &mut dyn LinkTap) {
+        // `reqs[..done]` are complete. A request never returns to
+        // `Pending`, so each iteration checks only from the first one
+        // still pending, not the whole window again.
+        let mut done = 0;
         loop {
-            if reqs
-                .iter()
-                .all(|r| self.state(*r) == RequestState::Complete)
-            {
+            while done < reqs.len() && self.state(reqs[done]) == RequestState::Complete {
+                done += 1;
+            }
+            if done == reqs.len() {
                 break;
             }
             let events = self.ucp.worker_progress(cluster, tap);

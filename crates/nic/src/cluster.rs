@@ -26,16 +26,26 @@ use bband_pcie::{
     Dllp, FlowControl, LinkDirection, LinkModel, LinkTap, RcAction, RootComplex, Tlp, TlpId,
     TlpPurpose,
 };
-use bband_sim::{EventQueue, Pcg64, SimDuration, SimTime, StallSchedule};
+use bband_sim::{EventQueue, IdMap, Pcg64, SimDuration, SimTime, StallSchedule};
 use bband_trace as trace;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Path MTU: larger payloads are segmented by the NIC and pipelined onto
 /// the wire (InfiniBand's maximum MTU).
 pub const MTU: u32 = 4096;
 
+/// `qp`'s entry in a per-QP table, grown on first use: QP ids are small
+/// dense endpoint indices, so a `Vec` indexed by id is the whole map.
+fn qp_slot<T: Default>(table: &mut Vec<T>, qp: QpId) -> &mut T {
+    let i = qp.0 as usize;
+    if i >= table.len() {
+        table.resize_with(i + 1, T::default);
+    }
+    &mut table[i]
+}
+
 /// Hardware events circulating in the cluster.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub enum HwEvent {
     /// A downstream TLP reached the NIC.
     TlpAtNic { node: NodeId, tlp: Tlp },
@@ -80,30 +90,30 @@ struct Nic {
     cfg: NicConfig,
     ids: bband_pcie::TlpIdGen,
     /// Posted-send operations awaiting transport ACK, by message packet id.
-    inflight: HashMap<PacketId, InflightSend>,
+    inflight: IdMap<PacketId, InflightSend>,
     /// Doorbell-path fetches in flight, keyed by doorbell/MRd TLP id.
-    fetching: HashMap<TlpId, FetchStage>,
+    fetching: IdMap<TlpId, FetchStage>,
     /// PIO chunk→operation map and per-operation assembly state.
-    pio_chunk_map: HashMap<TlpId, u64>,
-    pio_ops: HashMap<u64, PioAssembly>,
+    pio_chunk_map: IdMap<TlpId, u64>,
+    pio_ops: IdMap<u64, PioAssembly>,
     next_pio_op: u64,
     /// Posted receives (FIFO matching, as an IB receive queue).
     rx_posted: VecDeque<(WrId, u32)>,
     /// Two-sided messages that arrived before a receive was posted.
     unexpected: VecDeque<Packet>,
     /// Completed-but-unsignaled sends awaiting the next signaled CQE,
-    /// per queue pair.
-    unsignaled_backlog: HashMap<QpId, u32>,
+    /// indexed by queue pair (see `qp_slot`).
+    unsignaled_backlog: Vec<u32>,
     /// Hardware ring occupancy per queue pair — N doorbells, one per VI
     /// (defense in depth; the software ring check lives in the LLP).
     /// `cfg.txq_depth` bounds each QP's ring independently, as on real
     /// hardware where every QP owns its own send queue.
-    occupancy: HashMap<QpId, u32>,
+    occupancy: Vec<u32>,
     /// CQE DMA-writes in flight: TLP id → (wr_id, qp, completes).
-    cqe_in_flight: HashMap<TlpId, (WrId, QpId, u32)>,
+    cqe_in_flight: IdMap<TlpId, (WrId, QpId, u32)>,
     /// Receive-payload DMA-writes in flight:
     /// TLP id → (wr_id, qp, len, tag, src).
-    recv_in_flight: HashMap<TlpId, (WrId, QpId, u32, u64, NodeId)>,
+    recv_in_flight: IdMap<TlpId, (WrId, QpId, u32, u64, NodeId)>,
     /// Receiver-side credit bookkeeping driving UpdateFC back to the RC.
     fc_recv: FlowControl,
 }
@@ -113,17 +123,17 @@ impl Nic {
         Nic {
             cfg,
             ids: bband_pcie::TlpIdGen::new(),
-            inflight: HashMap::new(),
-            fetching: HashMap::new(),
-            pio_chunk_map: HashMap::new(),
-            pio_ops: HashMap::new(),
+            inflight: IdMap::default(),
+            fetching: IdMap::default(),
+            pio_chunk_map: IdMap::default(),
+            pio_ops: IdMap::default(),
             next_pio_op: 0,
             rx_posted: VecDeque::new(),
             unexpected: VecDeque::new(),
-            unsignaled_backlog: HashMap::new(),
-            occupancy: HashMap::new(),
-            cqe_in_flight: HashMap::new(),
-            recv_in_flight: HashMap::new(),
+            unsignaled_backlog: Vec::new(),
+            occupancy: Vec::new(),
+            cqe_in_flight: IdMap::default(),
+            recv_in_flight: IdMap::default(),
             fc_recv: FlowControl::connectx4_default(),
         }
     }
@@ -142,8 +152,8 @@ struct NodeState {
     link: LinkModel,
     nic: Nic,
     /// Per-QP completion queues visible to CPU loads (entries appear only
-    /// after `MemVisible`).
-    host_cq: HashMap<QpId, VecDeque<Cqe>>,
+    /// after `MemVisible`), indexed by queue pair.
+    host_cq: Vec<VecDeque<Cqe>>,
     link_rng: Pcg64,
 }
 
@@ -169,13 +179,13 @@ pub struct Cluster {
     pub nic_stalls: u64,
     /// Happens-after cause of each in-flight TLP (traced runs only; empty
     /// and untouched when tracing is disabled).
-    tlp_cause: HashMap<TlpId, trace::SpanId>,
+    tlp_cause: IdMap<TlpId, trace::SpanId>,
     /// Happens-after cause of each in-flight network packet (traced runs
     /// only).
-    pkt_cause: HashMap<PacketId, trace::SpanId>,
+    pkt_cause: IdMap<PacketId, trace::SpanId>,
     /// When each credit-parked MMIO write entered the RC's pending queue —
     /// the start of its `credit_wait` stage (and of the stall-time accrual).
-    stalled_at: HashMap<TlpId, SimTime>,
+    stalled_at: IdMap<TlpId, SimTime>,
     /// Per-node span of the RC's most recent downstream TLP departure: the
     /// shared RC track. Credit waits chain after it, so a starved pool
     /// shows up in the DAG as cross-core edges through one serialised RC.
@@ -184,6 +194,10 @@ pub struct Cluster {
     /// windows) — accrued exactly where the recovery-track stages are
     /// recorded, so it equals the trace's Recovery-layer total bit-exactly.
     stall_time: SimDuration,
+    /// The actions of one root-complex call. Taken before the call and
+    /// handed back, empty, by `apply_rc_actions`, so a TLP allocates
+    /// nothing once the buffer has grown.
+    rc_actions: Vec<RcAction>,
 }
 
 impl Cluster {
@@ -196,7 +210,7 @@ impl Cluster {
                 rc: RootComplex::new(),
                 link: LinkModel::default(),
                 nic: Nic::new(cfg.clone()),
-                host_cq: HashMap::new(),
+                host_cq: Vec::new(),
                 link_rng: root.fork(0x11A5 + i as u64),
             })
             .collect();
@@ -210,11 +224,12 @@ impl Cluster {
             acks_received: 0,
             stalls: vec![None; n_nodes],
             nic_stalls: 0,
-            tlp_cause: HashMap::new(),
-            pkt_cause: HashMap::new(),
-            stalled_at: HashMap::new(),
+            tlp_cause: IdMap::default(),
+            pkt_cause: IdMap::default(),
+            stalled_at: IdMap::default(),
             rc_track: vec![trace::SpanId::NONE; n_nodes],
             stall_time: SimDuration::ZERO,
+            rc_actions: Vec::new(),
         }
     }
 
@@ -355,7 +370,7 @@ impl Cluster {
 
     /// Hardware ring occupancy of a node's NIC, summed over its QPs.
     pub fn nic_occupancy(&self, node: NodeId) -> u32 {
-        self.nodes[node.0 as usize].nic.occupancy.values().sum()
+        self.nodes[node.0 as usize].nic.occupancy.iter().sum()
     }
 
     /// Time of the next pending hardware event.
@@ -404,8 +419,9 @@ impl Cluster {
         // Hardware that was due before the post (UpdateFC credit returns,
         // CQE writes, ...) has already happened from the CPU's viewpoint.
         self.advance_to(now, tap);
+        let mut actions = std::mem::take(&mut self.rc_actions);
         let n = &mut self.nodes[node.0 as usize];
-        let ring = n.nic.occupancy.entry(desc.qp).or_insert(0);
+        let ring = qp_slot(&mut n.nic.occupancy, desc.qp);
         assert!(
             *ring < n.nic.cfg.txq_depth,
             "TxQ overflow on {node:?} {:?}: the LLP must poll before posting",
@@ -416,7 +432,6 @@ impl Cluster {
             "payload exceeds max_inline"
         );
         *ring += 1;
-        let mut actions = Vec::new();
         let mut posted_ids: Vec<TlpId> = Vec::new();
         let mut parked_ids: Vec<TlpId> = Vec::new();
         let traced = trace::enabled() && !cause.is_none();
@@ -438,7 +453,7 @@ impl Cluster {
                     posted_ids.push(tlp.id);
                 }
                 let before = actions.len();
-                actions.extend(n.rc.mmio_write(now, tlp));
+                n.rc.mmio_write(now, tlp, &mut actions);
                 if actions.len() == before {
                     // Parked for credits: remember when, for the
                     // `credit_wait` stage (and stall-time ledger) at release.
@@ -453,7 +468,7 @@ impl Cluster {
                 posted_ids.push(tlp.id);
             }
             let before = actions.len();
-            actions.extend(n.rc.mmio_write(now, tlp));
+            n.rc.mmio_write(now, tlp, &mut actions);
             if actions.len() == before {
                 parked_ids.push(tlp.id);
             }
@@ -512,7 +527,7 @@ impl Cluster {
     pub fn pop_cqe(&mut self, node: NodeId, qp: QpId) -> Option<Cqe> {
         self.nodes[node.0 as usize]
             .host_cq
-            .get_mut(&qp)?
+            .get_mut(qp.0 as usize)?
             .pop_front()
     }
 
@@ -521,7 +536,7 @@ impl Cluster {
     /// its future. (The CQ may hold later entries drained into host memory
     /// by another core's progress through the shared event queue.)
     pub fn pop_cqe_visible(&mut self, node: NodeId, qp: QpId, now: SimTime) -> Option<Cqe> {
-        let cq = self.nodes[node.0 as usize].host_cq.get_mut(&qp)?;
+        let cq = self.nodes[node.0 as usize].host_cq.get_mut(qp.0 as usize)?;
         if cq.front().is_some_and(|c| c.visible_at <= now) {
             cq.pop_front()
         } else {
@@ -533,7 +548,7 @@ impl Cluster {
     pub fn next_cqe_visible_at(&self, node: NodeId, qp: QpId) -> Option<SimTime> {
         self.nodes[node.0 as usize]
             .host_cq
-            .get(&qp)?
+            .get(qp.0 as usize)?
             .front()
             .map(|c| c.visible_at)
     }
@@ -542,8 +557,10 @@ impl Cluster {
     // Event plumbing
     // ------------------------------------------------------------------
 
-    fn apply_rc_actions(&mut self, node: NodeId, actions: Vec<RcAction>) {
-        for act in actions {
+    /// Schedule what one root-complex call emitted, then hand the emptied
+    /// buffer back to `rc_actions` for the next call.
+    fn apply_rc_actions(&mut self, node: NodeId, mut actions: Vec<RcAction>) {
+        for act in actions.drain(..) {
             match act {
                 RcAction::SendTlp { depart, tlp } => {
                     let mut dep = self.tlp_dep(tlp.id);
@@ -598,6 +615,7 @@ impl Cluster {
                 }
             }
         }
+        self.rc_actions = actions;
     }
 
     /// NIC sends an upstream TLP toward the RC (tap sees the departure).
@@ -773,7 +791,10 @@ impl Cluster {
             HwEvent::TlpAtRc { node, tlp } => {
                 let tid = tlp.id;
                 let dep = self.tlp_dep(tid);
-                let actions = self.nodes[node.0 as usize].rc.on_upstream_tlp(at, tlp);
+                let mut actions = std::mem::take(&mut self.rc_actions);
+                self.nodes[node.0 as usize]
+                    .rc
+                    .on_upstream_tlp(at, tlp, &mut actions);
                 if !dep.is_none() {
                     // Memory writes become an explicit RC-to-MEM stage;
                     // read completions (CplD) inherit the read's cause.
@@ -792,15 +813,10 @@ impl Cluster {
                         );
                         self.link_tlp(tid, handoff);
                     }
-                    let replies: Vec<TlpId> = actions
-                        .iter()
-                        .filter_map(|a| match a {
-                            RcAction::SendTlp { tlp, .. } => Some(tlp.id),
-                            _ => None,
-                        })
-                        .collect();
-                    for id in replies {
-                        self.link_tlp(id, handoff);
+                    for act in &actions {
+                        if let RcAction::SendTlp { tlp, .. } = act {
+                            self.link_tlp(tlp.id, handoff);
+                        }
                     }
                 }
                 self.apply_rc_actions(node, actions);
@@ -815,7 +831,10 @@ impl Cluster {
             }
             HwEvent::DllpAtRc { node, dllp } => {
                 if let Dllp::UpdateFc { hdr, data } = dllp {
-                    let actions = self.nodes[node.0 as usize].rc.on_update_fc(at, hdr, data);
+                    let mut actions = std::mem::take(&mut self.rc_actions);
+                    self.nodes[node.0 as usize]
+                        .rc
+                        .on_update_fc(at, hdr, data, &mut actions);
                     self.apply_rc_actions(node, actions);
                 }
                 // ACK DLLPs retire replay-buffer entries; no latency effect.
@@ -863,7 +882,7 @@ impl Cluster {
                 match tlp.purpose {
                     TlpPurpose::CqeWrite => {
                         if let Some((wr_id, qp, completes)) = n.nic.cqe_in_flight.remove(&tlp.id) {
-                            n.host_cq.entry(qp).or_default().push_back(Cqe {
+                            qp_slot(&mut n.host_cq, qp).push_back(Cqe {
                                 wr_id,
                                 qp,
                                 kind: CqeKind::SendComplete,
@@ -880,7 +899,7 @@ impl Cluster {
                         if let Some((wr_id, qp, payload, tag, src)) =
                             n.nic.recv_in_flight.remove(&tlp.id)
                         {
-                            n.host_cq.entry(qp).or_default().push_back(Cqe {
+                            qp_slot(&mut n.host_cq, qp).push_back(Cqe {
                                 wr_id,
                                 qp,
                                 kind: CqeKind::RecvComplete,
@@ -1056,11 +1075,11 @@ impl Cluster {
             let ring = n
                 .nic
                 .occupancy
-                .get_mut(&qp)
+                .get_mut(qp.0 as usize)
                 .expect("ACK for a QP that never posted");
             *ring -= 1;
             if inflight.desc.signaled {
-                let backlog = n.nic.unsignaled_backlog.entry(qp).or_insert(0);
+                let backlog = qp_slot(&mut n.nic.unsignaled_backlog, qp);
                 let completes = 1 + *backlog;
                 *backlog = 0;
                 let tlp = Tlp::cqe_write(n.nic.next_tlp_id(node));
@@ -1069,7 +1088,7 @@ impl Cluster {
                     .insert(tlp.id, (inflight.desc.wr_id, qp, completes));
                 Some(tlp)
             } else {
-                *n.nic.unsignaled_backlog.entry(qp).or_insert(0) += 1;
+                *qp_slot(&mut n.nic.unsignaled_backlog, qp) += 1;
                 None
             }
         };

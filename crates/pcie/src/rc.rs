@@ -93,25 +93,27 @@ impl RootComplex {
     }
 
     /// The CPU performed an MMIO write (doorbell ring or PIO chunk) that
-    /// must become a downstream MWr TLP. Returns the departure action if
-    /// credits allow; otherwise the TLP queues until [`Self::on_update_fc`].
-    pub fn mmio_write(&mut self, now: SimTime, tlp: Tlp) -> Vec<RcAction> {
+    /// must become a downstream MWr TLP. Appends the departure action to
+    /// `out` if credits allow; otherwise the TLP queues until
+    /// [`Self::on_update_fc`] and `out` is left as it was.
+    ///
+    /// All three entry points append to a caller-owned buffer, so the
+    /// per-TLP path allocates nothing once the buffer has grown.
+    pub fn mmio_write(&mut self, now: SimTime, tlp: Tlp, out: &mut Vec<RcAction>) {
         debug_assert_eq!(tlp.kind, TlpKind::MemWrite);
         if self.pending.is_empty() && self.fc_down.consume(&tlp).is_ok() {
             self.immediate_issues += 1;
-            vec![RcAction::SendTlp { depart: now, tlp }]
+            out.push(RcAction::SendTlp { depart: now, tlp });
         } else {
             self.stalled_issues += 1;
             self.pending.push_back(tlp);
-            Vec::new()
         }
     }
 
-    /// An UpdateFC DLLP arrived from the NIC: replenish credits and release
-    /// as many stalled TLPs as now fit.
-    pub fn on_update_fc(&mut self, now: SimTime, hdr: u32, data: u32) -> Vec<RcAction> {
+    /// An UpdateFC DLLP arrived from the NIC: replenish credits and append
+    /// the release of as many stalled TLPs as now fit to `out`.
+    pub fn on_update_fc(&mut self, now: SimTime, hdr: u32, data: u32, out: &mut Vec<RcAction>) {
         self.fc_down.replenish(hdr, data);
-        let mut out = Vec::new();
         while let Some(tlp) = self.pending.front() {
             if self.fc_down.consume(tlp).is_ok() {
                 let tlp = self.pending.pop_front().expect("front exists");
@@ -120,16 +122,16 @@ impl RootComplex {
                 break;
             }
         }
-        out
     }
 
-    /// An upstream TLP (from the NIC) arrived at the RC. Generates the
-    /// data-link ACK, credit updates, and the transaction-layer response.
-    pub fn on_upstream_tlp(&mut self, now: SimTime, tlp: Tlp) -> Vec<RcAction> {
-        let mut out = vec![RcAction::SendDllp {
+    /// An upstream TLP (from the NIC) arrived at the RC. Appends the
+    /// data-link ACK, credit updates, and the transaction-layer response
+    /// to `out`.
+    pub fn on_upstream_tlp(&mut self, now: SimTime, tlp: Tlp, out: &mut Vec<RcAction>) {
+        out.push(RcAction::SendDllp {
             depart: now,
             dllp: Dllp::Ack { up_to: tlp.id },
-        }];
+        });
         if let Some((h, d)) = self.fc_up_recv.drain(&tlp) {
             out.push(RcAction::SendDllp {
                 depart: now,
@@ -157,7 +159,6 @@ impl RootComplex {
                 debug_assert!(false, "unexpected CplD at RC");
             }
         }
-        out
     }
 
     /// True if no MMIO write ever waited for credits — the invariant the
@@ -183,12 +184,19 @@ mod tests {
         Tlp::pio_chunk(id)
     }
 
+    /// The actions one call appends to an empty buffer.
+    fn actions(call: impl FnOnce(&mut Vec<RcAction>)) -> Vec<RcAction> {
+        let mut out = Vec::new();
+        call(&mut out);
+        out
+    }
+
     #[test]
     fn mmio_write_departs_immediately_with_credits() {
         let mut rc = RootComplex::new();
         let t = SimTime::from_ns(100);
         let tlp = mwr(&mut rc);
-        let actions = rc.mmio_write(t, tlp);
+        let actions = actions(|out| rc.mmio_write(t, tlp, out));
         assert_eq!(actions, vec![RcAction::SendTlp { depart: t, tlp }]);
         assert!(rc.never_stalled());
     }
@@ -199,15 +207,15 @@ mod tests {
         let mut rc = RootComplex::with_flow_control(FlowControl::new(2, 64, 1));
         let t = SimTime::from_ns(10);
         let t1 = mwr(&mut rc);
-        assert_eq!(rc.mmio_write(t, t1).len(), 1);
+        assert_eq!(actions(|out| rc.mmio_write(t, t1, out)).len(), 1);
         let t2 = mwr(&mut rc);
-        assert_eq!(rc.mmio_write(t, t2).len(), 1);
+        assert_eq!(actions(|out| rc.mmio_write(t, t2, out)).len(), 1);
         let stalled = mwr(&mut rc);
-        assert!(rc.mmio_write(t, stalled).is_empty());
+        assert!(actions(|out| rc.mmio_write(t, stalled, out)).is_empty());
         assert!(!rc.never_stalled());
         // UpdateFC releases it at the arrival time of the DLLP.
         let t2 = SimTime::from_ns(200);
-        let released = rc.on_update_fc(t2, 1, 4);
+        let released = actions(|out| rc.on_update_fc(t2, 1, 4, out));
         assert_eq!(
             released,
             vec![RcAction::SendTlp {
@@ -222,16 +230,16 @@ mod tests {
         let mut rc = RootComplex::with_flow_control(FlowControl::new(1, 64, 1));
         let t = SimTime::from_ns(1);
         let first = mwr(&mut rc);
-        rc.mmio_write(t, first);
+        actions(|out| rc.mmio_write(t, first, out));
         let a = mwr(&mut rc);
         let b = mwr(&mut rc);
-        rc.mmio_write(t, a);
-        rc.mmio_write(t, b);
+        actions(|out| rc.mmio_write(t, a, out));
+        actions(|out| rc.mmio_write(t, b, out));
         // hdr_limit is 1, so each UpdateFC releases exactly one stalled TLP,
         // in FIFO order.
         let mut ids: Vec<TlpId> = Vec::new();
         for ns in [50u64, 90] {
-            for act in rc.on_update_fc(SimTime::from_ns(ns), 1, 4) {
+            for act in actions(|out| rc.on_update_fc(SimTime::from_ns(ns), 1, 4, out)) {
                 match act {
                     RcAction::SendTlp { tlp, .. } => ids.push(tlp.id),
                     other => panic!("unexpected {other:?}"),
@@ -246,7 +254,7 @@ mod tests {
         let mut rc = RootComplex::new();
         let t = SimTime::from_ns(1000);
         let cqe = Tlp::cqe_write(TlpId(77));
-        let actions = rc.on_upstream_tlp(t, cqe);
+        let actions = actions(|out| rc.on_upstream_tlp(t, cqe, out));
         assert!(matches!(
             actions[0],
             RcAction::SendDllp {
@@ -271,7 +279,7 @@ mod tests {
         let mut rc = RootComplex::new();
         let t = SimTime::from_ns(500);
         let rd = Tlp::payload_fetch(TlpId(5), 256);
-        let actions = rc.on_upstream_tlp(t, rd);
+        let actions = actions(|out| rc.on_upstream_tlp(t, rd, out));
         let (depart, cpl) = actions
             .iter()
             .find_map(|a| match a {
@@ -291,8 +299,7 @@ mod tests {
         let t = SimTime::from_ns(1);
         for i in 0..50u64 {
             let tlp = Tlp::payload_deliver(TlpId(i), 8);
-            let acks = rc
-                .on_upstream_tlp(t, tlp)
+            let acks = actions(|out| rc.on_upstream_tlp(t, tlp, out))
                 .into_iter()
                 .filter(|a| {
                     matches!(

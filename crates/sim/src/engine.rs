@@ -17,43 +17,21 @@
 //! precisely what a real core does when it loads a CQ entry from memory.
 
 use crate::time::{SimDuration, SimTime};
-use std::cmp::Ordering;
-use std::collections::HashSet;
 
-/// An event scheduled at a virtual time. Equal-time events preserve
-/// insertion order (`seq`), so the simulation is deterministic. Orders
-/// naturally: earliest `(at, seq)` first.
-#[derive(Debug, Clone)]
-pub struct ScheduledEvent<E> {
-    /// When the event fires.
-    pub at: SimTime,
+/// One pending event. Equal-time events keep insertion order (`seq`), so
+/// the simulation is deterministic; `(at, seq)` is unique per queue.
+#[derive(Debug, Clone, Copy)]
+struct Entry<E> {
+    at: SimTime,
     seq: u64,
-    /// The payload delivered to the handler.
-    pub event: E,
+    event: E,
 }
 
-impl<E> ScheduledEvent<E> {
+impl<E> Entry<E> {
     /// The total-order key: time, then insertion sequence.
     #[inline]
     fn key(&self) -> (SimTime, u64) {
         (self.at, self.seq)
-    }
-}
-
-impl<E> PartialEq for ScheduledEvent<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl<E> Eq for ScheduledEvent<E> {}
-impl<E> PartialOrd for ScheduledEvent<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for ScheduledEvent<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.key().cmp(&other.key())
     }
 }
 
@@ -67,40 +45,39 @@ const ARITY: usize = 4;
 
 /// Handle to a scheduled event, returned by [`EventQueue::push`]. Pass it
 /// to [`EventQueue::cancel`] to retract the event before it fires. Keys are
-/// never reused, so a stale key (for an event that already fired) simply
-/// fails to cancel anything.
+/// never reused, so a stale key (for an event that already fired or was
+/// cancelled) cancels nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EventKey(u64);
 
 /// A total-ordered, FIFO-stable event queue over payload type `E`.
 ///
-/// Internally an indexed 4-ary min-heap on `(time, seq)` in a flat `Vec`.
-/// [`EventQueue::pop_due`] inspects the root key exactly once per call —
-/// there is no peek-then-pop double traversal — and the hot path never
-/// allocates once the backing vector has grown to the simulation's
+/// An implicit 4-ary min-heap on `(time, seq)` in a flat `Vec`. Sifts
+/// carry the moving entry in hand and shift each entry they pass over
+/// once, into the hole it leaves, instead of swapping pairs; that is why
+/// the payload must be `Copy` (hardware events are plain data). The heap
+/// holds exactly the pending events: [`EventQueue::cancel`] finds its
+/// entry by a linear scan and removes it, so `len`, `is_empty` and
+/// `peek_time` are exact and nothing else is stored per event. The hot
+/// path never allocates once the vector has grown to the simulation's
 /// high-water mark.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: Vec<ScheduledEvent<E>>,
+    heap: Vec<Entry<E>>,
     next_seq: u64,
     /// Time of the most recently popped event; pushes earlier than this are
     /// causality violations and panic.
     watermark: SimTime,
     total_fired: u64,
-    /// Sequence numbers of cancelled-but-not-yet-drained entries. Drained
-    /// lazily at the root during pops, and eagerly purged whenever the
-    /// tombstones outnumber live entries, so long lossy runs with frequent
-    /// RTO timer resets keep the heap at O(live events).
-    cancelled: HashSet<u64>,
 }
 
-impl<E> Default for EventQueue<E> {
+impl<E: Copy> Default for EventQueue<E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E> EventQueue<E> {
+impl<E: Copy> EventQueue<E> {
     /// Empty queue at time zero.
     pub fn new() -> Self {
         EventQueue {
@@ -108,7 +85,6 @@ impl<E> EventQueue<E> {
             next_seq: 0,
             watermark: SimTime::ZERO,
             total_fired: 0,
-            cancelled: HashSet::new(),
         }
     }
 
@@ -126,107 +102,55 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(ScheduledEvent { at, seq, event });
-        self.sift_up(self.heap.len() - 1);
+        let entry = Entry { at, seq, event };
+        self.heap.push(entry);
+        self.sift_up(self.heap.len() - 1, entry);
         EventKey(seq)
     }
 
-    /// Retract a still-pending event. The entry becomes a tombstone that is
-    /// skipped (never delivered) by subsequent pops; tombstones are purged
-    /// from the heap in bulk once they outnumber live entries. Returns
-    /// `false` if `key` was already cancelled.
+    /// Retract a still-pending event. Returns `false`, changing nothing,
+    /// if `key`'s event already fired or was already cancelled.
     ///
-    /// Callers must only cancel keys of events that have not fired yet —
-    /// keys are unique for the queue's lifetime, so cancelling a fired key
-    /// leaks one tombstone slot until the next purge but cannot suppress an
-    /// unrelated event.
+    /// The entry is found by a linear scan. Its one caller, the fault
+    /// engine's retransmission timer, cancels with a handful of events
+    /// pending, so the queue keeps no position index for every sift to
+    /// update.
     pub fn cancel(&mut self, key: EventKey) -> bool {
-        let newly = self.cancelled.insert(key.0);
-        if newly && self.cancelled.len() * 2 > self.heap.len() {
-            self.purge();
-        }
-        newly
-    }
-
-    /// Drop every tombstoned entry and restore the heap in O(n).
-    fn purge(&mut self) {
-        if self.cancelled.is_empty() {
-            return;
-        }
-        let cancelled = std::mem::take(&mut self.cancelled);
-        self.heap.retain(|e| !cancelled.contains(&e.seq));
-        // Floyd heapify: sift parents bottom-up.
-        if self.heap.len() > 1 {
-            for i in (0..=(self.heap.len() - 2) / ARITY).rev() {
-                self.sift_down(i);
+        match self.heap.iter().position(|e| e.seq == key.0) {
+            Some(i) => {
+                self.remove(i);
+                true
             }
+            None => false,
         }
     }
 
-    /// Time of the earliest pending entry, if any. May report a cancelled
-    /// entry's (earlier or equal) time; use [`EventQueue::next_live_time`]
-    /// when an exact answer is needed.
+    /// Time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.first().map(|e| e.at)
     }
 
-    /// Time of the earliest *live* (non-cancelled) event, draining any
-    /// tombstones blocking the root.
-    pub fn next_live_time(&mut self) -> Option<SimTime> {
-        loop {
-            let root = self.heap.first()?;
-            if !self.cancelled.contains(&root.seq) {
-                return Some(root.at);
-            }
-            self.drop_root();
-        }
-    }
-
-    /// Remove the root entry without delivering it (tombstone drain).
-    fn drop_root(&mut self) {
-        let last = self.heap.len() - 1;
-        self.heap.swap(0, last);
-        let ev = self.heap.pop().expect("root exists");
-        if !self.heap.is_empty() {
-            self.sift_down(0);
-        }
-        self.cancelled.remove(&ev.seq);
-    }
-
-    /// Pop the earliest live event if it is due at or before `limit`.
+    /// Pop the earliest event if it is due at or before `limit`.
     ///
     /// The due check is one comparison against the root — the entry is
-    /// then extracted directly, with no second peek. Tombstoned entries
-    /// encountered at the root are drained silently.
+    /// then extracted directly, with no second peek.
     pub fn pop_due(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
-        loop {
-            let root = self.heap.first()?;
-            if root.at > limit {
-                return None;
-            }
-            if self.cancelled.contains(&root.seq) {
-                self.drop_root();
-                continue;
-            }
-            let last = self.heap.len() - 1;
-            self.heap.swap(0, last);
-            let ev = self.heap.pop().expect("root exists");
-            if !self.heap.is_empty() {
-                self.sift_down(0);
-            }
-            self.watermark = ev.at;
-            self.total_fired += 1;
-            return Some((ev.at, ev.event));
+        if self.heap.first()?.at > limit {
+            return None;
         }
+        let ev = self.remove(0);
+        self.watermark = ev.at;
+        self.total_fired += 1;
+        Some((ev.at, ev.event))
     }
 
-    /// Pop the earliest live due event plus every further live event
-    /// sharing its exact timestamp, in FIFO order, appending to `out`.
-    /// Returns the number of events delivered (0 when nothing is due).
+    /// Pop the earliest due event plus every further event sharing its
+    /// exact timestamp, in FIFO order, appending to `out`. Returns the
+    /// number of events delivered (0 when nothing is due).
     ///
     /// Go-back-N retransmission bursts and credit-update fan-outs land
-    /// back-to-back at identical virtual times; draining them in one heap
-    /// transaction avoids a full sift per event on the hot path.
+    /// back-to-back at identical virtual times; draining them in one call
+    /// saves the caller a due check against its own loop per event.
     pub fn pop_batch(&mut self, limit: SimTime, out: &mut Vec<(SimTime, E)>) -> usize {
         let Some(first) = self.pop_due(limit) else {
             return 0;
@@ -241,43 +165,62 @@ impl<E> EventQueue<E> {
         n
     }
 
-    /// Restore the heap property upward from `i` after a push.
-    #[inline]
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / ARITY;
-            if self.heap[i].key() < self.heap[parent].key() {
-                self.heap.swap(i, parent);
-                i = parent;
+    /// Take the entry at `i` out of the heap. The last entry fills the
+    /// hole and sifts whichever way restores the heap order.
+    fn remove(&mut self, i: usize) -> Entry<E> {
+        let taken = self.heap[i];
+        let last = self.heap.pop().expect("entry i exists");
+        if i < self.heap.len() {
+            if i > 0 && last.key() < self.heap[(i - 1) / ARITY].key() {
+                self.sift_up(i, last);
             } else {
-                break;
+                self.sift_down(i, last);
             }
         }
+        taken
     }
 
-    /// Restore the heap property downward from `i` after a root removal.
+    /// Place `entry` at or above the hole at `i`: each larger parent on
+    /// the way up moves down one level into the hole.
     #[inline]
-    fn sift_down(&mut self, mut i: usize) {
+    fn sift_up(&mut self, mut i: usize, entry: Entry<E>) {
+        let key = entry.key();
+        while i > 0 {
+            let parent = (i - 1) / ARITY;
+            if key > self.heap[parent].key() {
+                break;
+            }
+            self.heap[i] = self.heap[parent];
+            i = parent;
+        }
+        self.heap[i] = entry;
+    }
+
+    /// Place `entry` at or below the hole at `i`: each smaller least
+    /// child on the way down moves up one level into the hole.
+    #[inline]
+    fn sift_down(&mut self, mut i: usize, entry: Entry<E>) {
+        let key = entry.key();
         let len = self.heap.len();
         loop {
             let first = ARITY * i + 1;
             if first >= len {
                 break;
             }
-            // Smallest of up to ARITY children.
-            let mut min = first;
-            for c in (first + 1)..(first + ARITY).min(len) {
-                if self.heap[c].key() < self.heap[min].key() {
-                    min = c;
+            let children = &self.heap[first..(first + ARITY).min(len)];
+            let (mut min, mut min_key) = (0, children[0].key());
+            for (c, child) in children.iter().enumerate().skip(1) {
+                if child.key() < min_key {
+                    (min, min_key) = (c, child.key());
                 }
             }
-            if self.heap[min].key() < self.heap[i].key() {
-                self.heap.swap(i, min);
-                i = min;
-            } else {
+            if key < min_key {
                 break;
             }
+            self.heap[i] = children[min];
+            i = first + min;
         }
+        self.heap[i] = entry;
     }
 
     /// Pop the earliest event unconditionally.
@@ -285,20 +228,14 @@ impl<E> EventQueue<E> {
         self.pop_due(SimTime::MAX)
     }
 
-    /// Number of pending *live* events (cancelled entries excluded).
+    /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len() - self.cancelled.len()
-    }
-
-    /// True when no live events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Physical heap occupancy including not-yet-drained tombstones
-    /// (diagnostics; bounded at `< 2 × len() + 1` by the purge policy).
-    pub fn raw_len(&self) -> usize {
         self.heap.len()
+    }
+
+    /// True when no events are pending.
+    pub fn is_empty(&self) -> bool {
+        self.heap.is_empty()
     }
 
     /// Count of events fired since construction (diagnostics).
@@ -456,24 +393,40 @@ mod tests {
     }
 
     #[test]
+    fn cancelling_a_fired_key_changes_nothing() {
+        let mut q = EventQueue::new();
+        let first = q.push(SimTime::from_ns(10), 10);
+        q.push(SimTime::from_ns(20), 20);
+        q.push(SimTime::from_ns(30), 30);
+        assert_eq!(q.pop(), Some((SimTime::from_ns(10), 10)));
+        assert!(!q.cancel(first), "a fired key cancels nothing");
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.pop(), Some((SimTime::from_ns(20), 20)));
+        assert!(!q.is_empty(), "the 30 ns event is still queued");
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop(), Some((SimTime::from_ns(30), 30)));
+        assert!(q.is_empty());
+    }
+
+    #[test]
     fn cancelled_root_does_not_advance_watermark() {
         let mut q = EventQueue::new();
         let late = q.push(SimTime::from_ns(100), "late");
         q.cancel(late);
-        // Draining the tombstone must not move the watermark to 100.
-        assert_eq!(q.next_live_time(), None);
+        // Cancelling must not move the watermark to 100.
+        assert_eq!(q.peek_time(), None);
         q.push(SimTime::from_ns(5), "early");
         assert_eq!(q.pop(), Some((SimTime::from_ns(5), "early")));
     }
 
     #[test]
-    fn next_live_time_skips_tombstones() {
+    fn peek_time_skips_cancelled_events() {
         let mut q = EventQueue::new();
         let a = q.push(SimTime::from_ns(1), 'a');
         q.push(SimTime::from_ns(7), 'b');
         assert_eq!(q.peek_time(), Some(SimTime::from_ns(1)));
         q.cancel(a);
-        assert_eq!(q.next_live_time(), Some(SimTime::from_ns(7)));
+        assert_eq!(q.peek_time(), Some(SimTime::from_ns(7)));
         assert_eq!(q.pop(), Some((SimTime::from_ns(7), 'b')));
     }
 
@@ -510,36 +463,30 @@ mod tests {
     #[test]
     fn repeated_cancel_repush_keeps_heap_bounded() {
         // The RTO-reset pattern: every state change retracts the old timer
-        // deadline and arms a new one. Without tombstone purging the heap
-        // grows by one dead entry per reset.
+        // deadline and arms a new one. The heap must not keep one dead
+        // entry per reset.
         let mut q = EventQueue::new();
         let mut key = q.push(SimTime::from_ns(1), ());
         for i in 2..10_000u64 {
             assert!(q.cancel(key));
             key = q.push(SimTime::from_ns(i), ());
-            assert_eq!(q.len(), 1);
-            assert!(
-                q.raw_len() <= 3,
-                "heap grew to {} entries at reset {i}",
-                q.raw_len()
-            );
+            assert_eq!(q.len(), 1, "heap grew at reset {i}");
         }
         assert_eq!(q.pop(), Some((SimTime::from_ns(9_999), ())));
         assert!(q.is_empty());
     }
 
     #[test]
-    fn purge_preserves_order_of_survivors() {
+    fn cancel_preserves_order_of_survivors() {
         let mut q = EventQueue::new();
         let keys: Vec<_> = (0..100u64)
             .map(|i| q.push(SimTime::from_ns(i), i))
             .collect();
-        // Cancel every even entry; crossing the half-way mark forces purges.
+        // Cancel every even entry, from all depths of the heap.
         for k in keys.iter().step_by(2) {
-            q.cancel(*k);
+            assert!(q.cancel(*k));
         }
         assert_eq!(q.len(), 50);
-        assert!(q.raw_len() <= 100);
         let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, (1..100).step_by(2).collect::<Vec<_>>());
     }
@@ -562,38 +509,74 @@ mod tests {
         proptest! {
             #[test]
             fn interleaved_ops_match_reference_model(
-                ops in proptest::collection::vec((any::<bool>(), 0u64..50), 1..300)
+                ops in proptest::collection::vec((0u8..6, 0u64..50), 1..300)
             ) {
-                // Drive the 4-ary heap and a naive sorted-vec model with
-                // the same push/pop_due stream; they must agree exactly.
+                // Drive the 4-ary heap and a naive sorted-vec model with the
+                // same stream of push, pop_due, pop_batch, peek_time and
+                // cancel (of pending, fired and already-cancelled keys);
+                // they must agree exactly, len and is_empty included, after
+                // every operation.
                 let mut q = EventQueue::new();
                 let mut model: Vec<(SimTime, u64)> = Vec::new();
+                let mut keys: Vec<EventKey> = Vec::new();
                 let mut watermark = SimTime::ZERO;
-                let mut seq = 0u64;
-                for (is_pop, t) in ops {
-                    if is_pop {
-                        let limit = watermark + SimDuration::from_ns(t);
-                        let got = q.pop_due(limit);
-                        model.sort();
-                        let want = match model.first() {
-                            Some(&(at, s)) if at <= limit => {
-                                model.remove(0);
-                                Some((at, s))
-                            }
-                            _ => None,
-                        };
-                        prop_assert_eq!(got, want);
-                        if let Some((at, _)) = want {
-                            watermark = at;
+                let mut batch = Vec::new();
+                for (op, arg) in ops {
+                    model.sort();
+                    match op {
+                        0 | 1 => {
+                            let at = watermark + SimDuration::from_ns(arg);
+                            let seq = keys.len() as u64;
+                            keys.push(q.push(at, seq));
+                            model.push((at, seq));
                         }
-                    } else {
-                        let at = watermark + SimDuration::from_ns(t);
-                        q.push(at, seq);
-                        model.push((at, seq));
-                        seq += 1;
+                        2 => {
+                            let limit = watermark + SimDuration::from_ns(arg);
+                            let want = match model.first() {
+                                Some(&(at, s)) if at <= limit => {
+                                    model.remove(0);
+                                    watermark = at;
+                                    Some((at, s))
+                                }
+                                _ => None,
+                            };
+                            prop_assert_eq!(q.pop_due(limit), want);
+                        }
+                        3 => {
+                            let limit = watermark + SimDuration::from_ns(arg);
+                            let due = match model.first() {
+                                Some(&(at, _)) if at <= limit => {
+                                    model.iter().take_while(|e| e.0 == at).count()
+                                }
+                                _ => 0,
+                            };
+                            let want: Vec<_> = model.drain(..due).collect();
+                            if let Some(&(at, _)) = want.first() {
+                                watermark = at;
+                            }
+                            batch.clear();
+                            prop_assert_eq!(q.pop_batch(limit, &mut batch), due);
+                            prop_assert_eq!(&batch, &want);
+                        }
+                        4 => {
+                            prop_assert_eq!(q.peek_time(), model.first().map(|e| e.0));
+                        }
+                        _ => {
+                            // Any key issued so far: pending, fired or
+                            // already cancelled.
+                            if !keys.is_empty() {
+                                let seq = arg % keys.len() as u64;
+                                let pending = model.iter().position(|e| e.1 == seq);
+                                if let Some(i) = pending {
+                                    model.remove(i);
+                                }
+                                prop_assert_eq!(q.cancel(keys[seq as usize]), pending.is_some());
+                            }
+                        }
                     }
+                    prop_assert_eq!(q.len(), model.len());
+                    prop_assert_eq!(q.is_empty(), model.is_empty());
                 }
-                prop_assert_eq!(q.len(), model.len());
             }
 
             #[test]
