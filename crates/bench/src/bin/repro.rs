@@ -77,7 +77,8 @@
 //! clock differs.
 
 use bband_bench::{run_target, Opts, Output, Scale, TARGETS};
-use bband_core::FaultPlan;
+use bband_core::fault::{EnginePath, FaultPlan};
+use bband_microbench::StackConfig;
 use bband_sim::WorkerPool;
 use std::path::Path;
 
@@ -93,10 +94,12 @@ fn main() {
     } else {
         Scale::Full
     };
-    if let Some(pos) = args.iter().position(|a| a == "--reference") {
+    let path = if let Some(pos) = args.iter().position(|a| a == "--reference") {
         args.remove(pos);
-        bband_core::fault::set_engine_path(bband_core::fault::EnginePath::Reference);
-    }
+        EnginePath::Reference
+    } else {
+        EnginePath::Fast
+    };
     let serial = if let Some(pos) = args.iter().position(|a| a == "--serial") {
         args.remove(pos);
         true
@@ -128,24 +131,22 @@ fn main() {
             std::process::exit(2);
         })
     });
-    if let Some(seed) = flag_value("--seed") {
-        let seed: u64 = seed.parse().unwrap_or_else(|_| {
+    let seed = flag_value("--seed").map_or(StackConfig::default().seed, |seed| {
+        seed.parse().unwrap_or_else(|_| {
             eprintln!("--seed requires an unsigned integer");
             std::process::exit(2);
-        });
-        bband_microbench::set_seed_override(seed);
-    }
-    if let Some(path) = flag_value("--faults") {
+        })
+    });
+    let plan = flag_value("--faults").map_or_else(FaultPlan::none, |path| {
         let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
             eprintln!("--faults: cannot read {path}: {e}");
             std::process::exit(2);
         });
-        let plan = FaultPlan::from_json_str(&text).unwrap_or_else(|e| {
+        FaultPlan::from_json_str(&text).unwrap_or_else(|e| {
             eprintln!("--faults: {path} is not a valid fault plan: {e}");
             std::process::exit(2);
-        });
-        bband_core::fault::set_plan_override(plan);
-    }
+        })
+    });
     let names = TARGETS.map(|(name, _)| name);
     if args.is_empty() {
         eprintln!(
@@ -225,6 +226,9 @@ fn main() {
         windows,
         telemetry,
         artifacts: json_dir.is_some() || out_path.is_some(),
+        plan,
+        path,
+        seed,
     };
     let pool = if serial {
         WorkerPool::with_threads(1)

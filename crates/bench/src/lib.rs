@@ -2,7 +2,7 @@
 //! paper, each running its experiment once and returning the rendered
 //! text plus every artifact exported from that same run.
 
-use bband_core::fault;
+use bband_core::fault::{self, EnginePath, FaultPlan};
 use bband_core::latency::Category;
 use bband_core::tracepath;
 use bband_core::validate::{validate_all, ValidationScale};
@@ -69,6 +69,33 @@ pub struct Opts {
     pub telemetry: bool,
     /// `--json` or `--out` was given: targets export their artifacts.
     pub artifacts: bool,
+    /// `--faults`: the fault plan every fault-aware target runs under
+    /// (fault-free by default).
+    pub plan: FaultPlan,
+    /// `--reference`: the path every fault-engine run takes (fast by
+    /// default).
+    pub path: EnginePath,
+    /// `--seed`: the master seed of every stack and engine run (the
+    /// default stack's seed unless given).
+    pub seed: u64,
+}
+
+impl Opts {
+    /// The jittered stack, seeded with `--seed`.
+    fn stack(&self) -> StackConfig {
+        StackConfig {
+            seed: self.seed,
+            ..StackConfig::default()
+        }
+    }
+
+    /// The deterministic stack, seeded with `--seed`.
+    fn validation_stack(&self) -> StackConfig {
+        StackConfig {
+            seed: self.seed,
+            ..StackConfig::validation()
+        }
+    }
 }
 
 /// One target's result: the text `repro` prints and, when
@@ -123,10 +150,10 @@ fn fig4(o: &Opts) -> Output {
 }
 
 /// Figure 6: PCIe trace snippet (downstream transactions of put_bw).
-fn fig6(scale: Scale) -> String {
+fn fig6(o: &Opts) -> String {
     let report = put_bw(&PutBwConfig {
-        stack: StackConfig::default(),
-        messages: scale.put_bw_messages().min(64),
+        stack: o.stack(),
+        messages: o.scale.put_bw_messages().min(64),
         warmup: 0,
         ..Default::default()
     });
@@ -140,10 +167,10 @@ fn fig6(scale: Scale) -> String {
 }
 
 /// Figure 7: distribution of the observed injection overhead.
-fn fig7(scale: Scale) -> String {
+fn fig7(o: &Opts) -> String {
     let report = put_bw(&PutBwConfig {
-        stack: StackConfig::default(),
-        messages: scale.put_bw_messages(),
+        stack: o.stack(),
+        messages: o.scale.put_bw_messages(),
         ..Default::default()
     });
     render_histogram(
@@ -162,20 +189,19 @@ fn fig8(o: &Opts) -> Output {
 }
 
 /// Figure 10: LLP-level latency breakdown (plus the am_lat observation).
-fn fig10(scale: Scale) -> String {
+fn fig10(o: &Opts) -> String {
     let c = Calibration::default();
     let model = LlpLatencyModel::from_calibration(&c);
     let mut out = render_bar(&model.breakdown());
     let obs = am_lat(&AmLatConfig {
-        stack: StackConfig::default(),
-        iterations: match scale {
+        stack: o.stack(),
+        iterations: match o.scale {
             Scale::Quick => 200,
             Scale::Full => 1_000,
         },
         warmup: 16,
-        buffer_samples: false,
     });
-    let corrected = obs.observed.summary().mean - 49.69 / 2.0;
+    let corrected = obs.observed.mean_ns() - 49.69 / 2.0;
     out.push_str(&format!(
         "  modeled total (incl. LLP_prog): {:.2} ns; observed (am_lat, corrected): {corrected:.2} ns\n",
         model.total().as_ns_f64(),
@@ -300,12 +326,12 @@ fn claims() -> String {
 }
 
 /// Model-vs-observed validation table.
-fn validation(scale: Scale) -> String {
-    let s = match scale {
+fn validation(o: &Opts) -> String {
+    let s = match o.scale {
         Scale::Quick => ValidationScale::quick(),
         Scale::Full => ValidationScale::default(),
     };
-    let report = validate_all(&Calibration::default(), s, true);
+    let report = validate_all(&Calibration::default(), s, true, &o.plan, o.path, o.seed);
     let mut out = String::from(
         "Model vs simulated observation (jittered system):\n\
          quantity                              model(ns)  observed(ns)  error\n",
@@ -363,9 +389,9 @@ fn ext_scaling() -> String {
 }
 
 /// Eager-vs-rendezvous crossover, measured on the simulated stack.
-fn ext_crossover() -> String {
+fn ext_crossover(o: &Opts) -> String {
     let rows = eager_rndv_sweep(
-        &StackConfig::validation(),
+        &o.validation_stack(),
         &[4 * 1024, 16 * 1024, 64 * 1024, 256 * 1024],
     );
     let mut out = String::from(
@@ -387,19 +413,15 @@ fn ext_crossover() -> String {
 /// and its `markov_stall` block parks the NICs in correlated stall
 /// windows, so faulted configurations show the onset moving to fewer
 /// cores.
-fn ext_multicore() -> String {
-    let plan = fault::active_plan();
-    let credits = plan.credits.map(|c| (c.hdr, c.data, c.update_batch));
-    let stalls = plan
+fn ext_multicore(o: &Opts) -> String {
+    let credits = o.plan.credits.map(|c| (c.hdr, c.data, c.update_batch));
+    let stalls = o
+        .plan
         .markov_stall
         .filter(|m| !m.is_zero())
         .map(|m| (m.mean_up_ns, m.mean_down_ns));
-    let onset = credit_exhaustion_onset_with(
-        &StackConfig::validation(),
-        &[1, 4, 16, 64, 128],
-        credits,
-        stalls,
-    );
+    let onset =
+        credit_exhaustion_onset_with(&o.validation_stack(), &[1, 4, 16, 64, 128], credits, stalls);
     let mut out = String::from(
         "Multi-core injection: RC posted-credit exhaustion
 ",
@@ -434,14 +456,14 @@ fn ext_multicore() -> String {
 /// A `--faults` plan's `credits`/`markov_stall` blocks reach the live
 /// fabric (its two fault knobs — it has no lossy wire), and engaged runs
 /// report their recovery counters per rank count.
-fn ext_collectives(scale: Scale) -> String {
-    let counts: &[u32] = match scale {
+fn ext_collectives(o: &Opts) -> String {
+    let counts: &[u32] = match o.scale {
         Scale::Quick => &[2, 4, 8],
         Scale::Full => &[2, 4, 8, 16, 32],
     };
-    let plan = fault::active_plan();
-    let credits = plan.credits.map(|c| (c.hdr, c.data, c.update_batch));
-    let stalls = plan
+    let credits = o.plan.credits.map(|c| (c.hdr, c.data, c.update_batch));
+    let stalls = o
+        .plan
         .markov_stall
         .filter(|m| !m.is_zero())
         .map(|m| (m.mean_up_ns, m.mean_down_ns));
@@ -544,23 +566,24 @@ fn ext_insights() -> String {
 }
 
 /// Extension: end-to-end latency under fabric loss — the fault-injection
-/// sweep. The base plan comes from [`bband_core::fault::active_plan`]
-/// (the `repro --faults` override, or fault-free), with the fabric loss
-/// probability swept over [`fault::DEFAULT_LOSS_GRID`]; each grid point is
-/// one pool task with an RNG stream derived from `(seed, index)`, so
-/// pooled and `--serial` runs emit identical bytes.
+/// sweep. The base plan is [`Opts::plan`] (fault-free unless `--faults`
+/// gives one), with the fabric loss probability swept over
+/// [`fault::DEFAULT_LOSS_GRID`]; each grid point is one pool task with an
+/// RNG stream derived from `(seed, index)`, so pooled and `--serial` runs
+/// emit identical bytes.
 fn loss(o: &Opts) -> Output {
-    let base = fault::active_plan();
+    let base = &o.plan;
     let messages = match o.scale {
         Scale::Quick => 120,
         Scale::Full => 1_000,
     };
     let points = fault::latency_under_loss(
+        o.path,
         &Calibration::default(),
-        &base,
+        base,
         &fault::DEFAULT_LOSS_GRID,
         messages,
-        StackConfig::default().seed,
+        o.seed,
         &WorkerPool::new(),
     );
     let mut text = render_loss_sweep(
@@ -585,14 +608,14 @@ fn loss(o: &Opts) -> Output {
 /// the sized analytical model bit-exactly.
 fn sweep_size(o: &Opts) -> Output {
     let c = Calibration::default();
-    let seed = StackConfig::default().seed;
     let crossover = bband_core::SizedLatencyModel::from_calibration(&c).crossover();
     let (sizes, messages): (&[u32], u64) = match o.scale {
         Scale::Quick => (&[8, 4096, 65_536, 1 << 20], 8),
         Scale::Full => (&tracepath::DEFAULT_SIZE_GRID, 64),
     };
-    let (points, _) = tracepath::sweep_message_sizes(&c, sizes, messages, seed, &WorkerPool::new());
-    let check = segmented_fault_check(&c, 12, seed);
+    let (points, _) =
+        tracepath::sweep_message_sizes(o.path, &c, sizes, messages, o.seed, &WorkerPool::new());
+    let check = segmented_fault_check(&c, 12, o.seed);
     let mut text = render_size_sweep(
         &format!(
             "Message-size sweep: {messages} e2e messages per point, \
@@ -689,9 +712,9 @@ const THREAD_CURVES: [ThreadCurve; 3] = [
 /// (even under a global lock — one thread never contends) must land on
 /// the exact virtual end time of the multicore credit probe's 1-core
 /// point (one independent endpoint).
-fn thread_sweep_baseline(messages: u64) -> ThreadBaseline {
+fn thread_sweep_baseline(stack: &StackConfig, messages: u64) -> ThreadBaseline {
     let one_thread = |lock| ThreadSweepConfig {
-        stack: StackConfig::validation(),
+        stack: stack.clone(),
         threads: 1,
         endpoints: 1,
         lock,
@@ -753,10 +776,11 @@ fn sweep_threads(o: &Opts) -> Output {
     let cells: Vec<(usize, u32)> = (0..THREAD_CURVES.len())
         .flat_map(|c| threads.iter().map(move |&t| (c, t)))
         .collect();
-    let points = WorkerPool::new().map(cells, move |_, (curve_idx, t)| {
+    let stack = o.validation_stack();
+    let points = WorkerPool::new().map(cells, |_, (curve_idx, t)| {
         let (curve, endpoints_of, lock) = THREAD_CURVES[curve_idx];
         let r = endpoint_injection(&ThreadSweepConfig {
-            stack: StackConfig::validation(),
+            stack: stack.clone(),
             threads: t,
             endpoints: endpoints_of(t),
             lock,
@@ -780,7 +804,7 @@ fn sweep_threads(o: &Opts) -> Output {
             credit_waits: r.counters.credit_stalls,
         }
     });
-    let baseline = thread_sweep_baseline(messages);
+    let baseline = thread_sweep_baseline(&stack, messages);
     let zambre = zambre_check(&points);
     let title = format!(
         "Thread-scaling sweep: message rate vs lock granularity over \
@@ -806,8 +830,8 @@ fn sweep_threads(o: &Opts) -> Output {
 /// recovery track shows go-back-N replay windows and backoff gaps.
 fn trace(o: &Opts) -> Output {
     let (text, trace) = match o.bench.as_deref() {
-        Some(b) => trace_bench(b, o.scale),
-        None => trace_engine(o.scale),
+        Some(b) => trace_bench(b, o),
+        None => trace_engine(o),
     };
     Output::from(text).with(o, "trace", || trace.to_chrome_json())
 }
@@ -818,14 +842,14 @@ fn trace(o: &Opts) -> Output {
 /// against the analytical model (and says so); under `--faults` the
 /// Recovery-layer events (drops, go-back-N rounds, backoff gaps, replay
 /// windows) become visible by name.
-fn trace_engine(scale: Scale) -> (String, Trace) {
+fn trace_engine(o: &Opts) -> (String, Trace) {
     let c = Calibration::default();
-    let plan = fault::active_plan();
-    let messages = match scale {
+    let plan = &o.plan;
+    let messages = match o.scale {
         Scale::Quick => 24,
         Scale::Full => 200,
     };
-    let (res, trace) = tracepath::traced_e2e(&c, &plan, messages, StackConfig::default().seed);
+    let (res, trace) = tracepath::traced_e2e(o.path, &c, plan, messages, o.seed);
     let mut out = render_flame(
         &format!(
             "Whole-stack trace: {messages} 8-byte e2e messages ({} fault plan)",
@@ -900,7 +924,8 @@ pub const TRACE_BENCHES: [&str; 4] = ["put_bw", "am_lat", "osu", "multicore"];
 /// Run one traced live microbenchmark, returning a display label and the
 /// recorded trace. Deterministic (validation) stacks, so the trace — and
 /// therefore the Chrome export — is byte-stable run to run.
-fn run_traced_bench(which: &str, scale: Scale) -> (String, Trace) {
+fn run_traced_bench(which: &str, o: &Opts) -> (String, Trace) {
+    let scale = o.scale;
     match which {
         "put_bw" => {
             let messages = match scale {
@@ -908,10 +933,9 @@ fn run_traced_bench(which: &str, scale: Scale) -> (String, Trace) {
                 Scale::Full => 8_000,
             };
             let cfg = PutBwConfig {
-                stack: StackConfig::validation(),
+                stack: o.validation_stack(),
                 messages,
                 warmup: 256,
-                buffer_samples: false,
                 ..Default::default()
             };
             let (_, trace) = traced_put_bw(&cfg);
@@ -923,10 +947,9 @@ fn run_traced_bench(which: &str, scale: Scale) -> (String, Trace) {
                 Scale::Full => 1_000,
             };
             let cfg = AmLatConfig {
-                stack: StackConfig::validation(),
+                stack: o.validation_stack(),
                 iterations,
                 warmup: 16,
-                buffer_samples: false,
             };
             let (_, trace) = traced_am_lat(&cfg);
             (format!("am_lat ({iterations} iters, deterministic)"), trace)
@@ -937,10 +960,9 @@ fn run_traced_bench(which: &str, scale: Scale) -> (String, Trace) {
                 Scale::Full => 1_000,
             };
             let cfg = OsuLatConfig {
-                stack: StackConfig::validation(),
+                stack: o.validation_stack(),
                 iterations,
                 warmup: 16,
-                buffer_samples: false,
             };
             let (_, trace) = traced_osu_latency(&cfg);
             (
@@ -960,7 +982,7 @@ fn run_traced_bench(which: &str, scale: Scale) -> (String, Trace) {
             // (lock_wait stages) — so the DAG threads across cores
             // through both the shared root complex and the lock chains.
             let cfg = ThreadSweepConfig {
-                stack: StackConfig::validation(),
+                stack: o.validation_stack(),
                 threads: 8,
                 endpoints: 4,
                 lock: LockGranularity::PerEndpointLock,
@@ -989,8 +1011,8 @@ fn run_traced_bench(which: &str, scale: Scale) -> (String, Trace) {
 /// exposed/hidden split quantifies exactly what pipelining buys. The
 /// zero-fault diff at the end cross-checks the live stack's shared stages
 /// against the model-faithful fault engine.
-fn trace_bench(which: &str, scale: Scale) -> (String, Trace) {
-    let (label, trace) = run_traced_bench(which, scale);
+fn trace_bench(which: &str, o: &Opts) -> (String, Trace) {
+    let (label, trace) = run_traced_bench(which, o);
     let mut out = render_flame(&format!("Traced live microbenchmark: {label}"), &trace);
     out.push('\n');
     match tracepath::reconstruct(&trace) {
@@ -1023,9 +1045,9 @@ fn trace_bench(which: &str, scale: Scale) -> (String, Trace) {
     // The multicore bench is deliberately congested (starved credits), so
     // a diff against the zero-fault single-message engine path would be
     // comparing different regimes; every other bench diffs when clean.
-    if which != "multicore" && fault::active_plan().is_zero() {
+    if which != "multicore" && o.plan.is_zero() {
         out.push('\n');
-        out.push_str(&trace_diff(&trace));
+        out.push_str(&trace_diff(&trace, o));
     }
     (out, trace)
 }
@@ -1053,14 +1075,9 @@ const DIFF_STAGES: [&str; 8] = [
 /// compare the mean per-span duration. The two implementations share
 /// nothing but the calibration, so agreement here means the live
 /// cluster's per-stage charges really are the model's slices.
-fn trace_diff(live: &Trace) -> String {
+fn trace_diff(live: &Trace, o: &Opts) -> String {
     let c = Calibration::default();
-    let (res, reference) = tracepath::traced_e2e(
-        &c,
-        &fault::FaultPlan::none(),
-        64,
-        StackConfig::default().seed,
-    );
+    let (res, reference) = tracepath::traced_e2e(o.path, &c, &FaultPlan::none(), 64, o.seed);
     debug_assert!(res.is_ok());
     let live_sums = live.component_sums();
     let ref_sums = reference.component_sums();
@@ -1114,7 +1131,7 @@ fn trace_diff(live: &Trace) -> String {
 fn metrics(o: &Opts) -> Output {
     let (title, set, tail) = match o.bench.as_deref() {
         Some(b) => {
-            let (label, task) = run_metered_bench(b, o.scale);
+            let (label, task) = run_metered_bench(b, o);
             let set = MetricsSet::from_tasks(vec![task]);
             (
                 format!("Live microbenchmark quantiles: {label}"),
@@ -1129,8 +1146,8 @@ fn metrics(o: &Opts) -> Output {
 }
 
 /// The metered end-to-end run behind `metrics`: a fixed task fan-out (so
-/// quick/full differ only in per-task message count), the active fault
-/// plan and seed override applied, drained task-major. The registry
+/// quick/full differ only in per-task message count), the `--faults`
+/// plan and `--seed` applied, drained task-major. The registry
 /// records on the virtual clock, so pooled and `--serial` runs are
 /// byte-identical. On a zero fault plan every stage row is a spike at its
 /// calibrated mean; under `--faults` the e2e histogram grows the
@@ -1141,7 +1158,7 @@ fn metrics(o: &Opts) -> Output {
 /// registry, and the lines printed under the quantile table.
 fn metered_engine(o: &Opts) -> (String, MetricsSet, String) {
     let c = Calibration::default();
-    let plan = fault::active_plan();
+    let plan = &o.plan;
     let messages_per_task = match o.scale {
         Scale::Quick => 64,
         Scale::Full => 500,
@@ -1155,11 +1172,12 @@ fn metered_engine(o: &Opts) -> (String, MetricsSet, String) {
         .windows
         .map(|n| SimDuration::from_ps((model * messages_per_task).as_ps().div_ceil(n)));
     let (runs, set) = tracepath::metered_e2e(
+        o.path,
         &c,
-        &plan,
+        plan,
         messages_per_task,
         TASKS,
-        StackConfig::default().seed,
+        o.seed,
         width,
         &WorkerPool::new(),
     );
@@ -1200,12 +1218,13 @@ pub const METRIC_BENCHES: [&str; 3] = ["put_bw", "am_lat", "osu"];
 /// default stack is deliberate: the quantile spread (p99.9 vs mean) is the
 /// paper's Figure-7 heavy tail, which a deterministic stack would flatten
 /// to a spike.
-fn run_metered_bench(which: &str, scale: Scale) -> (String, bband_metrics::TaskMetrics) {
+fn run_metered_bench(which: &str, o: &Opts) -> (String, bband_metrics::TaskMetrics) {
+    let scale = o.scale;
     match which {
         "put_bw" => {
             let messages = scale.put_bw_messages();
             let cfg = PutBwConfig {
-                stack: StackConfig::default(),
+                stack: o.stack(),
                 messages,
                 ..Default::default()
             };
@@ -1221,10 +1240,9 @@ fn run_metered_bench(which: &str, scale: Scale) -> (String, bband_metrics::TaskM
                 Scale::Full => 1_000,
             };
             let cfg = AmLatConfig {
-                stack: StackConfig::default(),
+                stack: o.stack(),
                 iterations,
                 warmup: 16,
-                buffer_samples: false,
             };
             let (_, task) = bband_metrics::collect(|| am_lat(&cfg));
             (
@@ -1238,10 +1256,9 @@ fn run_metered_bench(which: &str, scale: Scale) -> (String, bband_metrics::TaskM
                 Scale::Full => 1_000,
             };
             let cfg = OsuLatConfig {
-                stack: StackConfig::default(),
+                stack: o.stack(),
                 iterations,
                 warmup: 16,
-                buffer_samples: false,
             };
             let (_, task) = bband_metrics::collect(|| osu_latency(&cfg));
             (
@@ -1260,10 +1277,10 @@ pub type Target = (&'static str, fn(&Opts) -> Output);
 pub const TARGETS: [Target; 30] = [
     ("table1", |_| table1().into()),
     ("fig4", fig4),
-    ("fig6", |o| fig6(o.scale).into()),
-    ("fig7", |o| fig7(o.scale).into()),
+    ("fig6", |o| fig6(o).into()),
+    ("fig7", |o| fig7(o).into()),
     ("fig8", fig8),
-    ("fig10", |o| fig10(o.scale).into()),
+    ("fig10", |o| fig10(o).into()),
     ("fig11", |_| fig11().into()),
     ("fig12", fig12),
     ("fig13", fig13),
@@ -1275,11 +1292,11 @@ pub const TARGETS: [Target; 30] = [
     ("fig17c", |o| fig17(o, 'c')),
     ("fig17d", |o| fig17(o, 'd')),
     ("claims", |_| claims().into()),
-    ("validate", |o| validation(o.scale).into()),
+    ("validate", |o| validation(o).into()),
     ("scaling", |_| ext_scaling().into()),
-    ("crossover", |_| ext_crossover().into()),
-    ("multicore", |_| ext_multicore().into()),
-    ("collectives", |o| ext_collectives(o.scale).into()),
+    ("crossover", |o| ext_crossover(o).into()),
+    ("multicore", |o| ext_multicore(o).into()),
+    ("collectives", |o| ext_collectives(o).into()),
     ("profiles", |_| ext_profiles().into()),
     ("insights", |_| ext_insights().into()),
     ("loss", loss),
@@ -1312,6 +1329,9 @@ mod tests {
             windows: None,
             telemetry: false,
             artifacts: true,
+            plan: FaultPlan::none(),
+            path: EnginePath::Fast,
+            seed: StackConfig::default().seed,
         }
     }
 
@@ -1427,7 +1447,7 @@ mod tests {
 
     #[test]
     fn validation_quick_passes() {
-        let v = validation(Scale::Quick);
+        let v = validation(&quick());
         assert!(!v.contains("FAIL"), "{v}");
     }
 
@@ -1470,6 +1490,122 @@ mod tests {
         assert_eq!(ids(&starts), ids(&finishes));
         assert!(finishes.iter().all(|e| e["bp"] == "e"));
         assert!(starts.iter().chain(&finishes).all(|e| e["cat"] == "flow"));
+    }
+
+    /// Under a lossy fault plan the `trace` target's critical path splits
+    /// into nominal and recovery time, and the recovery share is nonzero.
+    #[test]
+    fn lossy_critical_path_attributes_recovery_time() {
+        let o = Opts {
+            plan: FaultPlan::from_json_str(r#"{"loss_probability": 0.05}"#).unwrap(),
+            ..quick()
+        };
+        let text = run_target("trace", &o).text;
+        for line in ["Recovery attribution", "% recovery", "worst offenders"] {
+            assert!(text.contains(line), "missing {line:?} in:\n{text}");
+        }
+        // "critical path T ns = nominal N ns + recovery R ns ..."
+        let split: Vec<f64> = text
+            .lines()
+            .map(str::trim)
+            .find(|l| l.starts_with("critical path ") && l.contains(" = nominal "))
+            .expect("missing the recovery split line")
+            .split_whitespace()
+            .filter_map(|w| w.parse().ok())
+            .take(3)
+            .collect();
+        let [total, nominal, recovery] = split[..] else {
+            panic!("malformed split line: {split:?}");
+        };
+        assert!(
+            (nominal + recovery - total).abs() < 0.02,
+            "nominal {nominal} + recovery {recovery} != critical path {total}"
+        );
+        assert!(recovery > 0.0, "5% loss must expose recovery time");
+    }
+
+    /// Every run option travels in [`Opts`], so one process can run any
+    /// target under any options, in any order: each option changes
+    /// exactly the targets listed here, and a default run made after all
+    /// the others prints what the first one did. `multicore` is left out:
+    /// under starved credits it takes seconds even in release.
+    #[test]
+    fn each_option_reaches_exactly_its_targets() {
+        let mut runs: Vec<(&str, Option<&str>)> = TARGETS
+            .iter()
+            .map(|&(t, _)| (t, None))
+            .filter(|&(t, _)| t != "multicore")
+            .collect();
+        for b in METRIC_BENCHES {
+            runs.extend([("metrics", Some(b)), ("trace", Some(b))]);
+        }
+        let texts = |plan: &FaultPlan, path, seed| -> Vec<String> {
+            let run = |&(t, b): &(&str, Option<&str>)| {
+                let o = Opts {
+                    bench: b.map(String::from),
+                    artifacts: false,
+                    plan: plan.clone(),
+                    path,
+                    seed,
+                    ..quick()
+                };
+                run_target(t, &o).text
+            };
+            runs.iter().map(run).collect()
+        };
+        let changed = |a: &[String], b: &[String]| -> Vec<String> {
+            let labels = runs.iter().map(|&(t, b)| match b {
+                Some(b) => format!("{t} --bench {b}"),
+                None => t.to_string(),
+            });
+            labels
+                .zip(a.iter().zip(b))
+                .filter(|(_, (x, y))| x != y)
+                .map(|(label, _)| label)
+                .collect()
+        };
+        let seed = StackConfig::default().seed;
+        let none = FaultPlan::none();
+        let lossy = FaultPlan::from_json_str(
+            r#"{"loss_probability": 0.05, "credits": {"hdr": 4, "data": 64, "update_batch": 2}}"#,
+        )
+        .unwrap();
+        let default = texts(&none, EnginePath::Fast, seed);
+        let seeded = texts(&none, EnginePath::Fast, 7);
+        let faulty = texts(&lossy, EnginePath::Fast, seed);
+        let faulty_seeded = texts(&lossy, EnginePath::Fast, 7);
+        let reference = texts(&none, EnginePath::Reference, seed);
+        let benches = [
+            "metrics --bench put_bw",
+            "metrics --bench am_lat",
+            "metrics --bench osu",
+        ];
+        let seed_reaches = ["fig6", "fig7", "fig10", "validate", "loss", "sweep-size"];
+        assert_eq!(
+            changed(&default, &seeded),
+            [&seed_reaches[..], &benches].concat()
+        );
+        assert_eq!(
+            changed(&default, &faulty),
+            [
+                "validate",
+                "collectives",
+                "loss",
+                "trace",
+                "metrics",
+                "trace --bench put_bw",
+                "trace --bench am_lat",
+                "trace --bench osu",
+            ]
+        );
+        // Under a lossy plan the seed also reaches the engine's traced
+        // and metered runs.
+        assert_eq!(
+            changed(&faulty, &faulty_seeded),
+            [&seed_reaches[..], &["trace", "metrics"], &benches].concat()
+        );
+        assert_eq!(changed(&default, &reference), Vec::<String>::new());
+        assert_eq!(texts(&none, EnginePath::Fast, seed), default);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!
 //! This module connects the two: a serializable [`FaultPlan`] configures
 //! loss, corruption, credit starvation, NIC stall windows, and the message
-//! payload size, and [`run_e2e_under_faults`] drives a stream of messages
+//! payload size, and [`run_e2e_under_faults_on`] drives a stream of messages
 //! (8-byte eager sends by default; any size up to multi-MB segmented
 //! rendezvous transfers) through a discrete-event simulation of the full
 //! initiator → TX PCIe → fabric → RX PCIe → target pipeline, with every
@@ -50,8 +50,6 @@ use bband_trace as trace;
 use serde::json::{Error as JsonError, Value};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
 
 /// Retransmission-timer policy: base ACK timeout (backed off exponentially
 /// by the sender on consecutive fruitless rounds) and the retry budget
@@ -564,19 +562,6 @@ impl Deserialize for RetryPolicy {
     }
 }
 
-static PLAN_OVERRIDE: OnceLock<FaultPlan> = OnceLock::new();
-
-/// Install a process-wide fault plan (the `repro --faults` flag). First
-/// caller wins; returns whether the override was installed.
-pub fn set_plan_override(plan: FaultPlan) -> bool {
-    PLAN_OVERRIDE.set(plan).is_ok()
-}
-
-/// The active fault plan: the installed override, or fault-free.
-pub fn active_plan() -> FaultPlan {
-    PLAN_OVERRIDE.get().cloned().unwrap_or_else(FaultPlan::none)
-}
-
 /// Which implementation drives the fault engine. Both produce byte-identical
 /// stats, counters, trace spans, and metrics; the fast path just gets there
 /// without re-simulating structurally identical messages.
@@ -588,28 +573,6 @@ pub enum EnginePath {
     /// The plain event loop: every message simulated event by event. The
     /// `repro --reference` escape hatch and the equivalence tests use it.
     Reference,
-}
-
-static ENGINE_PATH: AtomicU8 = AtomicU8::new(0);
-
-/// Select the process-wide engine path (the `repro --reference` flag).
-/// Unlike the plan override this is re-settable. Code that compares the
-/// two paths pins each side with [`run_e2e_under_faults_on`] or
-/// [`run_raw_on`] instead.
-pub fn set_engine_path(path: EnginePath) {
-    let v = match path {
-        EnginePath::Fast => 0,
-        EnginePath::Reference => 1,
-    };
-    ENGINE_PATH.store(v, Ordering::Relaxed);
-}
-
-/// The engine path new runs resolve when none is passed explicitly.
-pub fn active_engine_path() -> EnginePath {
-    match ENGINE_PATH.load(Ordering::Relaxed) {
-        0 => EnginePath::Fast,
-        _ => EnginePath::Reference,
-    }
 }
 
 /// Terminal error: the oldest unacked packet exhausted its retry budget.
@@ -1068,7 +1031,8 @@ struct FaultSim {
     /// no collector is installed, so runs of clean messages can commit in
     /// bulk ([`FaultSim::try_turbo`]) instead of one replay at a time.
     turbo_ok: bool,
-    /// Uniform post cadence (`post_time[m+1] - post_time[m]`).
+    /// Uniform post cadence: message `m` posts at `post_interval * m`
+    /// (`FaultSim::post_at`).
     post_interval: SimDuration,
     plan: FaultPlan,
     // Calibrated stage costs, kept per component so the trace can expose
@@ -1120,7 +1084,6 @@ struct FaultSim {
     /// previous reap) — the second predecessor of a `reap_wait` stage.
     target_cpu_span: trace::SpanId,
     // Measurement.
-    post_time: Vec<SimTime>,
     completed: u64,
     lat_sum_ns: f64,
     lat_min_ns: f64,
@@ -1180,16 +1143,13 @@ impl FaultSim {
         // For the default 8-byte plan `max_total` is exactly the classic
         // model total; `max_of` only widens the cadence for larger plans.
         let post_interval = model.total().max(max_total);
-        let mut post_time = Vec::with_capacity(messages as usize);
-        for msg in 0..messages {
-            let at = SimTime::ZERO + post_interval * msg;
-            post_time.push(at);
-            // The fast path generates posts lazily from `next_post` — the
-            // queue then holds only genuinely pending events, which is
-            // both the quiescence test replay needs and a heap that stays
-            // O(in-flight) instead of O(messages).
-            if path == EnginePath::Reference {
-                queue.push(at, Ev::Post { msg });
+        // The fast path generates posts lazily from `next_post` — the
+        // queue then holds only genuinely pending events, which is both
+        // the quiescence test replay needs and a heap that stays
+        // O(in-flight) instead of O(messages).
+        if path == EnginePath::Reference {
+            for msg in 0..messages {
+                queue.push(SimTime::ZERO + post_interval * msg, Ev::Post { msg });
             }
         }
         let instrumented = trace::enabled() || bband_metrics::enabled();
@@ -1272,13 +1232,17 @@ impl FaultSim {
             psn_launch: Vec::new(),
             target_cpu_free: SimTime::ZERO,
             target_cpu_span: trace::SpanId::NONE,
-            post_time,
             completed: 0,
             lat_sum_ns: 0.0,
             lat_min_ns: f64::INFINITY,
             lat_max_ns: 0.0,
             counters: RecoveryCounters::new(),
         }
+    }
+
+    /// When message `msg` is posted.
+    fn post_at(&self, msg: u64) -> SimTime {
+        SimTime::ZERO + self.post_interval * msg
     }
 
     /// Combined fabric-loss oracle: i.i.d. loss OR the burst channel.
@@ -1712,7 +1676,7 @@ impl FaultSim {
         self.target_cpu_span =
             trace::stage(trace::Layer::Hlp, "HLP_rx_prog", llp_done, done, msg, &[lp]);
         self.target_cpu_free = done;
-        let latency_dur = done.since(self.post_time[msg as usize]);
+        let latency_dur = done.since(self.post_at(msg));
         // Replay bootstrap: the fast path trusts the memo only after the
         // event loop itself has completed one message bit-exactly on it
         // (any fault strictly lengthens the lifetime, so equality means
@@ -1731,7 +1695,7 @@ impl FaultSim {
         bband_metrics::record_ps_at(
             "e2e_latency",
             latency_dur.as_ps(),
-            self.post_time[msg as usize].as_ps(),
+            self.post_at(msg).as_ps(),
         );
         let latency = latency_dur.as_ns_f64();
         self.completed += 1;
@@ -1922,8 +1886,7 @@ impl FaultSim {
         let mut aborted = None;
         let mut batch: Vec<(SimTime, Ev)> = Vec::new();
         while self.completed < messages {
-            let pending_post =
-                (self.next_post < messages).then(|| self.post_time[self.next_post as usize]);
+            let pending_post = (self.next_post < messages).then(|| self.post_at(self.next_post));
             let take_post = match (pending_post, self.queue.peek_time()) {
                 (Some(p), Some(q)) => p <= q,
                 (Some(_), None) => true,
@@ -1934,7 +1897,7 @@ impl FaultSim {
             };
             if take_post {
                 let msg = self.next_post;
-                let t = self.post_time[msg as usize];
+                let t = self.post_at(msg);
                 if self.turbo_ok {
                     let k = self.try_turbo(msg, t, messages);
                     if k > 0 {
@@ -2108,7 +2071,7 @@ impl FaultSim {
         }
         // Two TLP ids per message, TX leg first.
         let base = self.ids.skip(2 * k);
-        let last_t = self.post_time[(msg + k - 1) as usize];
+        let last_t = self.post_at(msg + k - 1);
         let nic = last_t + memo.nic;
         let rx_arr = last_t + memo.rx_arr;
         self.tx_chan.skip_delivered(
@@ -2430,21 +2393,9 @@ impl FaultSim {
 }
 
 /// Drive `messages` sends (the plan's payload axis; 8-byte eager by
-/// default) through the full pipeline under `plan`. Returns the run
-/// statistics, or [`RetryExhausted`] if the retry budget tripped (total
-/// loss terminates; it never hangs).
-pub fn run_e2e_under_faults(
-    cal: &Calibration,
-    plan: &FaultPlan,
-    messages: u64,
-    seed: u64,
-) -> Result<FaultRunStats, RetryExhausted> {
-    run_e2e_under_faults_on(active_engine_path(), cal, plan, messages, seed)
-}
-
-/// [`run_e2e_under_faults`] on an explicit engine path — the equivalence
-/// tests and the benchmark pin both sides instead of toggling the
-/// process-wide default.
+/// default) through the full pipeline under `plan` on engine `path`.
+/// Returns the run statistics, or [`RetryExhausted`] if the retry budget
+/// tripped (total loss terminates; it never hangs).
 pub fn run_e2e_under_faults_on(
     path: EnginePath,
     cal: &Calibration,
@@ -2459,19 +2410,9 @@ pub fn run_e2e_under_faults_on(
     }
 }
 
-/// Like [`run_e2e_under_faults`] but keeps the partial statistics when the
-/// retry budget trips — the traced runs ([`crate::tracepath`]) want both.
-pub(crate) fn run_raw(
-    cal: &Calibration,
-    plan: &FaultPlan,
-    messages: u64,
-    seed: u64,
-) -> (FaultRunStats, Option<RetryExhausted>) {
-    run_raw_on(active_engine_path(), cal, plan, messages, seed)
-}
-
-/// `run_raw` on an explicit engine path — the hook the report layer's
-/// fast-vs-reference fault check drives both engines through.
+/// Like [`run_e2e_under_faults_on`] but keeps the partial statistics
+/// when the retry budget trips: the traced runs ([`crate::tracepath`])
+/// and the report layer's fast-vs-reference fault check want both.
 pub fn run_raw_on(
     path: EnginePath,
     cal: &Calibration,
@@ -2484,9 +2425,10 @@ pub fn run_raw_on(
 
 /// The `latency_under_loss` experiment: sweep fabric loss probability over
 /// `grid`, one pool task per point, each with an RNG stream derived from
-/// `(seed, index)` so pooled and serial runs are bit-identical. The engine
-/// path is resolved once, so every pool task runs the same implementation.
+/// `(seed, index)` so pooled and serial runs are bit-identical. Every pool
+/// task runs engine `path`.
 pub fn latency_under_loss(
+    path: EnginePath,
     cal: &Calibration,
     base: &FaultPlan,
     grid: &[f64],
@@ -2494,7 +2436,6 @@ pub fn latency_under_loss(
     seed: u64,
     pool: &WorkerPool,
 ) -> Vec<LossPoint> {
-    let path = active_engine_path();
     let points: Vec<f64> = grid.to_vec();
     pool.map(points, move |idx, loss| {
         let mut plan = base.clone();
@@ -2526,7 +2467,8 @@ mod tests {
         let model_ns = EndToEndLatencyModel::from_calibration(&c)
             .total()
             .as_ns_f64();
-        let stats = run_e2e_under_faults(&c, &FaultPlan::none(), 64, 0x5EED).unwrap();
+        let stats =
+            run_e2e_under_faults_on(EnginePath::Fast, &c, &FaultPlan::none(), 64, 0x5EED).unwrap();
         assert_eq!(stats.completed, 64);
         assert_eq!(
             stats.min_ns, model_ns,
@@ -2545,8 +2487,8 @@ mod tests {
     #[test]
     fn zero_fault_plan_is_seed_independent() {
         let c = cal();
-        let a = run_e2e_under_faults(&c, &FaultPlan::none(), 16, 1).unwrap();
-        let b = run_e2e_under_faults(&c, &FaultPlan::none(), 16, 999).unwrap();
+        let a = run_e2e_under_faults_on(EnginePath::Fast, &c, &FaultPlan::none(), 16, 1).unwrap();
+        let b = run_e2e_under_faults_on(EnginePath::Fast, &c, &FaultPlan::none(), 16, 999).unwrap();
         assert_eq!(a, b);
     }
 
@@ -2555,7 +2497,7 @@ mod tests {
         let c = cal();
         let mut plan = FaultPlan::none();
         plan.loss_probability = 0.05;
-        let stats = run_e2e_under_faults(&c, &plan, 400, 42).unwrap();
+        let stats = run_e2e_under_faults_on(EnginePath::Fast, &c, &plan, 400, 42).unwrap();
         assert_eq!(stats.completed, 400, "every message must still complete");
         assert!(
             stats.counters.rc_naks > 0 || stats.counters.rc_timeouts > 0,
@@ -2575,7 +2517,7 @@ mod tests {
         let c = cal();
         let mut plan = FaultPlan::none();
         plan.corruption_probability = 0.05;
-        let stats = run_e2e_under_faults(&c, &plan, 400, 42).unwrap();
+        let stats = run_e2e_under_faults_on(EnginePath::Fast, &c, &plan, 400, 42).unwrap();
         assert_eq!(stats.completed, 400);
         assert!(stats.counters.dll_nacks > 0, "{:?}", stats.counters);
         assert_eq!(stats.counters.dll_nacks, stats.counters.dll_replays);
@@ -2589,7 +2531,7 @@ mod tests {
         let mut plan = FaultPlan::none();
         plan.loss_probability = 1.0;
         plan.retry.max_retries = 3;
-        let err = run_e2e_under_faults(&c, &plan, 8, 7).unwrap_err();
+        let err = run_e2e_under_faults_on(EnginePath::Fast, &c, &plan, 8, 7).unwrap_err();
         assert_eq!(err.message, 0, "the first message's packet gives up");
         assert!(err.retries > 3);
         let msg = err.to_string();
@@ -2615,7 +2557,7 @@ mod tests {
             start_ns: 3_000,
             duration_ns: 10_000,
         }];
-        let stats = run_e2e_under_faults(&c, &plan, 64, 3).unwrap();
+        let stats = run_e2e_under_faults_on(EnginePath::Fast, &c, &plan, 64, 3).unwrap();
         assert_eq!(stats.completed, 64);
         assert!(stats.counters.credit_stalls > 0, "{:?}", stats.counters);
         assert!(stats.counters.nic_stalls > 0);
@@ -2626,7 +2568,8 @@ mod tests {
     #[test]
     fn default_credits_never_stall_single_core() {
         let c = cal();
-        let stats = run_e2e_under_faults(&c, &FaultPlan::none(), 256, 3).unwrap();
+        let stats =
+            run_e2e_under_faults_on(EnginePath::Fast, &c, &FaultPlan::none(), 256, 3).unwrap();
         assert_eq!(stats.counters.credit_stalls, 0);
     }
 
@@ -2639,7 +2582,7 @@ mod tests {
             start_ns: 2_000,
             duration_ns: 10_000,
         }];
-        let stats = run_e2e_under_faults(&c, &plan, 32, 3).unwrap();
+        let stats = run_e2e_under_faults_on(EnginePath::Fast, &c, &plan, 32, 3).unwrap();
         assert_eq!(stats.completed, 32);
         assert!(stats.counters.nic_stalls > 0);
         let model_ns = EndToEndLatencyModel::from_calibration(&c)
@@ -2699,7 +2642,7 @@ mod tests {
             loss_good: 0.0,
             loss_bad: 0.8,
         });
-        let stats = run_e2e_under_faults(&c, &plan, 400, 42).unwrap();
+        let stats = run_e2e_under_faults_on(EnginePath::Fast, &c, &plan, 400, 42).unwrap();
         assert_eq!(stats.completed, 400, "every message must still complete");
         assert!(
             stats.counters.rc_naks > 0 || stats.counters.rc_timeouts > 0,
@@ -2728,7 +2671,7 @@ mod tests {
         let model_ns = EndToEndLatencyModel::from_calibration(&c)
             .total()
             .as_ns_f64();
-        let stats = run_e2e_under_faults(&c, &plan, 32, 9).unwrap();
+        let stats = run_e2e_under_faults_on(EnginePath::Fast, &c, &plan, 32, 9).unwrap();
         assert_eq!(stats.min_ns, model_ns);
         assert_eq!(stats.max_ns, model_ns);
         assert!(stats.counters.is_clean());
@@ -2897,7 +2840,8 @@ mod tests {
             r#"{"markov_stall": {"mean_up_ns": 0, "mean_down_ns": 1e9}}"#,
         ] {
             let plan = FaultPlan::from_json_str(json).expect(json);
-            let stats = run_e2e_under_faults(&cal(), &plan, 64, 7).expect(json);
+            let stats =
+                run_e2e_under_faults_on(EnginePath::Fast, &cal(), &plan, 64, 7).expect(json);
             assert!(stats.counters.nic_stalls > 0, "{json}");
         }
     }
@@ -2945,7 +2889,7 @@ mod tests {
             data: 64,
             update_batch: 4,
         });
-        let _ = run_e2e_under_faults(&cal(), &plan, 4, 1);
+        let _ = run_e2e_under_faults_on(EnginePath::Fast, &cal(), &plan, 4, 1);
     }
 
     /// The plans CI, the docs and the harness tests pass to `--faults`
@@ -2984,7 +2928,8 @@ mod tests {
         for (timeout_ns, spurious) in [(1, 1079), (100, 359), (500, 119)] {
             let json = format!(r#"{{"retry": {{"timeout_ns": {timeout_ns}}}}}"#);
             let plan = FaultPlan::from_json_str(&json).expect(&json);
-            let stats = run_e2e_under_faults(&cal(), &plan, 120, 7).expect(&json);
+            let stats =
+                run_e2e_under_faults_on(EnginePath::Fast, &cal(), &plan, 120, 7).expect(&json);
             assert_eq!(stats.completed, 120, "{json}");
             assert_eq!((stats.min_ns, stats.max_ns), (model_ns, model_ns), "{json}");
             assert_eq!(stats.counters.rc_retransmissions, spurious, "{json}");
@@ -3003,7 +2948,7 @@ mod tests {
             loss_good: 0.0,
             loss_bad: 0.3,
         });
-        let stats = run_e2e_under_faults(&c, &plan, 200, 11).unwrap();
+        let stats = run_e2e_under_faults_on(EnginePath::Fast, &c, &plan, 200, 11).unwrap();
         assert_eq!(stats.completed, 200);
         assert!(
             stats.counters.rc_retransmissions > 0,
@@ -3025,7 +2970,7 @@ mod tests {
             mean_down_ns: 2_000.0,
         });
         assert!(!plan.is_zero());
-        let stats = run_e2e_under_faults(&c, &plan, 128, 42).unwrap();
+        let stats = run_e2e_under_faults_on(EnginePath::Fast, &c, &plan, 128, 42).unwrap();
         assert_eq!(stats.completed, 128);
         assert!(stats.counters.nic_stalls > 0, "{:?}", stats.counters);
         let model_ns = EndToEndLatencyModel::from_calibration(&c)
@@ -3046,8 +2991,8 @@ mod tests {
             mean_down_ns: 0.0,
         });
         assert!(plan.is_zero());
-        let a = run_e2e_under_faults(&c, &plan, 32, 1).unwrap();
-        let b = run_e2e_under_faults(&c, &FaultPlan::none(), 32, 2).unwrap();
+        let a = run_e2e_under_faults_on(EnginePath::Fast, &c, &plan, 32, 1).unwrap();
+        let b = run_e2e_under_faults_on(EnginePath::Fast, &c, &FaultPlan::none(), 32, 2).unwrap();
         assert_eq!(a, b);
         assert!(a.counters.is_clean());
     }
@@ -3338,7 +3283,7 @@ mod tests {
         }
         let c = cal();
         let sized = SizedLatencyModel::from_calibration(&c);
-        let stats = run_e2e_under_faults(&c, &plan, 12, 42).unwrap();
+        let stats = run_e2e_under_faults_on(EnginePath::Fast, &c, &plan, 12, 42).unwrap();
         assert_eq!(stats.completed, 12);
         assert!(
             stats.counters.rc_retransmissions > 0,
@@ -3361,7 +3306,7 @@ mod tests {
         assert_eq!(plan.payload_for(2), 4096);
         assert_eq!(plan.payload_for(3), 8);
         assert_paths_identical(&plan, 24, 7);
-        let stats = run_e2e_under_faults(&c, &plan, 24, 7).unwrap();
+        let stats = run_e2e_under_faults_on(EnginePath::Fast, &c, &plan, 24, 7).unwrap();
         assert_eq!(stats.min_ns, sized.total(8, None).as_ns_f64());
         assert_eq!(stats.max_ns, sized.total(4096, None).as_ns_f64());
         assert!(stats.counters.is_clean());
@@ -3373,6 +3318,7 @@ mod tests {
         let c = cal();
         let base = FaultPlan::none();
         let serial = latency_under_loss(
+            EnginePath::Fast,
             &c,
             &base,
             &DEFAULT_LOSS_GRID,
@@ -3381,6 +3327,7 @@ mod tests {
             &WorkerPool::with_threads(1),
         );
         let pooled = latency_under_loss(
+            EnginePath::Fast,
             &c,
             &base,
             &DEFAULT_LOSS_GRID,

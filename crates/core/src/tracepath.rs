@@ -31,7 +31,7 @@
 
 use crate::breakdown::Breakdown;
 use crate::calibration::Calibration;
-use crate::fault::{run_raw, run_raw_on, FaultPlan, FaultRunStats, RetryExhausted};
+use crate::fault::{run_raw_on, EnginePath, FaultPlan, FaultRunStats, RetryExhausted};
 use crate::latency::{SizedLatencyModel, MTU_BYTES};
 use bband_metrics as metrics;
 use bband_metrics::MetricsSet;
@@ -72,16 +72,18 @@ fn ring_capacity(messages: u64, plan: &FaultPlan) -> usize {
         .clamp(1 << 10, 1 << 22)
 }
 
-/// Run the end-to-end fault simulation with tracing enabled. Returns the
-/// run result alongside the recorded single-task [`Trace`].
+/// Run the end-to-end fault simulation on engine `path` with tracing
+/// enabled. Returns the run result alongside the recorded single-task
+/// [`Trace`].
 pub fn traced_e2e(
+    path: EnginePath,
     cal: &Calibration,
     plan: &FaultPlan,
     messages: u64,
     seed: u64,
 ) -> (Result<FaultRunStats, RetryExhausted>, Trace) {
     let (out, task) = trace::collect(ring_capacity(messages, plan), || {
-        let (stats, aborted) = run_raw(cal, plan, messages, seed);
+        let (stats, aborted) = run_raw_on(path, cal, plan, messages, seed);
         match aborted {
             Some(e) => Err(e),
             None => Ok(stats),
@@ -144,8 +146,10 @@ pub const DEFAULT_SIZE_GRID: [u32; 10] = [
 /// reconstruction attributes the latency to named stages — the
 /// eager/rendezvous crossover shows up as RTS/CTS stages entering the
 /// attribution. Task seeds fork deterministically from `seed` by index,
-/// so serial and pooled sweeps are byte-identical (tested below).
+/// so serial and pooled sweeps are byte-identical (tested below). Every
+/// point runs engine `path`.
 pub fn sweep_message_sizes(
+    path: EnginePath,
     cal: &Calibration,
     sizes: &[u32],
     messages: u64,
@@ -159,7 +163,7 @@ pub fn sweep_message_sizes(
         let task_seed = Pcg64::new(seed).fork(idx as u64).next_u64();
         let ((run, task), tm) = metrics::collect(|| {
             trace::collect(ring_capacity(messages, &plan), || {
-                let run = run_raw(cal, &plan, messages, task_seed);
+                let run = run_raw_on(path, cal, &plan, messages, task_seed);
                 feed_recovery_counters(&run.0);
                 run
             })
@@ -240,7 +244,10 @@ fn feed_recovery_counters(stats: &FaultRunStats) {
 /// long runs expose drift and bursts the aggregate quantiles average
 /// away. Window merging keys on `(name, index)` and is deterministic, so
 /// pooled and `--serial` runs stay byte-identical in this mode too.
+/// Every task runs engine `path`.
+#[allow(clippy::too_many_arguments)]
 pub fn metered_e2e(
+    path: EnginePath,
     cal: &Calibration,
     plan: &FaultPlan,
     messages_per_task: u64,
@@ -249,7 +256,6 @@ pub fn metered_e2e(
     window: Option<SimDuration>,
     pool: &WorkerPool,
 ) -> (Vec<(FaultRunStats, Option<RetryExhausted>)>, MetricsSet) {
-    let path = crate::fault::active_engine_path();
     let idxs: Vec<u64> = (0..tasks).collect();
     let results = pool.map(idxs, |idx, _| {
         let task_seed = Pcg64::new(seed).fork(idx as u64).next_u64();
@@ -341,7 +347,7 @@ mod tests {
         let c = cal();
         let n = 16u64;
         let model = EndToEndLatencyModel::from_calibration(&c);
-        let (res, t) = traced_e2e(&c, &FaultPlan::none(), n, 0x5EED);
+        let (res, t) = traced_e2e(EnginePath::Fast, &c, &FaultPlan::none(), n, 0x5EED);
         assert_eq!(res.unwrap().completed, n);
         assert_eq!(t.dropped(), 0, "ring must not wrap");
 
@@ -376,7 +382,7 @@ mod tests {
     fn wrapped_ring_fails_reconstruction_loudly() {
         let c = cal();
         let (_, task) = trace::collect(8, || {
-            run_raw(&c, &FaultPlan::none(), 16, 0x5EED);
+            run_raw_on(EnginePath::Fast, &c, &FaultPlan::none(), 16, 0x5EED);
         });
         let t = Trace::from_task(task);
         assert!(t.dropped() > 0, "tiny ring must wrap");
@@ -397,7 +403,7 @@ mod tests {
         let c = cal();
         let mut plan = FaultPlan::none();
         plan.loss_probability = 0.05;
-        let (res, t) = traced_e2e(&c, &plan, 200, 42);
+        let (res, t) = traced_e2e(EnginePath::Fast, &c, &plan, 200, 42);
         let stats = res.unwrap();
         assert!(!stats.counters.is_clean());
         assert!(
@@ -420,8 +426,9 @@ mod tests {
         let c = cal();
         let mut plan = FaultPlan::none();
         plan.loss_probability = 0.02;
-        let untraced = crate::fault::run_e2e_under_faults(&c, &plan, 100, 7).unwrap();
-        let (traced, _) = traced_e2e(&c, &plan, 100, 7);
+        let untraced =
+            crate::fault::run_e2e_under_faults_on(EnginePath::Fast, &c, &plan, 100, 7).unwrap();
+        let (traced, _) = traced_e2e(EnginePath::Fast, &c, &plan, 100, 7);
         assert_eq!(untraced, traced.unwrap());
     }
 
@@ -436,7 +443,7 @@ mod tests {
         let mut plan = FaultPlan::none();
         plan.loss_probability = 0.03;
         plan.corruption_probability = 0.01;
-        let (res, t) = traced_e2e(&c, &plan, 300, 11);
+        let (res, t) = traced_e2e(EnginePath::Fast, &c, &plan, 300, 11);
         let stats = res.unwrap();
         assert_eq!(t.dropped(), 0, "ring must not wrap");
         assert!(!stats.counters.is_clean());
@@ -461,7 +468,7 @@ mod tests {
         let c = cal();
         let mut plan = FaultPlan::none();
         plan.loss_probability = 0.05;
-        let (res, t) = traced_e2e(&c, &plan, 200, 42);
+        let (res, t) = traced_e2e(EnginePath::Fast, &c, &plan, 200, 42);
         res.unwrap();
         let cp = reconstruct(&t).unwrap();
         let split = cp.recovery_split();
@@ -508,6 +515,7 @@ mod tests {
         plan.loss_probability = 0.01;
         let run = |threads| {
             metered_e2e(
+                EnginePath::Fast,
                 &c,
                 &plan,
                 50,
@@ -537,6 +545,7 @@ mod tests {
         let width = SimDuration::from_us(25);
         let run = |threads| {
             metered_e2e(
+                EnginePath::Fast,
                 &c,
                 &plan,
                 50,
@@ -565,6 +574,7 @@ mod tests {
         let c = cal();
         let model = EndToEndLatencyModel::from_calibration(&c);
         let (_, set) = metered_e2e(
+            EnginePath::Fast,
             &c,
             &FaultPlan::none(),
             32,
@@ -602,7 +612,7 @@ mod tests {
         let mut plan = FaultPlan::none();
         plan.payload_bytes = payload;
         let n = 3u64;
-        let (res, t) = traced_e2e(&c, &plan, n, 0x5EED);
+        let (res, t) = traced_e2e(EnginePath::Fast, &c, &plan, n, 0x5EED);
         let stats = res.unwrap();
         assert_eq!(t.dropped(), 0, "ring must not wrap");
         assert_eq!(stats.completed, n);
@@ -640,10 +650,22 @@ mod tests {
     fn size_sweep_is_pool_invariant_and_crossover_visible() {
         let c = cal();
         let sizes = [8u32, 4096, 65_536, 1 << 20];
-        let (pts_a, tr_a) =
-            sweep_message_sizes(&c, &sizes, 8, 0x5EED, &WorkerPool::with_threads(1));
-        let (pts_b, tr_b) =
-            sweep_message_sizes(&c, &sizes, 8, 0x5EED, &WorkerPool::with_threads(4));
+        let (pts_a, tr_a) = sweep_message_sizes(
+            EnginePath::Fast,
+            &c,
+            &sizes,
+            8,
+            0x5EED,
+            &WorkerPool::with_threads(1),
+        );
+        let (pts_b, tr_b) = sweep_message_sizes(
+            EnginePath::Fast,
+            &c,
+            &sizes,
+            8,
+            0x5EED,
+            &WorkerPool::with_threads(4),
+        );
         assert_eq!(pts_a, pts_b);
         assert_eq!(tr_a.to_chrome_json(), tr_b.to_chrome_json());
         assert_eq!(pts_a.len(), sizes.len());
@@ -697,14 +719,14 @@ mod tests {
         ) {
             let c = cal();
             let model = EndToEndLatencyModel::from_calibration(&c);
-            let (res0, t0) = traced_e2e(&c, &FaultPlan::none(), 48, seed);
+            let (res0, t0) = traced_e2e(EnginePath::Fast, &c, &FaultPlan::none(), 48, seed);
             res0.unwrap();
             let cp0 = reconstruct(&t0).unwrap();
             prop_assert_eq!(cp0.length, model.total());
 
             let mut plan = FaultPlan::none();
             plan.loss_probability = loss_mille as f64 / 1000.0;
-            let (res, t) = traced_e2e(&c, &plan, 48, seed);
+            let (res, t) = traced_e2e(EnginePath::Fast, &c, &plan, 48, seed);
             res.unwrap();
             let cp = reconstruct(&t).unwrap();
             prop_assert!(

@@ -13,7 +13,7 @@
 //! benchmarks; the same agreement thresholds are asserted.
 
 use crate::calibration::Calibration;
-use crate::fault;
+use crate::fault::{self, EnginePath, FaultPlan};
 use crate::injection::{InjectionModel, OverallInjectionModel};
 use crate::latency::{EndToEndLatencyModel, LlpLatencyModel};
 use bband_microbench::{
@@ -57,8 +57,8 @@ impl ValidationRow {
 #[derive(Debug, Clone, Serialize)]
 pub struct ValidationReport {
     pub rows: Vec<ValidationRow>,
-    /// Recovery counters from an end-to-end run under the active fault
-    /// plan (the `repro --faults` override, or fault-free). The validated
+    /// Recovery counters from an end-to-end run under the fault plan
+    /// [`validate_all`] was given (fault-free by default). The validated
     /// models describe the fault-free fast path, so a validation run under
     /// the default plan must observe a clean block — any engagement here
     /// flags that the observed numbers include recovery time the models
@@ -105,18 +105,33 @@ impl ValidationScale {
     }
 }
 
-/// Run all four validations. `jittered` selects the noisy (realistic)
-/// system; the deterministic variant isolates structural model error.
-pub fn validate_all(c: &Calibration, scale: ValidationScale, jittered: bool) -> ValidationReport {
+/// Run all four validations on stacks seeded with `seed`. `jittered`
+/// selects the noisy (realistic) system; the deterministic variant
+/// isolates structural model error. The recovery row runs the end-to-end
+/// path under `plan` on engine `path`.
+pub fn validate_all(
+    c: &Calibration,
+    scale: ValidationScale,
+    jittered: bool,
+    plan: &FaultPlan,
+    path: EnginePath,
+    seed: u64,
+) -> ValidationReport {
     let stack = || {
         if jittered {
-            let mut s = StackConfig::default();
+            let mut s = StackConfig {
+                seed,
+                ..StackConfig::default()
+            };
             // Keep the heavy OS-noise tail out of the *means* comparison,
             // as the paper's ≥100-sample means effectively do.
             s.llp.noise = bband_sim::NoiseSpike::OFF;
             s
         } else {
-            StackConfig::validation()
+            StackConfig {
+                seed,
+                ..StackConfig::validation()
+            }
         }
     };
 
@@ -125,10 +140,9 @@ pub fn validate_all(c: &Calibration, scale: ValidationScale, jittered: bool) -> 
     let r = put_bw(&PutBwConfig {
         stack: stack(),
         messages: scale.put_bw_messages,
-        buffer_samples: false,
         ..Default::default()
     });
-    let observed_inj = r.observed.summary().mean;
+    let observed_inj = r.observed.mean_ns();
 
     // 2) LLP-level latency vs am_lat (half a measurement update deducted,
     //    §4.3).
@@ -137,9 +151,8 @@ pub fn validate_all(c: &Calibration, scale: ValidationScale, jittered: bool) -> 
         stack: stack(),
         iterations: scale.am_lat_iterations,
         warmup: 16,
-        buffer_samples: false,
     });
-    let observed_lat = r.observed.summary().mean - UCS_OVERHEAD_MEAN_NS / 2.0;
+    let observed_lat = r.observed.mean_ns() - UCS_OVERHEAD_MEAN_NS / 2.0;
 
     // 3) Overall injection (Eq. 2) vs OSU message rate.
     let model_overall = OverallInjectionModel::from_calibration(c)
@@ -160,19 +173,13 @@ pub fn validate_all(c: &Calibration, scale: ValidationScale, jittered: bool) -> 
         stack: stack(),
         iterations: scale.osu_lat_iterations,
         warmup: 16,
-        buffer_samples: false,
     });
-    let observed_e2e = r.observed.summary().mean - UCS_OVERHEAD_MEAN_NS / 2.0;
+    let observed_e2e = r.observed.mean_ns() - UCS_OVERHEAD_MEAN_NS / 2.0;
 
-    // 5) Recovery engagement of the same end-to-end path, under the active
-    //    fault plan (fault-free by default: the counters must come back
-    //    clean, confirming the observations above carry no recovery time).
-    let (fault_stats, _aborted) = fault::run_raw(
-        c,
-        &fault::active_plan(),
-        scale.osu_lat_iterations,
-        StackConfig::default().seed,
-    );
+    // 5) Recovery engagement of the same end-to-end path, under `plan`
+    //    (fault-free by default: the counters must come back clean,
+    //    confirming the observations above carry no recovery time).
+    let (fault_stats, _aborted) = fault::run_raw_on(path, c, plan, scale.osu_lat_iterations, seed);
     let counters = fault_stats.counters;
 
     ValidationReport {
@@ -200,9 +207,21 @@ pub fn validate_all(c: &Calibration, scale: ValidationScale, jittered: bool) -> 
 mod tests {
     use super::*;
 
+    /// The fault-free validation `repro validate` runs by default.
+    fn validate(jittered: bool) -> ValidationReport {
+        validate_all(
+            &Calibration::default(),
+            ValidationScale::quick(),
+            jittered,
+            &FaultPlan::none(),
+            EnginePath::Fast,
+            StackConfig::default().seed,
+        )
+    }
+
     #[test]
     fn deterministic_validation_passes() {
-        let report = validate_all(&Calibration::default(), ValidationScale::quick(), false);
+        let report = validate(false);
         for row in &report.rows {
             assert!(
                 row.passes(),
@@ -218,7 +237,7 @@ mod tests {
 
     #[test]
     fn jittered_validation_passes() {
-        let report = validate_all(&Calibration::default(), ValidationScale::quick(), true);
+        let report = validate(true);
         assert!(
             report.all_pass(),
             "jittered validation failed: {:#?}",
@@ -228,9 +247,9 @@ mod tests {
 
     #[test]
     fn default_validation_counters_are_clean() {
-        // The validated models describe the fault-free fast path; with no
-        // --faults override the recovery block must come back all-zero.
-        let report = validate_all(&Calibration::default(), ValidationScale::quick(), false);
+        // The validated models describe the fault-free fast path; under
+        // the fault-free plan the recovery block must come back all-zero.
+        let report = validate(false);
         assert!(
             report.counters.is_clean(),
             "fault-free validation engaged recovery: {:?}",
@@ -242,7 +261,7 @@ mod tests {
     fn overall_injection_is_tightest_agreement() {
         // The paper reports within-1% agreement for Equation 2 — our
         // structural match should hold that too in deterministic mode.
-        let report = validate_all(&Calibration::default(), ValidationScale::quick(), false);
+        let report = validate(false);
         let row = &report.rows[2];
         assert!(
             row.error_frac < 0.02,

@@ -348,11 +348,9 @@ impl WhatIf {
                 stack,
                 iterations,
                 warmup: 8,
-                buffer_samples: false,
             })
             .observed
-            .summary()
-            .mean
+            .mean_ns()
         };
         let base_stack = StackConfig {
             seed: 13,
@@ -424,10 +422,9 @@ impl WhatIf {
                 },
                 messages,
                 warmup: 1_024,
-                buffer_samples: false,
                 ..Default::default()
             };
-            put_bw(&cfg).observed.summary().mean
+            put_bw(&cfg).observed.mean_ns()
         };
         let base = run(self.calib.llp.clone());
         let mut scaled = self.calib.llp.clone();

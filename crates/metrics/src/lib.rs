@@ -14,10 +14,10 @@
 //!   sample that lands in it; after that, recording is a name lookup plus
 //!   a handful of index writes. Names beyond [`MAX_NAMES`] are counted in
 //!   `dropped`, never silently folded.
-//! * **One atomic load when disabled.** The whole crate is gated on a
-//!   process-wide collector count; with no [`collect`] scope live anywhere
-//!   the fast path of [`record_ps`]/[`counter`] is a single relaxed atomic
-//!   load and a branch.
+//! * **One thread-local read when disabled.** The whole crate is gated on
+//!   a per-thread collector count; with no [`collect`] scope live on the
+//!   calling thread the fast path of [`record_ps`]/[`counter`] is a single
+//!   thread-local read and a branch.
 //! * **Deterministic serial-vs-pool drain.** [`collect`] returns a
 //!   [`TaskMetrics`] per pool task; [`MetricsSet::from_tasks`] merges them
 //!   by task index in first-appearance order, so the merged output is
@@ -30,8 +30,7 @@
 //! Values are virtual-time picoseconds (or any u64 the caller keys by).
 
 use bband_sim::SimDuration;
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::cell::{Cell, RefCell};
 
 /// Maximum distinct histogram names (and, separately, counter names) one
 /// registry tracks. Recordings to further names are counted as dropped.
@@ -414,23 +413,22 @@ impl Registry {
     }
 }
 
-/// Live [`collect`] scopes across the whole process. The disabled fast
-/// path of every recording call is one relaxed load of this.
-static COLLECTORS: AtomicU32 = AtomicU32::new(0);
-
 thread_local! {
+    /// Live [`collect`] scopes on this thread. The disabled fast path of
+    /// every recording call is one read of this.
+    static COLLECTORS: Cell<u32> = const { Cell::new(0) };
     static REGISTRY: RefCell<Vec<Registry>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Is any collect scope live anywhere in the process? One atomic load.
+/// Is a collect scope live on this thread? One thread-local read.
 #[inline]
 pub fn enabled() -> bool {
-    COLLECTORS.load(Ordering::Relaxed) != 0
+    COLLECTORS.with(|c| c.get() != 0)
 }
 
 /// Record a raw value (virtual-time picoseconds by convention) into the
-/// histogram named `name`. No-op (one atomic load) unless a collector is
-/// installed on this thread.
+/// histogram named `name`. No-op (one thread-local read) unless a
+/// collector is installed on this thread.
 #[inline]
 pub fn record_ps(name: &'static str, v: u64) {
     if !enabled() {
@@ -498,9 +496,9 @@ pub fn collect_windowed<R>(width: SimDuration, f: impl FnOnce() -> R) -> (R, Tas
 
 fn collect_with<R>(reg: Registry, f: impl FnOnce() -> R) -> (R, TaskMetrics) {
     REGISTRY.with(|r| r.borrow_mut().push(reg));
-    COLLECTORS.fetch_add(1, Ordering::Relaxed);
+    COLLECTORS.with(|c| c.set(c.get() + 1));
     let out = f();
-    COLLECTORS.fetch_sub(1, Ordering::Relaxed);
+    COLLECTORS.with(|c| c.set(c.get() - 1));
     let reg = REGISTRY
         .with(|r| r.borrow_mut().pop())
         .expect("metrics registry stack underflow");
@@ -754,6 +752,29 @@ mod tests {
         assert_eq!(outer.hists.len(), 1);
         assert_eq!(outer.hists[0].count, 2);
         assert_eq!(outer.hists[0].sum, 4);
+    }
+
+    /// Gating is per thread: a scope held open on another thread leaves
+    /// this one disabled, and records made here never reach it.
+    #[test]
+    fn a_scope_on_another_thread_leaves_this_one_disabled() {
+        use std::sync::mpsc::channel;
+        let (opened, wait_opened) = channel();
+        let (release, wait_release) = channel::<()>();
+        let holder = std::thread::spawn(move || {
+            collect(|| {
+                opened.send(()).unwrap();
+                wait_release.recv().unwrap();
+                enabled()
+            })
+        });
+        wait_opened.recv().unwrap();
+        assert!(!enabled());
+        record_ps("elsewhere", 1);
+        release.send(()).unwrap();
+        let (held_enabled, task) = holder.join().unwrap();
+        assert!(held_enabled);
+        assert!(task.hists.is_empty());
     }
 
     use proptest::prelude::*;

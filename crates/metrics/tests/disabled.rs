@@ -1,7 +1,6 @@
-//! Recording outside any `collect` scope is a no-op. `enabled()` reads a
-//! process-wide count of live scopes, so this test has a binary of its
-//! own: any test running beside it in the same process may hold a scope
-//! open and make `enabled()` true.
+//! Recording outside any `collect` scope is a no-op. `enabled()` reads
+//! the calling thread's count of live scopes, so a scope another thread
+//! holds open leaves it false here.
 
 use bband_metrics::{collect, counter, enabled, record_ps};
 

@@ -26,10 +26,6 @@ pub struct AmLatConfig {
     pub iterations: u64,
     /// Warmup iterations excluded from measurement.
     pub warmup: u64,
-    /// Retain raw samples in the report's [`SampleSet`]s. Means-only
-    /// consumers (validation, what-if speedup sweeps) set `false` to
-    /// stream the moments in constant memory.
-    pub buffer_samples: bool,
 }
 
 impl Default for AmLatConfig {
@@ -38,7 +34,6 @@ impl Default for AmLatConfig {
             stack: StackConfig::default(),
             iterations: 1_000,
             warmup: 32,
-            buffer_samples: true,
         }
     }
 }
@@ -66,14 +61,7 @@ pub fn am_lat(cfg: &AmLatConfig) -> AmLatReport {
     let mut w0 = cfg.stack.build_worker(0);
     let mut w1 = cfg.stack.build_worker(1);
     let mut bench = BenchClock::new(cfg.stack.seed, cfg.stack.deterministic);
-    let new_set = || {
-        if cfg.buffer_samples {
-            SampleSet::new()
-        } else {
-            SampleSet::streaming()
-        }
-    };
-    let mut observed = new_set();
+    let mut observed = SampleSet::new();
 
     // Pre-post receive pools on both sides.
     for _ in 0..64 {
@@ -132,15 +120,15 @@ pub fn am_lat(cfg: &AmLatConfig) -> AmLatReport {
     }
 
     cluster.run_until_idle(&mut analyzer);
-    let mut pcie = new_set();
+    let mut pcie = SampleSet::new();
     for s in analyzer.pcie_one_way_samples() {
         pcie.push(s);
     }
-    let mut network = new_set();
+    let mut network = SampleSet::new();
     for s in analyzer.network_one_way_samples() {
         network.push(s);
     }
-    let mut pong_ping = new_set();
+    let mut pong_ping = SampleSet::new();
     for s in analyzer.pong_to_ping_deltas() {
         pong_ping.push(s);
     }
@@ -166,7 +154,6 @@ mod tests {
             },
             iterations: 300,
             warmup: 8,
-            ..Default::default()
         }
     }
 

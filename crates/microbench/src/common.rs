@@ -7,25 +7,12 @@ use bband_nic::Cluster;
 use bband_pcie::LinkModel;
 use bband_profiling::profiler::{UCS_OVERHEAD_MEAN_NS, UCS_OVERHEAD_SIGMA_NS};
 use bband_sim::{CpuClock, Pcg64, SimDuration};
-use std::sync::OnceLock;
-
-/// Process-wide master-seed override for [`StackConfig::default`]; lets a
-/// driver (e.g. `repro --seed`) re-seed every stochastic experiment
-/// without threading a parameter through each figure. Unset means the
-/// canonical 0x5EED; every `u64`, 0 included, is a valid override.
-static SEED_OVERRIDE: OnceLock<u64> = OnceLock::new();
-
-/// Override the default master seed for all subsequently built
-/// [`StackConfig`]s. Call once at startup, before any experiment runs.
-/// First caller wins; returns whether the override was installed.
-pub fn set_seed_override(seed: u64) -> bool {
-    SEED_OVERRIDE.set(seed).is_ok()
-}
 
 /// How the simulated system is configured for a benchmark run.
 #[derive(Debug, Clone)]
 pub struct StackConfig {
-    /// Master seed; every derived RNG forks from it.
+    /// Master seed; every derived RNG forks from it. The default is the
+    /// canonical 0x5EED; a driver re-seeds by setting this field.
     pub seed: u64,
     /// Jitter-free hardware and software (validation runs measure exactly
     /// the calibrated means).
@@ -43,7 +30,7 @@ pub struct StackConfig {
 impl Default for StackConfig {
     fn default() -> Self {
         StackConfig {
-            seed: SEED_OVERRIDE.get().copied().unwrap_or(0x5EED),
+            seed: 0x5EED,
             deterministic: false,
             llp: LlpCosts::default(),
             link: None,

@@ -27,7 +27,7 @@ pub mod traced;
 pub mod ucp_lat;
 
 pub use am_lat::{am_lat, AmLatConfig, AmLatReport};
-pub use common::{set_seed_override, BenchClock, StackConfig};
+pub use common::{BenchClock, StackConfig};
 pub use multicore::{
     credit_exhaustion_onset_with, endpoint_injection, ThreadSweepConfig, ThreadSweepReport,
 };

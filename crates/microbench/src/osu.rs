@@ -114,9 +114,6 @@ pub struct OsuLatConfig {
     pub stack: StackConfig,
     pub iterations: u64,
     pub warmup: u64,
-    /// Retain raw latency samples; means-only consumers set `false` to
-    /// stream the moments in constant memory.
-    pub buffer_samples: bool,
 }
 
 impl Default for OsuLatConfig {
@@ -125,7 +122,6 @@ impl Default for OsuLatConfig {
             stack: StackConfig::default(),
             iterations: 1_000,
             warmup: 32,
-            buffer_samples: true,
         }
     }
 }
@@ -154,11 +150,7 @@ pub fn osu_latency(cfg: &OsuLatConfig) -> OsuLatReport {
     r0.init(&mut cluster, &mut analyzer);
     r1.init(&mut cluster, &mut analyzer);
     let mut bench = BenchClock::new(cfg.stack.seed, cfg.stack.deterministic);
-    let mut observed = if cfg.buffer_samples {
-        SampleSet::new()
-    } else {
-        SampleSet::streaming()
-    };
+    let mut observed = SampleSet::new();
 
     for iter in 0..(cfg.warmup + cfg.iterations) {
         let tag = (iter & 0x7FFF) as i64;

@@ -33,10 +33,6 @@ pub struct PutBwConfig {
     /// transient has no busy posts and would drag the mean down; the
     /// paper measures steady state).
     pub warmup: u64,
-    /// Retain raw injection deltas. Figure 7's histogram needs them;
-    /// means-only consumers (validation, what-if sweeps) set `false` to
-    /// stream the moments in constant memory.
-    pub buffer_samples: bool,
 }
 
 impl Default for PutBwConfig {
@@ -47,7 +43,6 @@ impl Default for PutBwConfig {
             poll_interval: 16,
             ring_depth: 256,
             warmup: 2_048,
-            buffer_samples: true,
         }
     }
 }
@@ -116,11 +111,7 @@ pub fn put_bw(cfg: &PutBwConfig) -> PutBwReport {
     // Let in-flight traffic land (between-runs quiescence; not measured).
     cluster.run_until_idle(&mut analyzer);
 
-    let mut observed = if cfg.buffer_samples {
-        SampleSet::new()
-    } else {
-        SampleSet::streaming()
-    };
+    let mut observed = SampleSet::new();
     for d in analyzer.injection_deltas() {
         observed.push(d);
         // Self-gated: feeds the live-microbenchmark quantile tables when a

@@ -163,7 +163,6 @@ mod tests {
             stack: StackConfig::validation(),
             iterations: 100,
             warmup: 8,
-            ..Default::default()
         };
         let (_, trace) = traced_am_lat(&cfg);
         let cp = critical_path(&trace).unwrap();
@@ -338,7 +337,6 @@ mod tests {
             stack: StackConfig::validation(),
             iterations: 60,
             warmup: 8,
-            ..Default::default()
         };
         let (report, trace) = traced_osu_latency(&cfg);
         assert!(!trace.is_empty());

@@ -4,24 +4,15 @@
 //! standard deviation over ≥100 samples (its Figure 7 caption), plus a
 //! probability-density histogram for distribution plots.
 //!
-//! Two storage modes:
-//!
-//! * **buffered** ([`SampleSet::new`]) keeps every sample, so medians,
-//!   percentiles and histograms are available — Figure 7 needs this;
-//! * **streaming** ([`SampleSet::streaming`]) folds each sample into a
-//!   [`Welford`] accumulator and drops it, so long sweeps (validation,
-//!   what-if grids) that only read mean/σ/min/max run in O(1) memory.
-//!
-//! Both modes maintain the same accumulator, so summary moments are
-//! identical regardless of mode.
+//! A [`SampleSet`] keeps every sample, so the median and the histogram
+//! Figure 7 needs are available, and folds each one into a [`Welford`]
+//! accumulator, which gives the moments in O(1) without a second pass.
 
 use bband_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 
 /// Streaming moment accumulator (Welford's algorithm): numerically stable
-/// running mean and variance plus min/max, in constant space. Merging two
-/// accumulators uses Chan's parallel combination, so per-worker partials
-/// from a pool fan-out can be reduced exactly.
+/// running mean and variance plus min/max, in constant space.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Welford {
     count: u64,
@@ -59,26 +50,6 @@ impl Welford {
         self.m2 += delta * (x - self.mean);
         self.min = self.min.min(x);
         self.max = self.max.max(x);
-    }
-
-    /// Merge another accumulator into this one (Chan et al.).
-    pub fn merge(&mut self, other: &Welford) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// Number of observations.
@@ -125,21 +96,10 @@ impl Welford {
 }
 
 /// A collection of duration samples with summary statistics.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct SampleSet {
     samples: Vec<SimDuration>,
     stats: Welford,
-    buffered: bool,
-}
-
-impl Default for SampleSet {
-    fn default() -> Self {
-        SampleSet {
-            samples: Vec::new(),
-            stats: Welford::new(),
-            buffered: true,
-        }
-    }
 }
 
 /// Summary of a [`SampleSet`], all in nanoseconds.
@@ -154,35 +114,15 @@ pub struct Summary {
 }
 
 impl SampleSet {
-    /// Empty buffered set: every sample is retained, so medians,
-    /// percentiles and histograms are available.
+    /// Empty set.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Empty streaming set: samples fold into the [`Welford`] accumulator
-    /// and are dropped, so arbitrarily long runs use constant memory.
-    /// Order statistics are unavailable — [`SampleSet::summary`] reports
-    /// the mean in place of the median, and [`SampleSet::histogram`] /
-    /// [`SampleSet::percentile_ns`] / [`SampleSet::samples`] panic.
-    pub fn streaming() -> Self {
-        SampleSet {
-            buffered: false,
-            ..Self::default()
-        }
-    }
-
-    /// True when raw samples are retained (order statistics available).
-    pub fn is_buffered(&self) -> bool {
-        self.buffered
     }
 
     /// Record one sample.
     pub fn push(&mut self, d: SimDuration) {
         self.stats.push(d.as_ns_f64());
-        if self.buffered {
-            self.samples.push(d);
-        }
+        self.samples.push(d);
     }
 
     /// Number of samples.
@@ -195,16 +135,12 @@ impl SampleSet {
         self.stats.count() == 0
     }
 
-    /// Raw samples. Panics on a streaming set (they were not retained).
+    /// Raw samples, in recording order.
     pub fn samples(&self) -> &[SimDuration] {
-        assert!(
-            self.buffered,
-            "raw samples unavailable on a streaming SampleSet"
-        );
         &self.samples
     }
 
-    /// Streaming moments (count, mean, σ, min, max) — O(1) in either mode.
+    /// Moments (count, mean, σ, min, max), accumulated as samples arrive.
     pub fn stats(&self) -> &Welford {
         &self.stats
     }
@@ -221,11 +157,10 @@ impl SampleSet {
     }
 
     /// Full summary (count, mean, median, min, max, σ). Moments come from
-    /// the streaming accumulator; the median needs the buffer, so a
-    /// streaming set reports its mean there instead.
+    /// the accumulator; the median sorts a copy of the samples.
     pub fn summary(&self) -> Summary {
         let n = self.stats.count() as usize;
-        let median = if !self.buffered || n == 0 {
+        let median = if n == 0 {
             self.stats.mean()
         } else {
             let mut sorted: Vec<f64> = self.samples.iter().map(|d| d.as_ns_f64()).collect();
@@ -246,31 +181,12 @@ impl SampleSet {
         }
     }
 
-    /// Percentile (0–100) by nearest-rank. Panics on a streaming set.
-    pub fn percentile_ns(&self, p: f64) -> f64 {
-        assert!((0.0..=100.0).contains(&p), "percentile out of range: {p}");
-        assert!(!self.is_empty(), "percentile of empty set");
-        assert!(
-            self.buffered,
-            "percentiles unavailable on a streaming SampleSet"
-        );
-        let mut sorted: Vec<f64> = self.samples.iter().map(|d| d.as_ns_f64()).collect();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let rank = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-        sorted[rank]
-    }
-
     /// Probability-density histogram over `[lo, hi)` with `bins` bins;
     /// returns (bin_center_ns, density) pairs. Samples outside the range
     /// are clamped into the end bins (the paper's Figure 7 does the same —
-    /// its 34.9 µs max is "not shown due to the large value"). Panics on a
-    /// streaming set.
+    /// its 34.9 µs max is "not shown due to the large value").
     pub fn histogram(&self, lo: f64, hi: f64, bins: usize) -> Vec<(f64, f64)> {
         assert!(bins > 0 && hi > lo, "invalid histogram spec");
-        assert!(
-            self.buffered,
-            "histogram unavailable on a streaming SampleSet"
-        );
         let mut counts = vec![0usize; bins];
         let width = (hi - lo) / bins as f64;
         for d in &self.samples {
@@ -285,20 +201,6 @@ impl SampleSet {
             .map(|(i, &c)| (lo + (i as f64 + 0.5) * width, c as f64 / (n * width)))
             .collect()
     }
-
-    /// Merge another set into this one. Moments merge exactly (Chan's
-    /// combination); raw samples concatenate only when both sides buffer —
-    /// merging a streaming set into a buffered one degrades the result to
-    /// streaming (the missing samples cannot be reconstructed).
-    pub fn extend_from(&mut self, other: &SampleSet) {
-        self.stats.merge(&other.stats);
-        if self.buffered && other.buffered {
-            self.samples.extend_from_slice(&other.samples);
-        } else if self.buffered {
-            self.buffered = false;
-            self.samples = Vec::new();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -308,14 +210,6 @@ mod tests {
 
     fn set_of(ns: &[f64]) -> SampleSet {
         let mut s = SampleSet::new();
-        for &x in ns {
-            s.push(SimDuration::from_ns_f64(x));
-        }
-        s
-    }
-
-    fn streaming_of(ns: &[f64]) -> SampleSet {
-        let mut s = SampleSet::streaming();
         for &x in ns {
             s.push(SimDuration::from_ns_f64(x));
         }
@@ -375,15 +269,6 @@ mod tests {
     }
 
     #[test]
-    fn percentiles() {
-        let s = set_of(&(1..=100).map(|i| i as f64).collect::<Vec<_>>());
-        assert!((s.percentile_ns(0.0) - 1.0).abs() < 1e-9);
-        assert!((s.percentile_ns(100.0) - 100.0).abs() < 1e-9);
-        let p50 = s.percentile_ns(50.0);
-        assert!((49.0..=52.0).contains(&p50), "p50 = {p50}");
-    }
-
-    #[test]
     fn single_sample_statistics() {
         let s = set_of(&[42.0]);
         let sum = s.summary();
@@ -391,13 +276,6 @@ mod tests {
         assert!((sum.mean - 42.0).abs() < 1e-9);
         assert!((sum.median - 42.0).abs() < 1e-9);
         assert!((sum.std_dev - 0.0).abs() < 1e-9);
-        assert!((s.percentile_ns(50.0) - 42.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "percentile of empty set")]
-    fn percentile_of_empty_panics() {
-        SampleSet::new().percentile_ns(50.0);
     }
 
     #[test]
@@ -406,84 +284,6 @@ mod tests {
         let json = serde_json::to_string(&s).unwrap();
         let back: SampleSet = serde_json::from_str(&json).unwrap();
         assert_eq!(back.summary(), s.summary());
-    }
-
-    #[test]
-    fn streaming_moments_match_buffered() {
-        let xs: Vec<f64> = (0..5_000)
-            .map(|i| (i as f64 * 0.37).sin().abs() * 300.0 + 50.0)
-            .collect();
-        let b = set_of(&xs).summary();
-        let s = streaming_of(&xs).summary();
-        assert_eq!(s.count, b.count);
-        assert!((s.mean - b.mean).abs() < 1e-9 * b.mean.abs().max(1.0));
-        assert!((s.std_dev - b.std_dev).abs() < 1e-9 * b.std_dev.abs().max(1.0));
-        assert!((s.min - b.min).abs() < 1e-12);
-        assert!((s.max - b.max).abs() < 1e-12);
-        // Streaming trades the median for O(1) memory: reports the mean.
-        assert!((s.median - s.mean).abs() < 1e-12);
-    }
-
-    #[test]
-    fn streaming_set_retains_no_samples() {
-        let s = streaming_of(&(0..10_000).map(|i| i as f64).collect::<Vec<_>>());
-        assert!(!s.is_buffered());
-        assert_eq!(s.len(), 10_000);
-        // The whole point: no per-sample storage.
-        let json = serde_json::to_string(&s).unwrap();
-        let back: SampleSet = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.summary(), s.summary());
-    }
-
-    #[test]
-    #[should_panic(expected = "streaming SampleSet")]
-    fn streaming_histogram_panics() {
-        streaming_of(&[1.0, 2.0]).histogram(0.0, 10.0, 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "streaming SampleSet")]
-    fn streaming_samples_panics() {
-        let _ = streaming_of(&[1.0]).samples();
-    }
-
-    #[test]
-    fn welford_merge_matches_single_pass() {
-        let xs: Vec<f64> = (0..999).map(|i| ((i * 31 + 7) % 503) as f64).collect();
-        let mut whole = Welford::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        let (lo, hi) = xs.split_at(401);
-        let mut a = Welford::new();
-        let mut b = Welford::new();
-        for &x in lo {
-            a.push(x);
-        }
-        for &x in hi {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.std_dev() - whole.std_dev()).abs() < 1e-9);
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
-        // Merging into/with empties is the identity.
-        let mut e = Welford::new();
-        e.merge(&whole);
-        assert_eq!(e, whole);
-        whole.merge(&Welford::new());
-        assert_eq!(e, whole);
-    }
-
-    #[test]
-    fn extend_mixing_modes_degrades_to_streaming() {
-        let mut buf = set_of(&[1.0, 2.0]);
-        buf.extend_from(&streaming_of(&[3.0, 4.0]));
-        assert!(!buf.is_buffered());
-        assert_eq!(buf.len(), 4);
-        assert!((buf.mean_ns() - 2.5).abs() < 1e-12);
     }
 
     proptest! {
@@ -495,25 +295,6 @@ mod tests {
             prop_assert!(sum.mean <= sum.max + 1e-6);
             prop_assert!(sum.median >= sum.min - 1e-6);
             prop_assert!(sum.median <= sum.max + 1e-6);
-        }
-
-        #[test]
-        fn extend_concatenates(a in proptest::collection::vec(0.0f64..1e3, 0..20),
-                               b in proptest::collection::vec(0.0f64..1e3, 0..20)) {
-            let mut s = set_of(&a);
-            s.extend_from(&set_of(&b));
-            prop_assert_eq!(s.len(), a.len() + b.len());
-        }
-
-        #[test]
-        fn streaming_and_buffered_agree(xs in proptest::collection::vec(0.0f64..1e4, 1..60)) {
-            let b = set_of(&xs).summary();
-            let s = streaming_of(&xs).summary();
-            prop_assert_eq!(b.count, s.count);
-            prop_assert!((b.mean - s.mean).abs() < 1e-6);
-            prop_assert!((b.std_dev - s.std_dev).abs() < 1e-6);
-            prop_assert!((b.min - s.min).abs() < 1e-9);
-            prop_assert!((b.max - s.max).abs() < 1e-9);
         }
     }
 }

@@ -113,12 +113,19 @@ fn layer_tag(layer: Layer) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bband_core::fault::EnginePath;
     use bband_core::tracepath::traced_e2e;
     use bband_core::{Calibration, FaultPlan};
 
     #[test]
     fn flame_lists_all_nine_e2e_slices() {
-        let (res, trace) = traced_e2e(&Calibration::default(), &FaultPlan::none(), 8, 1);
+        let (res, trace) = traced_e2e(
+            EnginePath::Fast,
+            &Calibration::default(),
+            &FaultPlan::none(),
+            8,
+            1,
+        );
         res.unwrap();
         let text = render_flame("zero-fault e2e", &trace);
         for name in bband_core::tracepath::FIG13_SLICES {
@@ -132,7 +139,7 @@ mod tests {
     fn faulted_flame_shows_recovery_events() {
         let mut plan = FaultPlan::none();
         plan.loss_probability = 0.05;
-        let (res, trace) = traced_e2e(&Calibration::default(), &plan, 200, 42);
+        let (res, trace) = traced_e2e(EnginePath::Fast, &Calibration::default(), &plan, 200, 42);
         res.unwrap();
         let text = render_flame("lossy e2e", &trace);
         assert!(text.contains("event(s)"), "{text}");
@@ -151,7 +158,13 @@ mod tests {
 
     #[test]
     fn critical_path_view_splits_exposed_and_hidden() {
-        let (res, trace) = traced_e2e(&Calibration::default(), &FaultPlan::none(), 4, 1);
+        let (res, trace) = traced_e2e(
+            EnginePath::Fast,
+            &Calibration::default(),
+            &FaultPlan::none(),
+            4,
+            1,
+        );
         res.unwrap();
         let cp = bband_trace::critical_path(&trace).unwrap();
         let text = render_critical_path("zero-fault DAG", &cp);

@@ -88,12 +88,13 @@ pub fn loss_sweep_json(title: &str, points: &[LossPoint]) -> LossSweepJson {
 mod tests {
     use super::*;
     use crate::export::to_json;
-    use bband_core::fault::{latency_under_loss, FaultPlan, DEFAULT_LOSS_GRID};
+    use bband_core::fault::{latency_under_loss, EnginePath, FaultPlan, DEFAULT_LOSS_GRID};
     use bband_core::Calibration;
     use bband_sim::WorkerPool;
 
     fn sweep() -> Vec<LossPoint> {
         latency_under_loss(
+            EnginePath::Fast,
             &Calibration::default(),
             &FaultPlan::none(),
             &DEFAULT_LOSS_GRID,

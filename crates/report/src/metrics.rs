@@ -247,6 +247,7 @@ pub fn render_recovery_attribution(
 mod tests {
     use super::*;
     use crate::export::to_json;
+    use bband_core::fault::EnginePath;
     use bband_core::tracepath::{metered_e2e, reconstruct, traced_e2e};
     use bband_core::{Calibration, FaultPlan};
     use bband_sim::WorkerPool;
@@ -261,6 +262,7 @@ mod tests {
     #[test]
     fn quantile_table_lists_every_traced_stage() {
         let (_, set) = metered_e2e(
+            EnginePath::Fast,
             &Calibration::default(),
             &FaultPlan::none(),
             16,
@@ -282,6 +284,7 @@ mod tests {
     #[test]
     fn metrics_json_parses_back_with_stable_schema() {
         let (_, set) = metered_e2e(
+            EnginePath::Fast,
             &Calibration::default(),
             &lossy(),
             32,
@@ -304,6 +307,7 @@ mod tests {
     #[test]
     fn windowed_rendering_splits_the_e2e_distribution() {
         let (_, set) = metered_e2e(
+            EnginePath::Fast,
             &Calibration::default(),
             &FaultPlan::none(),
             32,
@@ -319,6 +323,7 @@ mod tests {
         assert!(text.lines().count() >= 4, "{text}");
         // An unwindowed collection renders nothing for the same stage.
         let (_, plain) = metered_e2e(
+            EnginePath::Fast,
             &Calibration::default(),
             &FaultPlan::none(),
             32,
@@ -332,7 +337,7 @@ mod tests {
 
     #[test]
     fn recovery_attribution_names_the_offenders() {
-        let (res, trace) = traced_e2e(&Calibration::default(), &lossy(), 200, 42);
+        let (res, trace) = traced_e2e(EnginePath::Fast, &Calibration::default(), &lossy(), 200, 42);
         res.unwrap();
         let cp = reconstruct(&trace).unwrap();
         let msgs = per_message_attribution(&trace, "HLP_rx_prog").unwrap();
@@ -354,7 +359,13 @@ mod tests {
 
     #[test]
     fn clean_run_renders_the_clean_banner() {
-        let (res, trace) = traced_e2e(&Calibration::default(), &FaultPlan::none(), 8, 1);
+        let (res, trace) = traced_e2e(
+            EnginePath::Fast,
+            &Calibration::default(),
+            &FaultPlan::none(),
+            8,
+            1,
+        );
         res.unwrap();
         let cp = reconstruct(&trace).unwrap();
         let msgs = per_message_attribution(&trace, "HLP_rx_prog").unwrap();

@@ -194,11 +194,13 @@ pub fn render_fault_check(fc: &FaultCheckJson) -> String {
 mod tests {
     use super::*;
     use crate::export::to_json;
+    use bband_core::fault::EnginePath;
     use bband_core::sweep_message_sizes;
     use bband_sim::WorkerPool;
 
     fn sweep() -> Vec<SizeSweepPoint> {
         sweep_message_sizes(
+            EnginePath::Fast,
             &Calibration::default(),
             &[8, 4096, 65_536, 1 << 20],
             6,

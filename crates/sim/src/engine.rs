@@ -68,7 +68,6 @@ pub struct EventQueue<E> {
     /// Time of the most recently popped event; pushes earlier than this are
     /// causality violations and panic.
     watermark: SimTime,
-    total_fired: u64,
 }
 
 impl<E: Copy> Default for EventQueue<E> {
@@ -84,7 +83,6 @@ impl<E: Copy> EventQueue<E> {
             heap: Vec::new(),
             next_seq: 0,
             watermark: SimTime::ZERO,
-            total_fired: 0,
         }
     }
 
@@ -140,7 +138,6 @@ impl<E: Copy> EventQueue<E> {
         }
         let ev = self.remove(0);
         self.watermark = ev.at;
-        self.total_fired += 1;
         Some((ev.at, ev.event))
     }
 
@@ -236,11 +233,6 @@ impl<E: Copy> EventQueue<E> {
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Count of events fired since construction (diagnostics).
-    pub fn total_fired(&self) -> u64 {
-        self.total_fired
     }
 
     /// Time of the last fired event.
@@ -375,6 +367,7 @@ mod tests {
         q.push(SimTime::from_ns(2), 'b');
         assert_eq!(q.pop(), Some((SimTime::from_ns(2), 'b')));
         // Now the watermark is 2: same-time pushes fine, earlier panics.
+        assert_eq!(q.watermark(), SimTime::from_ns(2));
         q.push(SimTime::from_ns(2), 'c');
         assert_eq!(q.pop(), Some((SimTime::from_ns(2), 'c')));
     }
@@ -389,7 +382,6 @@ mod tests {
         assert_eq!(q.len(), 1);
         assert_eq!(q.pop(), Some((SimTime::from_ns(20), "b")));
         assert!(q.is_empty());
-        assert_eq!(q.total_fired(), 1, "cancelled events never count as fired");
     }
 
     #[test]
@@ -489,17 +481,6 @@ mod tests {
         assert_eq!(q.len(), 50);
         let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, (1..100).step_by(2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn total_fired_counts() {
-        let mut q = EventQueue::new();
-        for i in 0..10u64 {
-            q.push(SimTime::from_ns(i), i);
-        }
-        while q.pop().is_some() {}
-        assert_eq!(q.total_fired(), 10);
-        assert_eq!(q.watermark(), SimTime::from_ns(9));
     }
 
     mod props {

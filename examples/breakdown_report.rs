@@ -6,6 +6,8 @@
 //! cargo run --release --example breakdown_report
 //! ```
 
+use breaking_band::microbench::StackConfig;
+use breaking_band::models::fault::{EnginePath, FaultPlan};
 use breaking_band::models::latency::Category;
 use breaking_band::models::validate::{validate_all, ValidationScale};
 use breaking_band::models::{
@@ -73,7 +75,14 @@ fn main() {
     );
 
     println!("\nValidating models against the simulated system (jittered)...");
-    let report = validate_all(&c, ValidationScale::default(), true);
+    let report = validate_all(
+        &c,
+        ValidationScale::default(),
+        true,
+        &FaultPlan::none(),
+        EnginePath::Fast,
+        StackConfig::default().seed,
+    );
     for row in &report.rows {
         println!(
             "  {:<36} model {:>8.2}  observed {:>8.2}  err {:>5.2}% [{}]",

@@ -40,7 +40,6 @@ fn main() {
         stack: StackConfig::validation(),
         iterations: 500,
         warmup: 16,
-        buffer_samples: false,
     });
     let pcie = lat.pcie.summary().mean;
     let network = lat.network.summary().mean;

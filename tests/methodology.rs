@@ -52,7 +52,6 @@ fn measured_constants_rebuild_the_latency_model() {
         stack: StackConfig::validation(),
         iterations: 400,
         warmup: 16,
-        buffer_samples: false,
     });
     let pcie = lat.pcie.summary().mean; // MWr→ACK/2 (the paper's method)
     let network = lat.network.summary().mean; // ping→CQE/2

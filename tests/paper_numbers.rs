@@ -2,6 +2,8 @@
 //! derived model totals, all figure percentages, the validation margins,
 //! and the §7 claims. This is the reproduction's contract.
 
+use breaking_band::microbench::StackConfig;
+use breaking_band::models::fault::{EnginePath, FaultPlan};
 use breaking_band::models::validate::{validate_all, ValidationScale};
 use breaking_band::models::whatif::Component;
 use breaking_band::models::{
@@ -203,7 +205,14 @@ fn validation_margins_hold_like_the_papers() {
     // Paper: Eq.1 within 5%, LLP latency within 5%, Eq.2 within 1%,
     // end-to-end within 4% — of *its* hardware observations. Against our
     // simulated system the same (or tighter) agreements must hold.
-    let report = validate_all(&Calibration::default(), ValidationScale::quick(), true);
+    let report = validate_all(
+        &Calibration::default(),
+        ValidationScale::quick(),
+        true,
+        &FaultPlan::none(),
+        EnginePath::Fast,
+        StackConfig::default().seed,
+    );
     assert!(report.all_pass(), "{:#?}", report.rows);
     for row in &report.rows {
         assert!(

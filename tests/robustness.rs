@@ -36,7 +36,7 @@ proptest! {
     fn am_lat_stable_across_seeds(seed in 0u64..1_000_000) {
         let mut stack = StackConfig { seed, ..Default::default() };
         stack.llp.noise = breaking_band::sim::NoiseSpike::OFF;
-        let r = am_lat(&AmLatConfig { stack, iterations: 150, warmup: 8, buffer_samples: false });
+        let r = am_lat(&AmLatConfig { stack, iterations: 150, warmup: 8 });
         let corrected = r.observed.summary().mean - 49.69 / 2.0;
         prop_assert!((corrected - 1135.8).abs() / 1135.8 < 0.05,
             "seed {seed}: corrected latency {corrected}");

@@ -8,7 +8,7 @@ use breaking_band::fabric::reliability::{Psn, PSN_MOD};
 use breaking_band::fabric::{
     NodeId, Packet, PacketId, PacketKind, RcReceiver, RcSender, RcVerdict,
 };
-use breaking_band::models::fault::{run_e2e_under_faults, FaultPlan};
+use breaking_band::models::fault::{run_e2e_under_faults_on, EnginePath, FaultPlan};
 use breaking_band::models::Calibration;
 use breaking_band::pcie::replay::SEQ_MOD;
 use breaking_band::pcie::{DllReceiver, ReplayBuffer, RxVerdict, SeqNum, Tlp, TlpIdGen};
@@ -164,7 +164,7 @@ proptest! {
         let mut plan = FaultPlan::none();
         plan.loss_probability = loss_milli as f64 / 1000.0;
         plan.retry.max_retries = 6;
-        match run_e2e_under_faults(&Calibration::default(), &plan, 80, seed) {
+        match run_e2e_under_faults_on(EnginePath::Fast, &Calibration::default(), &plan, 80, seed) {
             Ok(stats) => prop_assert_eq!(stats.completed, 80),
             Err(e) => prop_assert!(e.retries > 6),
         }
