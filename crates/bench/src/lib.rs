@@ -20,6 +20,7 @@ use bband_microbench::{
     AmLatConfig, OsuLatConfig, PutBwConfig, StackConfig, ThreadSweepConfig,
 };
 use bband_mpi::{collective_scaling, Collective};
+use bband_profiling::profiler::UCS_OVERHEAD_MEAN_NS;
 use bband_report::{
     breakdown_json, curves_json, fabric_telemetry_json, loss_sweep_json, metrics_json,
     rank_sweep_json, render_bar, render_critical_path, render_curves, render_fabric_heatmap,
@@ -201,7 +202,7 @@ fn fig10(o: &Opts) -> String {
         },
         warmup: 16,
     });
-    let corrected = obs.observed.mean_ns() - 49.69 / 2.0;
+    let corrected = obs.observed.mean_ns() - UCS_OVERHEAD_MEAN_NS / 2.0;
     out.push_str(&format!(
         "  modeled total (incl. LLP_prog): {:.2} ns; observed (am_lat, corrected): {corrected:.2} ns\n",
         model.total().as_ns_f64(),

@@ -38,7 +38,7 @@ impl Default for SwitchModel {
         SwitchModel {
             base: SimDuration::from_ns_f64(108.0),
             per_byte: SimDuration::from_ps(80),
-            jitter: Jitter::hw_default(),
+            jitter: Jitter::Hw,
             egress_busy: IdMap::default(),
             contended: 0,
         }

@@ -35,7 +35,7 @@ impl Default for WireModel {
             base: SimDuration::from_ns_f64(274.81) - SimDuration::from_ps(80 * probe_bytes),
             fec: SimDuration::ZERO,
             per_byte,
-            jitter: Jitter::hw_default(),
+            jitter: Jitter::Hw,
         }
     }
 }
@@ -54,7 +54,7 @@ impl WireModel {
             base: SimDuration::from_ns_f64(230.0),
             fec: SimDuration::from_ns_f64(300.0),
             per_byte: SimDuration::from_ps(40), // 200 Gb/s
-            jitter: Jitter::hw_default(),
+            jitter: Jitter::Hw,
         }
     }
 

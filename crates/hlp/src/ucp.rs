@@ -28,6 +28,8 @@ pub enum UcpEvent {
     RecvComplete { req: ReqId, tag: u64, payload: u32 },
 }
 
+/// One send as the transport takes it: posted at once, or parked after a
+/// busy post until `worker_progress` reschedules it.
 #[derive(Debug, Clone, Copy)]
 struct PendingSend {
     req: ReqId,
@@ -349,29 +351,15 @@ impl UcpWorker {
         if signaled {
             self.sends_since_signal = 0;
         }
-        match self.uct.post_tagged(
-            &mut self.ep,
-            cluster,
-            Opcode::Send,
+        let send = PendingSend {
+            req,
             dst,
             payload,
-            signaled,
             tag,
-            tap,
-        ) {
-            Ok(_) => self.outstanding_sends.push_back(req),
-            Err(_) => {
-                self.rescheduled_sends += 1;
-                self.pending_sends.push_back(PendingSend {
-                    req,
-                    dst,
-                    payload,
-                    tag,
-                    signaled,
-                    opcode: Opcode::Send,
-                });
-            }
-        }
+            signaled,
+            opcode: Opcode::Send,
+        };
+        self.post_or_park(cluster, send, tap);
     }
 
     /// Post a protocol-internal operation (control message or rendezvous
@@ -392,23 +380,50 @@ impl UcpWorker {
         // A signaled post resets the moderation counter, as on real UCX
         // where protocol operations request completions.
         self.sends_since_signal = 0;
-        match self
-            .uct
-            .post_tagged(&mut self.ep, cluster, opcode, dst, payload, true, tag, tap)
-        {
-            Ok(_) => self.outstanding_sends.push_back(req),
-            Err(_) => {
-                self.rescheduled_sends += 1;
-                self.pending_sends.push_back(PendingSend {
-                    req,
-                    dst,
-                    payload,
-                    tag,
-                    signaled: true,
-                    opcode,
-                });
-            }
+        let send = PendingSend {
+            req,
+            dst,
+            payload,
+            tag,
+            signaled: true,
+            opcode,
+        };
+        self.post_or_park(cluster, send, tap);
+    }
+
+    /// Post `send` through the transport; on a busy ring, park it for
+    /// `worker_progress` to reschedule (§6 caveat 1).
+    fn post_or_park(&mut self, cluster: &mut Cluster, send: PendingSend, tap: &mut dyn LinkTap) {
+        if !self.try_post(cluster, &send, tap) {
+            self.rescheduled_sends += 1;
+            self.pending_sends.push_back(send);
         }
+    }
+
+    /// Post `send` and track it as outstanding; false if the ring was busy.
+    fn try_post(
+        &mut self,
+        cluster: &mut Cluster,
+        send: &PendingSend,
+        tap: &mut dyn LinkTap,
+    ) -> bool {
+        let posted = self
+            .uct
+            .post_tagged(
+                &mut self.ep,
+                cluster,
+                send.opcode,
+                send.dst,
+                send.payload,
+                send.signaled,
+                send.tag,
+                tap,
+            )
+            .is_ok();
+        if posted {
+            self.outstanding_sends.push_back(send.req);
+        }
+        posted
     }
 
     /// `ucp_tag_recv_nb`: post a tagged receive. Matching against an
@@ -475,22 +490,10 @@ impl UcpWorker {
         }
         // Reschedule busy posts (§6 caveat 1).
         while let Some(p) = self.pending_sends.front().copied() {
-            match self.uct.post_tagged(
-                &mut self.ep,
-                cluster,
-                p.opcode,
-                p.dst,
-                p.payload,
-                p.signaled,
-                p.tag,
-                tap,
-            ) {
-                Ok(_) => {
-                    self.pending_sends.pop_front();
-                    self.outstanding_sends.push_back(p.req);
-                }
-                Err(_) => break,
+            if !self.try_post(cluster, &p, tap) {
+                break;
             }
+            self.pending_sends.pop_front();
         }
         // One transport progress (the LLP_prog).
         if let Some(cqe) = self.uct.progress(&mut self.ep, cluster, tap) {
@@ -756,13 +759,7 @@ impl UcpWorker {
             if !events.is_empty() {
                 return events;
             }
-            let hw = cluster.next_event_time();
-            let vis = cluster.next_cqe_visible_at(self.node(), self.ep.qp());
-            let next = match (hw, vis) {
-                (Some(a), Some(b)) => Some(if a <= b { a } else { b }),
-                (a, b) => a.or(b),
-            };
-            match next {
+            match cluster.next_wake(self.node(), self.ep.qp()) {
                 Some(t) => {
                     self.uct.cpu_mut().advance_to(t);
                 }
@@ -813,13 +810,7 @@ impl UcpWorker {
             if self.outstanding() == 0 {
                 break;
             }
-            let hw = cluster.next_event_time();
-            let vis = cluster.next_cqe_visible_at(self.node(), self.ep.qp());
-            let next = match (hw, vis) {
-                (Some(a), Some(b)) => Some(if a <= b { a } else { b }),
-                (a, b) => a.or(b),
-            };
-            match next {
+            match cluster.next_wake(self.node(), self.ep.qp()) {
                 Some(t) => {
                     self.uct.cpu_mut().advance_to(t);
                 }

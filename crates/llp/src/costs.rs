@@ -79,7 +79,7 @@ impl LlpCosts {
             post_misc: SimDuration::from_ns_f64(14.99),
             prog: SimDuration::from_ns_f64(61.63),
             busy_post: SimDuration::from_ns_f64(8.99),
-            jitter: Jitter::cpu_default(),
+            jitter: Jitter::Cpu,
             noise: NoiseSpike::os_default(),
         }
     }

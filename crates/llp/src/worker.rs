@@ -365,15 +365,8 @@ impl Core {
                 ep.stash(cqe);
             }
             // Nothing observable yet: spin forward to the earliest instant
-            // something could change — a pending hardware event or an
-            // already-written CQE becoming visible.
-            let hw = cluster.next_event_time();
-            let vis = cluster.next_cqe_visible_at(self.node, ep.qp());
-            let next = match (hw, vis) {
-                (Some(a), Some(b)) => Some(if a <= b { a } else { b }),
-                (a, b) => a.or(b),
-            };
-            match next {
+            // something could change.
+            match cluster.next_wake(self.node, ep.qp()) {
                 Some(t) => {
                     // Count the failed polls the core burned while waiting.
                     let wait = t.saturating_since(self.cpu.now());
@@ -384,26 +377,6 @@ impl Core {
                     "deadlock: waiting for a {kind:?} completion on {:?} with no pending hardware",
                     self.node
                 ),
-            }
-        }
-    }
-
-    /// Progress until the ring has room (used by benchmark loops after a
-    /// busy post).
-    pub fn progress_until_room(
-        &mut self,
-        ep: &mut Endpoint,
-        cluster: &mut Cluster,
-        tap: &mut dyn LinkTap,
-    ) {
-        while ep.is_full() {
-            if self.progress(ep, cluster, tap).is_some() {
-                continue;
-            }
-            if let Some(t) = cluster.next_event_time() {
-                self.cpu.advance_to(t);
-            } else {
-                panic!("deadlock: ring full with no pending hardware");
             }
         }
     }
@@ -592,11 +565,6 @@ impl Worker {
     pub fn clear_stashed(&mut self) {
         self.ep.clear_stashed();
     }
-
-    /// See [`Core::progress_until_room`].
-    pub fn progress_until_room(&mut self, cluster: &mut Cluster, tap: &mut dyn LinkTap) {
-        self.core.progress_until_room(&mut self.ep, cluster, tap)
-    }
 }
 
 #[cfg(test)]
@@ -652,8 +620,8 @@ mod tests {
         assert_eq!(err, Err(PostError::Busy));
         assert!((w.now().since(t0).as_ns_f64() - 8.99).abs() < 0.001);
         assert_eq!(w.busy_posts(), 1);
-        // Progressing makes room again.
-        w.progress_until_room(&mut cl, &mut tap);
+        // Waiting for a completion makes room again.
+        w.wait(&mut cl, CqeKind::SendComplete, &mut tap);
         assert!(w.occupancy() < 2);
         assert!(w
             .post(&mut cl, Opcode::RdmaWrite, NodeId(1), 8, true, &mut tap)

@@ -5,7 +5,7 @@ use bband_llp::{LlpCosts, Worker};
 use bband_memsys::RcToMemModel;
 use bband_nic::Cluster;
 use bband_pcie::LinkModel;
-use bband_profiling::profiler::{UCS_OVERHEAD_MEAN_NS, UCS_OVERHEAD_SIGMA_NS};
+use bband_profiling::profiler::{sample_timer_read, UCS_OVERHEAD_MEAN_NS};
 use bband_sim::{CpuClock, Pcg64, SimDuration};
 
 /// How the simulated system is configured for a benchmark run.
@@ -113,12 +113,11 @@ impl BenchClock {
 
     /// Charge one measurement update to `cpu` and return its cost.
     pub fn update(&mut self, cpu: &mut CpuClock) -> SimDuration {
-        let ns = if self.deterministic {
-            UCS_OVERHEAD_MEAN_NS
+        let d = if self.deterministic {
+            SimDuration::from_ns_f64(UCS_OVERHEAD_MEAN_NS)
         } else {
-            (UCS_OVERHEAD_MEAN_NS + UCS_OVERHEAD_SIGMA_NS * self.rng.next_gaussian()).max(0.1)
+            sample_timer_read(&mut self.rng)
         };
-        let d = SimDuration::from_ns_f64(ns);
         cpu.advance(d);
         self.total_update += d;
         self.updates += 1;

@@ -128,15 +128,7 @@ pub fn run_collective(
                 // (minimum-clock) rank to the next hardware instant.
                 let progressed = ranks[idx].pump(cluster, tap);
                 if !progressed {
-                    let qp = ranks[idx].ucp().qp();
-                    let node = ranks[idx].node();
-                    let hw = cluster.next_event_time();
-                    let vis = cluster.next_cqe_visible_at(node, qp);
-                    let next = match (hw, vis) {
-                        (Some(a), Some(b)) => Some(if a <= b { a } else { b }),
-                        (a, b) => a.or(b),
-                    };
-                    if let Some(t) = next {
+                    if let Some(t) = cluster.next_wake(ranks[idx].node(), ranks[idx].ucp().qp()) {
                         ranks[idx].ucp_mut().uct_mut().cpu_mut().advance_to(t);
                     }
                     // If there is nothing at all pending, another rank must

@@ -180,13 +180,7 @@ impl MpiProcess {
                 // Fast-forward across hardware dead time like a spinning
                 // core (wall-clock burned either way).
                 if self.state(req) != RequestState::Complete {
-                    let hw = cluster.next_event_time();
-                    let vis = cluster.next_cqe_visible_at(self.node(), self.ucp.qp());
-                    let next = match (hw, vis) {
-                        (Some(a), Some(b)) => Some(if a <= b { a } else { b }),
-                        (a, b) => a.or(b),
-                    };
-                    if let Some(t) = next {
+                    if let Some(t) = cluster.next_wake(self.node(), self.ucp.qp()) {
                         self.ucp.uct_mut().cpu_mut().advance_to(t);
                     } else if !self.ucp.force_signal(cluster, tap) {
                         panic!("MPI_Wait deadlock: no pending hardware events");
@@ -225,13 +219,7 @@ impl MpiProcess {
             }
             let events = self.ucp.worker_progress(cluster, tap);
             if events.is_empty() {
-                let hw = cluster.next_event_time();
-                let vis = cluster.next_cqe_visible_at(self.node(), self.ucp.qp());
-                let next = match (hw, vis) {
-                    (Some(a), Some(b)) => Some(if a <= b { a } else { b }),
-                    (a, b) => a.or(b),
-                };
-                if let Some(t) = next {
+                if let Some(t) = cluster.next_wake(self.node(), self.ucp.qp()) {
                     self.wait_spins += 1;
                     self.ucp.uct_mut().cpu_mut().advance_to(t);
                 } else if !self.ucp.force_signal(cluster, tap) {

@@ -544,8 +544,19 @@ impl Cluster {
         }
     }
 
+    /// The earliest instant a core polling `qp` on `node` could observe a
+    /// change: the next pending hardware event or the next already-written
+    /// CQE on `qp` becoming visible, whichever comes first. `None` when
+    /// neither exists.
+    pub fn next_wake(&self, node: NodeId, qp: QpId) -> Option<SimTime> {
+        match (self.next_event_time(), self.next_cqe_visible_at(node, qp)) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
+    }
+
     /// When the next already-written CQE on `qp` becomes observable.
-    pub fn next_cqe_visible_at(&self, node: NodeId, qp: QpId) -> Option<SimTime> {
+    fn next_cqe_visible_at(&self, node: NodeId, qp: QpId) -> Option<SimTime> {
         self.nodes[node.0 as usize]
             .host_cq
             .get(qp.0 as usize)?

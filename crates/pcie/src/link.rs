@@ -65,7 +65,7 @@ impl Default for LinkModel {
         LinkModel {
             base,
             per_byte,
-            jitter: Jitter::hw_default(),
+            jitter: Jitter::Hw,
         }
     }
 }

@@ -10,6 +10,14 @@ pub const UCS_OVERHEAD_MEAN_NS: f64 = 49.69;
 /// Its standard deviation over 1000 samples: 1.48 ns.
 pub const UCS_OVERHEAD_SIGMA_NS: f64 = 1.48;
 
+/// One sampled timer read: Gaussian around [`UCS_OVERHEAD_MEAN_NS`] with
+/// σ [`UCS_OVERHEAD_SIGMA_NS`], clamped positive.
+pub fn sample_timer_read(rng: &mut Pcg64) -> SimDuration {
+    SimDuration::from_ns_f64(
+        (UCS_OVERHEAD_MEAN_NS + UCS_OVERHEAD_SIGMA_NS * rng.next_gaussian()).max(0.1),
+    )
+}
+
 /// Handle for an open measurement region.
 #[must_use = "a region must be closed with Profiler::end"]
 #[derive(Debug)]
@@ -26,8 +34,6 @@ pub struct RegionHandle {
 #[derive(Debug)]
 pub struct Profiler {
     regions: BTreeMap<String, SampleSet>,
-    overhead_mean: f64,
-    overhead_sigma: f64,
     rng: Pcg64,
 }
 
@@ -36,24 +42,14 @@ impl Profiler {
     pub fn new(seed: u64) -> Self {
         Profiler {
             regions: BTreeMap::new(),
-            overhead_mean: UCS_OVERHEAD_MEAN_NS,
-            overhead_sigma: UCS_OVERHEAD_SIGMA_NS,
             rng: Pcg64::new(seed ^ 0x9a0f),
         }
-    }
-
-    /// One sampled instrumentation overhead (Gaussian around the calibrated
-    /// mean, clamped positive).
-    fn sample_overhead(&mut self) -> SimDuration {
-        let ns = (self.overhead_mean + self.overhead_sigma * self.rng.next_gaussian()).max(0.1);
-        SimDuration::from_ns_f64(ns)
     }
 
     /// Open a measurement region: charges the timer-read cost to `cpu` and
     /// snapshots its clock.
     pub fn begin(&mut self, cpu: &mut CpuClock) -> RegionHandle {
-        let oh = self.sample_overhead();
-        cpu.advance(oh);
+        cpu.advance(sample_timer_read(&mut self.rng));
         RegionHandle { start: cpu.now() }
     }
 
@@ -64,8 +60,7 @@ impl Profiler {
     /// We instead charge the closing read inside the interval: symmetric
     /// and equivalent in the mean.
     pub fn end(&mut self, name: &str, handle: RegionHandle, cpu: &mut CpuClock) {
-        let oh = self.sample_overhead();
-        cpu.advance(oh);
+        cpu.advance(sample_timer_read(&mut self.rng));
         let raw = cpu.now().since(handle.start);
         self.regions.entry(name.to_string()).or_default().push(raw);
     }
@@ -88,7 +83,7 @@ impl Profiler {
     pub fn deducted_mean_ns(&self, name: &str) -> Option<f64> {
         self.regions
             .get(name)
-            .map(|s| s.mean_ns_minus(self.overhead_mean))
+            .map(|s| s.mean_ns_minus(UCS_OVERHEAD_MEAN_NS))
     }
 
     /// Raw mean of a region (no deduction).

@@ -15,77 +15,84 @@
 use crate::rng::Pcg64;
 use crate::time::SimDuration;
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
-use std::sync::{Mutex, OnceLock};
+use std::sync::LazyLock;
 
 /// How a calibrated base cost is perturbed per sample.
+///
+/// Both jittered profiles are floored log-normals,
+/// `max(floor_frac * base, base * exp(sigma*N(0,1)) / k)`, where
+/// `k = exp(sigma^2 / 2)` recenters the *mean* on `base` so that calibrated
+/// constants stay means, as in the paper's tables.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum Jitter {
     /// No jitter: every sample is exactly the base cost. Hardware-pipeline
     /// latencies in validation runs use this so model-vs-simulation error is
     /// attributable to structure, not noise.
     Fixed,
-    /// Floored log-normal: `max(floor_frac * base, base * exp(sigma*N(0,1)) / k)`
-    /// where `k = exp(sigma^2 / 2)` recenters the *mean* on `base` so that
-    /// calibrated constants stay means, as in the paper's tables.
-    LogNormal {
-        /// Log-space standard deviation (≈ relative sigma for small values).
-        sigma: f64,
-        /// Hard lower bound as a fraction of base (fastest possible run).
-        floor_frac: f64,
-    },
-}
-
-impl Jitter {
     /// CPU-side software cost jitter calibrated so that the injection-
     /// overhead sum reproduces Figure 7's spread: per-component σ_rel 0.25
     /// gives σ ≈ 48 ns on the ~296 ns sum (the paper observes 58.5), and
     /// the 0.70 floor gives a minimum near 207 ns (the paper: 201.3).
-    pub const fn cpu_default() -> Jitter {
-        Jitter::LogNormal {
-            sigma: 0.25,
-            floor_frac: 0.70,
+    Cpu,
+    /// Hardware-path (PCIe / wire / switch) jitter: much tighter, σ_rel
+    /// 0.04 above a 0.90 floor.
+    Hw,
+}
+
+impl Jitter {
+    /// Log-space standard deviation (≈ relative sigma for small values)
+    /// and hard lower bound as a fraction of base (fastest possible run)
+    /// of a jittered profile; `None` for [`Jitter::Fixed`]. The draw tables
+    /// and [`Jitter::sample_exact`] both read the shape here.
+    const fn shape(self) -> Option<(f64, f64)> {
+        match self {
+            Jitter::Fixed => None,
+            Jitter::Cpu => Some((0.25, 0.70)),
+            Jitter::Hw => Some((0.04, 0.90)),
         }
     }
 
-    /// Hardware-path (PCIe / wire / switch) jitter: much tighter.
-    pub const fn hw_default() -> Jitter {
-        Jitter::LogNormal {
-            sigma: 0.04,
-            floor_frac: 0.90,
+    /// The profile's inverse-CDF table; `None` for [`Jitter::Fixed`]. The
+    /// two tables are constants, not state: statics only because `f64::exp`
+    /// cannot run in a `const fn`, so each is built on its first draw.
+    #[inline]
+    fn table(self) -> Option<&'static [f64; TABLE_LEN]> {
+        static CPU: LazyLock<[f64; TABLE_LEN]> = LazyLock::new(|| build_table(Jitter::Cpu));
+        static HW: LazyLock<[f64; TABLE_LEN]> = LazyLock::new(|| build_table(Jitter::Hw));
+        match self {
+            Jitter::Fixed => None,
+            Jitter::Cpu => Some(&CPU),
+            Jitter::Hw => Some(&HW),
         }
     }
 
     /// Draw one sample of a cost whose calibrated mean is `base`.
     ///
     /// Hot path: the floored log-normal factors as `base · m(u)` where the
-    /// multiplier quantile `m` depends only on `(sigma, floor_frac)`, so
-    /// the draw is one uniform word and one lerp through a precomputed
-    /// 1024-entry inverse-CDF table (`lookup_table`) — no `ln`/`exp`/
-    /// Box–Muller per sample. [`Jitter::sample_exact`] keeps the closed
-    /// form as the reference the table is tested against.
+    /// multiplier quantile `m` depends only on the profile, so the draw is
+    /// one uniform word and one lerp through the profile's precomputed
+    /// 1024-entry inverse-CDF table — no `ln`/`exp`/Box–Muller per sample.
+    /// [`Jitter::sample_exact`] keeps the closed form as the reference the
+    /// table is tested against.
     #[inline]
     pub fn sample(&self, base: SimDuration, rng: &mut Pcg64) -> SimDuration {
-        match *self {
-            Jitter::Fixed => base,
-            Jitter::LogNormal { sigma, floor_frac } => {
-                let table = lookup_table(sigma, floor_frac);
-                let u = rng.next_f64();
-                // Table entries sit at mid-bin quantiles (i + 0.5)/N; map u
-                // onto that grid and interpolate between neighbours. Draws
-                // past the outermost mid-bins clamp to the end entries
-                // (the spike process models the extreme tail separately).
-                let x = (u * TABLE_LEN as f64 - 0.5).clamp(0.0, (TABLE_LEN - 1) as f64);
-                let i = x as usize;
-                let m = if i + 1 < TABLE_LEN {
-                    let frac = x - i as f64;
-                    table[i] + (table[i + 1] - table[i]) * frac
-                } else {
-                    table[TABLE_LEN - 1]
-                };
-                SimDuration::from_ns_f64(base.as_ns_f64() * m)
-            }
-        }
+        let Some(table) = self.table() else {
+            return base;
+        };
+        let u = rng.next_f64();
+        // Table entries sit at mid-bin quantiles (i + 0.5)/N; map u onto
+        // that grid and interpolate between neighbours. Draws past the
+        // outermost mid-bins clamp to the end entries (the spike process
+        // models the extreme tail separately).
+        let x = (u * TABLE_LEN as f64 - 0.5).clamp(0.0, (TABLE_LEN - 1) as f64);
+        let i = x as usize;
+        let m = if i + 1 < TABLE_LEN {
+            let frac = x - i as f64;
+            table[i] + (table[i + 1] - table[i]) * frac
+        } else {
+            table[TABLE_LEN - 1]
+        };
+        SimDuration::from_ns_f64(base.as_ns_f64() * m)
     }
 
     /// The closed-form sampler (Box–Muller through `ln`/`exp`): the
@@ -93,27 +100,23 @@ impl Jitter {
     /// sequences differ (two-plus uniforms per draw here, exactly one in
     /// the table path) but the distributions must agree in moments.
     pub fn sample_exact(&self, base: SimDuration, rng: &mut Pcg64) -> SimDuration {
-        match *self {
-            Jitter::Fixed => base,
-            Jitter::LogNormal { sigma, floor_frac } => {
-                debug_assert!((0.0..=1.0).contains(&floor_frac));
-                let mean_correction = (sigma * sigma / 2.0).exp();
-                let raw = rng.next_lognormal(base.as_ns_f64() / mean_correction, sigma);
-                let floored = raw.max(base.as_ns_f64() * floor_frac);
-                SimDuration::from_ns_f64(floored)
-            }
-        }
+        let Some((sigma, floor_frac)) = self.shape() else {
+            return base;
+        };
+        let mean_correction = (sigma * sigma / 2.0).exp();
+        let raw = rng.next_lognormal(base.as_ns_f64() / mean_correction, sigma);
+        SimDuration::from_ns_f64(raw.max(base.as_ns_f64() * floor_frac))
     }
 }
 
 /// Entries in one inverse-CDF lookup table.
 const TABLE_LEN: usize = 1024;
 
-/// Relative-multiplier quantiles of the floored, mean-corrected log-normal
-/// for one `(sigma, floor_frac)` profile: entry `i` is the multiplier at
-/// probability `(i + 0.5) / TABLE_LEN`.
-fn build_table(sigma: f64, floor_frac: f64) -> [f64; TABLE_LEN] {
-    assert!((0.0..=1.0).contains(&floor_frac));
+/// Relative-multiplier quantiles of a jittered profile's floored,
+/// mean-corrected log-normal: entry `i` is the multiplier at probability
+/// `(i + 0.5) / TABLE_LEN`.
+fn build_table(profile: Jitter) -> [f64; TABLE_LEN] {
+    let (sigma, floor_frac) = profile.shape().expect("a jittered profile");
     let mean_correction = (sigma * sigma / 2.0).exp();
     let mut t = [0.0; TABLE_LEN];
     for (i, slot) in t.iter_mut().enumerate() {
@@ -121,40 +124,6 @@ fn build_table(sigma: f64, floor_frac: f64) -> [f64; TABLE_LEN] {
         *slot = ((sigma * norm_quantile(p)).exp() / mean_correction).max(floor_frac);
     }
     t
-}
-
-/// Resolve the table for a profile. Tables are built once per process and
-/// leaked (a handful of profiles exist per run), registered under the bit
-/// patterns of `(sigma, floor_frac)`, and memoized thread-locally so the
-/// per-draw path is an unsynchronized scan of a few entries — no lock to
-/// bounce between worker-pool threads.
-fn lookup_table(sigma: f64, floor_frac: f64) -> &'static [f64; TABLE_LEN] {
-    type Entry = ((u64, u64), &'static [f64; TABLE_LEN]);
-    thread_local! {
-        static LOCAL: RefCell<Vec<Entry>> = const { RefCell::new(Vec::new()) };
-    }
-    static REGISTRY: OnceLock<Mutex<Vec<Entry>>> = OnceLock::new();
-
-    let key = (sigma.to_bits(), floor_frac.to_bits());
-    LOCAL.with(|local| {
-        let mut local = local.borrow_mut();
-        if let Some(&(_, t)) = local.iter().find(|(k, _)| *k == key) {
-            return t;
-        }
-        let registry = REGISTRY.get_or_init(|| Mutex::new(Vec::new()));
-        let mut registry = registry.lock().unwrap();
-        let t = match registry.iter().find(|(k, _)| *k == key) {
-            Some(&(_, t)) => t,
-            None => {
-                let t: &'static [f64; TABLE_LEN] =
-                    Box::leak(Box::new(build_table(sigma, floor_frac)));
-                registry.push((key, t));
-                t
-            }
-        };
-        local.push((key, t));
-        t
-    })
 }
 
 /// Acklam's rational approximation of the standard normal quantile
@@ -275,7 +244,7 @@ mod tests {
     fn lognormal_preserves_mean() {
         let mut rng = Pcg64::new(5);
         let base = SimDuration::from_ns_f64(175.42);
-        let j = Jitter::cpu_default();
+        let j = Jitter::Cpu;
         let samples: Vec<SimDuration> = (0..200_000).map(|_| j.sample(base, &mut rng)).collect();
         let mean = mean_ns(&samples);
         assert!(
@@ -288,13 +257,15 @@ mod tests {
     fn lognormal_respects_floor() {
         let mut rng = Pcg64::new(6);
         let base = SimDuration::from_ns_f64(100.0);
-        let j = Jitter::LogNormal {
-            sigma: 0.5,
-            floor_frac: 0.8,
-        };
-        for _ in 0..50_000 {
-            let s = j.sample(base, &mut rng);
-            assert!(s.as_ns_f64() >= 80.0 - 1e-9, "sample below floor: {s}");
+        for j in [Jitter::Cpu, Jitter::Hw] {
+            let (_, floor_frac) = j.shape().unwrap();
+            for _ in 0..50_000 {
+                let s = j.sample(base, &mut rng);
+                assert!(
+                    s.as_ns_f64() >= 100.0 * floor_frac - 1e-9,
+                    "{j:?}: sample below floor: {s}"
+                );
+            }
         }
     }
 
@@ -304,7 +275,7 @@ mod tests {
         // (median 266.30 < mean 282.33).
         let mut rng = Pcg64::new(8);
         let base = SimDuration::from_ns_f64(282.33);
-        let j = Jitter::cpu_default();
+        let j = Jitter::Cpu;
         let mut samples: Vec<f64> = (0..100_001)
             .map(|_| j.sample(base, &mut rng).as_ns_f64())
             .collect();
@@ -372,14 +343,7 @@ mod tests {
     fn table_sampler_matches_exact_sampler_moments() {
         let base = SimDuration::from_ns_f64(282.33);
         let n = 200_000;
-        for j in [
-            Jitter::cpu_default(),
-            Jitter::hw_default(),
-            Jitter::LogNormal {
-                sigma: 0.5,
-                floor_frac: 0.8,
-            },
-        ] {
+        for j in [Jitter::Cpu, Jitter::Hw] {
             let moments = |exact: bool| {
                 let mut rng = Pcg64::new(0xF1_6007);
                 let samples: Vec<f64> = (0..n)
@@ -412,7 +376,7 @@ mod tests {
     fn table_sampler_consumes_one_rng_word_per_draw() {
         // The table path must draw exactly one uniform per sample so cost
         // streams stay deterministic and cheap to reason about.
-        let j = Jitter::cpu_default();
+        let j = Jitter::Cpu;
         let base = SimDuration::from_ns_f64(100.0);
         let mut rng = Pcg64::new(42);
         let mut reference = rng.clone();
@@ -425,33 +389,66 @@ mod tests {
 
     #[test]
     fn table_median_matches_closed_form() {
-        // At u = 0.5 the multiplier is exp(0)/exp(sigma^2/2); the lerped
-        // table value around mid-grid must agree to table resolution.
-        let sigma = 0.25f64;
-        let t = build_table(sigma, 0.0);
-        let mid = (t[TABLE_LEN / 2 - 1] + t[TABLE_LEN / 2]) / 2.0;
-        let want = (-sigma * sigma / 2.0).exp();
-        assert!(
-            (mid - want).abs() < 1e-4,
-            "table median {mid} vs closed form {want}"
-        );
+        // At u = 0.5 the multiplier is exp(0)/exp(sigma^2/2) (both floors
+        // sit below it); the lerped table value around mid-grid must agree
+        // to table resolution.
+        for j in [Jitter::Cpu, Jitter::Hw] {
+            let (sigma, _) = j.shape().unwrap();
+            let t = j.table().unwrap();
+            let mid = (t[TABLE_LEN / 2 - 1] + t[TABLE_LEN / 2]) / 2.0;
+            let want = (-sigma * sigma / 2.0).exp();
+            assert!(
+                (mid - want).abs() < 1e-4,
+                "{j:?}: table median {mid} vs closed form {want}"
+            );
+        }
     }
 
     #[test]
     fn table_is_monotone_and_floored() {
-        let t = build_table(0.25, 0.70);
-        for w in t.windows(2) {
-            assert!(w[1] >= w[0], "quantile table must be non-decreasing");
+        assert!(Jitter::Fixed.table().is_none());
+        for j in [Jitter::Cpu, Jitter::Hw] {
+            let (sigma, floor_frac) = j.shape().unwrap();
+            let t = j.table().unwrap();
+            for w in t.windows(2) {
+                assert!(w[1] >= w[0], "{j:?}: quantile table must be non-decreasing");
+            }
+            assert!(
+                t.iter().all(|&m| m >= floor_frac),
+                "{j:?}: floor not applied in table"
+            );
+            assert!(
+                t[TABLE_LEN - 1] > 1.0 + 2.0 * sigma,
+                "{j:?}: upper tail missing"
+            );
         }
-        assert!(t.iter().all(|&m| m >= 0.70), "floor not applied in table");
-        assert!(t[TABLE_LEN - 1] > 1.5, "upper tail missing");
+    }
+
+    /// FNV-1a over the picoseconds of 4096 draws per shipped profile from
+    /// `Pcg64::new(1)` at a 282.33 ns base: pins the table, the lerp and
+    /// the rounding of every jittered cost in the stack to the bit.
+    #[test]
+    fn shipped_profiles_draw_pinned_streams() {
+        fn digest(j: Jitter) -> u64 {
+            let base = SimDuration::from_ns_f64(282.33);
+            let mut rng = Pcg64::new(1);
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            for _ in 0..4096 {
+                for b in j.sample(base, &mut rng).as_ps().to_le_bytes() {
+                    h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+            h
+        }
+        assert_eq!(digest(Jitter::Cpu), 0x5db8_efff_b313_10f8);
+        assert_eq!(digest(Jitter::Hw), 0xabd2_21eb_be15_1c23);
     }
 
     #[test]
     fn hw_jitter_is_tight() {
         let mut rng = Pcg64::new(13);
         let base = SimDuration::from_ns_f64(137.49);
-        let j = Jitter::hw_default();
+        let j = Jitter::Hw;
         let samples: Vec<f64> = (0..50_000)
             .map(|_| j.sample(base, &mut rng).as_ns_f64())
             .collect();
