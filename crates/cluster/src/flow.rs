@@ -1,6 +1,6 @@
 //! Flow-level per-port fabric model: finite input buffers, credit-based
-//! link-level flow control, cut-through vs store-and-forward forwarding,
-//! egress arbitration, and ECN-style marking fed back to injecting NICs.
+//! link-level flow control, cut-through forwarding, egress arbitration,
+//! and ECN-style marking fed back to injecting NICs.
 //!
 //! Messages are simulated as *flows*: one [`ClusterFabric::send`] walks
 //! the whole route at once, charging each switch's crossbar latency,
@@ -11,30 +11,19 @@
 //! runs are byte-identical — there is no randomness anywhere in this
 //! module.
 //!
-//! **Calibration invariant**: an uncontended cut-through walk of a
-//! single-switch topology costs exactly `Wire + Switch` — bit-equal in
-//! integer picoseconds to [`bband_fabric::NetworkModel::network_mean`] —
-//! and a 3-switch fat-tree walk costs `Wire + 3·Switch + 2·cable`, the
-//! legacy two-level fat-tree formula. The sweep artifact embeds that
-//! check (`two_node.exact`) and CI greps for it.
+//! **Calibration invariant**: an uncontended walk of a single-switch
+//! topology costs exactly `Wire + Switch` — bit-equal in integer
+//! picoseconds to [`bband_fabric::NetworkModel::network_mean`] — and an
+//! uncontended walk over `h` switches costs `Wire + h·Switch +
+//! (h−1)·cable`. The sweep artifact embeds the first check
+//! (`two_node.exact`), and a `bband-bench` test asserts it.
 
 use crate::telemetry::{FabricTelemetry, TelemetryConfig};
 use crate::topo::{FabricGraph, PortTarget, RouteHop};
-use bband_fabric::{segmented_wire_bytes, WireModel};
+use bband_fabric::{segmented_wire_bytes, WireModel, MTU};
 use bband_metrics as metrics;
 use bband_sim::{SimDuration, SimTime};
 use std::collections::VecDeque;
-
-/// How a switch forwards a message to its egress port.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Forwarding {
-    /// Forward as soon as the header is routed; serialization overlaps
-    /// with downstream progress (the calibrated InfiniBand behaviour).
-    CutThrough,
-    /// Buffer the full message before forwarding: every switch re-pays
-    /// the serialization delay (classic Ethernet store-and-forward).
-    StoreAndForward,
-}
 
 /// Calibration and policy knobs of the flow-level fabric.
 #[derive(Debug, Clone)]
@@ -47,7 +36,6 @@ pub struct FlowConfig {
     pub switch_per_byte: SimDuration,
     /// Propagation latency of one inter-switch cable.
     pub inter_switch_cable: SimDuration,
-    pub forwarding: Forwarding,
     /// Capacity of each switch input buffer. A message must obtain this
     /// many bytes of credit at the next hop before its egress may start.
     pub input_buffer_bytes: u64,
@@ -56,8 +44,6 @@ pub struct FlowConfig {
     pub ecn_threshold: f64,
     /// Injection-side penalty a NIC takes per ECN-marked delivery.
     pub ecn_backoff: SimDuration,
-    /// MTU for wire-byte accounting (per-segment IB headers).
-    pub mtu: u32,
 }
 
 impl FlowConfig {
@@ -70,11 +56,9 @@ impl FlowConfig {
             switch_base: SimDuration::from_ns_f64(108.0),
             switch_per_byte: SimDuration::from_ps(80),
             inter_switch_cable: SimDuration::from_ns_f64(50.0),
-            forwarding: Forwarding::CutThrough,
             input_buffer_bytes: 64 << 10,
             ecn_threshold: 0.7,
             ecn_backoff: SimDuration::from_ns_f64(500.0),
-            mtu: 4096,
         }
     }
 }
@@ -230,7 +214,7 @@ impl ClusterFabric {
     /// departure instant.
     pub fn inject(&mut self, src: u32, ready: SimTime, payload: u32) -> SimTime {
         let depart = ready.max_of(self.nic_free[src as usize]);
-        let seg = segmented_wire_bytes(payload, self.cfg.mtu);
+        let seg = segmented_wire_bytes(payload, MTU);
         self.nic_free[src as usize] = depart + self.cfg.wire.per_byte * seg;
         depart
     }
@@ -279,7 +263,7 @@ impl ClusterFabric {
     /// telemetry hooks. Its one metrics probe is the message's
     /// `fabric_msg_latency`; it makes no trace call.
     pub(crate) fn walk(&mut self, depart: SimTime, path: &[PortHop], payload: u32) -> Delivery {
-        let seg = segmented_wire_bytes(payload, self.cfg.mtu);
+        let seg = segmented_wire_bytes(payload, MTU);
         // First-hop wire: SerDes/propagation plus full serialization at
         // the injection link — identical to `WireModel::latency_mean` for
         // sub-MTU payloads, extended with per-segment headers above.
@@ -302,10 +286,9 @@ impl ClusterFabric {
         // time is patched once this hop's egress start is known.
         let mut patch: Option<usize> = None;
         for hop in path {
-            let mut ready = t + self.cfg.switch_base;
-            if self.cfg.forwarding == Forwarding::StoreAndForward {
-                ready += ser;
-            }
+            // Cut-through: the header is routed after the crossbar delay;
+            // serialization overlaps with downstream progress.
+            let ready = t + self.cfg.switch_base;
             let out_gid = hop.egress as usize;
             let mut start = ready.max_of(self.egress_busy[out_gid]);
             // Egress start after the queue drained, before credit stalls:
@@ -392,15 +375,11 @@ impl ClusterFabric {
         let latency = t.since(depart);
         if let Some(tel) = tel.as_deref_mut() {
             // Analytic uncontended cost of the walk: first-hop wire plus
-            // per-switch crossbar and inter-switch cables (and per-hop
-            // serialization under store-and-forward). Together with the
-            // waits this reconstructs the latency bit-exactly.
-            let mut fixed = wire_lat
+            // per-switch crossbar and inter-switch cables. Together with
+            // the waits this reconstructs the latency bit-exactly.
+            let fixed = wire_lat
                 + self.cfg.switch_base * hops as u64
                 + self.cfg.inter_switch_cable * (hops as u64).saturating_sub(1);
-            if self.cfg.forwarding == Forwarding::StoreAndForward {
-                fixed += ser * hops as u64;
-            }
             tel.on_delivery(
                 latency.as_ps(),
                 fixed.as_ps(),
@@ -498,16 +477,12 @@ mod tests {
         }
     }
 
-    /// A 3-switch fat-tree walk reproduces the legacy two-level fat-tree
-    /// formula: Wire + 3*Switch + 2*cable.
+    /// An uncontended 3-switch walk costs Wire + 3*Switch + 2*cable.
     #[test]
     fn three_hop_walk_matches_legacy_fat_tree_formula() {
         let fab = ClusterFabric::paper_default(FabricGraph::fat_tree(2, 2));
         // Hosts 0 and 3 differ in the top digit: up, across, down.
         let d = fab.uncontended_latency(0, 3, 8);
-        let legacy = NetworkModel::fat_tree(2).deterministic();
-        let inter_pod = Packet::message(PacketId(0), PacketKind::Send, NodeId(0), NodeId(3), 8);
-        assert_eq!(d, legacy.network_mean(&inter_pod));
         assert_eq!(d.as_ps(), 274_810 + 3 * 108_000 + 2 * 50_000);
     }
 
@@ -528,20 +503,6 @@ mod tests {
             a.deliver_at.since(SimTime::ZERO)
         );
         assert_eq!(fab.counters.contended, 0);
-    }
-
-    #[test]
-    fn store_and_forward_repays_serialization_per_hop() {
-        let graph = FabricGraph::fat_tree(2, 3); // 5-switch max path
-        let ct = ClusterFabric::paper_default(graph.clone());
-        let mut cfg = FlowConfig::paper_default();
-        cfg.forwarding = Forwarding::StoreAndForward;
-        let sf = ClusterFabric::new(graph, cfg);
-        let fast = ct.uncontended_latency(0, 7, 4096);
-        let slow = sf.uncontended_latency(0, 7, 4096);
-        // 5 extra serializations of (30 + 4096) bytes at 80 ps/B.
-        let extra = SimDuration::from_ps(5 * 80 * (30 + 4096));
-        assert_eq!(slow, fast + extra);
     }
 
     #[test]

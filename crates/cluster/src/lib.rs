@@ -15,8 +15,8 @@
 //!   [`FabricGraph::dragonfly`]) with deterministic routing — digit-wise
 //!   up*/down* for fat trees, minimal local–global–local for dragonflies.
 //! - [`flow`]: the per-port runtime ([`ClusterFabric`]) — finite input
-//!   buffers, credit flow control, cut-through vs store-and-forward,
-//!   egress arbitration, ECN marks fed back to injecting NICs.
+//!   buffers, credit flow control, cut-through forwarding, egress
+//!   arbitration, ECN marks fed back to injecting NICs.
 //! - [`collective`]: synchronous-round drivers for barrier, binomial
 //!   bcast, recursive-doubling allreduce (with the MPICH fold), and
 //!   ring allreduce.
@@ -33,7 +33,7 @@ pub mod telemetry;
 pub mod topo;
 
 pub use collective::{run_flow_collective, EndpointCosts, FlowCollective, FlowReport};
-pub use flow::{ClusterFabric, Delivery, FlowConfig, FlowCounters, Forwarding};
+pub use flow::{ClusterFabric, Delivery, FlowConfig, FlowCounters};
 pub use sweep::{
     dragonfly_for, fat_tree_for, sweep_ranks, sweep_ranks_telemetry, two_node_equivalence,
     RankPoint, TelemetryPoint, TwoNodeCheck, SWEEP_PAYLOAD_BYTES,

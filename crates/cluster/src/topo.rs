@@ -1,7 +1,7 @@
 //! Explicit interconnection-network graphs: switches, ports, and cables.
 //!
-//! The calibrated [`bband_fabric::NetworkModel`] knows three path shapes
-//! (direct, one switch, two-level fat tree) as *formulas*. Cluster-scale
+//! The calibrated [`bband_fabric::NetworkModel`] knows one path shape, the
+//! testbed's single switch, as a *formula*. Multi-hop and cluster-scale
 //! runs need the real thing: a graph whose ports can hold buffers and
 //! busy horizons. Two classic scale-out topologies are built here:
 //!

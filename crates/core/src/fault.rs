@@ -35,11 +35,12 @@
 //! not a parallel implementation that could drift.
 
 use crate::calibration::Calibration;
-use crate::latency::{EndToEndLatencyModel, Protocol, SizedLatencyModel, RNDV_CTRL_BYTES};
+use crate::latency::{EndToEndLatencyModel, Protocol, SizedLatencyModel};
 use bband_fabric::reliability::PSN_MOD;
 use bband_fabric::{
     LossyFabric, NodeId, Packet, PacketId, PacketKind, Psn, RcReceiver, RcSender, RcVerdict,
 };
+use bband_hlp::rndv::CTRL_BYTES;
 use bband_pcie::replay::ReplayFull;
 use bband_pcie::{
     DllReceiver, FlowControl, LossyLink, ReplayBuffer, RxVerdict, SeqNum, Tlp, TlpIdGen,
@@ -1478,7 +1479,7 @@ impl FaultSim {
                 PacketKind::Send,
                 NodeId(0),
                 NodeId(1),
-                RNDV_CTRL_BYTES,
+                CTRL_BYTES,
                 RTS_TAG,
             );
             let psn = self.rc_tx.send(pkt, nic_time);

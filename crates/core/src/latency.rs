@@ -19,18 +19,10 @@
 
 use crate::breakdown::Breakdown;
 use crate::calibration::Calibration;
-use bband_fabric::packet::IB_HEADER_BYTES;
+use bband_fabric::{IB_HEADER_BYTES, MTU};
+use bband_hlp::rndv::CTRL_BYTES;
+use bband_nic::MAX_INLINE;
 use bband_sim::SimDuration;
-
-/// Maximum transmission unit of the modeled InfiniBand link.
-pub const MTU_BYTES: u32 = 4096;
-
-/// Largest payload the LLP inlines into the PIO/BlueFlame write. Larger
-/// sends post a plain descriptor and the NIC DMA-fetches the payload.
-pub const INLINE_CUTOFF_BYTES: u32 = 256;
-
-/// Wire payload of a rendezvous control message (RTS/CTS).
-pub const RNDV_CTRL_BYTES: u32 = 16;
 
 /// Which protocol carries a message of a given size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -213,13 +205,13 @@ impl EndToEndLatencyModel {
 /// `total()` bit-exactly — the per-size analogue of the 1387.02 ns check.
 ///
 /// Size effects modeled:
-/// - **PIO inlining** (≤ [`INLINE_CUTOFF_BYTES`]): the payload rides the
+/// - **PIO inlining** (≤ [`MAX_INLINE`]): the payload rides the
 ///   descriptor in 64-byte BlueFlame chunks (`LLP_post` grows 94.25 ns per
 ///   extra chunk, the TX TLP grows 64 B per chunk).
 /// - **DMA descriptor path** (> inline): a bounce-buffer copy at
 ///   `eager_copy_per_byte`, then descriptor fetch (MRd + CplD) and payload
 ///   fetch (MRd + CplD of the first MTU) before the NIC can transmit.
-/// - **MTU segmentation**: payloads split into [`MTU_BYTES`] segments, each
+/// - **MTU segmentation**: payloads split into [`MTU`] segments, each
 ///   paying IB headers on the wire and its own RX-PCIe and RC-to-MEM legs;
 ///   segments pipeline (wire serialization spacing) and complete on the
 ///   final segment.
@@ -239,7 +231,7 @@ impl SizedLatencyModel {
     /// Number of MTU segments a payload occupies (a zero-byte message still
     /// sends one packet).
     pub fn segments(payload: u32) -> u32 {
-        payload.div_ceil(MTU_BYTES).max(1)
+        payload.div_ceil(MTU).max(1)
     }
 
     /// Size of segment `i` of a `payload`-byte message.
@@ -247,27 +239,21 @@ impl SizedLatencyModel {
         let segs = Self::segments(payload);
         debug_assert!(i < segs);
         if i + 1 < segs {
-            MTU_BYTES
+            MTU
         } else {
-            payload - MTU_BYTES * (segs - 1)
+            payload - MTU * (segs - 1)
         }
     }
 
     /// True when the payload rides inside the PIO descriptor write.
     pub fn is_inline(payload: u32) -> bool {
-        payload <= INLINE_CUTOFF_BYTES
+        payload <= MAX_INLINE
     }
 
-    /// 64-byte PIO chunks of the posted descriptor (32 B WQE header plus
-    /// either the inline payload or a 16 B pointer).
+    /// 64-byte PIO chunks of the posted descriptor
+    /// ([`bband_nic::pio_chunks`] under the inline rule).
     pub fn pio_chunks(payload: u32) -> u32 {
-        let body = 32
-            + if Self::is_inline(payload) {
-                payload
-            } else {
-                16
-            };
-        body.div_ceil(64)
+        bband_nic::pio_chunks(payload, Self::is_inline(payload))
     }
 
     /// Payload bytes of the TX PIO TLP (64 B per chunk).
@@ -323,16 +309,13 @@ impl SizedLatencyModel {
 
     /// The unconditional fetch cost (rendezvous data is never inline).
     pub fn rndv_data_fetch(&self, payload: u32) -> SimDuration {
-        self.pcie_tlp(0)
-            + self.pcie_tlp(16)
-            + self.pcie_tlp(0)
-            + self.pcie_tlp(payload.min(MTU_BYTES))
+        self.pcie_tlp(0) + self.pcie_tlp(16) + self.pcie_tlp(0) + self.pcie_tlp(payload.min(MTU))
     }
 
     /// Wire-serialization spacing between consecutive MTU segments.
     pub fn seg_spacing(&self) -> SimDuration {
         let rate = self.cal.network.wire.per_byte.max(self.cal.link.per_byte);
-        rate * MTU_BYTES as u64
+        rate * MTU as u64
     }
 
     /// Segmented delivery pipeline: NIC-ready instant → final segment in
@@ -364,7 +347,7 @@ impl SizedLatencyModel {
     pub fn rndv_total(&self, payload: u32) -> SimDuration {
         let rts_ready = self.cal.hlp_post() + self.cal.llp_post();
         let rts_nic = rts_ready + self.pcie_tlp(64);
-        let rts_arrive = rts_nic + self.wire_packet(RNDV_CTRL_BYTES) + self.cal.switch();
+        let rts_arrive = rts_nic + self.wire_packet(CTRL_BYTES) + self.cal.switch();
         let cts_arrive = rts_arrive + self.cal.network_total();
         let data_nic = cts_arrive + self.cal.llp_post() + self.pcie_tlp(64);
         self.delivery(payload, data_nic + self.rndv_data_fetch(payload))

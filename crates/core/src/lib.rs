@@ -41,10 +41,7 @@ pub use breakdown::Breakdown;
 pub use calibration::Calibration;
 pub use fault::{FaultPlan, FaultRunStats, LossPoint, PlanError, RetryExhausted, RetryPolicy};
 pub use injection::{InjectionModel, OverallInjectionModel};
-pub use latency::{
-    Category, EndToEndLatencyModel, LlpLatencyModel, Protocol, SizedLatencyModel,
-    INLINE_CUTOFF_BYTES, MTU_BYTES, RNDV_CTRL_BYTES,
-};
+pub use latency::{Category, EndToEndLatencyModel, LlpLatencyModel, Protocol, SizedLatencyModel};
 pub use scaling::ScalingModel;
 pub use tracepath::{sweep_message_sizes, traced_e2e, SizeSweepPoint, DEFAULT_SIZE_GRID};
 pub use validate::{validate_all, ValidationReport};

@@ -18,16 +18,14 @@
 //!   large messages are network-bound.
 
 use crate::calibration::Calibration;
+use bband_fabric::MTU;
+use bband_nic::{pio_chunks, MAX_INLINE};
 use bband_sim::SimDuration;
 
 /// Per-size latency model over the calibrated components.
 #[derive(Debug, Clone)]
 pub struct ScalingModel {
     calib: Calibration,
-    /// NIC inline limit: beyond this the payload is DMA-read (§2 step 3).
-    pub max_inline: u32,
-    /// Path MTU: larger messages are segmented and pipelined.
-    pub mtu: u32,
     /// DRAM fetch latency for the NIC's payload DMA-read.
     pub dram_fetch: SimDuration,
     /// Streaming (write-combined) RC byte rate for bulk payloads; the
@@ -43,17 +41,10 @@ impl ScalingModel {
     pub fn new(calib: Calibration) -> Self {
         ScalingModel {
             calib,
-            max_inline: 256,
-            mtu: 4096,
             dram_fetch: SimDuration::from_ns_f64(90.0),
             rc_bulk_ns_per_byte: 0.05, // ~20 GB/s streaming DDR4 writes
             rc_small_limit: 512,
         }
-    }
-
-    /// Number of 64-byte PIO chunks for an inline post of `x` bytes.
-    fn pio_chunks(x: u32) -> u32 {
-        (32 + x).div_ceil(64)
     }
 
     fn ns(&self, d: SimDuration) -> f64 {
@@ -62,8 +53,8 @@ impl ScalingModel {
 
     /// CPU-side `LLP_post` for `x` bytes (ns).
     pub fn llp_post_ns(&self, x: u32) -> f64 {
-        if x <= self.max_inline {
-            self.ns(self.calib.llp.post_mean(Self::pio_chunks(x)))
+        if x <= MAX_INLINE {
+            self.ns(self.calib.llp.post_mean(pio_chunks(x, true)))
         } else {
             // Doorbell path: descriptor written to memory, one 8-byte MMIO
             // ring; the PIO-copy phase is not paid.
@@ -89,10 +80,10 @@ impl ScalingModel {
     fn tx_io_ns(&self, x: u32) -> f64 {
         let base = self.ns(self.calib.link.base);
         let pb = self.ns(self.calib.link.per_byte);
-        if x <= self.max_inline {
+        if x <= MAX_INLINE {
             // PIO chunks pipeline on the link: first traversal plus one
             // serialization per chunk.
-            base + Self::pio_chunks(x) as f64 * 88.0 * pb
+            base + pio_chunks(x, true) as f64 * 88.0 * pb
         } else {
             // Doorbell MWr, then descriptor and payload DMA-read round
             // trips ("The DMA-reads translate to round-trip PCIe
@@ -109,7 +100,7 @@ impl ScalingModel {
     /// IB headers.
     pub fn network_ns(&self, x: u32) -> f64 {
         let wire = &self.calib.network.wire;
-        let segments = x.div_ceil(self.mtu).max(1) as f64;
+        let segments = x.div_ceil(MTU).max(1) as f64;
         let bytes = x as f64 + 30.0 * segments;
         self.ns(wire.base)
             + self.ns(wire.fec)
@@ -129,16 +120,16 @@ impl ScalingModel {
     /// Total UCT-level latency for `x` bytes (ns): store-and-forward up to
     /// one MTU; beyond that the tail pipelines at the slowest stage rate.
     pub fn latency_ns(&self, x: u32) -> f64 {
-        let head = x.min(self.mtu);
+        let head = x.min(MTU);
         let store_forward = self.llp_post_ns(x)
             + self.tx_io_ns(head)
             + self.network_ns(head)
             + self.rx_io_ns(head)
             + self.ns(self.calib.llp_prog());
-        if x <= self.mtu {
+        if x <= MTU {
             store_forward
         } else {
-            let tail_bytes = (x - self.mtu) as f64;
+            let tail_bytes = (x - MTU) as f64;
             let bottleneck = self
                 .ns(self.calib.network.wire.per_byte)
                 .max(self.ns(self.calib.link.per_byte))
@@ -151,7 +142,7 @@ impl ScalingModel {
     /// terms plus its full serialization of `x` bytes.
     pub fn network_share(&self, x: u32) -> f64 {
         let wire = &self.calib.network.wire;
-        let segments = x.div_ceil(self.mtu).max(1) as f64;
+        let segments = x.div_ceil(MTU).max(1) as f64;
         let network = self.ns(wire.base)
             + self.ns(wire.fec)
             + (x as f64 + 30.0 * segments) * self.ns(wire.per_byte)
@@ -205,8 +196,8 @@ mod tests {
     #[test]
     fn inline_to_dma_transition_pays_round_trips() {
         let m = model();
-        let below = m.latency_ns(m.max_inline);
-        let above = m.latency_ns(m.max_inline + 1);
+        let below = m.latency_ns(MAX_INLINE);
+        let above = m.latency_ns(MAX_INLINE + 1);
         // Two extra PCIe round trips + DRAM fetches, minus the saved PIO
         // chunks: a visible step.
         assert!(

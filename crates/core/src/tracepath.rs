@@ -32,7 +32,7 @@
 use crate::breakdown::Breakdown;
 use crate::calibration::Calibration;
 use crate::fault::{run_raw_on, EnginePath, FaultPlan, FaultRunStats, RetryExhausted};
-use crate::latency::{SizedLatencyModel, MTU_BYTES};
+use crate::latency::SizedLatencyModel;
 use bband_metrics as metrics;
 use bband_metrics::MetricsSet;
 use bband_sim::{Pcg64, SimDuration, WorkerPool};
@@ -197,7 +197,7 @@ pub fn sweep_message_sizes(
             payload_bytes: payload,
             protocol: sized.select(payload, None).name(),
             segments: SizedLatencyModel::segments(payload),
-            wire_bytes: bband_fabric::segmented_wire_bytes(payload, MTU_BYTES),
+            wire_bytes: bband_fabric::segmented_wire_bytes(payload, bband_fabric::MTU),
             model_ns: model.as_ns_f64(),
             stats,
             p50_ns: e2e.quantile_ns(0.5),

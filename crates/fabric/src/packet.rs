@@ -59,6 +59,10 @@ pub struct Packet {
 /// overhead per packet, in bytes.
 pub const IB_HEADER_BYTES: u32 = 30;
 
+/// Path MTU (InfiniBand's largest): a larger payload travels as several
+/// packets, and a two-sided send must fit one.
+pub const MTU: u32 = 4096;
+
 impl Packet {
     /// A message packet (RDMA-write or send).
     pub fn message(id: PacketId, kind: PacketKind, src: NodeId, dst: NodeId, payload: u32) -> Self {

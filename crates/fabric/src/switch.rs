@@ -3,8 +3,9 @@
 //! The paper measures the switch's added latency as 108 ns by differencing
 //! two latency runs, with and without a switch on the path (§4.3). That is
 //! the uncontended cut-through latency; we additionally model output-port
-//! serialization so that multi-flow workloads (the fleet-sweep example)
-//! experience queueing, which the paper's single-flow experiments never do.
+//! serialization so that multi-flow workloads (the event-level
+//! collectives over more than two nodes) experience queueing, which the
+//! paper's single-flow experiments never do.
 
 use crate::packet::{NodeId, Packet};
 use bband_sim::{IdMap, Jitter, Pcg64, SimDuration, SimTime};
@@ -58,19 +59,6 @@ impl SwitchModel {
     pub fn reset_transients(&mut self) {
         self.egress_busy.clear();
         self.contended = 0;
-    }
-
-    /// A copy carrying the calibration but none of the transient run
-    /// state — what a pooled task should clone so one task's contention
-    /// history can never leak into another's.
-    pub fn clean_clone(&self) -> Self {
-        SwitchModel {
-            base: self.base,
-            per_byte: self.per_byte,
-            jitter: self.jitter,
-            egress_busy: IdMap::default(),
-            contended: 0,
-        }
     }
 
     /// Mean uncontended delay added by the switch for this packet — the
@@ -179,17 +167,10 @@ mod tests {
         sw.traverse(SimTime::from_ns(1), &pkt(1, 1), &mut rng);
         assert_eq!(sw.contended, 1);
 
-        let clean = sw.clean_clone();
-        assert!(clean.uncontended());
-        assert_eq!(clean.base, sw.base);
-        // The clean clone must not inherit busy ports: an immediate
-        // traverse sees the uncontended latency.
-        let mut clean2 = sw.clean_clone();
-        let d = clean2.traverse(SimTime::from_ns(1), &pkt(2, 1), &mut rng);
-        assert_eq!(d, clean2.latency_mean(&pkt(2, 1)));
-
         sw.reset_transients();
         assert!(sw.uncontended());
+        // The busy port is forgotten too: an immediate traverse sees the
+        // uncontended latency.
         let d = sw.traverse(SimTime::from_ns(1), &pkt(3, 1), &mut rng);
         assert_eq!(d, sw.latency_mean(&pkt(3, 1)));
     }

@@ -3,9 +3,9 @@
 use crate::costs::UcpCosts;
 use crate::rndv::{self, CtrlKind, RndvId, RndvRecv, RndvSend, CTRL_BYTES};
 use crate::tag::{TagMask, TagMatcher};
-use bband_fabric::NodeId;
+use bband_fabric::{NodeId, MTU};
 use bband_llp::{Core, Endpoint, Worker};
-use bband_nic::{Cluster, Cqe, CqeKind, Opcode};
+use bband_nic::{Cluster, Cqe, CqeKind, Opcode, MAX_INLINE};
 use bband_pcie::LinkTap;
 use bband_sim::{IdMap, SimTime};
 use bband_trace as trace;
@@ -94,9 +94,6 @@ pub struct UcpWorker {
     last_dst: Option<NodeId>,
     /// Payload size at which sends switch from eager to rendezvous.
     pub rndv_threshold: u32,
-    /// Eager fragment (segment) size; larger eager messages are split
-    /// (§5: UCP implements "message fragmentation").
-    pub frag_size: u32,
     /// In-progress receive-side reassembly: (src, frag op) →
     /// (bytes so far, fragments seen, total fragments).
     frag_assembly: IdMap<(NodeId, RndvId), (u32, u32, u32)>,
@@ -154,7 +151,6 @@ impl UcpWorker {
             next_req: 0,
             last_dst: None,
             rndv_threshold: 8192,
-            frag_size: 4096,
             frag_assembly: IdMap::default(),
             frag_tags: IdMap::default(),
             next_rndv: RndvId::first_for_endpoint(ep_index),
@@ -183,11 +179,6 @@ impl UcpWorker {
     /// The endpoint this worker posts to.
     pub fn endpoint(&self) -> &Endpoint {
         &self.ep
-    }
-
-    /// Mutable endpoint handle.
-    pub fn endpoint_mut(&mut self) -> &mut Endpoint {
-        &mut self.ep
     }
 
     /// This worker's endpoint index (rendezvous-id partition).
@@ -247,8 +238,8 @@ impl UcpWorker {
     /// above them).
     pub fn replenish_rx_pool(&mut self, cluster: &mut Cluster, tap: &mut dyn LinkTap) {
         while self.rx_pool_posted < self.rx_pool_target {
-            let buf = self.frag_size.max(256);
-            self.uct.post_recv(&mut self.ep, cluster, buf, tap);
+            // Each buffer holds one eager fragment: at most one MTU.
+            self.uct.post_recv(&mut self.ep, cluster, MTU, tap);
             self.rx_pool_posted += 1;
         }
     }
@@ -299,22 +290,18 @@ impl UcpWorker {
             );
             return req;
         }
-        // Eager beyond the inline limit: the payload is packed into a
-        // registered bounce buffer first (the copy rendezvous avoids).
-        if payload > 256 {
-            let d = self.costs.eager_copy_per_byte * payload as u64;
-            self.uct.cpu_mut().advance(d);
-        }
-        if payload > self.frag_size {
-            // Multi-segment eager: split into frag_size segments with a
-            // shared fragment-op id; the receiver reassembles.
+        self.charge_eager_copy(payload);
+        if payload > MTU {
+            // Multi-segment eager (§5: UCP implements "message
+            // fragmentation"): split into MTU segments with a shared
+            // fragment-op id; the receiver reassembles.
             assert!(tag <= u32::MAX as u64, "fragmented tags are 32-bit");
             let frag_op = self.next_rndv;
             self.next_rndv = self.next_rndv.next();
-            let total_frags = payload.div_ceil(self.frag_size);
+            let total_frags = payload.div_ceil(MTU);
             let mut remaining = payload;
             for i in 0..total_frags {
-                let seg = remaining.min(self.frag_size);
+                let seg = remaining.min(MTU);
                 remaining -= seg;
                 let last = i == total_frags - 1;
                 let (ctrl_tag, op) = if last {
@@ -334,6 +321,16 @@ impl UcpWorker {
         }
         self.post_user_send(cluster, req, dst, payload, tag, tap);
         req
+    }
+
+    /// An eager payload beyond the inline limit is copied through a
+    /// registered bounce buffer, packed on send and unpacked on receive
+    /// (the copies rendezvous avoids).
+    fn charge_eager_copy(&mut self, payload: u32) {
+        if payload > MAX_INLINE {
+            let d = self.costs.eager_copy_per_byte * payload as u64;
+            self.uct.cpu_mut().advance(d);
+        }
     }
 
     /// Post a user-visible eager send through the moderated transport.
@@ -579,10 +576,7 @@ impl UcpWorker {
                         ArrivedMsg::Eager(c) => c.payload,
                         ArrivedMsg::Rts { .. } => unreachable!("eager arrival"),
                     };
-                    if payload > 256 {
-                        let d = self.costs.eager_copy_per_byte * payload as u64;
-                        self.uct.cpu_mut().advance(d);
-                    }
+                    self.charge_eager_copy(payload);
                     events.push(UcpEvent::RecvComplete { req, tag, payload });
                 }
                 // Unmatched: parked in the unexpected queue; the callback
@@ -743,10 +737,7 @@ impl UcpWorker {
                 ArrivedMsg::Eager(c) => c.payload,
                 ArrivedMsg::Rts { .. } => unreachable!(),
             };
-            if payload > 256 {
-                let d = self.costs.eager_copy_per_byte * payload as u64;
-                self.uct.cpu_mut().advance(d);
-            }
+            self.charge_eager_copy(payload);
             events.push(UcpEvent::RecvComplete { req, tag, payload });
         }
     }

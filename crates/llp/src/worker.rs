@@ -17,7 +17,7 @@
 use crate::costs::{LlpCosts, Phase};
 use crate::endpoint::Endpoint;
 use bband_fabric::NodeId;
-use bband_nic::{Cluster, Cqe, CqeKind, Opcode, PostDescriptor, QpId, WrId};
+use bband_nic::{Cluster, Cqe, CqeKind, Opcode, PostDescriptor, QpId, WrId, MAX_INLINE};
 use bband_pcie::LinkTap;
 use bband_profiling::Profiler;
 use bband_sim::{CpuClock, Pcg64, SimDuration, SimTime};
@@ -153,9 +153,8 @@ impl Core {
             return Err(PostError::Busy);
         }
         let wr_id = ep.alloc_wr();
-        // Inline only up to the NIC's limit (256 B on the ConnectX-class
-        // default); larger payloads ride a PIO descriptor whose payload the
-        // NIC DMA-reads (§2 step 3).
+        // Inline only up to the NIC's limit; larger payloads ride a PIO
+        // descriptor whose payload the NIC DMA-reads (§2 step 3).
         let desc = PostDescriptor {
             wr_id,
             qp: ep.qp(),
@@ -163,7 +162,7 @@ impl Core {
             opcode,
             dst,
             payload,
-            inline: payload <= 256,
+            inline: payload <= MAX_INLINE,
             pio: true,
             signaled,
             tag,
@@ -420,11 +419,6 @@ impl Worker {
     /// The endpoint this worker drives.
     pub fn endpoint(&self) -> &Endpoint {
         &self.ep
-    }
-
-    /// Mutable endpoint handle.
-    pub fn endpoint_mut(&mut self) -> &mut Endpoint {
-        &mut self.ep
     }
 
     /// Cap the software ring (tests use small rings to exercise busy

@@ -40,7 +40,7 @@
 //! futex would burn it.
 
 use crate::common::StackConfig;
-use bband_fabric::{NetworkModel, NodeId};
+use bband_fabric::NodeId;
 use bband_llp::{Core, Endpoint, LockGranularity, LockModel};
 use bband_nic::{Cluster, NicConfig, Opcode, QpId};
 use bband_pcie::NullTap;
@@ -119,9 +119,8 @@ pub fn endpoint_injection(cfg: &ThreadSweepConfig) -> ThreadSweepReport {
     let nic_cfg = NicConfig {
         // The hardware ring must hold every endpoint's outstanding work.
         txq_depth: (cfg.endpoints * cfg.ring_depth).max(256),
-        ..Default::default()
     };
-    let mut cluster = Cluster::new(2, NetworkModel::paper_default(), nic_cfg, cfg.stack.seed);
+    let mut cluster = Cluster::new(2, nic_cfg, cfg.stack.seed);
     if cfg.stack.deterministic {
         cluster = cluster.deterministic();
     }

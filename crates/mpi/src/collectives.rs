@@ -11,7 +11,7 @@
 
 use crate::costs::MpiCosts;
 use crate::proc::{MpiProcess, MpiRequest, RequestState};
-use bband_fabric::{NetworkModel, NodeId, Pattern};
+use bband_fabric::{NodeId, Pattern};
 use bband_hlp::{UcpCosts, UcpWorker};
 use bband_llp::{LlpCosts, Worker};
 use bband_nic::{Cluster, NicConfig};
@@ -188,13 +188,7 @@ pub fn collective_scaling(
     stalls: Option<(f64, f64)>,
 ) -> Vec<(u32, CollectiveReport)> {
     WorkerPool::new().map(rank_counts.to_vec(), |_, n| {
-        let mut cluster = Cluster::new(
-            n as usize,
-            NetworkModel::paper_default(),
-            NicConfig::default(),
-            seed,
-        )
-        .deterministic();
+        let mut cluster = Cluster::new(n as usize, NicConfig::default(), seed).deterministic();
         if let Some((hdr, data, update_batch)) = credits {
             cluster = cluster.with_credits(hdr, data, update_batch);
         }
@@ -212,13 +206,7 @@ mod tests {
     use super::*;
 
     fn setup(n: u32) -> (Cluster, Vec<MpiProcess>) {
-        let mut cluster = Cluster::new(
-            n as usize,
-            NetworkModel::paper_default(),
-            NicConfig::default(),
-            9,
-        )
-        .deterministic();
+        let mut cluster = Cluster::new(n as usize, NicConfig::default(), 9).deterministic();
         let ranks = deterministic_ranks(&mut cluster, n);
         (cluster, ranks)
     }

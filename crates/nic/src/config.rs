@@ -1,7 +1,5 @@
 //! NIC configuration knobs.
 
-use bband_sim::SimDuration;
-
 /// Per-NIC configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NicConfig {
@@ -9,23 +7,11 @@ pub struct NicConfig {
     /// rings in the hundreds; the software ring occupancy check lives in
     /// the LLP, but the NIC enforces this as a hard cap too.
     pub txq_depth: u32,
-    /// NIC-internal processing latency per event (doorbell decode, WQE
-    /// launch, packet build). Zero by default: the paper's `Wire`
-    /// measurement is NIC-to-NIC from the PCIe trace, so both NICs'
-    /// processing is already folded into the calibrated wire latency.
-    pub proc_delay: SimDuration,
-    /// Maximum payload the NIC accepts inline (Mellanox: device dependent,
-    /// commonly 60–956 B).
-    pub max_inline: u32,
 }
 
 impl Default for NicConfig {
     fn default() -> Self {
-        NicConfig {
-            txq_depth: 256,
-            proc_delay: SimDuration::ZERO,
-            max_inline: 256,
-        }
+        NicConfig { txq_depth: 256 }
     }
 }
 
@@ -36,8 +22,6 @@ mod tests {
     #[test]
     fn defaults_are_paper_faithful() {
         let c = NicConfig::default();
-        assert!(c.proc_delay.is_zero(), "NIC processing folded into Wire");
-        assert!(c.max_inline >= 8, "must accept the paper's 8-byte payloads");
         assert!(c.txq_depth >= 16, "put_bw polls every 16 posts");
     }
 }

@@ -3,6 +3,20 @@
 use bband_fabric::NodeId;
 use bband_sim::SimTime;
 
+/// Largest payload a sender inlines into the descriptor (Mellanox: device
+/// dependent, commonly 60–956 B). Larger sends post a plain descriptor and
+/// the NIC DMA-fetches the payload.
+pub const MAX_INLINE: u32 = 256;
+
+/// Number of 64-byte PIO chunks a descriptor occupies when pushed via
+/// BlueFlame: a 32 B control segment plus the inline payload, or a 16 B
+/// pointer to a payload the NIC fetches.
+pub fn pio_chunks(payload: u32, inline: bool) -> u32 {
+    const CTRL_SEGMENT_BYTES: u32 = 32;
+    let bytes = CTRL_SEGMENT_BYTES + if inline { payload } else { 16 };
+    bytes.div_ceil(64)
+}
+
 /// Work-request id chosen by the poster; returned in the completion so the
 /// software can match them (verbs `wr_id`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -72,11 +86,9 @@ impl PostDescriptor {
     }
 
     /// Number of 64-byte PIO chunks this descriptor occupies when pushed
-    /// via BlueFlame: control segment (~32 B) plus inline payload.
+    /// via BlueFlame (see [`pio_chunks`]).
     pub fn pio_chunks(&self) -> u32 {
-        const CTRL_SEGMENT_BYTES: u32 = 32;
-        let bytes = CTRL_SEGMENT_BYTES + if self.inline { self.payload } else { 16 };
-        bytes.div_ceil(64)
+        pio_chunks(self.payload, self.inline)
     }
 }
 
@@ -126,6 +138,7 @@ mod tests {
         // Mellanox InfiniBand" (§4.1).
         let d = PostDescriptor::pio_inline(WrId(0), Opcode::RdmaWrite, NodeId(1), 8);
         assert_eq!(d.pio_chunks(), 1);
+        const { assert!(MAX_INLINE >= 8, "must accept the paper's 8-byte payloads") };
     }
 
     #[test]

@@ -28,4 +28,4 @@ pub mod descriptor;
 
 pub use cluster::{Cluster, HwEvent};
 pub use config::NicConfig;
-pub use descriptor::{Cqe, CqeKind, Opcode, PostDescriptor, QpId, WrId};
+pub use descriptor::{pio_chunks, Cqe, CqeKind, Opcode, PostDescriptor, QpId, WrId, MAX_INLINE};

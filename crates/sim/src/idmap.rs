@@ -1,12 +1,12 @@
 //! Hash maps keyed by simulator-assigned integers.
 //!
 //! Every map in the simulator is keyed by an id the simulator hands out
-//! itself: TLP, packet, request and rendezvous ids, node, pod and spine
-//! indices. No input can choose keys that collide, so std's randomly
-//! seeded SipHash only costs time on the event-level hot path. [`IdMap`]
-//! hashes with one rotate, xor and multiply per integer written, the
-//! scheme of rustc's `FxHasher`. No output depends on map order: the
-//! simulator never iterates these maps except to sum their values.
+//! itself: TLP, packet, request and rendezvous ids, and node indices. No
+//! input can choose keys that collide, so std's randomly seeded SipHash
+//! only costs time on the event-level hot path. [`IdMap`] hashes with one
+//! rotate, xor and multiply per integer written, the scheme of rustc's
+//! `FxHasher`. No output depends on map order: the simulator never
+//! iterates these maps.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};

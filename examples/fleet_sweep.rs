@@ -2,13 +2,13 @@
 //! the paper's introduction motivates (fine-grained communication at the
 //! limits of strong scaling).
 //!
-//! Three sweeps:
+//! Four sweeps:
 //! 1. **payload size** — where does the latency stop being CPU/I-O bound
 //!    and become network (serialization) bound?
 //! 2. **completion moderation** — how much injection overhead do
 //!    unsignaled completions (c = 1…256) actually save?
 //! 3. **transport path** — PIO+inline vs doorbell+DMA for small messages
-//!    (the §2 comparison);
+//!    (the §2 comparison).
 //! 4. **protocol crossover** — eager vs rendezvous across payload sizes
 //!    (the §5 "message fragmentation / protocol" layer at work).
 //!
@@ -27,34 +27,6 @@ fn main() {
     moderation_sweep();
     path_comparison();
     protocol_crossover();
-    collective_scaling();
-}
-
-/// Dissemination-barrier latency vs rank count, on the paper's single
-/// switch and on a two-level fat tree.
-fn collective_scaling() {
-    use breaking_band::fabric::NetworkModel;
-    use breaking_band::mpi::{deterministic_ranks, run_collective, Collective};
-    use breaking_band::nic::{Cluster, NicConfig};
-
-    println!("\nBarrier scaling (dissemination, deterministic):");
-    println!(
-        "  {:>6}  {:>14}  {:>14}",
-        "ranks", "single switch", "fat tree (pod=2)"
-    );
-    for n in [2u32, 4, 8, 16] {
-        let run = |network: NetworkModel| {
-            let mut cluster =
-                Cluster::new(n as usize, network, NicConfig::default(), 17).deterministic();
-            let mut ranks = deterministic_ranks(&mut cluster, n);
-            run_collective(&mut cluster, &mut ranks, Collective::Barrier, &mut NullTap)
-                .completion
-                .as_ns_f64()
-        };
-        let single = run(NetworkModel::paper_default());
-        let fat = run(NetworkModel::fat_tree(2));
-        println!("  {n:>6}  {single:>12.1}ns  {fat:>12.1}ns");
-    }
 }
 
 /// Eager (two bounce copies) vs rendezvous (handshake + zero-copy RDMA):

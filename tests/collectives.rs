@@ -1,19 +1,17 @@
 //! Collectives at integration scope: the dissemination barrier and
-//! recursive-doubling allreduce across cluster sizes and topologies,
-//! through the public facade, plus a differential check of the
-//! event-level tier (`bband_mpi`) against the flow-level one
-//! (`bband_cluster`).
+//! recursive-doubling allreduce across cluster sizes, through the public
+//! facade, plus a differential check of the event-level tier
+//! (`bband_mpi`) against the flow-level one (`bband_cluster`).
 
 use bband_cluster::{
     fat_tree_for, run_flow_collective, ClusterFabric, EndpointCosts, FlowCollective,
 };
-use breaking_band::fabric::NetworkModel;
 use breaking_band::mpi::{deterministic_ranks, run_collective, Collective, MpiProcess};
 use breaking_band::nic::{Cluster, NicConfig};
 use breaking_band::pcie::NullTap;
 
-fn make_ranks(n: u32, network: NetworkModel, seed: u64) -> (Cluster, Vec<MpiProcess>) {
-    let mut cluster = Cluster::new(n as usize, network, NicConfig::default(), seed).deterministic();
+fn make_ranks(n: u32, seed: u64) -> (Cluster, Vec<MpiProcess>) {
+    let mut cluster = Cluster::new(n as usize, NicConfig::default(), seed).deterministic();
     let ranks = deterministic_ranks(&mut cluster, n);
     (cluster, ranks)
 }
@@ -23,7 +21,7 @@ fn barrier_round_structure_is_logarithmic() {
     let mut tap = NullTap;
     let mut times = Vec::new();
     for n in [2u32, 4, 8, 16] {
-        let (mut cl, mut ranks) = make_ranks(n, NetworkModel::paper_default(), 21);
+        let (mut cl, mut ranks) = make_ranks(n, 21);
         let rep = run_collective(&mut cl, &mut ranks, Collective::Barrier, &mut tap);
         assert_eq!(rep.rounds, n.trailing_zeros());
         times.push(rep.completion.as_ns_f64());
@@ -40,30 +38,12 @@ fn barrier_round_structure_is_logarithmic() {
 }
 
 #[test]
-fn fat_tree_barrier_pays_inter_pod_rounds() {
-    let mut tap = NullTap;
-    let (mut c1, mut r1) = make_ranks(8, NetworkModel::paper_default(), 22);
-    let single = run_collective(&mut c1, &mut r1, Collective::Barrier, &mut tap)
-        .completion
-        .as_ns_f64();
-    let (mut c2, mut r2) = make_ranks(8, NetworkModel::fat_tree(2), 22);
-    let fat = run_collective(&mut c2, &mut r2, Collective::Barrier, &mut tap)
-        .completion
-        .as_ns_f64();
-    assert!(
-        fat > single + 300.0,
-        "fat-tree barrier {fat} should exceed single-switch {single} by the \
-         inter-pod hops"
-    );
-}
-
-#[test]
 fn allreduce_with_multi_mtu_payload() {
     // 8 KiB operands: each round's exchange is fragmented by UCP (two
     // 4 KiB fragments) — the collective, fragmentation and reassembly
     // machinery working together.
     let mut tap = NullTap;
-    let (mut cl, mut ranks) = make_ranks(4, NetworkModel::paper_default(), 23);
+    let (mut cl, mut ranks) = make_ranks(4, 23);
     let rep = run_collective(
         &mut cl,
         &mut ranks,
@@ -83,7 +63,7 @@ fn bcast_completion_independent_of_root() {
     let mut tap = NullTap;
     let mut times = Vec::new();
     for root in 0..4u32 {
-        let (mut cl, mut ranks) = make_ranks(4, NetworkModel::paper_default(), 24);
+        let (mut cl, mut ranks) = make_ranks(4, 24);
         let rep = run_collective(
             &mut cl,
             &mut ranks,
@@ -120,7 +100,7 @@ fn event_and_flow_level_collectives_agree_on_rounds() {
                 FlowCollective::AllreduceRd { bytes: 64 },
             ),
         ] {
-            let (mut cl, mut ranks) = make_ranks(n, NetworkModel::paper_default(), 25);
+            let (mut cl, mut ranks) = make_ranks(n, 25);
             let event_rounds = run_collective(&mut cl, &mut ranks, event, &mut tap).rounds;
             let flow_rounds =
                 run_flow_collective(&mut fab, n, flow, EndpointCosts::paper_default()).rounds;

@@ -125,11 +125,9 @@ fn bidirectional_send_recv() {
 /// completions arrive (the Cluster is not limited to the two-node setup).
 #[test]
 fn eight_node_ring_traffic() {
-    use breaking_band::fabric::NetworkModel;
     use breaking_band::nic::NicConfig;
     let n = 8usize;
-    let mut cluster =
-        Cluster::new(n, NetworkModel::paper_default(), NicConfig::default(), 7).deterministic();
+    let mut cluster = Cluster::new(n, NicConfig::default(), 7).deterministic();
     let mut tap = NullTap;
     let mut workers: Vec<Worker> = (0..n)
         .map(|i| {
