@@ -33,6 +33,10 @@ fn bad_fault_plans_exit_2_with_a_message() {
             r#"{"credits": {"hdr": 2, "data": 64, "update_batch": 4}}"#,
             "credits.update_batch = 4",
         ),
+        (
+            r#"{"credits": {"hdr": 4, "data": 12, "update_batch": 4}}"#,
+            "credits.data = 12 cannot issue one UpdateFC batch",
+        ),
         (r#"{"loss_probability": -0.5}"#, "loss_probability = -0.5"),
         (r#"{"loss_probability": 1e400}"#, "loss_probability = inf"),
         (r#"{"loss_probability": "high"}"#, "expected f64"),

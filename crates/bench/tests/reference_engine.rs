@@ -1,31 +1,51 @@
 //! `--reference` forces every fault-engine call onto the reference event
-//! loop. `repro sweep-size` prints per-size engine stats, metered latency
-//! quantiles and a segmented-lossy fast-vs-reference check, so the
-//! default fast path and the reference must print identical bytes.
+//! loop, so the default fast path and the reference must print identical
+//! bytes. `repro sweep-size` prints per-size engine stats, metered latency
+//! quantiles and a segmented-lossy fast-vs-reference check; `loss` and
+//! `validate` under a plan with every fault family run the untraced
+//! engine, where bulk commits engage.
 
 use std::process::Command;
 
-fn quick_sweep_size(reference: bool) -> Vec<u8> {
+fn quick_run(args: &[&str], reference: bool) -> Vec<u8> {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_repro"));
     cmd.arg("--quick");
     if reference {
         cmd.arg("--reference");
     }
-    let out = cmd.arg("sweep-size").output().expect("spawn repro");
+    let out = cmd.args(args).output().expect("spawn repro");
     assert!(
         out.status.success(),
-        "repro sweep-size failed (reference {reference}): {}",
+        "repro {args:?} failed (reference {reference}): {}",
         String::from_utf8_lossy(&out.stderr)
     );
     out.stdout
 }
 
+fn assert_reference_agrees(args: &[&str]) {
+    let fast = quick_run(args, false);
+    assert!(!fast.is_empty(), "{args:?} printed nothing");
+    assert!(
+        fast == quick_run(args, true),
+        "--reference changed the output of {args:?}"
+    );
+}
+
 #[test]
 fn sweep_size_fast_path_matches_reference() {
-    let fast = quick_sweep_size(false);
-    assert!(!fast.is_empty(), "sweep-size printed nothing");
-    assert!(
-        fast == quick_sweep_size(true),
-        "--reference changed sweep-size's output"
-    );
+    assert_reference_agrees(&["sweep-size"]);
+}
+
+/// EXPERIMENTS.md's full plan, as CI writes it to `plan.json`.
+const FULL_PLAN: &str = r#"{"loss_probability": 1e-3, "corruption_probability": 1e-4, "credits": {"hdr": 2, "data": 64, "update_batch": 1}, "nic_stalls": [{"start_ns": 3000, "duration_ns": 10000}], "markov_stall": {"mean_up_ns": 10000, "mean_down_ns": 800}, "retry": {"timeout_ns": 2000, "max_retries": 12}}"#;
+
+#[test]
+fn full_plan_loss_and_validate_match_reference() {
+    let dir = std::env::temp_dir().join(format!("repro-reference-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create plan dir");
+    let plan = dir.join("plan.json");
+    std::fs::write(&plan, FULL_PLAN).expect("write plan");
+    let plan = plan.to_str().unwrap();
+    assert_reference_agrees(&["--seed", "7", "--faults", plan, "loss", "validate"]);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -190,15 +190,6 @@ impl ClusterFabric {
         }
     }
 
-    /// A pristine copy sharing topology, calibration, and telemetry
-    /// configuration: fresh transients, empty recordings. Runs from a
-    /// clean clone are byte-identical to runs from a new fabric.
-    pub fn clean_clone(&self) -> Self {
-        let mut c = self.clone();
-        c.reset_transients();
-        c
-    }
-
     /// Attach a telemetry recorder (replacing any existing recording).
     pub fn enable_telemetry(&mut self, cfg: TelemetryConfig) {
         self.telemetry = Some(Box::new(FabricTelemetry::new(&self.graph, cfg)));
@@ -663,8 +654,8 @@ mod tests {
         assert_eq!(plain.counters, tele.counters);
     }
 
-    /// The reuse satellite: a second run from a reset (or clean-cloned)
-    /// fabric records telemetry identical to a fresh fabric's.
+    /// A second run from a reset fabric records telemetry identical to a
+    /// fresh fabric's.
     #[test]
     fn reused_fabric_records_identical_telemetry() {
         let run = |fab: &mut ClusterFabric| {
@@ -683,14 +674,11 @@ mod tests {
         cfg.input_buffer_bytes = 4_200;
         let mut fresh = ClusterFabric::new(FabricGraph::fat_tree(4, 2), cfg);
         fresh.enable_telemetry(TelemetryConfig::paper_default());
-        let mut cloned = fresh.clean_clone();
         let first = run(&mut fresh);
         // Reset in place: everything transient (including telemetry)
         // must clear, so the second run is identical.
         fresh.reset_transients();
         assert_eq!(run(&mut fresh), first);
-        // And a clean clone taken before any traffic behaves the same.
-        assert_eq!(run(&mut cloned), first);
     }
 
     #[test]

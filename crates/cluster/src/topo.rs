@@ -194,17 +194,6 @@ impl FabricGraph {
         (self.port_base[sw as usize] + port) as usize
     }
 
-    /// The switch a host's injection link lands on (first hop).
-    pub fn host_switch(&self, host: u32) -> u32 {
-        debug_assert!(host < self.hosts);
-        match self.kind {
-            TopologyKind::FatTree { radix, .. } => host / radix,
-            TopologyKind::Dragonfly {
-                hosts_per_router, ..
-            } => host / hosts_per_router,
-        }
-    }
-
     /// Links crossing a best-case bisection of the topology: the capacity
     /// denominator for achieved-goodput reporting.
     pub fn bisection_links(&self) -> u64 {
@@ -437,7 +426,13 @@ mod tests {
     /// Follow a route hop-by-hop through the port tables and return the
     /// host it delivers to, checking cable consistency along the way.
     fn walk(g: &FabricGraph, src: u32, route: &[RouteHop]) -> u32 {
-        let mut at = g.host_switch(src);
+        // The switch the source's injection link lands on.
+        let mut at = match g.kind {
+            TopologyKind::FatTree { radix, .. } => src / radix,
+            TopologyKind::Dragonfly {
+                hosts_per_router, ..
+            } => src / hosts_per_router,
+        };
         for (i, hop) in route.iter().enumerate() {
             assert_eq!(hop.sw, at, "hop {i} leaves the wrong switch");
             match g.ports[hop.sw as usize][hop.port as usize] {

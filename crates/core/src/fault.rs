@@ -131,8 +131,8 @@ impl Deserialize for GilbertElliott {
 }
 
 /// The burst-loss channel state machine for one run. `Clone` so the fast
-/// path can advance a speculative copy and commit it only when no loss
-/// was drawn (see [`FaultSim::try_replay`]).
+/// path can advance a scratch copy over a run of messages and commit it
+/// only up to the last one that drew no loss (see [`FaultSim::try_turbo`]).
 #[derive(Clone)]
 struct GeChannel {
     cfg: GilbertElliott,
@@ -184,6 +184,15 @@ pub struct StallWindow {
     pub start_ns: u64,
     /// Window length in nanoseconds.
     pub duration_ns: u64,
+}
+
+impl StallWindow {
+    /// The window's end when `[start, end)` covers `t`.
+    fn end_if_covers(&self, t: SimTime) -> Option<SimTime> {
+        let start = SimTime::from_ns(self.start_ns);
+        let end = start + SimDuration::from_ns(self.duration_ns);
+        (t >= start && t < end).then_some(end)
+    }
 }
 
 /// Markov-modulated NIC stalls: the temporal analogue of
@@ -298,8 +307,9 @@ impl FaultPlan {
     /// Refuse a plan the engine cannot run: a probability that is not a
     /// finite number in [0, 1]; a credit pool that would deadlock the
     /// simulation rather than stall it — one that can never issue the
-    /// plan's largest MMIO write, or whose UpdateFC batch can never fill
-    /// once the header pool empties; a `nic_stalls` window that ends past
+    /// plan's largest MMIO write, whose UpdateFC batch can never fill once
+    /// the header pool empties, or whose data pool empties before one
+    /// batch of those writes drains; a `nic_stalls` window that ends past
     /// [`PLAN_HORIZON_NS`]; a `markov_stall` mean outside
     /// `[0, MAX_MEAN_DWELL_NS]`; a payload above [`MAX_PAYLOAD_BYTES`]; or
     /// a zero `retry.timeout_ns`.
@@ -354,6 +364,15 @@ impl FaultPlan {
                 return Err(PlanError::UpdateBatch {
                     update_batch: c.update_batch,
                     hdr: c.hdr,
+                });
+            }
+            // An UpdateFC returns credits only once `update_batch` writes
+            // have drained, so the data pool must cover a whole batch.
+            if u64::from(c.data) < u64::from(c.update_batch) * u64::from(needed) {
+                return Err(PlanError::BatchCredits {
+                    data: c.data,
+                    update_batch: c.update_batch,
+                    needed,
                 });
             }
         }
@@ -453,6 +472,14 @@ pub enum PlanError {
     /// `credits.update_batch` is zero or larger than `credits.hdr`, so no
     /// UpdateFC ever returns the header credits.
     UpdateBatch { update_batch: u32, hdr: u32 },
+    /// `credits.data` is below `update_batch` writes of `needed` data
+    /// credits each (the plan's largest MMIO write): the pool empties
+    /// before the first UpdateFC batch drains, and no write issues again.
+    BatchCredits {
+        data: u32,
+        update_batch: u32,
+        needed: u32,
+    },
     /// `nic_stalls[index]` ends past [`PLAN_HORIZON_NS`], where waiting it
     /// out would overflow [`SimTime`].
     StallWindow { index: usize, window: StallWindow },
@@ -485,6 +512,17 @@ impl std::fmt::Display for PlanError {
                 f,
                 "credits.update_batch = {update_batch} must be between 1 and \
                  credits.hdr = {hdr}"
+            ),
+            PlanError::BatchCredits {
+                data,
+                update_batch,
+                needed,
+            } => write!(
+                f,
+                "credits.data = {data} cannot issue one UpdateFC batch: \
+                 credits.update_batch = {update_batch} writes of {needed} data credits \
+                 need {}",
+                u64::from(*update_batch) * u64::from(*needed)
             ),
             PlanError::StallWindow { index, window } => write!(
                 f,
@@ -568,8 +606,8 @@ impl Deserialize for RetryPolicy {
 /// without re-simulating structurally identical messages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EnginePath {
-    /// Memoized stage-chain replay, silent-poll elision, and event
-    /// batching (the default).
+    /// Bulk commits of clean-message runs on the memoized stage chain,
+    /// silent-poll elision, and event batching (the default).
     Fast,
     /// The plain event loop: every message simulated event by event. The
     /// `repro --reference` escape hatch and the equivalence tests use it.
@@ -714,8 +752,7 @@ struct Traversal {
     span: trace::SpanId,
 }
 
-/// Replay-buffer depth of each PCIe link direction, shared with the fast
-/// path's room check.
+/// Replay-buffer depth of each PCIe link direction.
 const REPLAY_SLOTS: usize = 32;
 
 impl PcieChannel {
@@ -751,7 +788,7 @@ impl PcieChannel {
         self.pcie + self.per_byte * tlp.payload.saturating_sub(64) as u64
     }
 
-    /// Bulk-advance for memoized replay: `n` in-order deliveries of which
+    /// Bulk-advance for a bulk commit: `n` in-order deliveries of which
     /// the first `n - 1` have been reaped, leaving `last`'s ACK DLLP (due
     /// at `ack_due`) in flight — the state `n` reap/send/accept rounds
     /// produce. The caller reaped everything due first.
@@ -863,36 +900,29 @@ impl PcieChannel {
     }
 }
 
-/// The memoized fault-free message lifetime: every instant of the
-/// nine-slice stage chain as an offset from the post time, precomputed
-/// once per run (hash-consing one representative chain per calibration —
-/// the plan contributes no offsets on a clean lifetime, only RNG draws,
-/// which [`FaultSim::try_replay`] re-checks per message).
+/// The memoized fault-free message lifetime: the instants of the stage
+/// chain that [`FaultSim::try_turbo`] reads, as offsets from the post
+/// time, precomputed once per run (hash-consing one representative chain
+/// per calibration — the plan contributes no offsets on a clean lifetime,
+/// only RNG draws and stall windows, which the bulk commit checks per
+/// message).
 ///
 /// `None` when the run's timing makes the steady-state layout invalid —
-/// e.g. a retry timeout shorter than the transport ACK round trip, where
+/// e.g. a retry timeout no longer than the transport ACK round trip, where
 /// the reference path would fire timer recovery on every message — in
 /// which case every message takes the event loop.
 #[derive(Debug, Clone, Copy)]
 struct ChainMemo {
-    /// `HLP_post` end.
-    hlp_done: SimDuration,
     /// `LLP_post` end: the MMIO write is ready (the TX-link depart time).
     ready: SimDuration,
     /// TX PCIe delivery: the packet departs the NIC here.
     nic: SimDuration,
-    /// Wire end / switch entry.
-    at_switch: SimDuration,
     /// Switch exit: the packet reaches the target NIC.
     pkt_arr: SimDuration,
-    /// Transport ACK back at the initiator NIC.
-    ack_arr: SimDuration,
     /// RX PCIe delivery at the target root complex.
     rx_arr: SimDuration,
     /// Payload landed in target memory.
     in_mem: SimDuration,
-    /// `LLP_prog` end.
-    llp_done: SimDuration,
     /// `HLP_rx_prog` end: the completed end-to-end latency.
     total: SimDuration,
     /// `total` in nanoseconds — the exact f64 the reference path folds
@@ -900,9 +930,9 @@ struct ChainMemo {
     total_ns: f64,
     /// One 64-byte PCIe traversal (DLLP return leg).
     pcie: SimDuration,
-    /// The payload size the chain was recorded for — replay admission
-    /// keys on it, so a memo recorded at one size never replays a
-    /// message of another.
+    /// The payload size the chain was recorded for — bulk admission keys
+    /// on it, so a memo recorded at one size never commits a message of
+    /// another.
     payload: u32,
     /// PIO chunks of the TX MMIO write at that payload.
     chunks: u32,
@@ -910,9 +940,10 @@ struct ChainMemo {
 
 impl ChainMemo {
     /// Precompute the chain for one run, or `None` when the layout cannot
-    /// be replayed safely (see invalidation rules in DESIGN.md §12).
+    /// be committed in bulk safely (see invalidation rules in DESIGN.md
+    /// §12).
     ///
-    /// Replay covers single-segment inline eager chains only: larger,
+    /// The memo covers single-segment inline eager chains only: larger,
     /// segmented, or rendezvous messages soundly take the event loop
     /// (the caller gates on protocol; inline implies single-segment).
     fn build(
@@ -928,18 +959,15 @@ impl ChainMemo {
         let chunks = SizedLatencyModel::pio_chunks(payload);
         let pcie = cal.pcie();
         let net = cal.wire() + cal.switch();
-        let hlp_done = cal.hlp_post();
-        let ready = hlp_done + sized.llp_post_for(payload);
+        let ready = cal.hlp_post() + sized.llp_post_for(payload);
         let nic = ready + sized.pcie_tlp(SizedLatencyModel::tx_tlp_payload(payload));
-        let at_switch = nic + sized.wire_packet(payload);
-        let pkt_arr = at_switch + cal.switch();
+        let pkt_arr = nic + sized.wire_packet(payload) + cal.switch();
         let ack_arr = pkt_arr + net;
         let rx_arr = pkt_arr + sized.pcie_tlp(payload);
         let in_mem = rx_arr + sized.rc_to_mem(payload);
-        let llp_done = in_mem + cal.llp_prog();
-        let total = llp_done + cal.hlp_rx_prog();
+        let total = in_mem + cal.llp_prog() + cal.hlp_rx_prog();
         // The chain must land exactly on the analytical model (the post
-        // interval), or replayed latencies would drift from the loop's.
+        // interval), or committed latencies would drift from the loop's.
         if total != model_total {
             return None;
         }
@@ -955,22 +983,20 @@ impl ChainMemo {
         if ack_arr >= total {
             return None;
         }
-        // The retransmission timer must outlive the ACK round trip
-        // (otherwise the reference path fires timer recovery on every
-        // message and no lifetime is fault-free).
-        if retry_timeout <= net * 2 {
+        // The retransmission timer must outlive this payload's own ACK
+        // round trip, which grows with its wire bytes (otherwise the
+        // reference path fires timer recovery on every message and no
+        // lifetime is fault-free). At a tie the timer, armed first, pops
+        // first.
+        if retry_timeout <= ack_arr - nic {
             return None;
         }
         Some(ChainMemo {
-            hlp_done,
             ready,
             nic,
-            at_switch,
             pkt_arr,
-            ack_arr,
             rx_arr,
             in_mem,
-            llp_done,
             total,
             total_ns: total.as_ns_f64(),
             pcie,
@@ -1010,8 +1036,8 @@ struct FaultSim {
     /// Memoized fault-free lifetime, when the layout admits one.
     memo: Option<ChainMemo>,
     /// Fast path only: set once a loop-simulated message completes with a
-    /// latency bit-equal to the memo — replay engages only after the event
-    /// loop itself has demonstrated the chain once.
+    /// latency bit-equal to the memo — bulk commits engage only after the
+    /// event loop itself has demonstrated the chain once.
     rep_verified: bool,
     /// Fast path only: key and fire time of the single live retransmission
     /// timer event (reference mode pushes one per re-arm and lets stale
@@ -1024,14 +1050,10 @@ struct FaultSim {
     next_post: u64,
     /// Fast path only: is any collector (trace spans or metrics
     /// histograms) installed on this thread? Sampled once at run start —
-    /// collectors are installed around a whole run, never mid-run — so
-    /// replay can skip the ~10 per-message recording calls (each an
-    /// atomic + TLS probe when disabled) with one predictable branch.
+    /// collectors are installed around a whole run, never mid-run. A bulk
+    /// commit records no spans or samples, so an instrumented run refuses
+    /// it and every message takes the event loop.
     instrumented: bool,
-    /// Fast path only: the plan's fault sources are at most i.i.d. loss and
-    /// no collector is installed, so runs of clean messages can commit in
-    /// bulk ([`FaultSim::try_turbo`]) instead of one replay at a time.
-    turbo_ok: bool,
     /// Uniform post cadence: message `m` posts at `post_interval * m`
     /// (`FaultSim::post_at`).
     post_interval: SimDuration,
@@ -1146,33 +1168,22 @@ impl FaultSim {
         let post_interval = model.total().max(max_total);
         // The fast path generates posts lazily from `next_post` — the
         // queue then holds only genuinely pending events, which is both
-        // the quiescence test replay needs and a heap that stays
+        // the quiescence test a bulk commit needs and a heap that stays
         // O(in-flight) instead of O(messages).
         if path == EnginePath::Reference {
             for msg in 0..messages {
                 queue.push(SimTime::ZERO + post_interval * msg, Ev::Post { msg });
             }
         }
-        let instrumented = trace::enabled() || bband_metrics::enabled();
         let burst = plan.burst_loss.map(|g| GeChannel::new(g, seed));
         let stall_sched = plan
             .markov_stall
             .filter(|m| !m.is_zero())
             .map(|m| StallSchedule::new(m.mean_up_ns, m.mean_down_ns, seed ^ 0x57A11));
-        // Bulk replay handles fault sources that draw per message (i.i.d.
-        // loss or nothing); time-windowed sources (stalls, bursty loss) and
-        // per-traversal corruption draws keep the one-message replay.
-        let turbo_ok = path == EnginePath::Fast
-            && !instrumented
-            && plan.corruption_probability == 0.0
-            && plan.nic_stalls.is_empty()
-            && burst.is_none()
-            && stall_sched.is_none();
-        // Memoized replay admits only uniform-size inline eager plans: a
-        // mixed-size or rendezvous plan gets no memo at all, so the fast
-        // path soundly runs the same event loop as `--reference` (the
-        // satellite fix: a chain recorded for one size must never replay
-        // a message of another).
+        // The memo exists only for uniform-size inline eager plans: a
+        // mixed-size or rendezvous plan gets none, so the fast path soundly
+        // runs the same event loop as `--reference` (a chain recorded for
+        // one size must never commit a message of another).
         let payload0 = plan.payload_for(0);
         let uniform = (0..messages).all(|m| plan.payload_for(m) == payload0);
         let eager0 = msgs.first().is_none_or(|s: &MsgState| !s.rndv);
@@ -1188,8 +1199,7 @@ impl FaultSim {
             timer_key: None,
             timer_deadline: None,
             next_post: 0,
-            instrumented,
-            turbo_ok,
+            instrumented: trace::enabled() || bband_metrics::enabled(),
             post_interval,
             plan: plan.clone(),
             hlp_post: cal.hlp_post(),
@@ -1271,9 +1281,7 @@ impl FaultSim {
         loop {
             let mut deferred = false;
             for w in &self.plan.nic_stalls {
-                let start = SimTime::from_ns(w.start_ns);
-                let end = start + SimDuration::from_ns(w.duration_ns);
-                if t >= start && t < end {
+                if let Some(end) = w.end_if_covers(t) {
                     self.counters.nic_stalls += 1;
                     self.counters.recovery_time += end.since(t);
                     dep = trace::stage(trace::Layer::Recovery, "nic_stall", t, end, 0, &[dep]);
@@ -1678,7 +1686,7 @@ impl FaultSim {
             trace::stage(trace::Layer::Hlp, "HLP_rx_prog", llp_done, done, msg, &[lp]);
         self.target_cpu_free = done;
         let latency_dur = done.since(self.post_at(msg));
-        // Replay bootstrap: the fast path trusts the memo only after the
+        // Bulk bootstrap: the fast path trusts the memo only after the
         // event loop itself has completed one message bit-exactly on it
         // (any fault strictly lengthens the lifetime, so equality means
         // the chain ran clean end to end).
@@ -1881,8 +1889,8 @@ impl FaultSim {
 
     /// The fast loop: posts are merged in lazily (ties go to the post —
     /// the reference pre-pushed Posts with the lowest sequence numbers),
-    /// each post first attempts a memoized replay, and due events drain in
-    /// same-timestamp batches.
+    /// each post first attempts a bulk commit of the clean run it starts,
+    /// and due events drain in same-timestamp batches.
     fn run_fast(mut self, messages: u64) -> (FaultRunStats, Option<RetryExhausted>) {
         let mut aborted = None;
         let mut batch: Vec<(SimTime, Ev)> = Vec::new();
@@ -1899,17 +1907,12 @@ impl FaultSim {
             if take_post {
                 let msg = self.next_post;
                 let t = self.post_at(msg);
-                if self.turbo_ok {
-                    let k = self.try_turbo(msg, t, messages);
-                    if k > 0 {
-                        self.next_post += k;
-                        continue;
-                    }
-                }
-                self.next_post += 1;
-                if self.try_replay(msg, t) {
+                let k = self.try_turbo(msg, t, messages);
+                if k > 0 {
+                    self.next_post += k;
                     continue;
                 }
+                self.next_post += 1;
                 if trace::enabled() {
                     trace::set_now(t);
                 }
@@ -1940,36 +1943,38 @@ impl FaultSim {
     }
 
     /// Attempt to complete a whole run of consecutive clean messages
-    /// starting at `msg` (posted at `t`) in one bulk commit, instead of one
-    /// [`FaultSim::try_replay`] at a time. Returns the number of messages
-    /// completed (0: fall back to the per-message path).
+    /// starting at `msg` (posted at `t`) in one bulk commit. Returns the
+    /// number of messages completed (0: the event loop posts `msg`).
     ///
-    /// Eligibility beyond [`FaultSim::turbo_ok`]'s plan shape: in steady
-    /// state each clean message is the same pure function of its post time,
-    /// and post times are uniformly spaced — so once the first message's
-    /// admission checks pass and the shift-invariance inequalities below
-    /// hold, every later clean message's checks pass by induction. The only
-    /// per-message work left is the loss draws (taken in reference order on
-    /// a scratch stream, stopping *before* the first faulting message's
-    /// draws so the event loop redraws them from the committed stream) and
-    /// the sequential f64 latency folds the reference performs. Everything
+    /// In steady state each clean message is the same pure function of its
+    /// post time, and post times are uniformly spaced — so once the first
+    /// message's admission checks pass and the shift-invariance
+    /// inequalities below hold, every later clean message's checks pass by
+    /// induction. The only per-message work left is what a fault source
+    /// decides per message: the NIC departure's stall windows and the
+    /// draws the event loop would take, each on a scratch copy of its own
+    /// stream, stopping *before* the first faulting message so the event
+    /// loop redraws its values from the committed streams; and the
+    /// sequential f64 latency folds the reference performs. Everything
     /// else — TLP ids, DLL sequence numbers, PSNs, the in-flight ACK
     /// queues, link clocks, the credit-pool phase — advances in closed form
-    /// to the exact state `k` single replays would produce.
+    /// to the exact state `k` event-loop messages would leave.
     fn try_turbo(&mut self, msg: u64, t: SimTime, messages: u64) -> u64 {
         let Some(memo) = self.memo else {
             return 0;
         };
-        if !self.rep_verified {
+        if self.instrumented || !self.rep_verified {
             return 0;
         }
-        // Size admission: the memoized chain must match this message's
-        // payload (memo construction already guarantees a uniform-size
-        // eager plan; keyed explicitly so a future relaxation cannot
-        // silently replay a chain recorded for another size).
-        if !self.plan.payload_cycle.is_empty() || self.plan.payload_for(msg) != memo.payload {
+        // Size admission: never commit a chain recorded for another payload
+        // size. The memo exists only for uniform plans, so the first
+        // message's key covers the run.
+        if self.plan.payload_for(msg) != memo.payload {
             return 0;
         }
+        // Quiescence: no pending events (a live event means an earlier
+        // message is still recovering), no parked MMIO writes, no unacked
+        // transport packets.
         if !self.queue.is_empty() || !self.credit_waiters.is_empty() || self.rc_tx.pending() != 0 {
             return 0;
         }
@@ -1984,8 +1989,10 @@ impl FaultSim {
         {
             return 0;
         }
-        // First-message admission against the current state, exactly as
-        // `try_replay` would check and reap.
+        // First-message admission against the current state. Link FIFO
+        // serialization: an earlier traversal holds a later clock only
+        // while recovery is draining. The target CPU must be free when the
+        // payload lands, or the reference would emit a `reap_wait` stage.
         let ready = t + memo.ready;
         let pkt_arr = t + memo.pkt_arr;
         if self.tx_chan.clock > ready || self.rx_chan.clock > pkt_arr {
@@ -1994,6 +2001,9 @@ impl FaultSim {
         if self.target_cpu_free > t + memo.in_mem {
             return 0;
         }
+        // Reap the ACK DLLPs due by the depart times — exactly the reaps
+        // `traverse` would perform first, so a refusal leaves the event
+        // loop to re-reap idempotently.
         self.tx_chan.reap_acks(ready);
         self.rx_chan.reap_acks(pkt_arr);
         if self.tx_chan.buf.pending() != 0
@@ -2003,7 +2013,7 @@ impl FaultSim {
         {
             return 0;
         }
-        // Credit-pool periodicity: every replayed message runs the same
+        // Credit-pool periodicity: every committed message runs the same
         // consume → drain → (replenish on batch boundary) cycle on
         // identically-sized TLPs, so the pool state must cycle with period
         // `update_batch` messages. Prove it from the current phase on
@@ -2029,33 +2039,13 @@ impl FaultSim {
                 return 0;
             }
         }
-        // Run length: the same draws `try_replay` takes per message, in
-        // reference order (data leg, then ACK leg), short-circuiting on the
-        // first drop. The faulting message's draws stay unconsumed.
-        let remaining = messages - msg;
-        let p = self.plan.loss_probability;
-        let mut fab = self.fabric.rng_snapshot();
-        let k = if p > 0.0 {
-            let mut k = 0u64;
-            while k < remaining {
-                let mut probe = fab.clone();
-                if probe.next_bool(p) || probe.next_bool(p) {
-                    break;
-                }
-                fab = probe;
-                k += 1;
-            }
-            k
-        } else {
-            remaining
-        };
+        let k = self.clean_run(msg, messages - msg, &memo);
         if k == 0 {
             return 0;
         }
-        // Commit: RNG stream, credit phase (whole periods are exact
-        // no-ops, proven above), id/sequence/PSN counters, the final
-        // message's in-flight ACKs and clocks, and the statistics folds.
-        self.fabric.rng_restore(fab);
+        // Commit: credit phase (whole periods are exact no-ops, proven
+        // above), id/sequence/PSN counters, the final message's in-flight
+        // ACKs and clocks, and the statistics folds.
         for _ in 0..k % period {
             self.fc_issue
                 .consume(&tlp0)
@@ -2102,264 +2092,67 @@ impl FaultSim {
         k
     }
 
-    /// Attempt to complete message `msg`, posted at `t`, by replaying the
-    /// memoized fault-free chain instead of running the event loop. All
-    /// checks that can dirty the attempt come first and touch nothing (or
-    /// only state the fallback re-derives identically); the chain commits
-    /// all-or-nothing. Returns `false` to route the message through
-    /// [`FaultSim::post`] as usual.
-    fn try_replay(&mut self, msg: u64, t: SimTime) -> bool {
-        let Some(memo) = self.memo else {
-            return false;
-        };
-        if !self.rep_verified {
-            return false;
-        }
-        // Size admission: never replay a chain recorded for another
-        // payload size (mixed-size plans get no memo at all; this check
-        // is the explicit per-message key).
-        if self.plan.payload_for(msg) != memo.payload {
-            return false;
-        }
-        // Quiescence: no pending events (a live event means an earlier
-        // message is still recovering, or a stale poll would observe the
-        // replay mid-flight), no parked MMIO writes, no unacked transport
-        // packets.
-        if !self.queue.is_empty() || !self.credit_waiters.is_empty() || self.rc_tx.pending() != 0 {
-            return false;
-        }
-        let ready = t + memo.ready;
-        let nic = t + memo.nic;
-        let pkt_arr = t + memo.pkt_arr;
-        // Link FIFO serialization: an earlier traversal still holds a
-        // later clock only while recovery is draining.
-        if self.tx_chan.clock > ready || self.rx_chan.clock > pkt_arr {
-            return false;
-        }
-        // The target CPU must be free when the payload lands, or the
-        // reference path would emit a `reap_wait` stage.
-        if self.target_cpu_free > t + memo.in_mem {
-            return false;
-        }
-        // The NIC departure must not sit in an injected stall window.
-        for w in &self.plan.nic_stalls {
-            let start = SimTime::from_ns(w.start_ns);
-            let end = start + SimDuration::from_ns(w.duration_ns);
-            if nic >= start && nic < end {
-                return false;
-            }
-        }
-        // Credit gate (non-mutating preview of `consume`).
-        if !self
-            .fc_issue
-            .can_issue(&Tlp::pio_burst(bband_pcie::TlpId(0), memo.chunks))
-        {
-            return false;
-        }
-        // Markov stall: one real query. The schedule extends lazily and
-        // monotonically, so on a dirty fallback the reference path's query
-        // at the same instant returns the same window without drawing.
-        if let Some(sched) = self.stall_sched.as_mut() {
-            let (_, window) = sched.defer_with_window(nic);
-            if window.is_some() {
-                return false;
-            }
-        }
-        // Replay-buffer room, after reaping ACK DLLPs due by the depart
-        // time — exactly the reap `traverse` would perform first, so a
-        // dirty fallback re-reaps idempotently.
-        self.tx_chan.reap_acks(ready);
-        if self.tx_chan.buf.pending() >= REPLAY_SLOTS {
-            return false;
-        }
-        self.rx_chan.reap_acks(pkt_arr);
-        if self.rx_chan.buf.pending() >= REPLAY_SLOTS {
-            return false;
-        }
-        // Speculative RNG predraws, on clones, in each stream's reference
-        // order. Streams are seeded independently, so only per-stream
-        // order matters. Any fault: drop the clones — the event loop then
-        // redraws the identical values from the untouched originals.
-        let p_corrupt = self.plan.corruption_probability;
+    /// How many of the `remaining` messages from `msg` run clean, and
+    /// commit the random streams up to the last of them. Per message, in
+    /// post order: stop if the NIC departure lies in an absolute stall
+    /// window, or if one real Markov query at that instant returns a window
+    /// (queries in post order keep the event loop's later ones monotone, as
+    /// the lazily extended schedule requires; a refused message's own
+    /// query returns the same window again). Then take the draws its
+    /// lifetime takes, each stream on its scratch copy in that stream's
+    /// reference order: TX corruption, the data leg's loss (both channels
+    /// advance, as in `fabric_drops`), RX corruption, the ACK leg's loss.
+    /// A message that faults keeps its draws on the committed streams.
+    fn clean_run(&mut self, msg: u64, remaining: u64, memo: &ChainMemo) -> u64 {
         let p_loss = self.plan.loss_probability;
-        let mut tx_rng = self.tx_chan.link.rng_snapshot();
-        if p_corrupt > 0.0 && tx_rng.next_bool(p_corrupt) {
-            return false;
+        let p_corrupt = self.plan.corruption_probability;
+        if p_loss == 0.0
+            && p_corrupt == 0.0
+            && self.burst.is_none()
+            && self.stall_sched.is_none()
+            && self.plan.nic_stalls.is_empty()
+        {
+            return remaining;
         }
-        let mut fab_rng = self.fabric.rng_snapshot();
+        let mut fab = self.fabric.rng_snapshot();
+        let mut tx = self.tx_chan.link.rng_snapshot();
+        let mut rx = self.rx_chan.link.rng_snapshot();
         let mut burst = self.burst.clone();
-        // Data leg: `fabric_drops` always advances both channels.
-        let data_iid = p_loss > 0.0 && fab_rng.next_bool(p_loss);
-        let data_burst = burst.as_mut().is_some_and(|b| b.drops());
-        if data_iid || data_burst {
-            return false;
-        }
-        let mut rx_rng = self.rx_chan.link.rng_snapshot();
-        if p_corrupt > 0.0 && rx_rng.next_bool(p_corrupt) {
-            return false;
-        }
-        // ACK flight (drawn only after a clean delivery).
-        let ack_iid = p_loss > 0.0 && fab_rng.next_bool(p_loss);
-        let ack_burst = burst.as_mut().is_some_and(|b| b.drops());
-        if ack_iid || ack_burst {
-            return false;
-        }
-        // Every draw came up clean: commit the advanced streams and replay.
-        self.tx_chan.link.rng_restore(tx_rng);
-        self.rx_chan.link.rng_restore(rx_rng);
-        self.fabric.rng_restore(fab_rng);
-        self.burst = burst;
-        self.replay_chain(msg, t, &memo);
-        true
-    }
-
-    /// Commit one memoized fault-free lifetime: the same substrate
-    /// mutations, stage records (identical ring order, names, args, and
-    /// edges), and statistics folds the event loop performs — minus the
-    /// event queue, the silent retransmission timer, and the RNG draws
-    /// already taken speculatively in [`FaultSim::try_replay`].
-    fn replay_chain(&mut self, msg: u64, t: SimTime, memo: &ChainMemo) {
-        let hlp_done = t + memo.hlp_done;
-        let ready = t + memo.ready;
-        let nic = t + memo.nic;
-        let at_switch = t + memo.at_switch;
-        let pkt_arr = t + memo.pkt_arr;
-        let ack_arr = t + memo.ack_arr;
-        let rx_arr = t + memo.rx_arr;
-        let in_mem = t + memo.in_mem;
-        let llp_done = t + memo.llp_done;
-        let done = t + memo.total;
-
-        // One predictable branch instead of ten per-call collector probes:
-        // with no collector installed every `trace::stage` is a no-op
-        // returning `SpanId::NONE`, so eliding the calls is unobservable.
-        let ins = self.instrumented;
-        let st = |layer, name, s: SimTime, e: SimTime, arg, deps: &[trace::SpanId]| {
-            if ins {
-                trace::stage(layer, name, s, e, arg, deps)
-            } else {
-                trace::SpanId::NONE
+        let drops = |fab: &mut Pcg64, burst: &mut Option<GeChannel>| {
+            let iid = p_loss > 0.0 && fab.next_bool(p_loss);
+            let bursty = burst.as_mut().is_some_and(GeChannel::drops);
+            iid || bursty
+        };
+        let corrupts = |link: &mut Pcg64| p_corrupt > 0.0 && link.next_bool(p_corrupt);
+        let mut k = 0;
+        while k < remaining {
+            let nic = self.post_at(msg + k) + memo.nic;
+            let windows = &self.plan.nic_stalls;
+            if windows.iter().any(|w| w.end_if_covers(nic).is_some())
+                || self
+                    .stall_sched
+                    .as_mut()
+                    .is_some_and(|s| s.defer_with_window(nic).1.is_some())
+            {
+                break;
             }
-        };
-
-        // Initiator CPU (`post`). Memoized chains are inline eager, so
-        // there is never an `eager_copy` or `DMA_fetch` stage to replay.
-        let h = st(trace::Layer::Hlp, "HLP_post", t, hlp_done, msg, &[]);
-        let l = st(trace::Layer::Llp, "LLP_post", hlp_done, ready, msg, &[h]);
-        let tlp = Tlp::pio_burst(self.ids.next(), memo.chunks);
-        self.fc_issue
-            .consume(&tlp)
-            .expect("try_replay verified credit availability");
-
-        // TX PCIe (`transmit` → `traverse`, corruption draw pre-taken).
-        let seq = self
-            .tx_chan
-            .buf
-            .send(tlp)
-            .expect("try_replay verified replay-buffer room");
-        let RxVerdict::Accept { ack_up_to } = self.tx_chan.rx.receive(seq, false) else {
-            unreachable!("uncorrupted in-order TLP is accepted")
-        };
-        self.tx_chan
-            .pending_acks
-            .push_back((ack_up_to, nic + memo.pcie));
-        let grant = self.tx_chan.fc_recv.as_mut().and_then(|fc| fc.drain(&tlp));
-        self.tx_chan.clock = nic;
-        let tx = st(trace::Layer::PcieTx, "TX PCIe", ready, nic, tlp.id.0, &[l]);
-        if let Some((hdr, data)) = grant {
-            // The UpdateFC DLLP lands at `nic + pcie`, strictly before the
-            // next post (memo validity) with no credit waiters, so its
-            // only effect is the replenish — applied inline.
-            self.fc_issue.replenish(hdr, data);
+            let (mut f, mut b) = (fab.clone(), burst.clone());
+            let (mut t, mut r) = (tx.clone(), rx.clone());
+            if corrupts(&mut t)
+                || drops(&mut f, &mut b)
+                || corrupts(&mut r)
+                || drops(&mut f, &mut b)
+            {
+                break;
+            }
+            (fab, burst, tx, rx) = (f, b, t, r);
+            k += 1;
         }
-
-        // Fabric (`launch`, loss draws pre-taken). A single-segment
-        // message carries segment index 0 as its tag.
-        let pkt = Packet::tagged(
-            PacketId(msg),
-            PacketKind::Send,
-            NodeId(0),
-            NodeId(1),
-            memo.payload,
-            0,
-        );
-        let psn = self.rc_tx.send(pkt, nic);
-        let w = st(trace::Layer::Wire, "Wire", nic, at_switch, msg, &[tx]);
-        let s = st(
-            trace::Layer::Switch,
-            "Switch",
-            at_switch,
-            pkt_arr,
-            msg,
-            &[w],
-        );
-        if ins {
-            // Untraced, the launch table would only store `SpanId::NONE` —
-            // the same value readers default to on a missing entry.
-            self.note_launch(psn, s);
-        }
-
-        // Target NIC + RX PCIe (`deliver`).
-        let RcVerdict::Deliver { ack } = self.rc_rx.on_packet(psn) else {
-            unreachable!("in-sequence packet is delivered")
-        };
-        let tlp2 = Tlp::payload_deliver(self.ids.next(), memo.payload);
-        let seq2 = self
-            .rx_chan
-            .buf
-            .send(tlp2)
-            .expect("try_replay verified replay-buffer room");
-        let RxVerdict::Accept { ack_up_to: a2 } = self.rx_chan.rx.receive(seq2, false) else {
-            unreachable!("uncorrupted in-order TLP is accepted")
-        };
-        self.rx_chan
-            .pending_acks
-            .push_back((a2, rx_arr + memo.pcie));
-        self.rx_chan.clock = rx_arr;
-        let rx = st(
-            trace::Layer::PcieRx,
-            "RX PCIe",
-            pkt_arr,
-            rx_arr,
-            tlp2.id.0,
-            &[s],
-        );
-
-        // Target memory + CPU reap.
-        let mem_name = if memo.payload == 8 {
-            "RC-to-MEM(8B)"
-        } else {
-            "RC-to-MEM"
-        };
-        let mem = st(trace::Layer::Memory, mem_name, rx_arr, in_mem, msg, &[rx]);
-        let lp = st(trace::Layer::Llp, "LLP_prog", in_mem, llp_done, msg, &[mem]);
-        self.target_cpu_span = st(trace::Layer::Hlp, "HLP_rx_prog", llp_done, done, msg, &[lp]);
-        self.target_cpu_free = done;
-        if ins {
-            // Timestamped at the post instant (`done - total`), matching
-            // the reference loop byte-for-byte in windowed collections.
-            bband_metrics::record_ps_at(
-                "e2e_latency",
-                memo.total.as_ps(),
-                done.as_ps() - memo.total.as_ps(),
-            );
-        }
-        self.completed += 1;
-        self.lat_sum_ns += memo.total_ns;
-        self.lat_min_ns = self.lat_min_ns.min(memo.total_ns);
-        self.lat_max_ns = self.lat_max_ns.max(memo.total_ns);
-
-        // Transport ACK flight and acknowledgement; the retransmission
-        // timer the loop would arm and later no-op is elided entirely.
-        let _ = st(
-            trace::Layer::Transport,
-            "ack_flight",
-            pkt_arr,
-            ack_arr,
-            0,
-            &[s],
-        );
-        self.rc_tx.on_ack(ack);
+        self.fabric.rng_restore(fab);
+        self.tx_chan.link.rng_restore(tx);
+        self.rx_chan.link.rng_restore(rx);
+        self.burst = burst;
+        k
     }
 
     /// Fold the run into its terminal statistics.
@@ -2723,6 +2516,19 @@ mod tests {
                 "credits.update_batch = 0 must be between 1 and credits.hdr = 0".to_string(),
             ),
             (
+                r#"{"credits": {"hdr": 4, "data": 12, "update_batch": 4}}"#,
+                "credits.data = 12 cannot issue one UpdateFC batch: credits.update_batch = 4 \
+                 writes of 4 data credits need 16"
+                    .to_string(),
+            ),
+            (
+                r#"{"credits": {"hdr": 4, "data": 64, "update_batch": 4},
+                    "payload_cycle": [8, 256]}"#,
+                "credits.data = 64 cannot issue one UpdateFC batch: credits.update_batch = 4 \
+                 writes of 20 data credits need 80"
+                    .to_string(),
+            ),
+            (
                 r#"{"loss_probability": -0.5}"#,
                 format!("loss_probability = -0.5 {not_a_probability}"),
             ),
@@ -2937,6 +2743,30 @@ mod tests {
         }
     }
 
+    /// A 64-byte payload's ACK round trip (about 770.1 ns) is longer than
+    /// the 8-byte one (765.62 ns). A timeout between the two retransmits
+    /// every message on the timer, so no lifetime is clean: the memo must
+    /// be refused, and the fast path must retransmit what the reference
+    /// does.
+    #[test]
+    fn memo_timer_bound_uses_the_payloads_round_trip() {
+        let plan = FaultPlan::from_json_str(
+            r#"{"payload_bytes": 64, "retry": {"timeout_ns": 769},
+                "markov_stall": {"mean_up_ns": 20000, "mean_down_ns": 1000}}"#,
+        )
+        .unwrap();
+        let c = cal();
+        for seed in 1..=3 {
+            let fast = run_raw_on(EnginePath::Fast, &c, &plan, 1_000, seed);
+            assert_eq!(
+                fast,
+                run_raw_on(EnginePath::Reference, &c, &plan, 1_000, seed),
+                "seed {seed}"
+            );
+            assert!(fast.0.counters.rc_timeouts > 900, "{:?}", fast.0.counters);
+        }
+    }
+
     /// With `p_good_to_bad = 1` and a lossless good state, every loss the
     /// run sees comes from the burst channel's bad state.
     #[test]
@@ -3117,6 +2947,22 @@ mod tests {
             mean_down_ns: 1_000.0,
         });
         plans.push(("combined", p));
+        // The benchmark's `engine_faulty` plan, untraced at a length where
+        // bulk runs, stall queries and go-back-N recovery all engage.
+        let mut p = FaultPlan::none();
+        p.loss_probability = 1e-3;
+        p.markov_stall = Some(MarkovStall {
+            mean_up_ns: 20_000.0,
+            mean_down_ns: 1_000.0,
+        });
+        let c = cal();
+        for seed in [1u64, 9] {
+            assert_eq!(
+                run_raw_on(EnginePath::Fast, &c, &p, 2_000, seed),
+                run_raw_on(EnginePath::Reference, &c, &p, 2_000, seed),
+                "untraced stats diverged on engine_faulty's plan, seed {seed}"
+            );
+        }
         for (name, plan) in &plans {
             for seed in [1u64, 42, 0x5EED] {
                 assert_paths_identical(plan, 200, seed);
@@ -3150,10 +2996,12 @@ mod tests {
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
-        /// Randomized fast-vs-reference byte-identity: stats, counters,
-        /// spans, and metrics, across random plans and seeds — including
-        /// plans that defeat memoization (short timeouts, stall windows,
-        /// heavy loss that trips the retry budget).
+        /// Randomized fast-vs-reference byte-identity across random plans
+        /// and seeds — including plans that defeat memoization (short
+        /// timeouts, stall windows, heavy loss that trips the retry
+        /// budget). Traced and metered runs compare stats, counters, spans
+        /// and metrics on the event loop; the untraced run compares stats
+        /// and counters where bulk commits engage.
         #[test]
         fn fast_path_matches_reference_on_random_plans(
             seed in proptest::prelude::any::<u64>(),
@@ -3176,14 +3024,29 @@ mod tests {
             stall_duration_ns in 100u64..20_000,
             timeout_sel in 0u64..2,
             timeout_rand_ns in 500u64..5_000,
-            payload_sel in 0u64..4,
+            payload_sel in 0u64..6,
+            credits_sel in 0u64..2,
+            credits_hdr in 2u32..9,
+            credits_batch in 0u32..8,
         ) {
             let mut plan = FaultPlan::none();
             match payload_sel {
                 0 => {} // the 8-byte default
-                1 => plan.payload_bytes = 1024,   // eager, DMA descriptor
-                2 => plan.payload_bytes = 65_536, // segmented rendezvous
+                1 => plan.payload_bytes = 64,     // inline, memoized
+                2 => plan.payload_bytes = 256,    // largest inline, memoized
+                3 => plan.payload_bytes = 1024,   // eager, DMA descriptor
+                4 => plan.payload_bytes = 65_536, // segmented rendezvous
                 _ => plan.payload_cycle = vec![8, 65_536, 256, 12_288],
+            }
+            if credits_sel == 1 {
+                // `update_batch` in 1..=hdr, and a data pool that covers a
+                // batch of 256-byte writes (20 data credits each).
+                let update_batch = credits_batch % credits_hdr + 1;
+                plan.credits = Some(CreditConfig {
+                    hdr: credits_hdr,
+                    data: update_batch * 20,
+                    update_batch,
+                });
             }
             plan.loss_probability = match loss_sel {
                 0 | 1 => 0.0,
@@ -3214,6 +3077,11 @@ mod tests {
             proptest::prop_assert_eq!(&fast.0, &reference.0);
             proptest::prop_assert_eq!(&fast.1, &reference.1);
             proptest::prop_assert_eq!(&fast.2, &reference.2);
+            let c = cal();
+            proptest::prop_assert_eq!(
+                run_raw_on(EnginePath::Fast, &c, &plan, messages, seed),
+                run_raw_on(EnginePath::Reference, &c, &plan, messages, seed)
+            );
         }
     }
 

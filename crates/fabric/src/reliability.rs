@@ -164,7 +164,7 @@ impl RcSender {
         self.unacked.len()
     }
 
-    /// Bulk-advance for memoized replay: `n` send/ACK round trips that each
+    /// Bulk-advance for the fault engine: `n` send/ACK round trips that each
     /// completed before the next began. Requires an idle sender on entry
     /// and leaves it idle — only the PSN counter moves.
     pub fn skip_delivered(&mut self, n: u64) {
@@ -236,7 +236,7 @@ impl RcReceiver {
         }
     }
 
-    /// Bulk-advance for memoized replay: `n` in-sequence deliveries.
+    /// Bulk-advance for the fault engine: `n` in-sequence deliveries.
     /// Equivalent to `n` delivering calls to [`RcReceiver::on_packet`].
     pub fn skip_delivered(&mut self, n: u64) {
         self.expected = ((self.expected as u64 + n) % PSN_MOD as u64) as u32;

@@ -11,9 +11,8 @@ use bband_sim::SimDuration;
 
 /// ARMv8-A memory attribute for a mapped range.
 ///
-/// Variants mirror the architecture's taxonomy (see Arm DDI 0487, "Memory
-/// types and attributes"); the simulation distinguishes them by write cost
-/// and by whether writes may gather.
+/// The two types the paper measures (see Arm DDI 0487, "Memory types and
+/// attributes"); the simulation distinguishes them by write cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemoryType {
     /// Cacheable normal memory: regular heap/stack buffers.
@@ -21,25 +20,6 @@ pub enum MemoryType {
     /// Device, Gathering + Reordering + Early-ack. Used for the NIC's
     /// memory-mapped doorbell/BlueFlame pages on the measured system.
     DeviceGre,
-    /// Device, non-Gathering but Reordering + Early-ack.
-    DeviceNGre,
-    /// Device, non-Gathering, non-Reordering, non-Early-ack: the strictest
-    /// (and slowest) device type.
-    DeviceNGnRnE,
-}
-
-impl MemoryType {
-    /// Whether the interconnect may merge adjacent writes into one beat.
-    /// Only gathering types allow the 64-byte PIO copy to go out as a single
-    /// PCIe TLP; non-gathering types would emit one TLP per register write.
-    pub fn allows_gathering(self) -> bool {
-        matches!(self, MemoryType::Normal | MemoryType::DeviceGre)
-    }
-
-    /// Whether the type is a device type (uncached, side-effect visible).
-    pub fn is_device(self) -> bool {
-        !matches!(self, MemoryType::Normal)
-    }
 }
 
 /// Calibrated CPU-side cost of writing `len` bytes to memory of a given
@@ -52,9 +32,6 @@ pub struct WriteCostModel {
     /// Cost of one 64-byte store burst to Device-GRE memory: the PIO copy,
     /// 94.25 ns (Table 1).
     pub device_gre_per_chunk: SimDuration,
-    /// Cost multiplier for stricter device types relative to Device-GRE.
-    /// Non-gathering/non-reordering writes serialize on the interconnect.
-    pub stricter_device_factor: f64,
 }
 
 impl Default for WriteCostModel {
@@ -62,7 +39,6 @@ impl Default for WriteCostModel {
         WriteCostModel {
             normal_per_chunk: SimDuration::from_ns_f64(0.9),
             device_gre_per_chunk: SimDuration::from_ns_f64(94.25),
-            stricter_device_factor: 1.5,
         }
     }
 }
@@ -80,9 +56,6 @@ impl WriteCostModel {
         match ty {
             MemoryType::Normal => self.normal_per_chunk * chunks,
             MemoryType::DeviceGre => self.device_gre_per_chunk * chunks,
-            MemoryType::DeviceNGre | MemoryType::DeviceNGnRnE => {
-                self.device_gre_per_chunk.scale(self.stricter_device_factor) * chunks
-            }
         }
     }
 
@@ -134,24 +107,6 @@ mod tests {
     }
 
     #[test]
-    fn stricter_device_types_cost_more() {
-        let m = WriteCostModel::default();
-        assert!(
-            m.write_cost(MemoryType::DeviceNGnRnE, 64) > m.write_cost(MemoryType::DeviceGre, 64)
-        );
-    }
-
-    #[test]
-    fn gathering_flags() {
-        assert!(MemoryType::DeviceGre.allows_gathering());
-        assert!(MemoryType::Normal.allows_gathering());
-        assert!(!MemoryType::DeviceNGre.allows_gathering());
-        assert!(!MemoryType::DeviceNGnRnE.allows_gathering());
-        assert!(MemoryType::DeviceGre.is_device());
-        assert!(!MemoryType::Normal.is_device());
-    }
-
-    #[test]
     fn multi_chunk_writes_scale_linearly() {
         let m = WriteCostModel::default();
         let one = m.write_cost(MemoryType::DeviceGre, 64);
@@ -168,7 +123,7 @@ mod tests {
             fn write_cost_monotone_in_length(a in 1usize..1<<16, b in 1usize..1<<16) {
                 let m = WriteCostModel::default();
                 let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-                for ty in [MemoryType::Normal, MemoryType::DeviceGre, MemoryType::DeviceNGnRnE] {
+                for ty in [MemoryType::Normal, MemoryType::DeviceGre] {
                     prop_assert!(m.write_cost(ty, lo) <= m.write_cost(ty, hi));
                 }
             }
@@ -179,10 +134,6 @@ mod tests {
                 prop_assert!(
                     m.write_cost(MemoryType::DeviceGre, len)
                         >= m.write_cost(MemoryType::Normal, len)
-                );
-                prop_assert!(
-                    m.write_cost(MemoryType::DeviceNGnRnE, len)
-                        >= m.write_cost(MemoryType::DeviceGre, len)
                 );
             }
         }

@@ -3,7 +3,7 @@
 use bband_fabric::{NetworkModel, NodeId};
 use bband_llp::{LlpCosts, Worker};
 use bband_memsys::RcToMemModel;
-use bband_nic::Cluster;
+use bband_nic::{Cluster, NicConfig};
 use bband_pcie::LinkModel;
 use bband_profiling::profiler::{sample_timer_read, UCS_OVERHEAD_MEAN_NS};
 use bband_sim::{CpuClock, Pcg64, SimDuration};
@@ -52,7 +52,13 @@ impl StackConfig {
 
     /// Build the two-node cluster for this configuration.
     pub fn build_cluster(&self) -> Cluster {
-        let mut c = Cluster::two_node_paper(self.seed);
+        self.build_cluster_with(NicConfig::default())
+    }
+
+    /// Build the two-node cluster for this configuration on NICs
+    /// configured as `nic`, with every what-if override applied.
+    pub fn build_cluster_with(&self, nic: NicConfig) -> Cluster {
+        let mut c = Cluster::new(2, nic, self.seed);
         if self.deterministic {
             c = c.deterministic();
         }

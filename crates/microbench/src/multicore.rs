@@ -42,7 +42,7 @@
 use crate::common::StackConfig;
 use bband_fabric::NodeId;
 use bband_llp::{Core, Endpoint, LockGranularity, LockModel};
-use bband_nic::{Cluster, NicConfig, Opcode, QpId};
+use bband_nic::{NicConfig, Opcode, QpId};
 use bband_pcie::NullTap;
 use bband_profiling::RecoveryCounters;
 use bband_sim::{SimDuration, WorkerPool};
@@ -116,14 +116,10 @@ pub struct ThreadSweepReport {
 pub fn endpoint_injection(cfg: &ThreadSweepConfig) -> ThreadSweepReport {
     assert!(cfg.threads >= 1, "at least one injecting thread");
     assert!(cfg.endpoints >= 1, "at least one endpoint");
-    let nic_cfg = NicConfig {
+    let mut cluster = cfg.stack.build_cluster_with(NicConfig {
         // The hardware ring must hold every endpoint's outstanding work.
         txq_depth: (cfg.endpoints * cfg.ring_depth).max(256),
-    };
-    let mut cluster = Cluster::new(2, nic_cfg, cfg.stack.seed);
-    if cfg.stack.deterministic {
-        cluster = cluster.deterministic();
-    }
+    });
     if let Some((hdr, data, update_batch)) = cfg.credits {
         cluster = cluster.with_credits(hdr, data, update_batch);
     }
@@ -248,6 +244,7 @@ pub fn credit_exhaustion_onset_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bband_pcie::LinkModel;
 
     fn sweep(threads: u32, endpoints: u32, lock: LockGranularity) -> ThreadSweepConfig {
         ThreadSweepConfig {
@@ -444,6 +441,36 @@ mod tests {
                 r.aggregate_rate_per_us
             );
         }
+    }
+
+    /// A what-if link in the stack reaches the thread sweep, as it
+    /// reaches `put_bw`, `am_lat` and `osu`: a PCIe link 50× slower per
+    /// TLP collapses the injection rate under a starved credit pool.
+    #[test]
+    fn thread_sweep_honours_what_if_hardware() {
+        let cfg = |link: Option<LinkModel>| ThreadSweepConfig {
+            stack: StackConfig {
+                seed: 3,
+                link,
+                ..StackConfig::validation()
+            },
+            credits: Some((2, 16, 1)),
+            ..sweep(8, 8, LockGranularity::Independent)
+        };
+        let default = endpoint_injection(&cfg(None));
+        let l = LinkModel::default();
+        let slow = LinkModel {
+            base: l.base * 50,
+            per_byte: l.per_byte * 50,
+            ..l
+        };
+        let r = endpoint_injection(&cfg(Some(slow)));
+        assert!(
+            r.aggregate_rate_per_us * 10.0 < default.aggregate_rate_per_us,
+            "{} msg/us with the slow link vs {} with the default",
+            r.aggregate_rate_per_us,
+            default.aggregate_rate_per_us
+        );
     }
 
     #[test]

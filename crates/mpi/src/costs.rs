@@ -44,20 +44,6 @@ impl Default for MpiCosts {
     }
 }
 
-impl MpiCosts {
-    /// The paper's `HLP_post`: MPICH + UCP send-side work (26.56 ns with
-    /// the default UCP costs).
-    pub fn hlp_post_with(&self, ucp_tag_send: SimDuration) -> SimDuration {
-        self.isend + ucp_tag_send
-    }
-
-    /// The paper's `HLP_rx_prog`: UCP callback + MPICH callback + MPICH
-    /// epilogue = 224.66 ns.
-    pub fn hlp_rx_prog_with(&self, ucp_recv_callback: SimDuration) -> SimDuration {
-        ucp_recv_callback + self.recv_callback + self.wait_epilogue
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -65,25 +51,5 @@ mod tests {
     #[test]
     fn isend_matches_table1() {
         assert!((MpiCosts::default().isend.as_ns_f64() - 24.37).abs() < 1e-9);
-    }
-
-    #[test]
-    fn hlp_post_totals_26_56() {
-        let c = MpiCosts::default();
-        let total = c.hlp_post_with(SimDuration::from_ns_f64(2.19));
-        assert!(
-            (total.as_ns_f64() - 26.56).abs() < 0.001,
-            "HLP_post = {total}"
-        );
-    }
-
-    #[test]
-    fn hlp_rx_prog_totals_224_66() {
-        let c = MpiCosts::default();
-        let total = c.hlp_rx_prog_with(SimDuration::from_ns_f64(139.78));
-        assert!(
-            (total.as_ns_f64() - 224.66).abs() < 0.001,
-            "HLP_rx_prog = {total}"
-        );
     }
 }

@@ -297,10 +297,13 @@ impl Cluster {
     /// Override every node's posted-credit pools: the RC's downstream
     /// issue pool and the NIC's receiver-side return bookkeeping. This is
     /// how a `--faults` plan's `credits` block reaches the cluster-backed
-    /// experiments. Call right after construction (it resets RC state).
+    /// experiments. Call right after construction (it resets RC state
+    /// but keeps the RC-to-MEM model).
     pub fn with_credits(mut self, hdr: u32, data: u32, update_batch: u32) -> Self {
         for n in &mut self.nodes {
+            let rc_to_mem = n.rc.rc_to_mem().clone();
             n.rc = RootComplex::with_flow_control(FlowControl::new(hdr, data, update_batch));
+            n.rc.set_rc_to_mem(rc_to_mem);
             n.nic.fc_recv = FlowControl::new(hdr, data, update_batch);
         }
         self
@@ -1524,5 +1527,21 @@ mod tests {
             prev = Some(cqe.wr_id);
         }
         assert_eq!(prev, Some(WrId(49)));
+    }
+
+    /// A credit override rebuilds each root complex but keeps a what-if
+    /// RC-to-MEM model applied before it.
+    #[test]
+    fn credit_override_keeps_the_rc_to_mem_model() {
+        let model = bband_memsys::RcToMemModel {
+            base: SimDuration::from_ns(500),
+            per_byte: SimDuration::from_ps(250),
+        };
+        let mut c = paper_cluster();
+        c.set_rc_to_mem(model.clone());
+        let c = c.with_credits(2, 16, 1);
+        for node in [NodeId(0), NodeId(1)] {
+            assert_eq!(c.rc_to_mem(node), &model);
+        }
     }
 }

@@ -114,7 +114,7 @@ impl ReplayBuffer {
         self.unacked.len()
     }
 
-    /// Bulk-advance for memoized replay: commit `n` in-order sends of which
+    /// Bulk-advance for the fault engine: commit `n` in-order sends of which
     /// the first `n - 1` have already been ACKed, leaving only `last`
     /// outstanding — the state `n` interleaved send/ACK rounds produce.
     /// Requires a drained buffer on entry; returns the sequence number
@@ -169,7 +169,7 @@ impl DllReceiver {
         }
     }
 
-    /// Bulk-advance for memoized replay: accept `n` in-order uncorrupted
+    /// Bulk-advance for the fault engine: accept `n` in-order uncorrupted
     /// TLPs. Equivalent to `n` accepting calls to [`DllReceiver::receive`].
     pub fn skip_delivered(&mut self, n: u64) {
         self.expected = ((self.expected as u64 + n) % SEQ_MOD as u64) as u16;

@@ -112,7 +112,7 @@ impl TlpIdGen {
         id
     }
 
-    /// Bulk-advance for memoized replay: consume `n` ids at once, returning
+    /// Bulk-advance for the fault engine: consume `n` ids at once, returning
     /// the raw value of the first. Equivalent to `n` calls to
     /// [`TlpIdGen::next`].
     pub fn skip(&mut self, n: u64) -> u64 {

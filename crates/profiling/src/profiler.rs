@@ -91,11 +91,6 @@ impl Profiler {
         self.regions.get(name).map(|s| s.mean_ns())
     }
 
-    /// Names of all recorded regions.
-    pub fn region_names(&self) -> impl Iterator<Item = &str> {
-        self.regions.keys().map(String::as_str)
-    }
-
     /// Drop all samples, keeping calibration.
     pub fn reset(&mut self) {
         self.regions.clear();
@@ -182,6 +177,5 @@ mod tests {
         p.record("a", SimDuration::from_ns(1));
         p.reset();
         assert!(p.region("a").is_none());
-        assert_eq!(p.region_names().count(), 0);
     }
 }

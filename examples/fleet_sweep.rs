@@ -52,40 +52,10 @@ fn payload_sweep() {
     println!("Payload-size sweep (UCT send-receive latency, deterministic):");
     println!("  {:>8}  {:>12}  {:>10}", "bytes", "latency", "network %");
     for payload in [8u32, 16, 32, 64, 128, 256] {
+        // One deterministic send on a fresh stack: post start to visibility.
         let cfg = StackConfig::validation();
         let mut cluster = cfg.build_cluster();
         let mut tap = NullTap;
-        let mut w0 = cfg.build_worker(0);
-        let mut w1 = cfg.build_worker(1);
-        for _ in 0..8 {
-            w1.post_recv(&mut cluster, 4096, &mut tap);
-        }
-        // Average a few one-way sends, measured on the wire-side clock.
-        let iters = 20;
-        let t0 = SimTime::ZERO;
-        let mut last_visible = t0;
-        for _ in 0..iters {
-            w0.post(
-                &mut cluster,
-                Opcode::Send,
-                NodeId(1),
-                payload,
-                true,
-                &mut tap,
-            )
-            .unwrap();
-            let rx = w1.wait(&mut cluster, CqeKind::RecvComplete, &mut tap);
-            w1.post_recv(&mut cluster, 4096, &mut tap);
-            w0.wait(&mut cluster, CqeKind::SendComplete, &mut tap);
-            w0.clear_stashed();
-            w1.clear_stashed();
-            last_visible = rx.visible_at;
-        }
-        let _ = last_visible;
-        // Latency of the last message: from its post start to visibility.
-        // Simpler: one fresh deterministic measurement.
-        let cfg = StackConfig::validation();
-        let mut cluster = cfg.build_cluster();
         let mut w0 = cfg.build_worker(0);
         let mut w1 = cfg.build_worker(1);
         w1.post_recv(&mut cluster, 4096, &mut tap);
