@@ -3,7 +3,8 @@
 //! bytes. `repro sweep-size` prints per-size engine stats, metered latency
 //! quantiles and a segmented-lossy fast-vs-reference check; `loss` and
 //! `validate` under a plan with every fault family run the untraced
-//! engine, where bulk commits engage.
+//! engine, where bulk commits engage, and `loss` under a rendezvous plan
+//! runs it where none can.
 
 use std::process::Command;
 
@@ -39,13 +40,32 @@ fn sweep_size_fast_path_matches_reference() {
 /// EXPERIMENTS.md's full plan, as CI writes it to `plan.json`.
 const FULL_PLAN: &str = r#"{"loss_probability": 1e-3, "corruption_probability": 1e-4, "credits": {"hdr": 2, "data": 64, "update_batch": 1}, "nic_stalls": [{"start_ns": 3000, "duration_ns": 10000}], "markov_stall": {"mean_up_ns": 10000, "mean_down_ns": 800}, "retry": {"timeout_ns": 2000, "max_retries": 12}}"#;
 
-#[test]
-fn full_plan_loss_and_validate_match_reference() {
-    let dir = std::env::temp_dir().join(format!("repro-reference-{}", std::process::id()));
+/// A uniform 64 KiB rendezvous plan: it builds no memo, so the fast path
+/// runs the event loop alone. Each CTS posts the data phase synchronously
+/// and arms the retransmission timer at that post's later instant; the
+/// timer must still fire where the reference fires it.
+const P64_PLAN: &str = r#"{"burst_loss": {"p_good_to_bad": 0.029426354318098032, "p_bad_to_good": 0.10214060774345742, "loss_good": 0, "loss_bad": 0.5389327459865142}, "corruption_probability": 0.01602923962607091, "nic_stalls": [{"start_ns": 35248, "duration_ns": 19647}], "retry": {"timeout_ns": 1163, "max_retries": 6}, "payload_bytes": 65536}"#;
+
+/// Write `json` to a plan file in a fresh temporary directory and check
+/// that `args` (with `--faults PLAN` in front) print the same bytes with
+/// and without `--reference`.
+fn assert_reference_agrees_under(name: &str, json: &str, args: &[&str]) {
+    let dir = std::env::temp_dir().join(format!("repro-reference-{name}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create plan dir");
     let plan = dir.join("plan.json");
-    std::fs::write(&plan, FULL_PLAN).expect("write plan");
-    let plan = plan.to_str().unwrap();
-    assert_reference_agrees(&["--seed", "7", "--faults", plan, "loss", "validate"]);
+    std::fs::write(&plan, json).expect("write plan");
+    let mut full = vec!["--faults", plan.to_str().unwrap()];
+    full.extend_from_slice(args);
+    assert_reference_agrees(&full);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn full_plan_loss_and_validate_match_reference() {
+    assert_reference_agrees_under("full", FULL_PLAN, &["--seed", "7", "loss", "validate"]);
+}
+
+#[test]
+fn rendezvous_plan_loss_matches_reference() {
+    assert_reference_agrees_under("p64", P64_PLAN, &["loss"]);
 }

@@ -607,7 +607,7 @@ impl Deserialize for RetryPolicy {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EnginePath {
     /// Bulk commits of clean-message runs on the memoized stage chain,
-    /// silent-poll elision, and event batching (the default).
+    /// with posts generated lazily (the default).
     Fast,
     /// The plain event loop: every message simulated event by event. The
     /// `repro --reference` escape hatch and the equivalence tests use it.
@@ -1031,22 +1031,18 @@ struct MsgState {
 
 /// The recovery simulation for one run.
 struct FaultSim {
-    /// Which loop drives this run (fixed at construction).
-    path: EnginePath,
-    /// Memoized fault-free lifetime, when the layout admits one.
+    /// Memoized fault-free lifetime, when the layout admits one. Built on
+    /// the fast path only, so the reference never commits in bulk.
     memo: Option<ChainMemo>,
     /// Fast path only: set once a loop-simulated message completes with a
     /// latency bit-equal to the memo — bulk commits engage only after the
     /// event loop itself has demonstrated the chain once.
     rep_verified: bool,
-    /// Fast path only: key and fire time of the single live retransmission
-    /// timer event (reference mode pushes one per re-arm and lets stale
-    /// entries no-op; fast mode cancels them — the satellite fix for heap
-    /// growth under long lossy runs).
-    timer_key: Option<EventKey>,
-    timer_deadline: Option<SimTime>,
-    /// Fast path only: next message index to post (posts are generated
-    /// lazily instead of pre-pushing one event per message).
+    /// Memo runs only: key and fire time of the single live
+    /// retransmission timer entry (see [`FaultSim::arm_timer`]).
+    timer: Option<(EventKey, SimTime)>,
+    /// Next message index to post lazily. The reference pre-pushes every
+    /// post and starts this at the message count.
     next_post: u64,
     /// Fast path only: is any collector (trace spans or metrics
     /// histograms) installed on this thread? Sampled once at run start —
@@ -1166,39 +1162,41 @@ impl FaultSim {
         // For the default 8-byte plan `max_total` is exactly the classic
         // model total; `max_of` only widens the cadence for larger plans.
         let post_interval = model.total().max(max_total);
-        // The fast path generates posts lazily from `next_post` — the
-        // queue then holds only genuinely pending events, which is both
-        // the quiescence test a bulk commit needs and a heap that stays
-        // O(in-flight) instead of O(messages).
-        if path == EnginePath::Reference {
-            for msg in 0..messages {
-                queue.push(SimTime::ZERO + post_interval * msg, Ev::Post { msg });
-            }
-        }
         let burst = plan.burst_loss.map(|g| GeChannel::new(g, seed));
         let stall_sched = plan
             .markov_stall
             .filter(|m| !m.is_zero())
             .map(|m| StallSchedule::new(m.mean_up_ns, m.mean_down_ns, seed ^ 0x57A11));
-        // The memo exists only for uniform-size inline eager plans: a
-        // mixed-size or rendezvous plan gets none, so the fast path soundly
-        // runs the same event loop as `--reference` (a chain recorded for
-        // one size must never commit a message of another).
-        let payload0 = plan.payload_for(0);
-        let uniform = (0..messages).all(|m| plan.payload_for(m) == payload0);
-        let eager0 = msgs.first().is_none_or(|s: &MsgState| !s.rndv);
-        let memo = if uniform && eager0 {
-            ChainMemo::build(cal, payload0, post_interval, retry_timeout)
-        } else {
-            None
+        let (memo, next_post) = match path {
+            EnginePath::Reference => {
+                for msg in 0..messages {
+                    queue.push(SimTime::ZERO + post_interval * msg, Ev::Post { msg });
+                }
+                (None, messages)
+            }
+            // The fast path generates posts lazily from `next_post` — the
+            // queue then holds only genuinely pending events, which is both
+            // the quiescence test a bulk commit needs and a heap that stays
+            // O(in-flight) instead of O(messages). The memo exists only for
+            // uniform-size inline eager plans: a chain recorded for one size
+            // must never commit a message of another.
+            EnginePath::Fast => {
+                let payload0 = plan.payload_for(0);
+                let uniform = (0..messages).all(|m| plan.payload_for(m) == payload0);
+                let eager0 = msgs.first().is_none_or(|s: &MsgState| !s.rndv);
+                let memo = if uniform && eager0 {
+                    ChainMemo::build(cal, payload0, post_interval, retry_timeout)
+                } else {
+                    None
+                };
+                (memo, 0)
+            }
         };
         FaultSim {
-            path,
             memo,
             rep_verified: false,
-            timer_key: None,
-            timer_deadline: None,
-            next_post: 0,
+            timer: None,
+            next_post,
             instrumented: trace::enabled() || bband_metrics::enabled(),
             post_interval,
             plan: plan.clone(),
@@ -1307,42 +1305,33 @@ impl FaultSim {
 
     /// Arm the retransmission timer for the current oldest unacked packet.
     ///
-    /// Reference mode pushes a fresh event on every re-arm; superseded
-    /// entries linger and fire as no-op polls. Fast mode keeps exactly one
-    /// live timer event: a re-arm at an unchanged fire time keeps the
-    /// existing entry (it is the earliest pushed instance, which is the
-    /// one the reference path lets govern), any other re-arm cancels and
-    /// re-pushes, and an empty window cancels outright — so no-op Timer
-    /// events never reach the heap at all.
+    /// A run without a memo pushes a fresh entry on every re-arm, as the
+    /// reference does; superseded entries linger and fire as no-op polls.
+    /// A memo run keeps one live entry, so the queue empties between clean
+    /// messages and `try_turbo` can commit the next run. On a re-arm with
+    /// deadline `d`, the live entry stays iff `d <= live <= max(d, now)`:
+    /// it still fires recovery, and a new entry would not fire earlier.
+    /// Otherwise it is cancelled and one pushed at `max(d, now)`; an empty
+    /// window cancels it outright.
     fn arm_timer(&mut self, now: SimTime) {
-        match self.path {
-            EnginePath::Reference => {
-                if let Some(deadline) = self.rc_tx.next_deadline() {
-                    self.queue.push(deadline.max_of(now), Ev::Timer);
-                }
+        let deadline = self.rc_tx.next_deadline();
+        if self.memo.is_none() {
+            if let Some(d) = deadline {
+                self.queue.push(d.max_of(now), Ev::Timer);
             }
-            EnginePath::Fast => match self.rc_tx.next_deadline() {
-                Some(deadline) => {
-                    // Key on the deadline, not the fire time: a re-arm with
-                    // an unchanged deadline but a later `now` (a synchronous
-                    // post leapfrogged the pending entry) must keep the
-                    // earlier entry — in the reference heap that earlier
-                    // instance still fires, genuinely, at the deadline.
-                    if self.timer_deadline != Some(deadline) {
-                        if let Some(key) = self.timer_key.take() {
-                            self.queue.cancel(key);
-                        }
-                        self.timer_key = Some(self.queue.push(deadline.max_of(now), Ev::Timer));
-                        self.timer_deadline = Some(deadline);
-                    }
-                }
-                None => {
-                    if let Some(key) = self.timer_key.take() {
-                        self.queue.cancel(key);
-                    }
-                    self.timer_deadline = None;
-                }
-            },
+            return;
+        }
+        if let (Some(d), Some((_, live))) = (deadline, self.timer) {
+            if d <= live && live <= d.max_of(now) {
+                return;
+            }
+        }
+        if let Some((key, _)) = self.timer.take() {
+            self.queue.cancel(key);
+        }
+        if let Some(d) = deadline {
+            let at = d.max_of(now);
+            self.timer = Some((self.queue.push(at, Ev::Timer), at));
         }
     }
 
@@ -1723,10 +1712,10 @@ impl FaultSim {
         self.arm_timer(now);
     }
 
-    /// Handle one event. Shared verbatim between the reference loop (one
-    /// pop per iteration) and the fast loop (batched pops): the two paths
-    /// differ only in how events reach this point, never in what an event
-    /// does. A tripped retry budget lands in `aborted`; the caller breaks.
+    /// Handle one event. Both paths reach this point through the same
+    /// loop and differ only in whether posts were pre-pushed, never in
+    /// what an event does. A tripped retry budget lands in `aborted`; the
+    /// caller breaks.
     fn dispatch(&mut self, t: SimTime, ev: Ev, aborted: &mut Option<RetryExhausted>) {
         match ev {
             Ev::Post { msg } => self.post(msg, t),
@@ -1859,20 +1848,37 @@ impl FaultSim {
         }
     }
 
-    fn run(self, messages: u64) -> (FaultRunStats, Option<RetryExhausted>) {
-        match self.path {
-            EnginePath::Reference => self.run_reference(messages),
-            EnginePath::Fast => self.run_fast(messages),
-        }
-    }
-
-    /// The reference event loop: pop one event at a time until every
-    /// message completes or the retry budget trips.
-    fn run_reference(mut self, messages: u64) -> (FaultRunStats, Option<RetryExhausted>) {
+    /// The event loop: handle one event at a time until every message
+    /// completes or the retry budget trips. A lazy post goes first when it
+    /// is due no later than the queue's earliest event (ties go to the
+    /// post: the reference pre-pushes its posts with the lowest sequence
+    /// numbers), and first attempts a bulk commit of the clean run it
+    /// starts.
+    fn run(mut self, messages: u64) -> (FaultRunStats, Option<RetryExhausted>) {
         let mut aborted = None;
         while self.completed < messages {
-            let Some((t, ev)) = self.queue.pop() else {
-                unreachable!("event queue drained with messages outstanding");
+            let post = (self.next_post < messages).then(|| self.post_at(self.next_post));
+            let (t, ev) = match post {
+                Some(t) if self.queue.peek_time().is_none_or(|q| t <= q) => {
+                    let msg = self.next_post;
+                    let k = self.try_turbo(msg, t, messages);
+                    if k > 0 {
+                        self.next_post += k;
+                        continue;
+                    }
+                    self.next_post += 1;
+                    (t, Ev::Post { msg })
+                }
+                _ => {
+                    let Some((t, ev)) = self.queue.pop() else {
+                        unreachable!("event queue drained with messages outstanding");
+                    };
+                    if matches!(ev, Ev::Timer) {
+                        // On a memo run the one live timer entry just fired.
+                        self.timer = None;
+                    }
+                    (t, ev)
+                }
             };
             if trace::enabled() {
                 // Publish the virtual clock for clock-less substrate sites
@@ -1882,61 +1888,6 @@ impl FaultSim {
             self.dispatch(t, ev, &mut aborted);
             if aborted.is_some() {
                 break;
-            }
-        }
-        self.finish(messages, aborted)
-    }
-
-    /// The fast loop: posts are merged in lazily (ties go to the post —
-    /// the reference pre-pushed Posts with the lowest sequence numbers),
-    /// each post first attempts a bulk commit of the clean run it starts,
-    /// and due events drain in same-timestamp batches.
-    fn run_fast(mut self, messages: u64) -> (FaultRunStats, Option<RetryExhausted>) {
-        let mut aborted = None;
-        let mut batch: Vec<(SimTime, Ev)> = Vec::new();
-        while self.completed < messages {
-            let pending_post = (self.next_post < messages).then(|| self.post_at(self.next_post));
-            let take_post = match (pending_post, self.queue.peek_time()) {
-                (Some(p), Some(q)) => p <= q,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => {
-                    unreachable!("event queue drained with messages outstanding")
-                }
-            };
-            if take_post {
-                let msg = self.next_post;
-                let t = self.post_at(msg);
-                let k = self.try_turbo(msg, t, messages);
-                if k > 0 {
-                    self.next_post += k;
-                    continue;
-                }
-                self.next_post += 1;
-                if trace::enabled() {
-                    trace::set_now(t);
-                }
-                self.post(msg, t);
-            } else {
-                batch.clear();
-                self.queue.pop_batch(SimTime::MAX, &mut batch);
-                for (t, ev) in batch.drain(..) {
-                    if self.completed >= messages || aborted.is_some() {
-                        break;
-                    }
-                    if matches!(ev, Ev::Timer) {
-                        // The single live timer entry just left the heap.
-                        self.timer_key = None;
-                        self.timer_deadline = None;
-                    }
-                    if trace::enabled() {
-                        trace::set_now(t);
-                    }
-                    self.dispatch(t, ev, &mut aborted);
-                }
-                if aborted.is_some() {
-                    break;
-                }
             }
         }
         self.finish(messages, aborted)
@@ -2947,20 +2898,27 @@ mod tests {
             mean_down_ns: 1_000.0,
         });
         plans.push(("combined", p));
-        // The benchmark's `engine_faulty` plan, untraced at a length where
-        // bulk runs, stall queries and go-back-N recovery all engage.
-        let mut p = FaultPlan::none();
-        p.loss_probability = 1e-3;
-        p.markov_stall = Some(MarkovStall {
+        // Untraced at a length where bulk runs, stall queries and
+        // go-back-N recovery all engage: the benchmark's `engine_faulty`
+        // plan, and loss alone at 2e-2.
+        let mut faulty = FaultPlan::none();
+        faulty.loss_probability = 1e-3;
+        faulty.markov_stall = Some(MarkovStall {
             mean_up_ns: 20_000.0,
             mean_down_ns: 1_000.0,
         });
+        let mut lossy = FaultPlan::none();
+        lossy.loss_probability = 0.02;
         let c = cal();
-        for seed in [1u64, 9] {
+        for (name, p, seed) in [
+            ("engine_faulty", &faulty, 1u64),
+            ("engine_faulty", &faulty, 9),
+            ("loss-2e2", &lossy, 9),
+        ] {
             assert_eq!(
-                run_raw_on(EnginePath::Fast, &c, &p, 2_000, seed),
-                run_raw_on(EnginePath::Reference, &c, &p, 2_000, seed),
-                "untraced stats diverged on engine_faulty's plan, seed {seed}"
+                run_raw_on(EnginePath::Fast, &c, p, 2_000, seed),
+                run_raw_on(EnginePath::Reference, &c, p, 2_000, seed),
+                "untraced stats diverged on {name}, seed {seed}"
             );
         }
         for (name, plan) in &plans {
@@ -2979,19 +2937,61 @@ mod tests {
         }
     }
 
-    /// The fast loop keeps the heap bounded by in-flight work: a long
-    /// lossy run must not accumulate one Post event per message or one
-    /// stale Timer poll per RTO reset (the silent-poll index cancels
-    /// superseded timers, which leave the heap at once).
+    /// Memo-less plans where a synchronous post arms the retransmission
+    /// timer at a later instant than a re-arm that follows it: a CTS's
+    /// data-phase post, or a mixed cycle's eager post. The timer must fire
+    /// where the reference fires it. The random-plan proptest draws too
+    /// few messages to reach these.
     #[test]
-    fn fast_path_elides_silent_polls() {
+    fn future_time_rearms_fire_the_timer_the_reference_fires() {
+        let cases = [
+            (
+                r#"{"loss_probability": 0.0169004141325696, "burst_loss": {"p_good_to_bad": 0.004453223191899852, "p_bad_to_good": 0.1159352754992772, "loss_good": 0.0, "loss_bad": 0.47576857896346425}, "markov_stall": {"mean_up_ns": 17559.650174013535, "mean_down_ns": 3657.9686520394616}, "retry": {"timeout_ns": 3897, "max_retries": 7}, "payload_cycle": [8, 65536, 256]}"#,
+                1_165,
+                6_880_482_810_894_922_993u64,
+            ),
+            (
+                r#"{"burst_loss": {"p_good_to_bad": 0.029426354318098032, "p_bad_to_good": 0.10214060774345742, "loss_good": 0, "loss_bad": 0.5389327459865142}, "corruption_probability": 0.01602923962607091, "nic_stalls": [{"start_ns": 35248, "duration_ns": 19647}], "retry": {"timeout_ns": 1163, "max_retries": 6}, "payload_bytes": 65536}"#,
+                73,
+                4_825_605_172_961_804_360,
+            ),
+            (
+                r#"{"loss_probability": 0.049869787027724884, "nic_stalls": [{"start_ns": 12152, "duration_ns": 15150}], "markov_stall": {"mean_up_ns": 6194.692291665674, "mean_down_ns": 3096.3153596695556}, "retry": {"timeout_ns": 3649, "max_retries": 7}, "payload_cycle": [8, 65536, 256, 12288]}"#,
+                213,
+                13_502_509_467_189_669_602,
+            ),
+        ];
         let c = cal();
-        let mut plan = FaultPlan::none();
-        plan.loss_probability = 0.02;
-        let fast = run_e2e_under_faults_on(EnginePath::Fast, &c, &plan, 2_000, 9).unwrap();
-        let reference =
-            run_e2e_under_faults_on(EnginePath::Reference, &c, &plan, 2_000, 9).unwrap();
-        assert_eq!(fast, reference);
+        for (json, messages, seed) in cases {
+            let plan = FaultPlan::from_json_str(json).expect(json);
+            assert_eq!(
+                run_raw_on(EnginePath::Fast, &c, &plan, messages, seed),
+                run_raw_on(EnginePath::Reference, &c, &plan, messages, seed),
+                "{json}"
+            );
+        }
+    }
+
+    /// On a memo run the keyed timer leaves the queue empty once a clean
+    /// message completes, so the next post commits every remaining
+    /// message in bulk. A stale timer entry would refuse it.
+    #[test]
+    fn a_clean_message_leaves_the_queue_empty_for_a_bulk_commit() {
+        let c = cal();
+        let mut sim = FaultSim::new(&c, &FaultPlan::none(), 64, 1, EnginePath::Fast);
+        assert!(sim.memo.is_some());
+        let (t0, t1) = (sim.post_at(0), sim.post_at(1));
+        sim.post(0, t0);
+        let mut aborted = None;
+        while sim.queue.peek_time().is_some_and(|q| q < t1) {
+            let (t, ev) = sim.queue.pop().expect("peeked");
+            assert!(!matches!(ev, Ev::Timer), "a clean message fired its timer");
+            sim.dispatch(t, ev, &mut aborted);
+        }
+        assert_eq!(sim.completed, 1);
+        assert_eq!(sim.queue.len(), 0, "events pending at the next post");
+        assert_eq!(sim.try_turbo(1, t1, 64), 63);
+        assert_eq!(sim.completed, 64);
     }
 
     proptest::proptest! {

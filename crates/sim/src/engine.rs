@@ -141,27 +141,6 @@ impl<E: Copy> EventQueue<E> {
         Some((ev.at, ev.event))
     }
 
-    /// Pop the earliest due event plus every further event sharing its
-    /// exact timestamp, in FIFO order, appending to `out`. Returns the
-    /// number of events delivered (0 when nothing is due).
-    ///
-    /// Go-back-N retransmission bursts and credit-update fan-outs land
-    /// back-to-back at identical virtual times; draining them in one call
-    /// saves the caller a due check against its own loop per event.
-    pub fn pop_batch(&mut self, limit: SimTime, out: &mut Vec<(SimTime, E)>) -> usize {
-        let Some(first) = self.pop_due(limit) else {
-            return 0;
-        };
-        let t = first.0;
-        out.push(first);
-        let mut n = 1;
-        while let Some(ev) = self.pop_due(t) {
-            out.push(ev);
-            n += 1;
-        }
-        n
-    }
-
     /// Take the entry at `i` out of the heap. The last entry fills the
     /// hole and sifts whichever way restores the heap order.
     fn remove(&mut self, i: usize) -> Entry<E> {
@@ -423,36 +402,6 @@ mod tests {
     }
 
     #[test]
-    fn pop_batch_drains_equal_timestamps_fifo() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_ns(50);
-        for i in 0..5 {
-            q.push(t, i);
-        }
-        q.push(SimTime::from_ns(60), 99);
-        let mut out = Vec::new();
-        assert_eq!(q.pop_batch(SimTime::MAX, &mut out), 5);
-        assert_eq!(out, (0..5).map(|i| (t, i)).collect::<Vec<_>>());
-        assert_eq!(q.len(), 1);
-        out.clear();
-        assert_eq!(q.pop_batch(SimTime::from_ns(55), &mut out), 0);
-        assert_eq!(q.pop_batch(SimTime::from_ns(60), &mut out), 1);
-    }
-
-    #[test]
-    fn pop_batch_skips_cancelled_members() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_ns(5);
-        let keys: Vec<_> = (0..6).map(|i| q.push(t, i)).collect();
-        q.cancel(keys[1]);
-        q.cancel(keys[4]);
-        let mut out = Vec::new();
-        assert_eq!(q.pop_batch(SimTime::MAX, &mut out), 4);
-        let vals: Vec<i32> = out.into_iter().map(|(_, v)| v).collect();
-        assert_eq!(vals, vec![0, 2, 3, 5]);
-    }
-
-    #[test]
     fn repeated_cancel_repush_keeps_heap_bounded() {
         // The RTO-reset pattern: every state change retracts the old timer
         // deadline and arms a new one. The heap must not keep one dead
@@ -490,18 +439,17 @@ mod tests {
         proptest! {
             #[test]
             fn interleaved_ops_match_reference_model(
-                ops in proptest::collection::vec((0u8..6, 0u64..50), 1..300)
+                ops in proptest::collection::vec((0u8..5, 0u64..50), 1..300)
             ) {
                 // Drive the 4-ary heap and a naive sorted-vec model with the
-                // same stream of push, pop_due, pop_batch, peek_time and
-                // cancel (of pending, fired and already-cancelled keys);
-                // they must agree exactly, len and is_empty included, after
-                // every operation.
+                // same stream of push, pop_due, peek_time and cancel (of
+                // pending, fired and already-cancelled keys); they must
+                // agree exactly, len and is_empty included, after every
+                // operation.
                 let mut q = EventQueue::new();
                 let mut model: Vec<(SimTime, u64)> = Vec::new();
                 let mut keys: Vec<EventKey> = Vec::new();
                 let mut watermark = SimTime::ZERO;
-                let mut batch = Vec::new();
                 for (op, arg) in ops {
                     model.sort();
                     match op {
@@ -524,22 +472,6 @@ mod tests {
                             prop_assert_eq!(q.pop_due(limit), want);
                         }
                         3 => {
-                            let limit = watermark + SimDuration::from_ns(arg);
-                            let due = match model.first() {
-                                Some(&(at, _)) if at <= limit => {
-                                    model.iter().take_while(|e| e.0 == at).count()
-                                }
-                                _ => 0,
-                            };
-                            let want: Vec<_> = model.drain(..due).collect();
-                            if let Some(&(at, _)) = want.first() {
-                                watermark = at;
-                            }
-                            batch.clear();
-                            prop_assert_eq!(q.pop_batch(limit, &mut batch), due);
-                            prop_assert_eq!(&batch, &want);
-                        }
-                        4 => {
                             prop_assert_eq!(q.peek_time(), model.first().map(|e| e.0));
                         }
                         _ => {
