@@ -15,9 +15,16 @@
 //! `(depart, src, dst)` order, so a fabric walk's arbitration outcome is
 //! a pure function of the schedule. Pooled and serial sweeps are
 //! byte-identical.
+//!
+//! Observation: inside a `bband_metrics::collect` scope
+//! [`run_flow_collective`] keeps each message's latency in a histogram of
+//! its own and merges it into the registry's `fabric_msg_latency` once
+//! per collective, which leaves the registry as one record per message
+//! would.
 
 use crate::flow::{ClusterFabric, PortHop};
 use bband_fabric::Pattern;
+use bband_metrics::{self as metrics, Histogram};
 use bband_sim::{SimDuration, SimTime};
 
 /// Collective operation to run at flow level.
@@ -110,6 +117,11 @@ pub struct FlowReport {
 /// A round whose transfers equal the previous round's (every ring step)
 /// reuses that round's resolved paths, so each distinct round is routed
 /// once and every message is one allocation-free fabric walk.
+///
+/// Preconditions, asserted: `2 <= n <= fab.graph.hosts`, and every
+/// departure falls below `2^(64 - bits)` ps, where `bits` is the bit
+/// width of `n - 1` (the sort key packs a transfer index below the
+/// departure): 2^52 ps, about 75 simulated minutes, at 4096 ranks.
 pub fn run_flow_collective(
     fab: &mut ClusterFabric,
     n: u32,
@@ -132,9 +144,15 @@ pub fn run_flow_collective(
     let (mut sched, mut next) = (Vec::new(), Vec::new());
     let mut hops: Vec<PortHop> = Vec::new();
     let mut bounds: Vec<usize> = Vec::new();
-    // `(depart_ps << 64 | src << 32 | dst, transfer index)`: one integer
-    // key in the `(depart, src, dst)` order.
-    let mut pending: Vec<(u128, usize)> = Vec::new();
+    // `depart_ps << bits | i` for transfer `i` of `sched`. A schedule
+    // holds at most one transfer per rank, in ascending `src`, so this
+    // orders as `(depart, src, dst)` does, and no two keys are equal.
+    let bits = u32::BITS - (n - 1).leading_zeros();
+    let index_mask = (1u64 << bits) - 1;
+    let mut pending: Vec<u64> = Vec::new();
+    // Message latencies, merged into the metrics registry after the last
+    // round: one registry write per collective, not one per message.
+    let mut latency = metrics::enabled().then(|| Histogram::new("fabric_msg_latency"));
     for r in 0.. {
         round_schedule(n, coll, r, &mut next);
         if next.is_empty() {
@@ -156,20 +174,26 @@ pub fn run_flow_collective(
         pending.clear();
         pending.extend(sched.iter().enumerate().map(|(i, x)| {
             let ready = clock[x.src as usize] + costs.send_overhead;
-            let depart = fab.inject(x.src, ready, x.bytes);
-            let key =
-                u128::from(depart.as_ps()) << 64 | u128::from(x.src) << 32 | u128::from(x.dst);
-            (key, i)
+            let depart = fab.inject(x.src, ready, x.bytes).as_ps();
+            assert!(
+                depart >> (64 - bits) == 0,
+                "departure at {depart} ps leaves no room for a {bits}-bit transfer index"
+            );
+            depart << bits | i as u64
         }));
-        pending.sort_by_key(|&(key, _)| key);
+        pending.sort_unstable();
 
         // Every injection above has read its sender's clock, so the walks
         // can advance the clocks in place: a rank leaves the round once
         // its send has left the NIC and its receive has been delivered.
-        for &(key, i) in &pending {
-            let depart = SimTime::from_ps((key >> 64) as u64);
+        for &key in &pending {
+            let depart = SimTime::from_ps(key >> bits);
+            let i = (key & index_mask) as usize;
             let x = sched[i];
             let d = fab.walk(depart, &hops[bounds[i]..bounds[i + 1]], x.bytes);
+            if let Some(h) = &mut latency {
+                h.record(d.deliver_at.since(depart).as_ps());
+            }
             messages += 1;
             if (x.src < half) != (x.dst < half) {
                 bisection_bytes += d.wire_bytes;
@@ -183,6 +207,9 @@ pub fn run_flow_collective(
         }
     }
 
+    if let Some(h) = &latency {
+        metrics::merge(h);
+    }
     let completion = clock
         .iter()
         .fold(SimTime::ZERO, |acc, &t| acc.max_of(t))
@@ -216,7 +243,6 @@ mod tests {
     use crate::sweep::{dragonfly_for, fat_tree_for, SWEEP_PAYLOAD_BYTES};
     use crate::telemetry::TelemetryConfig;
     use crate::topo::FabricGraph;
-    use bband_metrics as metrics;
 
     fn fab(hosts_pow: u32) -> ClusterFabric {
         ClusterFabric::paper_default(FabricGraph::fat_tree(4, hosts_pow))
@@ -375,9 +401,14 @@ mod tests {
 
     /// Byte identity of round reuse: reused resolved paths and the packed
     /// sort key give the per-message reference's report, fabric counters,
-    /// collected metrics (the per-message `fabric_msg_latency` histogram)
-    /// and telemetry report, on every collective and topology, across
-    /// rank counts that are and are not powers of two.
+    /// collected metrics (the `fabric_msg_latency` histogram, merged once
+    /// against one record per message) and telemetry report, on every
+    /// collective and topology, across rank counts that are and are not
+    /// powers of two. 4, 128, 129 and 257 ranks put the key's index width
+    /// at and past a power-of-two edge; 4096, the sweep's largest count,
+    /// runs all but the ring (33 M messages). The probe count is pinned
+    /// apart: the reference walks too, so equality alone would pass a
+    /// walk that recorded a second value per message.
     #[test]
     fn round_reuse_matches_the_per_message_reference() {
         type Collective = fn(&mut ClusterFabric, u32, FlowCollective, EndpointCosts) -> FlowReport;
@@ -390,10 +421,13 @@ mod tests {
             FlowCollective::AllreduceRing { bytes },
         ];
         for graph_for in [fat_tree_for as fn(u32) -> FabricGraph, dragonfly_for] {
-            for n in [2u32, 3, 5, 16, 100, 384] {
+            for n in [2u32, 3, 4, 5, 16, 100, 128, 129, 257, 384, 4096] {
                 let mut fab = ClusterFabric::paper_default(graph_for(n));
                 fab.enable_telemetry(TelemetryConfig::paper_default());
                 for coll in colls {
+                    if n == 4096 && matches!(coll, FlowCollective::AllreduceRing { .. }) {
+                        continue;
+                    }
                     let mut run = |collective: Collective| {
                         let (report, task) =
                             metrics::collect(|| collective(&mut fab, n, coll, costs));
@@ -405,12 +439,10 @@ mod tests {
                     };
                     let fast = run(run_flow_collective);
                     let reference = run(reference_collective);
-                    assert!(
-                        fast == reference,
-                        "{} n={n} {}",
-                        fab.graph.params(),
-                        coll.name()
-                    );
+                    let at = format!("{} n={n} {}", fab.graph.params(), coll.name());
+                    assert!(fast == reference, "{at}");
+                    let probes: Vec<_> = fast.2.hists.iter().map(|h| (h.name, h.count)).collect();
+                    assert_eq!(probes, [("fabric_msg_latency", fast.0.messages)], "{at}");
                 }
             }
         }

@@ -227,6 +227,7 @@ impl ClusterFabric {
         self.resolve_into(src, dst, &mut path);
         let d = self.walk(depart, &path, payload);
         self.path = path;
+        metrics::record("fabric_msg_latency", d.deliver_at.since(depart));
         d
     }
 
@@ -251,8 +252,9 @@ impl ClusterFabric {
     /// Walk one message along a resolved `path` (from
     /// [`ClusterFabric::resolve_into`]), departing the NIC at `depart`:
     /// the hop loop of [`ClusterFabric::send`], with its state updates and
-    /// telemetry hooks. Its one metrics probe is the message's
-    /// `fabric_msg_latency`; it makes no trace call.
+    /// telemetry hooks. It records no metric and makes no trace call: its
+    /// caller observes the latency, `send` as one record per message and
+    /// `run_flow_collective` as one histogram merge per collective.
     pub(crate) fn walk(&mut self, depart: SimTime, path: &[PortHop], payload: u32) -> Delivery {
         let seg = segmented_wire_bytes(payload, MTU);
         // First-hop wire: SerDes/propagation plus full serialization at
@@ -363,7 +365,6 @@ impl ClusterFabric {
             }
         }
         let hops = path.len() as u32;
-        let latency = t.since(depart);
         if let Some(tel) = tel.as_deref_mut() {
             // Analytic uncontended cost of the walk: first-hop wire plus
             // per-switch crossbar and inter-switch cables. Together with
@@ -372,7 +373,7 @@ impl ClusterFabric {
                 + self.cfg.switch_base * hops as u64
                 + self.cfg.inter_switch_cable * (hops as u64).saturating_sub(1);
             tel.on_delivery(
-                latency.as_ps(),
+                t.since(depart).as_ps(),
                 fixed.as_ps(),
                 queued.as_ps(),
                 credit_waited.as_ps(),
@@ -380,7 +381,6 @@ impl ClusterFabric {
             );
         }
         self.telemetry = tel;
-        metrics::record("fabric_msg_latency", latency);
         Delivery {
             deliver_at: t,
             hops,
@@ -548,10 +548,11 @@ mod tests {
         assert_eq!(second, t0 + SimDuration::from_ps(80 * (30 + 4096)));
     }
 
-    /// Observing a walk costs one metrics value per message: the
+    /// Observing a send costs one metrics value per message: the
     /// `fabric_msg_latency` histogram is the registry's only entry and no
     /// span is traced, even on paths that queue, stall on credits and
-    /// mark ECN (those totals live in `FlowCounters`).
+    /// mark ECN (those totals live in `FlowCounters`). A bare walk records
+    /// nothing: its caller observes the latency.
     #[test]
     fn walk_records_one_latency_metric_and_no_trace_spans() {
         let ((counters, tr), task) = metrics::collect(|| {
@@ -564,6 +565,10 @@ mod tests {
                         fab.apply_ecn_backoff(s);
                     }
                 }
+                let mut path = Vec::new();
+                fab.resolve_into(8, 9, &mut path);
+                fab.walk(SimTime::ZERO, &path, 4096);
+                assert_eq!(fab.counters.messages, 9);
                 fab.counters
             })
         });

@@ -94,7 +94,9 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    fn new(name: &'static str) -> Self {
+    /// An empty histogram named `name`, for a caller that records values
+    /// itself and hands the result to [`merge`].
+    pub fn new(name: &'static str) -> Self {
         Histogram {
             name,
             buckets: vec![0; NUM_BUCKETS],
@@ -105,9 +107,10 @@ impl Histogram {
         }
     }
 
-    /// The one per-sample update, for aggregates and windows alike.
+    /// Add one value: the one per-sample update, for aggregates, windows
+    /// and caller-held histograms alike.
     #[inline]
-    fn record(&mut self, v: u64) {
+    pub fn record(&mut self, v: u64) {
         self.buckets[bucket_index(v)] += 1;
         self.count += 1;
         self.sum += v;
@@ -328,8 +331,10 @@ impl Registry {
         }
     }
 
+    /// The slot of histogram `name`, registered on first use. A full name
+    /// table drops the `values` recordings the caller is making.
     #[inline]
-    fn name_slot(&mut self, name: &'static str) -> Option<usize> {
+    fn name_slot(&mut self, name: &'static str, values: u64) -> Option<usize> {
         match self.hists.iter().position(|h| h.name == name) {
             Some(h) => Some(h),
             None if self.hists.len() < MAX_NAMES => {
@@ -338,7 +343,7 @@ impl Registry {
                 Some(self.hists.len() - 1)
             }
             None => {
-                self.dropped += 1;
+                self.dropped += values;
                 None
             }
         }
@@ -346,8 +351,16 @@ impl Registry {
 
     #[inline]
     fn record(&mut self, name: &'static str, v: u64) {
-        if let Some(h) = self.name_slot(name) {
+        if let Some(h) = self.name_slot(name, 1) {
             self.hists[h].record(v);
+        }
+    }
+
+    /// Every value of `h` at once, into the aggregate only, as
+    /// [`Registry::record`] of each would leave it.
+    fn merge(&mut self, h: &Histogram) {
+        if let Some(slot) = self.name_slot(h.name, h.count) {
+            self.hists[slot].merge(h);
         }
     }
 
@@ -355,7 +368,7 @@ impl Registry {
     /// windowing is on, the window containing `at_ps`.
     #[inline]
     fn record_at(&mut self, name: &'static str, v: u64, at_ps: u64) {
-        let Some(h) = self.name_slot(name) else {
+        let Some(h) = self.name_slot(name, 1) else {
             return;
         };
         self.hists[h].record(v);
@@ -459,6 +472,23 @@ pub fn record_ps_at(name: &'static str, v: u64, at_ps: u64) {
     REGISTRY.with(|r| {
         if let Some(reg) = r.borrow_mut().last_mut() {
             reg.record_at(name, v, at_ps);
+        }
+    });
+}
+
+/// Fold a histogram the caller filled with [`Histogram::record`] into the
+/// registry's histogram of the same name: one registry write for many
+/// values, leaving the registry exactly as [`record_ps`] of each value
+/// would. An empty `h` registers no name, a full name table counts all of
+/// its values as dropped, and only the aggregate is fed (a histogram
+/// carries no timestamps for windows). Same gating as [`record_ps`].
+pub fn merge(h: &Histogram) {
+    if h.count == 0 || !enabled() {
+        return;
+    }
+    REGISTRY.with(|r| {
+        if let Some(reg) = r.borrow_mut().last_mut() {
+            reg.merge(h);
         }
     });
 }
@@ -636,26 +666,18 @@ mod tests {
         assert_eq!(set.hist("x").unwrap().sum, 5);
     }
 
+    /// 70 distinct static names, more than one registry holds.
+    static NAMES: [&str; 70] = [
+        "n00", "n01", "n02", "n03", "n04", "n05", "n06", "n07", "n08", "n09", "n10", "n11", "n12",
+        "n13", "n14", "n15", "n16", "n17", "n18", "n19", "n20", "n21", "n22", "n23", "n24", "n25",
+        "n26", "n27", "n28", "n29", "n30", "n31", "n32", "n33", "n34", "n35", "n36", "n37", "n38",
+        "n39", "n40", "n41", "n42", "n43", "n44", "n45", "n46", "n47", "n48", "n49", "n50", "n51",
+        "n52", "n53", "n54", "n55", "n56", "n57", "n58", "n59", "n60", "n61", "n62", "n63", "n64",
+        "n65", "n66", "n67", "n68", "n69",
+    ];
+
     #[test]
     fn name_overflow_counts_dropped_instead_of_allocating() {
-        static NAMES: [&str; 70] = {
-            // 70 distinct static names without a proc macro.
-            let mut n = [""; 70];
-            let pool = [
-                "n00", "n01", "n02", "n03", "n04", "n05", "n06", "n07", "n08", "n09", "n10", "n11",
-                "n12", "n13", "n14", "n15", "n16", "n17", "n18", "n19", "n20", "n21", "n22", "n23",
-                "n24", "n25", "n26", "n27", "n28", "n29", "n30", "n31", "n32", "n33", "n34", "n35",
-                "n36", "n37", "n38", "n39", "n40", "n41", "n42", "n43", "n44", "n45", "n46", "n47",
-                "n48", "n49", "n50", "n51", "n52", "n53", "n54", "n55", "n56", "n57", "n58", "n59",
-                "n60", "n61", "n62", "n63", "n64", "n65", "n66", "n67", "n68", "n69",
-            ];
-            let mut i = 0;
-            while i < 70 {
-                n[i] = pool[i];
-                i += 1;
-            }
-            n
-        };
         let (_, task) = collect(|| {
             for name in NAMES {
                 record_ps(name, 1);
@@ -663,6 +685,91 @@ mod tests {
         });
         assert_eq!(task.hists.len(), MAX_NAMES);
         assert_eq!(task.dropped, (NAMES.len() - MAX_NAMES) as u64);
+    }
+
+    /// Values at 0, in the exact sub-bucket range, in wide octaves and
+    /// near `u64::MAX` (their sum still fits).
+    const MERGED: [u64; 8] = [0, 3, 7, 8, 13, 382_810, 1 << 40, u64::MAX - (1 << 41)];
+
+    /// Runs `scope` twice: once with `put` recording every value of
+    /// `values` into "lat" with `record_ps`, once with `put` merging a
+    /// histogram of them. Returns both tasks, by value first.
+    fn by_value_and_merged(
+        values: &[u64],
+        scope: impl Fn(&dyn Fn()) -> TaskMetrics,
+    ) -> (TaskMetrics, TaskMetrics) {
+        let mut h = Histogram::new("lat");
+        values.iter().for_each(|&v| h.record(v));
+        let by_value = scope(&|| values.iter().for_each(|&v| record_ps("lat", v)));
+        (by_value, scope(&|| merge(&h)))
+    }
+
+    /// A merge leaves the registry exactly as recording each value would:
+    /// buckets, count, sum and extremes, and the name's first-appearance
+    /// place between names recorded before and after it, whether the
+    /// merge registers the name or adds to it.
+    #[test]
+    fn merge_equals_recording_each_value() {
+        let (by_value, merged) = by_value_and_merged(&MERGED, |put| {
+            collect(|| {
+                record_ps("before", 1);
+                put();
+                record_ps("after", 2);
+                record_ps("before", 3);
+            })
+            .1
+        });
+        assert_eq!(merged, by_value);
+        let names: Vec<&str> = merged.hists.iter().map(|h| h.name).collect();
+        assert_eq!(names, ["before", "lat", "after"]);
+        let lat = &merged.hists[1];
+        assert_eq!(lat.count, MERGED.len() as u64);
+        assert_eq!((lat.min, lat.max), (0, u64::MAX - (1 << 41)));
+
+        let (by_value, merged) = by_value_and_merged(&MERGED, |put| {
+            collect(|| {
+                record_ps("lat", 5);
+                put();
+            })
+            .1
+        });
+        assert_eq!(merged, by_value);
+        assert_eq!(merged.hists[0].count, 1 + MERGED.len() as u64);
+
+        // An empty histogram registers no name.
+        let (by_value, merged) = by_value_and_merged(&[], |put| collect(put).1);
+        assert_eq!(merged, by_value);
+        assert_eq!(merged, TaskMetrics::default());
+    }
+
+    /// Under `collect_windowed` a merge feeds the aggregate alone, as
+    /// `record_ps` does, and a full name table drops every merged value,
+    /// as per-value recording counts one drop each.
+    #[test]
+    fn merge_skips_windows_and_drops_each_value_of_a_full_table() {
+        let (by_value, merged) = by_value_and_merged(&MERGED, |put| {
+            collect_windowed(SimDuration::from_ps(100), || {
+                record_ps_at("lat", 10, 250);
+                put();
+            })
+            .1
+        });
+        assert_eq!(merged, by_value);
+        assert_eq!(merged.hists[0].count, 1 + MERGED.len() as u64);
+        let w = &merged.windows[0].windows;
+        assert_eq!((w.len(), w[0].index, w[0].hist.count), (1, 2, 1));
+
+        let (by_value, merged) = by_value_and_merged(&MERGED, |put| {
+            collect(|| {
+                for name in &NAMES[..MAX_NAMES] {
+                    record_ps(name, 1);
+                }
+                put();
+            })
+            .1
+        });
+        assert_eq!(merged, by_value);
+        assert_eq!(merged.dropped, MERGED.len() as u64);
     }
 
     #[test]
@@ -755,7 +862,7 @@ mod tests {
     }
 
     /// Gating is per thread: a scope held open on another thread leaves
-    /// this one disabled, and records made here never reach it.
+    /// this one disabled, and records and merges made here never reach it.
     #[test]
     fn a_scope_on_another_thread_leaves_this_one_disabled() {
         use std::sync::mpsc::channel;
@@ -771,6 +878,9 @@ mod tests {
         wait_opened.recv().unwrap();
         assert!(!enabled());
         record_ps("elsewhere", 1);
+        let mut h = Histogram::new("elsewhere");
+        h.record(1);
+        merge(&h);
         release.send(()).unwrap();
         let (held_enabled, task) = holder.join().unwrap();
         assert!(held_enabled);
