@@ -7,7 +7,8 @@
 //!                          # profiles insights
 //! repro all                # everything, in paper order
 //! repro --quick all        # smaller runs (CI-friendly)
-//! repro --serial all       # one figure at a time (same bytes, slower)
+//! repro --serial all       # one thread for every fan-out (same bytes,
+//!                          # slower)
 //! repro --json DIR fig13   # also write machine-readable artifacts
 //! repro --seed 7 fig7      # re-seed every stochastic experiment
 //! repro --faults plan.json loss  # inject a fault plan (loss sweep etc.)
@@ -71,10 +72,11 @@
 //! artifacts it writes (`--json DIR`, `--out FILE`) are renderings of that
 //! one run, listed in [`bband_bench::TARGETS`]. Figures are independent
 //! simulations, so the harness fans them out across a [`WorkerPool`] (one
-//! task per figure) and then emits results in paper order. Every figure
-//! seeds its own RNG streams, so stdout and the `--json` artifacts are
-//! byte-identical between parallel and `--serial` runs — only the wall
-//! clock differs.
+//! task per figure) and then emits results in paper order. The same pool
+//! travels in [`Opts`] to every fan-out inside a target, so `--serial`
+//! runs everything on one thread. Every figure seeds its own RNG streams,
+//! so stdout and the `--json` artifacts are byte-identical between
+//! parallel and `--serial` runs — only the wall clock differs.
 
 use bband_bench::{run_target, Opts, Output, Scale, TARGETS};
 use bband_core::fault::{EnginePath, FaultPlan};
@@ -229,15 +231,15 @@ fn main() {
         plan,
         path,
         seed,
-    };
-    let pool = if serial {
-        WorkerPool::with_threads(1)
-    } else {
-        WorkerPool::new()
+        pool: if serial {
+            WorkerPool::with_threads(1)
+        } else {
+            WorkerPool::new()
+        },
     };
     // One task per figure. Results come back in paper order regardless
     // of which worker ran what.
-    let results: Vec<Output> = pool.map(targets.clone(), |_, t| run_target(t, &opts));
+    let results: Vec<Output> = opts.pool.map(targets.clone(), |_, t| run_target(t, &opts));
 
     for (t, out) in targets.iter().zip(&results) {
         println!("==== {t} ====");

@@ -16,8 +16,7 @@ use bband_llp::LockGranularity;
 use bband_metrics::MetricsSet;
 use bband_microbench::{
     am_lat, credit_exhaustion_onset_with, eager_rndv_sweep, endpoint_injection, osu_latency,
-    put_bw, traced_am_lat, traced_endpoint_injection, traced_osu_latency, traced_put_bw,
-    AmLatConfig, OsuLatConfig, PutBwConfig, StackConfig, ThreadSweepConfig,
+    put_bw, AmLatConfig, OsuLatConfig, PutBwConfig, StackConfig, ThreadSweepConfig,
 };
 use bband_mpi::{collective_scaling, Collective};
 use bband_profiling::profiler::UCS_OVERHEAD_MEAN_NS;
@@ -30,7 +29,7 @@ use bband_report::{
     thread_sweep_json, to_json, ThreadBaseline, ThreadPoint, ZambreCheck,
 };
 use bband_sim::{SimDuration, WorkerPool};
-use bband_trace::{per_message_attribution, Trace};
+use bband_trace::{critical_path, per_message_attribution, Trace};
 
 /// Experiment scale: quick (tests and CI) or full (the harness default).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,6 +78,9 @@ pub struct Opts {
     /// `--seed`: the master seed of every stack and engine run (the
     /// default stack's seed unless given).
     pub seed: u64,
+    /// The pool every fan-out inside a target runs on (one thread under
+    /// `--serial`).
+    pub pool: WorkerPool,
 }
 
 impl Opts {
@@ -421,8 +423,13 @@ fn ext_multicore(o: &Opts) -> String {
         .markov_stall
         .filter(|m| !m.is_zero())
         .map(|m| (m.mean_up_ns, m.mean_down_ns));
-    let onset =
-        credit_exhaustion_onset_with(&o.validation_stack(), &[1, 4, 16, 64, 128], credits, stalls);
+    let onset = credit_exhaustion_onset_with(
+        &o.validation_stack(),
+        &[1, 4, 16, 64, 128],
+        credits,
+        stalls,
+        &o.pool,
+    );
     let mut out = String::from(
         "Multi-core injection: RC posted-credit exhaustion
 ",
@@ -468,13 +475,14 @@ fn ext_collectives(o: &Opts) -> String {
         .markov_stall
         .filter(|m| !m.is_zero())
         .map(|m| (m.mean_up_ns, m.mean_down_ns));
-    let barrier = collective_scaling(counts, Collective::Barrier, 9, credits, stalls);
+    let barrier = collective_scaling(counts, Collective::Barrier, 9, credits, stalls, &o.pool);
     let allreduce = collective_scaling(
         counts,
         Collective::Allreduce { bytes: 256 },
         9,
         credits,
         stalls,
+        &o.pool,
     );
     let mut out = String::from("Collective scaling (deterministic, min-clock driver)\n");
     if credits.is_some() || stalls.is_some() {
@@ -585,7 +593,7 @@ fn loss(o: &Opts) -> Output {
         &fault::DEFAULT_LOSS_GRID,
         messages,
         o.seed,
-        &WorkerPool::new(),
+        &o.pool,
     );
     let mut text = render_loss_sweep(
         "Latency under fabric loss (8-byte messages, go-back-N recovery)",
@@ -614,8 +622,7 @@ fn sweep_size(o: &Opts) -> Output {
         Scale::Quick => (&[8, 4096, 65_536, 1 << 20], 8),
         Scale::Full => (&tracepath::DEFAULT_SIZE_GRID, 64),
     };
-    let (points, _) =
-        tracepath::sweep_message_sizes(o.path, &c, sizes, messages, o.seed, &WorkerPool::new());
+    let (points, _) = tracepath::sweep_message_sizes(o.path, &c, sizes, messages, o.seed, &o.pool);
     let check = segmented_fault_check(&c, 12, o.seed);
     let mut text = render_size_sweep(
         &format!(
@@ -652,14 +659,13 @@ fn sweep_ranks(o: &Opts) -> Output {
         Scale::Quick => &[16, 64, 256],
         Scale::Full => &[128, 512, 1024, 2048, 4096],
     };
-    let pool = WorkerPool::new();
     // Recording never perturbs the simulation (tested in bband-cluster),
     // so when telemetry is wanted its one sweep also yields the points.
     let cells =
-        (o.telemetry || o.artifacts).then(|| bband_cluster::sweep_ranks_telemetry(ranks, &pool));
+        (o.telemetry || o.artifacts).then(|| bband_cluster::sweep_ranks_telemetry(ranks, &o.pool));
     let points = match &cells {
         Some(cells) => cells.iter().map(|c| c.point.clone()).collect(),
-        None => bband_cluster::sweep_ranks(ranks, &pool),
+        None => bband_cluster::sweep_ranks(ranks, &o.pool),
     };
     let gate = bband_cluster::two_node_equivalence();
     let mut text = render_rank_sweep(
@@ -778,7 +784,7 @@ fn sweep_threads(o: &Opts) -> Output {
         .flat_map(|c| threads.iter().map(move |&t| (c, t)))
         .collect();
     let stack = o.validation_stack();
-    let points = WorkerPool::new().map(cells, |_, (curve_idx, t)| {
+    let points = o.pool.map(cells, |_, (curve_idx, t)| {
         let (curve, endpoints_of, lock) = THREAD_CURVES[curve_idx];
         let r = endpoint_injection(&ThreadSweepConfig {
             stack: stack.clone(),
@@ -859,50 +865,40 @@ fn trace_engine(o: &Opts) -> (String, Trace) {
         &trace,
     );
     out.push('\n');
-    match tracepath::e2e_breakdown_from_trace(&trace) {
-        Ok(b) => out.push_str(&render_bar(&b)),
-        Err(e) => out.push_str(&format!("  ! {e}\n")),
-    }
+    out.push_str(&render_bar(&tracepath::e2e_breakdown_from_trace(&trace)));
     out.push('\n');
-    match tracepath::reconstruct(&trace) {
-        Ok(cp) => {
-            out.push_str(&render_critical_path(
-                "DAG reconstruction (exposed vs hidden)",
-                &cp,
-            ));
-            if plan.is_zero() {
-                let model = EndToEndLatencyModel::from_calibration(&c).total();
-                let seq_exact = tracepath::slice_sum_total(&trace) == model * messages;
-                out.push_str(&format!(
-                    "  sequential slice sum vs model x {messages}: {}\n",
-                    if seq_exact { "bit-exact" } else { "MISMATCH" }
-                ));
-                // Zero-fault messages are independent chains, so the DAG
-                // critical path is exactly one message's model total.
-                out.push_str(&format!(
-                    "  DAG critical path vs one-message model: {}\n",
-                    if cp.length == model {
-                        "bit-exact"
-                    } else {
-                        "MISMATCH"
-                    }
-                ));
+    let cp = critical_path(&trace);
+    out.push_str(&render_critical_path(
+        "DAG reconstruction (exposed vs hidden)",
+        &cp,
+    ));
+    if plan.is_zero() {
+        let model = EndToEndLatencyModel::from_calibration(&c).total();
+        let seq_exact = tracepath::slice_sum_total(&trace) == model * messages;
+        out.push_str(&format!(
+            "  sequential slice sum vs model x {messages}: {}\n",
+            if seq_exact { "bit-exact" } else { "MISMATCH" }
+        ));
+        // Zero-fault messages are independent chains, so the DAG
+        // critical path is exactly one message's model total.
+        out.push_str(&format!(
+            "  DAG critical path vs one-message model: {}\n",
+            if cp.length == model {
+                "bit-exact"
             } else {
-                // Lossy run: split the critical path into nominal vs
-                // recovery exposed time and name, per message, the single
-                // retransmission/backoff span that lengthened it.
-                out.push('\n');
-                match per_message_attribution(&trace, "HLP_rx_prog") {
-                    Ok(msgs) => out.push_str(&render_recovery_attribution(
-                        "Recovery attribution (lossy critical path)",
-                        &cp,
-                        &msgs,
-                    )),
-                    Err(e) => out.push_str(&format!("  ! {e}\n")),
-                }
+                "MISMATCH"
             }
-        }
-        Err(e) => out.push_str(&format!("  ! {e}\n")),
+        ));
+    } else {
+        // Lossy run: split the critical path into nominal vs recovery
+        // exposed time and name, per message, the single
+        // retransmission/backoff span that lengthened it.
+        out.push('\n');
+        out.push_str(&render_recovery_attribution(
+            "Recovery attribution (lossy critical path)",
+            &cp,
+            &per_message_attribution(&trace, "HLP_rx_prog"),
+        ));
     }
     match res {
         Ok(stats) => out.push_str(&format!(
@@ -927,7 +923,7 @@ pub const TRACE_BENCHES: [&str; 4] = ["put_bw", "am_lat", "osu", "multicore"];
 /// therefore the Chrome export — is byte-stable run to run.
 fn run_traced_bench(which: &str, o: &Opts) -> (String, Trace) {
     let scale = o.scale;
-    match which {
+    let (label, spans) = match which {
         "put_bw" => {
             let messages = match scale {
                 Scale::Quick => 1_500,
@@ -939,8 +935,8 @@ fn run_traced_bench(which: &str, o: &Opts) -> (String, Trace) {
                 warmup: 256,
                 ..Default::default()
             };
-            let (_, trace) = traced_put_bw(&cfg);
-            (format!("put_bw ({messages} msgs, deterministic)"), trace)
+            let (_, spans) = bband_trace::collect(|| put_bw(&cfg));
+            (format!("put_bw ({messages} msgs, deterministic)"), spans)
         }
         "am_lat" => {
             let iterations = match scale {
@@ -952,8 +948,8 @@ fn run_traced_bench(which: &str, o: &Opts) -> (String, Trace) {
                 iterations,
                 warmup: 16,
             };
-            let (_, trace) = traced_am_lat(&cfg);
-            (format!("am_lat ({iterations} iters, deterministic)"), trace)
+            let (_, spans) = bband_trace::collect(|| am_lat(&cfg));
+            (format!("am_lat ({iterations} iters, deterministic)"), spans)
         }
         "osu" => {
             let iterations = match scale {
@@ -965,10 +961,10 @@ fn run_traced_bench(which: &str, o: &Opts) -> (String, Trace) {
                 iterations,
                 warmup: 16,
             };
-            let (_, trace) = traced_osu_latency(&cfg);
+            let (_, spans) = bband_trace::collect(|| osu_latency(&cfg));
             (
                 format!("osu_latency ({iterations} iters, deterministic)"),
-                trace,
+                spans,
             )
         }
         "multicore" => {
@@ -992,17 +988,18 @@ fn run_traced_bench(which: &str, o: &Opts) -> (String, Trace) {
                 credits: Some((4, 64, 2)),
                 stalls: None,
             };
-            let (_, trace) = traced_endpoint_injection(&cfg);
+            let (_, spans) = bband_trace::collect(|| endpoint_injection(&cfg));
             (
                 format!(
                     "endpoint_injection (8 threads x 4 locked endpoints x \
                      {messages_per_thread} msgs, starved credits)"
                 ),
-                trace,
+                spans,
             )
         }
         other => panic!("unknown trace bench {other}; known: {TRACE_BENCHES:?}"),
-    }
+    };
+    (label, Trace::from_task(spans))
 }
 
 /// A live microbenchmark under the tracer, reconstructed by the same DAG
@@ -1016,32 +1013,28 @@ fn trace_bench(which: &str, o: &Opts) -> (String, Trace) {
     let (label, trace) = run_traced_bench(which, o);
     let mut out = render_flame(&format!("Traced live microbenchmark: {label}"), &trace);
     out.push('\n');
-    match tracepath::reconstruct(&trace) {
-        Ok(cp) => {
-            out.push_str(&render_critical_path(
-                "DAG reconstruction (exposed vs hidden)",
-                &cp,
-            ));
-            let ratio = if cp.stage_sum.as_ns_f64() > 0.0 {
-                cp.length.as_ns_f64() / cp.stage_sum.as_ns_f64()
-            } else {
-                1.0
-            };
-            out.push_str(&format!(
-                "  overlap: critical path is {:.1}% of the stage sum ({} hidden)\n",
-                ratio * 100.0,
-                cp.hidden_total()
-            ));
-            let split = cp.recovery_split();
-            if split.recovery_total > SimDuration::ZERO {
-                out.push_str(&format!(
-                    "  recovery (credit waits / stall windows): {} exposed on the \
-                     critical path, {} recorded in total\n",
-                    split.recovery_exposed, split.recovery_total
-                ));
-            }
-        }
-        Err(e) => out.push_str(&format!("  ! {e}\n")),
+    let cp = critical_path(&trace);
+    out.push_str(&render_critical_path(
+        "DAG reconstruction (exposed vs hidden)",
+        &cp,
+    ));
+    let ratio = if cp.stage_sum.as_ns_f64() > 0.0 {
+        cp.length.as_ns_f64() / cp.stage_sum.as_ns_f64()
+    } else {
+        1.0
+    };
+    out.push_str(&format!(
+        "  overlap: critical path is {:.1}% of the stage sum ({} hidden)\n",
+        ratio * 100.0,
+        cp.hidden_total()
+    ));
+    let split = cp.recovery_split();
+    if split.recovery_total > SimDuration::ZERO {
+        out.push_str(&format!(
+            "  recovery (credit waits / stall windows): {} exposed on the \
+             critical path, {} recorded in total\n",
+            split.recovery_exposed, split.recovery_total
+        ));
     }
     // The multicore bench is deliberately congested (starved credits), so
     // a diff against the zero-fault single-message engine path would be
@@ -1180,7 +1173,7 @@ fn metered_engine(o: &Opts) -> (String, MetricsSet, String) {
         TASKS,
         o.seed,
         width,
-        &WorkerPool::new(),
+        &o.pool,
     );
     let windows = o
         .windows
@@ -1333,6 +1326,7 @@ mod tests {
             plan: FaultPlan::none(),
             path: EnginePath::Fast,
             seed: StackConfig::default().seed,
+            pool: WorkerPool::new(),
         }
     }
 

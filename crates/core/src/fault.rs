@@ -2804,8 +2804,8 @@ mod tests {
     }
 
     /// Everything one run can observably produce: terminal stats (with
-    /// the recovery-counter ledger), abort outcome, the full trace-span
-    /// ring, and the metrics registry contents.
+    /// the recovery-counter ledger), abort outcome, every trace span it
+    /// recorded, and the metrics registry contents.
     type Observed = (
         (FaultRunStats, Option<RetryExhausted>),
         Vec<trace::SpanRecord>,
@@ -2815,12 +2815,14 @@ mod tests {
     fn observe(path: EnginePath, plan: &FaultPlan, messages: u64, seed: u64) -> Observed {
         let c = cal();
         let ((run, trace), metrics) = bband_metrics::collect(|| {
-            trace::collect(1 << 14, || run_raw_on(path, &c, plan, messages, seed))
+            trace::collect(|| run_raw_on(path, &c, plan, messages, seed))
         });
-        (run, trace.spans, metrics)
+        (run, trace, metrics)
     }
 
-    fn assert_paths_identical(plan: &FaultPlan, messages: u64, seed: u64) {
+    /// Compare both paths' observations; returns how many spans each
+    /// trace held.
+    fn assert_paths_identical(plan: &FaultPlan, messages: u64, seed: u64) -> usize {
         let fast = observe(EnginePath::Fast, plan, messages, seed);
         let reference = observe(EnginePath::Reference, plan, messages, seed);
         assert_eq!(fast.0, reference.0, "stats diverged: {plan:?} seed {seed}");
@@ -2832,6 +2834,7 @@ mod tests {
             fast.2, reference.2,
             "metrics diverged: {plan:?} seed {seed}"
         );
+        fast.1.len()
     }
 
     /// The fast path must be byte-identical to the reference event loop —
@@ -3141,14 +3144,19 @@ mod tests {
 
     /// Loss inside a segmented rendezvous transfer engages go-back-N over
     /// segments (and RTS/CTS retry), still completes every message, and
-    /// the fast path stays byte-identical to the reference loop.
+    /// the fast path stays byte-identical to the reference loop — over
+    /// every span of both traces, millions per path.
     #[test]
     fn segmented_lossy_rendezvous_recovers_and_paths_match() {
         let mut plan = FaultPlan::none();
         plan.payload_bytes = 1 << 20; // 256 MTU segments per message
         plan.loss_probability = 0.02;
         for seed in [1u64, 42] {
-            assert_paths_identical(&plan, 12, seed);
+            let spans = assert_paths_identical(&plan, 12, seed);
+            assert!(
+                spans > 2_000_000,
+                "seed {seed}: compared {spans} spans, not the whole trace"
+            );
         }
         let c = cal();
         let sized = SizedLatencyModel::from_calibration(&c);

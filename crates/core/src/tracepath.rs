@@ -15,16 +15,15 @@
 //! event-driven simulation and the closed-form model is a test failure,
 //! not a tolerance.
 //!
-//! Reconstruction is DAG-based ([`reconstruct`]): stages record explicit
-//! happens-after edges, and the breakdown is the longest
+//! Reconstruction is DAG-based ([`bband_trace::critical_path`]): stages
+//! record explicit happens-after edges, and the breakdown is the longest
 //! dependency-weighted path ([`bband_trace::dag`]), not a flat sum. On
 //! the zero-fault end-to-end trace each message's nine slices form a
 //! chain, so the critical path degrades bit-exactly to
 //! [`EndToEndLatencyModel::total`]; on overlapped traces (`put_bw`,
 //! multicore) the same reconstruction splits each stage into exposed and
-//! hidden time. A wrapped span ring fails reconstruction loudly
-//! ([`DagError::Truncated`]) instead of producing a silently truncated
-//! breakdown.
+//! hidden time. A traced run keeps every span it records, so every
+//! breakdown here covers the whole run.
 //!
 //! [`EndToEndLatencyModel`]: crate::EndToEndLatencyModel
 //! [`EndToEndLatencyModel::total`]: crate::EndToEndLatencyModel::total
@@ -37,7 +36,7 @@ use bband_metrics as metrics;
 use bband_metrics::MetricsSet;
 use bband_sim::{Pcg64, SimDuration, WorkerPool};
 use bband_trace as trace;
-use bband_trace::{CriticalPath, DagError, Trace};
+use bband_trace::Trace;
 
 /// The nine Figure-13 end-to-end slices, in critical-path order. These are
 /// the span names the instrumented fault path emits for one message.
@@ -53,25 +52,6 @@ pub const FIG13_SLICES: [&str; 9] = [
     "HLP_rx_prog",
 ];
 
-/// Ring capacity per traced task: the fault-free path records ~10 spans
-/// per message *per MTU segment*; recovery adds more. Size generously so
-/// traces for the message counts and payloads the experiments use never
-/// wrap.
-fn ring_capacity(messages: u64, plan: &FaultPlan) -> usize {
-    let max_payload = plan
-        .payload_cycle
-        .iter()
-        .copied()
-        .chain([plan.payload_bytes])
-        .max()
-        .unwrap_or(8);
-    let segments = SizedLatencyModel::segments(max_payload) as usize;
-    (messages as usize)
-        .saturating_mul(64)
-        .saturating_mul(segments.max(1))
-        .clamp(1 << 10, 1 << 22)
-}
-
 /// Run the end-to-end fault simulation on engine `path` with tracing
 /// enabled. Returns the run result alongside the recorded single-task
 /// [`Trace`].
@@ -82,7 +62,7 @@ pub fn traced_e2e(
     messages: u64,
     seed: u64,
 ) -> (Result<FaultRunStats, RetryExhausted>, Trace) {
-    let (out, task) = trace::collect(ring_capacity(messages, plan), || {
+    let (out, task) = trace::collect(|| {
         let (stats, aborted) = run_raw_on(path, cal, plan, messages, seed);
         match aborted {
             Some(e) => Err(e),
@@ -162,7 +142,7 @@ pub fn sweep_message_sizes(
         plan.payload_bytes = payload;
         let task_seed = Pcg64::new(seed).fork(idx as u64).next_u64();
         let ((run, task), tm) = metrics::collect(|| {
-            trace::collect(ring_capacity(messages, &plan), || {
+            trace::collect(|| {
                 let run = run_raw_on(path, cal, &plan, messages, task_seed);
                 feed_recovery_counters(&run.0);
                 run
@@ -182,7 +162,7 @@ pub fn sweep_message_sizes(
             "engine diverged from the sized model at {payload} B (slowest)"
         );
         let tr = Trace::from_task(task.clone());
-        let cp = trace::critical_path(&tr).expect("sweep ring must not wrap");
+        let cp = trace::critical_path(&tr);
         let mut top: Vec<(String, f64)> = cp
             .stages
             .iter()
@@ -233,10 +213,10 @@ fn feed_recovery_counters(stats: &FaultRunStats) {
 /// per-message end-to-end latency, and its recovery counters into a
 /// per-task metrics registry. Registries merge by task index —
 /// [`MetricsSet::from_tasks`] — so serial and pooled runs produce
-/// identical sets. No span ring is installed: a traced stage records into
-/// the metrics registry whether or not tracing is on, so only the
-/// histograms leave the tasks, which is what lets this scale to message
-/// counts a retained trace could not.
+/// identical sets. No span collector is installed: a traced stage
+/// records into the metrics registry whether or not tracing is on, so
+/// only the histograms leave the tasks, which is what lets this scale to
+/// message counts a retained trace could not.
 ///
 /// With a `window` width the registry runs in fixed-width virtual-time
 /// window mode (`repro metrics --windows N`): every stage histogram is
@@ -273,57 +253,27 @@ pub fn metered_e2e(
     (runs, MetricsSet::from_tasks(metric_tasks))
 }
 
-/// Guard a reconstruction against ring wrap: a truncated trace must fail
-/// loudly, never produce a quietly short breakdown.
-fn check_complete(t: &Trace) -> Result<(), DagError> {
-    let dropped = t.dropped();
-    if dropped > 0 {
-        return Err(DagError::Truncated { dropped });
-    }
-    Ok(())
-}
-
-/// Reconstruct the DAG critical path of a recorded trace: longest
-/// dependency-weighted path over the stage edges, with per-stage
-/// exposed/hidden attribution. Errors on a wrapped ring.
-pub fn reconstruct(t: &Trace) -> Result<CriticalPath, DagError> {
-    trace::critical_path(t)
-}
-
 /// Rebuild the Figure-13 end-to-end breakdown from a recorded trace: the
 /// per-slice sums over every message traced. On a zero-fault trace of
-/// `n` messages each slice equals `n ×` the model's component. Errors on
-/// a wrapped ring instead of summing a truncated trace.
-pub fn e2e_breakdown_from_trace(t: &Trace) -> Result<Breakdown, DagError> {
-    check_complete(t)?;
+/// `n` messages each slice equals `n ×` the model's component.
+pub fn e2e_breakdown_from_trace(t: &Trace) -> Breakdown {
     let mut b = Breakdown::new("End-to-end latency, trace-derived (Fig. 13)");
     for name in FIG13_SLICES {
         b.push(name, t.total_for(name));
     }
-    Ok(b)
+    b
 }
 
 /// Sum of the nine Figure-13 slices across the trace — the *sequential*
 /// total, `n ×`
 /// [`EndToEndLatencyModel::total`](crate::EndToEndLatencyModel::total)
-/// on a zero-fault trace of `n` messages. The DAG counterpart is [`reconstruct`]'s critical path,
-/// which on the same trace is one message's chain, not the sum.
+/// on a zero-fault trace of `n` messages. The DAG counterpart is
+/// [`bband_trace::critical_path`], which on the same trace is one
+/// message's chain, not the sum.
 pub fn slice_sum_total(t: &Trace) -> SimDuration {
     FIG13_SLICES
         .iter()
         .map(|name| t.total_for(name))
-        .fold(SimDuration::ZERO, |a, d| a + d)
-}
-
-/// Virtual time the trace attributes to recovery machinery (the
-/// `Recovery` layer): stall windows, replay rounds, backoff gaps,
-/// credit waits. Zero on a fault-free run.
-pub fn recovery_total(t: &Trace) -> SimDuration {
-    t.tasks()
-        .iter()
-        .flat_map(|task| task.spans.iter())
-        .filter(|s| s.layer == trace::Layer::Recovery)
-        .map(|s| s.dur)
         .fold(SimDuration::ZERO, |a, d| a + d)
 }
 
@@ -349,9 +299,8 @@ mod tests {
         let model = EndToEndLatencyModel::from_calibration(&c);
         let (res, t) = traced_e2e(EnginePath::Fast, &c, &FaultPlan::none(), n, 0x5EED);
         assert_eq!(res.unwrap().completed, n);
-        assert_eq!(t.dropped(), 0, "ring must not wrap");
 
-        let derived = e2e_breakdown_from_trace(&t).unwrap();
+        let derived = e2e_breakdown_from_trace(&t);
         let expect = model.breakdown();
         assert_eq!(derived.len(), 9);
         for (name, dur) in expect.items() {
@@ -359,10 +308,10 @@ mod tests {
             assert_eq!(got, *dur * n, "slice {name}: trace {got} != model × {n}");
         }
         assert_eq!(slice_sum_total(&t), model.total() * n);
-        assert_eq!(recovery_total(&t), SimDuration::ZERO);
 
         // DAG reconstruction: chain degeneracy per message.
-        let cp = reconstruct(&t).unwrap();
+        let cp = trace::critical_path(&t);
+        assert_eq!(cp.recovery_split().recovery_total, SimDuration::ZERO);
         assert_eq!(
             cp.length,
             model.total(),
@@ -374,25 +323,6 @@ mod tests {
             assert_eq!(s.hidden(), *dur * (n - 1), "slice {name}: rest hidden");
             assert_eq!(s.exposed_count, 1);
         }
-    }
-
-    /// Satellite: a wrapped ring fails reconstruction loudly — every
-    /// trace-derived view refuses to summarise a truncated recording.
-    #[test]
-    fn wrapped_ring_fails_reconstruction_loudly() {
-        let c = cal();
-        let (_, task) = trace::collect(8, || {
-            run_raw_on(EnginePath::Fast, &c, &FaultPlan::none(), 16, 0x5EED);
-        });
-        let t = Trace::from_task(task);
-        assert!(t.dropped() > 0, "tiny ring must wrap");
-        assert!(matches!(
-            reconstruct(&t),
-            Err(DagError::Truncated { dropped }) if dropped > 0
-        ));
-        assert!(e2e_breakdown_from_trace(&t).is_err());
-        let msg = reconstruct(&t).unwrap_err().to_string();
-        assert!(msg.contains("ring wrapped"), "{msg}");
     }
 
     /// Under faults, the trace accounts for the excess: critical-path
@@ -407,7 +337,7 @@ mod tests {
         let stats = res.unwrap();
         assert!(!stats.counters.is_clean());
         assert!(
-            recovery_total(&t) > SimDuration::ZERO
+            trace::critical_path(&t).recovery_split().recovery_total > SimDuration::ZERO
                 || t.spans()
                     .any(|(_, s)| s.layer == trace::Layer::Recovery && s.is_instant()),
             "recovery must leave a trace"
@@ -445,10 +375,9 @@ mod tests {
         plan.corruption_probability = 0.01;
         let (res, t) = traced_e2e(EnginePath::Fast, &c, &plan, 300, 11);
         let stats = res.unwrap();
-        assert_eq!(t.dropped(), 0, "ring must not wrap");
         assert!(!stats.counters.is_clean());
         assert_eq!(
-            recovery_total(&t),
+            trace::critical_path(&t).recovery_split().recovery_total,
             stats.counters.recovery_time,
             "recovery spans and the recovery-time counter must agree"
         );
@@ -470,7 +399,7 @@ mod tests {
         plan.loss_probability = 0.05;
         let (res, t) = traced_e2e(EnginePath::Fast, &c, &plan, 200, 42);
         res.unwrap();
-        let cp = reconstruct(&t).unwrap();
+        let cp = trace::critical_path(&t);
         let split = cp.recovery_split();
         assert_eq!(
             split.nominal_exposed + split.recovery_exposed,
@@ -481,8 +410,12 @@ mod tests {
             split.recovery_exposed > SimDuration::ZERO,
             "5% loss must expose recovery time on the critical path"
         );
-        assert_eq!(split.recovery_total, recovery_total(&t));
-        let msgs = trace::per_message_attribution(&t, "HLP_rx_prog").unwrap();
+        let recorded = t
+            .spans()
+            .filter(|(_, s)| s.layer == trace::Layer::Recovery)
+            .fold(SimDuration::ZERO, |a, (_, s)| a + s.dur);
+        assert_eq!(split.recovery_total, recorded);
+        let msgs = trace::per_message_attribution(&t, "HLP_rx_prog");
         assert_eq!(msgs.len(), 200, "one chain per completed message");
         let worst = msgs.iter().max_by_key(|m| m.recovery).unwrap();
         assert!(worst.recovery > SimDuration::ZERO);
@@ -614,13 +547,11 @@ mod tests {
         let n = 3u64;
         let (res, t) = traced_e2e(EnginePath::Fast, &c, &plan, n, 0x5EED);
         let stats = res.unwrap();
-        assert_eq!(t.dropped(), 0, "ring must not wrap");
         assert_eq!(stats.completed, n);
         let model_ns = sized.total(payload, None).as_ns_f64();
         assert_eq!(stats.min_ns, model_ns, "fastest message == sized model");
         assert_eq!(stats.max_ns, model_ns, "slowest message == sized model");
         assert!(stats.counters.is_clean());
-        assert_eq!(recovery_total(&t), SimDuration::ZERO);
         // The rendezvous handshake is visible by name: one RTS flight and
         // one CTS flight per message, plus the DMA fetch of the payload.
         for name in ["RTS_wire", "RTS_switch", "cts_flight", "DMA_fetch"] {
@@ -635,10 +566,9 @@ mod tests {
         assert_eq!(mem, segs * n, "one RC-to-MEM write per segment");
         let wire = t.spans().filter(|(_, s)| s.name == "Wire").count() as u64;
         assert_eq!(wire, segs * n, "one wire leg per data segment");
-        // The DAG reconstructs without truncation and attributes no
-        // exposed time to recovery.
-        let cp = reconstruct(&t).unwrap();
-        assert_eq!(cp.recovery_split().recovery_exposed, SimDuration::ZERO);
+        // The DAG attributes no recorded time to recovery.
+        let cp = trace::critical_path(&t);
+        assert_eq!(cp.recovery_split().recovery_total, SimDuration::ZERO);
         assert!(cp.stage("RTS_wire").is_some());
     }
 
@@ -721,14 +651,14 @@ mod tests {
             let model = EndToEndLatencyModel::from_calibration(&c);
             let (res0, t0) = traced_e2e(EnginePath::Fast, &c, &FaultPlan::none(), 48, seed);
             res0.unwrap();
-            let cp0 = reconstruct(&t0).unwrap();
+            let cp0 = trace::critical_path(&t0);
             prop_assert_eq!(cp0.length, model.total());
 
             let mut plan = FaultPlan::none();
             plan.loss_probability = loss_mille as f64 / 1000.0;
             let (res, t) = traced_e2e(EnginePath::Fast, &c, &plan, 48, seed);
             res.unwrap();
-            let cp = reconstruct(&t).unwrap();
+            let cp = trace::critical_path(&t);
             prop_assert!(
                 cp.length >= cp0.length,
                 "lossy CP {} < zero-fault CP {}", cp.length, cp0.length

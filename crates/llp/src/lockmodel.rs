@@ -275,7 +275,7 @@ mod tests {
 
     #[test]
     fn contended_acquire_records_a_recovery_stage_when_traced() {
-        let ((), task) = trace::collect(64, || {
+        let ((), task) = trace::collect(|| {
             let mut m = LockModel::new(LockGranularity::GlobalLock, 1);
             m.acquire(0, t(0), trace::SpanId::NONE);
             m.release(0, t(100), trace::SpanId::NONE);
@@ -349,7 +349,7 @@ mod tests {
         fn independent_records_zero_lock_wait(
             schedule in proptest::collection::vec((0u64..500, 1u64..300, 0u32..8), 1..48),
         ) {
-            let ((), task) = trace::collect(256, || {
+            let ((), task) = trace::collect(|| {
                 let mut m = LockModel::new(LockGranularity::Independent, 8);
                 for &(a, d, ep) in &schedule {
                     let start = m.acquire(ep, t(a), trace::SpanId::NONE);

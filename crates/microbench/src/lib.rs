@@ -35,5 +35,4 @@ pub use osu::{
     osu_latency, osu_message_rate, OsuLatConfig, OsuLatReport, OsuMrConfig, OsuMrReport,
 };
 pub use put_bw::{put_bw, PutBwConfig, PutBwReport};
-pub use traced::{traced_am_lat, traced_endpoint_injection, traced_osu_latency, traced_put_bw};
 pub use ucp_lat::{eager_rndv_sweep, ucp_latency, UcpLatConfig};

@@ -218,15 +218,16 @@ pub fn endpoint_injection(cfg: &ThreadSweepConfig) -> ThreadSweepReport {
 /// windows back the NIC up so in-flight credits pile on during bursts.
 /// Each count runs [`endpoint_injection`] with one independent endpoint
 /// per core on an independent cluster (seeded only by `stack.seed` and
-/// the core index), so the sweep fans out across a [`WorkerPool`] with
-/// results identical to a serial loop.
+/// the core index), so the sweep fans out across `pool` with results
+/// identical to a serial loop.
 pub fn credit_exhaustion_onset_with(
     stack: &StackConfig,
     core_counts: &[u32],
     credits: Option<(u32, u32, u32)>,
     stalls: Option<(f64, f64)>,
+    pool: &WorkerPool,
 ) -> Vec<(u32, bool)> {
-    WorkerPool::new().map(core_counts.to_vec(), |_, cores| {
+    pool.map(core_counts.to_vec(), |_, cores| {
         let r = endpoint_injection(&ThreadSweepConfig {
             stack: stack.clone(),
             threads: cores,
@@ -304,7 +305,8 @@ mod tests {
     #[test]
     fn exhaustion_onset_is_monotone() {
         let stack = StackConfig::validation();
-        let onset = credit_exhaustion_onset_with(&stack, &[1, 8, 128], None, None);
+        let pool = WorkerPool::with_threads(2);
+        let onset = credit_exhaustion_onset_with(&stack, &[1, 8, 128], None, None, &pool);
         assert_eq!(onset[0], (1, false));
         assert_eq!(onset[1], (8, false));
         assert_eq!(onset[2], (128, true));

@@ -1,98 +1,58 @@
-//! Traced variants of the live microbenchmarks.
+//! Tracing the live microbenchmarks.
 //!
-//! Each wrapper runs the untouched benchmark loop inside a
-//! [`bband_trace::collect`] scope, so every layer's stage instrumentation
-//! (LLP posts, PCIe TLP flights, NIC launches, wire segments, RC DMA
-//! writes, progress polls) lands in one ring with its happens-after edges
-//! intact. The returned [`Trace`] feeds the DAG critical-path
-//! reconstructor (`bband_trace::dag`) and the Chrome export — the same
-//! pipeline the model-faithful fault engine's traces flow through, which
-//! is what makes the `repro trace --bench` diff meaningful.
+//! Every benchmark loop traces unchanged inside a
+//! [`bband_trace::collect`] scope (`collect(|| put_bw(&cfg))`): each
+//! layer's stage instrumentation (LLP posts, PCIe TLP flights, NIC
+//! launches, wire segments, RC DMA writes, progress polls) lands in one
+//! span list with its happens-after edges intact. The resulting
+//! [`bband_trace::Trace`] feeds the DAG critical-path reconstructor
+//! (`bband_trace::dag`) and the Chrome export — the same pipeline the
+//! model-faithful fault engine's traces flow through, which is what makes
+//! the `repro trace --bench` diff meaningful. The tests here pin what
+//! each benchmark's trace shows:
 //!
-//! Ring capacity is sized from the workload so the ring never wraps: the
-//! reconstructor refuses truncated graphs, and a silent wrap would turn a
-//! bandwidth run's breakdown into a lie. ~24 spans cover one message's
-//! worth of stages on every layer with 2× headroom.
-
-use crate::am_lat::{am_lat, AmLatConfig, AmLatReport};
-use crate::multicore::{endpoint_injection, ThreadSweepConfig, ThreadSweepReport};
-use crate::osu::{osu_latency, OsuLatConfig, OsuLatReport};
-use crate::put_bw::{put_bw, PutBwConfig, PutBwReport};
-use bband_trace::{self as trace, Trace};
-
-/// Spans allocated per traced message/iteration (upper bound with slack).
-const SPANS_PER_MSG: u64 = 24;
-
-fn ring_capacity(units: u64) -> usize {
-    units.saturating_mul(SPANS_PER_MSG).clamp(1 << 12, 1 << 22) as usize
-}
-
-/// Run [`put_bw`] with stage tracing enabled.
-///
-/// The interesting structure: the CPU spine (`busy_post` → `LLP_post` →
-/// `LLP_prog` → ...) is serial, while each message's hardware chain
-/// (`TX PCIe` → `nic_tx` → `net_flight` → ...) overlaps later CPU work.
-/// The DAG critical path is therefore strictly shorter than the stage
-/// sum — the hidden time is exactly the hardware latency the pipelined
-/// benchmark buys back.
-pub fn traced_put_bw(cfg: &PutBwConfig) -> (PutBwReport, Trace) {
-    let cap = ring_capacity(cfg.warmup + cfg.messages);
-    let (report, task) = trace::collect(cap, || put_bw(cfg));
-    (report, Trace::from_task(task))
-}
-
-/// Run [`am_lat`] with stage tracing enabled. A ping-pong is nearly a
-/// chain — each iteration's hardware must land before the peer's CPU can
-/// react — so the critical path sits close to the stage sum, with only
-/// the transport-ACK flights hidden behind the reverse direction.
-pub fn traced_am_lat(cfg: &AmLatConfig) -> (AmLatReport, Trace) {
-    let cap = ring_capacity((cfg.warmup + cfg.iterations).saturating_mul(4));
-    let (report, task) = trace::collect(cap, || am_lat(cfg));
-    (report, Trace::from_task(task))
-}
-
-/// Run [`osu_latency`] with stage tracing enabled (MPI blocking ping-pong
-/// through the full HLP/LLP stack).
-pub fn traced_osu_latency(cfg: &OsuLatConfig) -> (OsuLatReport, Trace) {
-    // The MPI ping-pong runs two full HLP/LLP stacks, each polling — its
-    // span rate is well above put_bw's, so budget extra headroom.
-    let cap = ring_capacity((cfg.warmup + cfg.iterations).saturating_mul(4));
-    let (report, task) = trace::collect(cap, || osu_latency(cfg));
-    (report, Trace::from_task(task))
-}
-
-/// Run [`endpoint_injection`] with stage tracing enabled.
-///
-/// Each thread's `LLP_post`/`busy_post`/`LLP_prog` spans form that
-/// thread's serial CPU spine, while every thread's MMIO writes funnel
-/// through the one root complex: a write that parks for posted-write
-/// credits records a `credit_wait` recovery stage chained after both its
-/// own thread and the RC's previous departure. On a starved pool the DAG
-/// critical path therefore threads *across* cores through the shared RC
-/// track, and the credit stalls show up as exposed recovery time — the
-/// congestion the paper scopes out of its single-core model (§4.2), made
-/// attributable.
-///
-/// Threads sharing a locked endpoint also record `lock_wait` recovery
-/// stages: each wait chains after both the waiter's own CPU spine and the
-/// previous wait on the same lock, so cross-thread serialization threads
-/// through the trace the same way credit stalls thread through the shared
-/// RC track.
-pub fn traced_endpoint_injection(cfg: &ThreadSweepConfig) -> (ThreadSweepReport, Trace) {
-    let units = cfg
-        .messages_per_thread
-        .saturating_mul(u64::from(cfg.threads.max(1)));
-    let (report, task) = trace::collect(ring_capacity(units), || endpoint_injection(cfg));
-    (report, Trace::from_task(task))
-}
+//! * `put_bw`: the CPU spine (`busy_post` → `LLP_post` → `LLP_prog` →
+//!   ...) is serial, while each message's hardware chain (`TX PCIe` →
+//!   `nic_tx` → `net_flight` → ...) overlaps later CPU work. The critical
+//!   path is therefore strictly shorter than the stage sum — the hidden
+//!   time is exactly the hardware latency the pipelined benchmark buys
+//!   back.
+//! * `am_lat`: a ping-pong is nearly a chain — each iteration's hardware
+//!   must land before the peer's CPU can react — so the critical path
+//!   sits close to the stage sum, with only the transport-ACK flights
+//!   hidden behind the reverse direction.
+//! * `osu_latency`: the MPI blocking ping-pong traces through the full
+//!   HLP/LLP stack.
+//! * `endpoint_injection`: each thread's `LLP_post`/`busy_post`/`LLP_prog`
+//!   spans form that thread's serial CPU spine, while every thread's MMIO
+//!   writes funnel through the one root complex: a write that parks for
+//!   posted-write credits records a `credit_wait` recovery stage chained
+//!   after both its own thread and the RC's previous departure. On a
+//!   starved pool the critical path therefore threads *across* cores
+//!   through the shared RC track, and the credit stalls show up as
+//!   exposed recovery time — the congestion the paper scopes out of its
+//!   single-core model (§4.2), made attributable. Threads sharing a
+//!   locked endpoint also record `lock_wait` recovery stages, each
+//!   chained after the waiter's own spine and the previous wait on the
+//!   same lock, so cross-thread serialization threads through the trace
+//!   the same way.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::am_lat::{am_lat, AmLatConfig};
     use crate::common::StackConfig;
+    use crate::multicore::{endpoint_injection, ThreadSweepConfig};
+    use crate::osu::{osu_latency, OsuLatConfig};
+    use crate::put_bw::{put_bw, PutBwConfig};
     use bband_llp::LockGranularity;
     use bband_sim::SimDuration;
-    use bband_trace::critical_path;
+    use bband_trace::{collect, critical_path, Trace};
+
+    /// Run one benchmark under a span collector.
+    fn traced<R>(bench: impl FnOnce() -> R) -> (R, Trace) {
+        let (report, spans) = collect(bench);
+        (report, Trace::from_task(spans))
+    }
 
     fn bw_cfg() -> PutBwConfig {
         PutBwConfig {
@@ -105,9 +65,8 @@ mod tests {
 
     #[test]
     fn put_bw_critical_path_is_shorter_than_stage_sum() {
-        let (report, trace) = traced_put_bw(&bw_cfg());
-        assert_eq!(trace.dropped(), 0, "ring sized to never wrap");
-        let cp = critical_path(&trace).unwrap();
+        let (report, trace) = traced(|| put_bw(&bw_cfg()));
+        let cp = critical_path(&trace);
         // Pipelining: hardware stages hide behind the CPU spine.
         assert!(
             cp.length < cp.stage_sum,
@@ -139,8 +98,8 @@ mod tests {
 
     #[test]
     fn put_bw_exposed_time_sums_to_the_critical_path() {
-        let (_, trace) = traced_put_bw(&bw_cfg());
-        let cp = critical_path(&trace).unwrap();
+        let (_, trace) = traced(|| put_bw(&bw_cfg()));
+        let cp = critical_path(&trace);
         let exposed: SimDuration = cp
             .stages
             .iter()
@@ -152,8 +111,8 @@ mod tests {
 
     #[test]
     fn traced_put_bw_is_deterministic() {
-        let (_, a) = traced_put_bw(&bw_cfg());
-        let (_, b) = traced_put_bw(&bw_cfg());
+        let (_, a) = traced(|| put_bw(&bw_cfg()));
+        let (_, b) = traced(|| put_bw(&bw_cfg()));
         assert_eq!(a.to_chrome_json(), b.to_chrome_json());
     }
 
@@ -164,8 +123,8 @@ mod tests {
             iterations: 100,
             warmup: 8,
         };
-        let (_, trace) = traced_am_lat(&cfg);
-        let cp = critical_path(&trace).unwrap();
+        let (_, trace) = traced(|| am_lat(&cfg));
+        let cp = critical_path(&trace);
         assert!(cp.length < cp.stage_sum, "ACK flights still overlap");
         // But far less hidden than put_bw: the ping-pong serializes the
         // two directions, so the critical path dominates the sum.
@@ -193,10 +152,9 @@ mod tests {
 
     #[test]
     fn starved_multicore_exposes_credit_waits_on_the_critical_path() {
-        let (report, trace) = traced_endpoint_injection(&starved_mc_cfg());
+        let (report, trace) = traced(|| endpoint_injection(&starved_mc_cfg()));
         assert!(report.rc_stalled, "the starved pool must stall");
-        assert_eq!(trace.dropped(), 0, "ring sized to never wrap");
-        let cp = critical_path(&trace).unwrap();
+        let cp = critical_path(&trace);
         let wait = cp.stage("credit_wait").expect("parked writes recorded");
         assert!(
             wait.exposed > SimDuration::ZERO,
@@ -216,10 +174,11 @@ mod tests {
         // recovery-track stages, so the trace's Recovery-layer total and
         // the counters' recovery_time agree in integer picoseconds — the
         // same single-bookkeeping invariant the fault engine holds.
-        let (report, trace) = traced_endpoint_injection(&ThreadSweepConfig {
+        let cfg = ThreadSweepConfig {
             stalls: Some((4_000.0, 2_000.0)),
             ..starved_mc_cfg()
-        });
+        };
+        let (report, trace) = traced(|| endpoint_injection(&cfg));
         assert!(report.counters.credit_stalls > 0);
         assert!(report.counters.nic_stalls > 0);
         let recovery: SimDuration = trace
@@ -233,7 +192,7 @@ mod tests {
 
     #[test]
     fn unstarved_multicore_records_no_recovery_stages() {
-        let (report, trace) = traced_endpoint_injection(&ThreadSweepConfig {
+        let cfg = ThreadSweepConfig {
             stack: StackConfig::validation(),
             threads: 4,
             endpoints: 4,
@@ -242,13 +201,14 @@ mod tests {
             ring_depth: 16,
             credits: None,
             stalls: None,
-        });
+        };
+        let (report, trace) = traced(|| endpoint_injection(&cfg));
         assert!(!report.rc_stalled);
         assert!(report.counters.is_clean());
         assert!(!trace
             .spans()
             .any(|(_, s)| s.layer == bband_trace::Layer::Recovery && !s.is_instant()));
-        let cp = critical_path(&trace).unwrap();
+        let cp = critical_path(&trace);
         assert_eq!(cp.recovery_split().recovery_exposed, SimDuration::ZERO);
     }
 
@@ -257,7 +217,7 @@ mod tests {
         // 8 threads funneling through one global-locked endpoint: almost
         // every post waits, and the waits must surface as first-class
         // recovery stages alongside the per-thread CPU spines.
-        let (report, trace) = traced_endpoint_injection(&ThreadSweepConfig {
+        let cfg = ThreadSweepConfig {
             stack: StackConfig::validation(),
             threads: 8,
             endpoints: 1,
@@ -266,10 +226,10 @@ mod tests {
             ring_depth: 16,
             credits: None,
             stalls: None,
-        });
+        };
+        let (report, trace) = traced(|| endpoint_injection(&cfg));
         assert!(report.lock_contended > 0);
-        assert_eq!(trace.dropped(), 0, "ring sized to never wrap");
-        let cp = critical_path(&trace).unwrap();
+        let cp = critical_path(&trace);
         let wait = cp.stage("lock_wait").expect("contended waits recorded");
         assert!(
             wait.exposed > SimDuration::ZERO,
@@ -287,7 +247,7 @@ mod tests {
         // Recovery-layer total is exactly the cluster's recovery_time
         // (credit + NIC stalls) plus the lock model's wait ledger, in
         // integer picoseconds.
-        let (report, trace) = traced_endpoint_injection(&ThreadSweepConfig {
+        let cfg = ThreadSweepConfig {
             stack: StackConfig::validation(),
             threads: 8,
             endpoints: 4,
@@ -296,7 +256,8 @@ mod tests {
             ring_depth: 16,
             credits: Some((4, 64, 2)),
             stalls: None,
-        });
+        };
+        let (report, trace) = traced(|| endpoint_injection(&cfg));
         assert!(report.lock_wait_time > SimDuration::ZERO);
         let recovery: SimDuration = trace
             .spans()
@@ -317,7 +278,7 @@ mod tests {
 
     #[test]
     fn independent_sweep_records_no_lock_waits() {
-        let (report, trace) = traced_endpoint_injection(&ThreadSweepConfig {
+        let cfg = ThreadSweepConfig {
             stack: StackConfig::validation(),
             threads: 4,
             endpoints: 4,
@@ -326,7 +287,8 @@ mod tests {
             ring_depth: 16,
             credits: None,
             stalls: None,
-        });
+        };
+        let (report, trace) = traced(|| endpoint_injection(&cfg));
         assert_eq!(report.lock_acquisitions, 0);
         assert!(!trace.spans().any(|(_, s)| s.name == "lock_wait"));
     }
@@ -338,9 +300,9 @@ mod tests {
             iterations: 60,
             warmup: 8,
         };
-        let (report, trace) = traced_osu_latency(&cfg);
+        let (report, trace) = traced(|| osu_latency(&cfg));
         assert!(!trace.is_empty());
-        let cp = critical_path(&trace).unwrap();
+        let cp = critical_path(&trace);
         assert!(cp.length <= cp.stage_sum);
         assert!(cp.stage("LLP_post").is_some());
         assert!(cp.stage("TX PCIe").is_some());

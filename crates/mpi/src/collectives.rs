@@ -172,7 +172,7 @@ pub fn deterministic_ranks(cluster: &mut Cluster, n: u32) -> Vec<MpiProcess> {
 }
 
 /// Run `op` at each rank count, every count on its own freshly seeded
-/// deterministic cluster, fanned out across a [`WorkerPool`] (the jobs are
+/// deterministic cluster, fanned out across `pool` (the jobs are
 /// independent; the ranks inside one share hardware and stay sequential).
 /// Seeds derive from `(seed, rank count)` alone, so the result is
 /// identical to a serial loop. `credits` shrinks the RC posted-credit
@@ -186,8 +186,9 @@ pub fn collective_scaling(
     seed: u64,
     credits: Option<(u32, u32, u32)>,
     stalls: Option<(f64, f64)>,
+    pool: &WorkerPool,
 ) -> Vec<(u32, CollectiveReport)> {
-    WorkerPool::new().map(rank_counts.to_vec(), |_, n| {
+    pool.map(rank_counts.to_vec(), |_, n| {
         let mut cluster = Cluster::new(n as usize, NicConfig::default(), seed).deterministic();
         if let Some((hdr, data, update_batch)) = credits {
             cluster = cluster.with_credits(hdr, data, update_batch);
@@ -287,7 +288,8 @@ mod tests {
     fn scaling_sweep_matches_serial_runs() {
         // The pooled sweep must reproduce job-by-job serial execution.
         let counts = [2u32, 4, 8];
-        let pooled = collective_scaling(&counts, Collective::Barrier, 9, None, None);
+        let pool = WorkerPool::with_threads(4);
+        let pooled = collective_scaling(&counts, Collective::Barrier, 9, None, None, &pool);
         for &(n, ref rep) in &pooled {
             let (mut cl, mut ranks) = setup(n);
             let mut tap = NullTap;
@@ -311,9 +313,10 @@ mod tests {
         // the NIC DMA-reads, which a serial rank never backs up.)
         let counts = [8u32];
         let op = Collective::Allreduce { bytes: 240 };
-        let clean = collective_scaling(&counts, op, 9, None, None);
+        let pool = WorkerPool::with_threads(1);
+        let clean = collective_scaling(&counts, op, 9, None, None, &pool);
         assert!(clean[0].1.counters.is_clean(), "default pools never stall");
-        let starved = collective_scaling(&counts, op, 9, Some((1, 8, 1)), None);
+        let starved = collective_scaling(&counts, op, 9, Some((1, 8, 1)), None, &pool);
         assert!(
             starved[0].1.counters.credit_stalls > 0,
             "a one-header-credit pool must park MMIO writes: {:?}",
@@ -334,6 +337,7 @@ mod tests {
             9,
             None,
             Some((500.0, 2_000.0)),
+            &WorkerPool::with_threads(1),
         );
         let k = &rep[0].1.counters;
         assert!(k.nic_stalls > 0, "stall windows must engage: {k:?}");

@@ -56,13 +56,12 @@ pub fn render_critical_path(title: &str, cp: &CriticalPath) -> String {
 /// largest component. Instant events render as counts, not bars.
 pub fn render_flame(title: &str, trace: &Trace) -> String {
     let mut out = format!(
-        "{title}\n  {} task(s), {} record(s), {} dropped\n",
+        "{title}\n  {} task(s), {} record(s)\n",
         trace.tasks().len(),
-        trace.len(),
-        trace.dropped()
+        trace.len()
     );
     for (idx, task) in trace.tasks().iter().enumerate() {
-        if task.spans.is_empty() {
+        if task.is_empty() {
             continue;
         }
         let single = Trace::from_task(task.clone());
@@ -132,7 +131,8 @@ mod tests {
             assert!(text.contains(name), "missing {name} in:\n{text}");
         }
         assert!(text.contains("[wire]"), "{text}");
-        assert!(text.contains("0 dropped"), "{text}");
+        let header = format!("1 task(s), {} record(s)\n", trace.len());
+        assert!(text.contains(&header), "{text}");
     }
 
     #[test]
@@ -166,7 +166,7 @@ mod tests {
             1,
         );
         res.unwrap();
-        let cp = bband_trace::critical_path(&trace).unwrap();
+        let cp = bband_trace::critical_path(&trace);
         let text = render_critical_path("zero-fault DAG", &cp);
         assert!(text.contains("critical path"), "{text}");
         assert!(text.contains("exposed(ns)"), "{text}");
@@ -180,7 +180,7 @@ mod tests {
 
     #[test]
     fn critical_path_view_handles_empty_reconstruction() {
-        let cp = bband_trace::critical_path(&Trace::default()).unwrap();
+        let cp = bband_trace::critical_path(&Trace::default());
         let text = render_critical_path("empty", &cp);
         assert!(text.contains("0.00 ns"), "{text}");
     }

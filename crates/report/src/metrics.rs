@@ -248,10 +248,10 @@ mod tests {
     use super::*;
     use crate::export::to_json;
     use bband_core::fault::EnginePath;
-    use bband_core::tracepath::{metered_e2e, reconstruct, traced_e2e};
+    use bband_core::tracepath::{metered_e2e, traced_e2e};
     use bband_core::{Calibration, FaultPlan};
     use bband_sim::WorkerPool;
-    use bband_trace::per_message_attribution;
+    use bband_trace::{critical_path, per_message_attribution};
 
     fn lossy() -> FaultPlan {
         let mut plan = FaultPlan::none();
@@ -339,8 +339,8 @@ mod tests {
     fn recovery_attribution_names_the_offenders() {
         let (res, trace) = traced_e2e(EnginePath::Fast, &Calibration::default(), &lossy(), 200, 42);
         res.unwrap();
-        let cp = reconstruct(&trace).unwrap();
-        let msgs = per_message_attribution(&trace, "HLP_rx_prog").unwrap();
+        let cp = critical_path(&trace);
+        let msgs = per_message_attribution(&trace, "HLP_rx_prog");
         let text = render_recovery_attribution("lossy recovery attribution", &cp, &msgs);
         assert!(text.contains("nominal"), "{text}");
         assert!(text.contains("% recovery"), "{text}");
@@ -367,8 +367,8 @@ mod tests {
             1,
         );
         res.unwrap();
-        let cp = reconstruct(&trace).unwrap();
-        let msgs = per_message_attribution(&trace, "HLP_rx_prog").unwrap();
+        let cp = critical_path(&trace);
+        let msgs = per_message_attribution(&trace, "HLP_rx_prog");
         let text = render_recovery_attribution("clean", &cp, &msgs);
         assert!(text.contains("clean run"), "{text}");
         assert!(text.contains("recovery 0.00 ns"), "{text}");

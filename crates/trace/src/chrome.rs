@@ -59,7 +59,7 @@ pub fn chrome_trace_value(trace: &Trace) -> Value {
         events.push(meta_event("process_name", pid, None, &format!("task{pid}")));
         // Name only the tracks this task actually used, in track order.
         for layer in ALL_LAYERS {
-            if task.spans.iter().any(|s| s.layer == layer) {
+            if task.iter().any(|s| s.layer == layer) {
                 events.push(meta_event(
                     "thread_name",
                     pid,
@@ -98,12 +98,12 @@ pub fn chrome_trace_value(trace: &Trace) -> Value {
     // dep-slot-order) edge enumeration.
     let mut flow_id = 0u64;
     for (pid, task) in trace.tasks().iter().enumerate() {
-        for s in &task.spans {
+        for s in task {
             for dep in s.deps() {
-                let Ok(src_idx) = task.spans.binary_search_by_key(&dep, |r| r.id) else {
+                let Some(src_idx) = crate::dag::resolve(task, dep) else {
                     continue;
                 };
-                let src = &task.spans[src_idx];
+                let src = &task[src_idx];
                 flow_id += 1;
                 let common = |ph: &str, tid: u8, ts: f64| {
                     let mut obj = vec![
@@ -129,10 +129,7 @@ pub fn chrome_trace_value(trace: &Trace) -> Value {
         ("displayTimeUnit".into(), Value::Str("ns".into())),
         (
             "otherData".into(),
-            Value::Obj(vec![
-                ("clock".into(), Value::Str("virtual".into())),
-                ("dropped".into(), Value::UInt(trace.dropped())),
-            ]),
+            Value::Obj(vec![("clock".into(), Value::Str("virtual".into()))]),
         ),
         ("traceEvents".into(), Value::Arr(events)),
     ])
@@ -150,7 +147,7 @@ mod tests {
     use bband_sim::SimTime;
 
     fn sample_trace() -> Trace {
-        let (_, task) = collect(64, || {
+        let (_, task) = collect(|| {
             let post = stage(
                 Layer::Llp,
                 "LLP_post",

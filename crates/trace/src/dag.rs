@@ -43,32 +43,6 @@
 use crate::{Layer, Trace};
 use bband_sim::SimDuration;
 
-/// Why a trace could not be reconstructed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DagError {
-    /// The span ring wrapped: `dropped` records were overwritten, so the
-    /// dependency graph is incomplete and any breakdown would silently
-    /// under-report. Raise the collect capacity instead.
-    Truncated {
-        /// Records lost to ring wrap, summed over tasks.
-        dropped: u64,
-    },
-}
-
-impl std::fmt::Display for DagError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DagError::Truncated { dropped } => write!(
-                f,
-                "trace ring wrapped ({dropped} spans dropped): refusing to \
-                 reconstruct a truncated breakdown — raise the ring capacity"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for DagError {}
-
 /// Per-stage-name attribution of recorded time against the critical path.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageAttribution {
@@ -183,19 +157,10 @@ pub struct MessageAttribution {
 /// `HLP_rx_prog` completions: each message's chain tells how much of its
 /// latency was recovery and which single recovery span hurt most. Rows
 /// come back in emission order (task-major, deterministic); the renderer
-/// sorts by whatever it wants to surface. Fails loudly on a wrapped ring
-/// like [`critical_path`].
-pub fn per_message_attribution(
-    trace: &Trace,
-    sink_name: &str,
-) -> Result<Vec<MessageAttribution>, DagError> {
-    let dropped = trace.dropped();
-    if dropped > 0 {
-        return Err(DagError::Truncated { dropped });
-    }
+/// sorts by whatever it wants to surface.
+pub fn per_message_attribution(trace: &Trace, sink_name: &str) -> Vec<MessageAttribution> {
     let mut out = Vec::new();
-    for (ti, task) in trace.tasks().iter().enumerate() {
-        let spans = &task.spans;
+    for (ti, spans) in trace.tasks().iter().enumerate() {
         let mut finish: Vec<SimDuration> = Vec::with_capacity(spans.len());
         for s in spans {
             let base = s
@@ -242,23 +207,15 @@ pub fn per_message_attribution(
             });
         }
     }
-    Ok(out)
+    out
 }
 
-/// Reconstruct the critical path of a recorded trace. Fails loudly on a
-/// wrapped ring ([`DagError::Truncated`]) — a truncated graph cannot be
-/// attributed honestly.
-pub fn critical_path(trace: &Trace) -> Result<CriticalPath, DagError> {
-    let dropped = trace.dropped();
-    if dropped > 0 {
-        return Err(DagError::Truncated { dropped });
-    }
-
+/// Reconstruct the critical path of a recorded trace.
+pub fn critical_path(trace: &Trace) -> CriticalPath {
     // Pass 1: per-task longest path; remember the globally best sink.
     let mut best: Option<(SimDuration, usize, usize)> = None; // (finish, task, sink idx)
     let mut per_task_finish: Vec<Vec<SimDuration>> = Vec::with_capacity(trace.tasks().len());
-    for (ti, task) in trace.tasks().iter().enumerate() {
-        let spans = &task.spans;
+    for (ti, spans) in trace.tasks().iter().enumerate() {
         let mut finish: Vec<SimDuration> = Vec::with_capacity(spans.len());
         for s in spans {
             let base = s
@@ -286,7 +243,7 @@ pub fn critical_path(trace: &Trace) -> Result<CriticalPath, DagError> {
     let (length, critical_task, path_len) = match best {
         None => (SimDuration::ZERO, 0, 0),
         Some((f, ti, sink)) => {
-            let spans = &trace.tasks()[ti].spans;
+            let spans = &trace.tasks()[ti];
             let finish = &per_task_finish[ti];
             on_path = vec![false; spans.len()];
             let mut cur = sink;
@@ -312,8 +269,8 @@ pub fn critical_path(trace: &Trace) -> Result<CriticalPath, DagError> {
     // Pass 3: aggregate per stage name, splitting exposed vs hidden.
     let mut stage_sum = SimDuration::ZERO;
     let mut stages: Vec<StageAttribution> = Vec::new();
-    for (ti, task) in trace.tasks().iter().enumerate() {
-        for (i, s) in task.spans.iter().enumerate() {
+    for (ti, spans) in trace.tasks().iter().enumerate() {
+        for (i, s) in spans.iter().enumerate() {
             if s.is_instant() {
                 continue;
             }
@@ -340,21 +297,22 @@ pub fn critical_path(trace: &Trace) -> Result<CriticalPath, DagError> {
         }
     }
 
-    Ok(CriticalPath {
+    CriticalPath {
         length,
         stage_sum,
         critical_task,
         path_len,
         stages,
-    })
+    }
 }
 
-/// Find the index of the span with id `id`. Ids are assigned in emission
-/// order, so the span slice is sorted by id and binary search applies.
-/// Unresolvable ids (a predecessor recorded outside this collect scope)
-/// impose no constraint.
-fn resolve(spans: &[crate::SpanRecord], id: u64) -> Option<usize> {
-    spans.binary_search_by_key(&id, |s| s.id).ok()
+/// The index of the span with id `id`: a [`crate::SpanId`] is the span's
+/// 1-based position in its task. An id past the end (only a predecessor
+/// recorded outside this collect scope can have one) imposes no
+/// constraint.
+pub(crate) fn resolve(spans: &[crate::SpanRecord], id: u64) -> Option<usize> {
+    let i = id as usize - 1;
+    (i < spans.len()).then_some(i)
 }
 
 #[cfg(test)]
@@ -373,8 +331,8 @@ mod tests {
 
     #[test]
     fn empty_trace_reconstructs_to_zero() {
-        let (_, task) = collect(4, || ());
-        let cp = critical_path(&Trace::from_task(task)).unwrap();
+        let (_, task) = collect(|| ());
+        let cp = critical_path(&Trace::from_task(task));
         assert_eq!(cp.length, SimDuration::ZERO);
         assert_eq!(cp.stage_sum, SimDuration::ZERO);
         assert!(cp.stages.is_empty());
@@ -382,12 +340,12 @@ mod tests {
 
     #[test]
     fn chain_degenerates_to_sequential_sum() {
-        let (_, task) = collect(16, || {
+        let (_, task) = collect(|| {
             let a = stage(Layer::Llp, "A", t(0), t(100), 0, &[]);
             let b = stage(Layer::Wire, "B", t(100), t(350), 0, &[a]);
             stage(Layer::Memory, "C", t(350), t(400), 0, &[b]);
         });
-        let cp = critical_path(&Trace::from_task(task)).unwrap();
+        let cp = critical_path(&Trace::from_task(task));
         assert_eq!(cp.length, d(400));
         assert_eq!(cp.stage_sum, d(400));
         assert_eq!(cp.hidden_total(), SimDuration::ZERO);
@@ -407,13 +365,13 @@ mod tests {
         // launching a wire flight that overlaps the next post. Critical
         // path = post, post, last flight — strictly less than the stage
         // sum, with the first flight fully hidden.
-        let (_, task) = collect(16, || {
+        let (_, task) = collect(|| {
             let a1 = stage(Layer::Llp, "post", t(0), t(100), 0, &[]);
             let _b1 = stage(Layer::Wire, "flight", t(100), t(180), 0, &[a1]);
             let a2 = stage(Layer::Llp, "post", t(100), t(200), 1, &[a1]);
             stage(Layer::Wire, "flight", t(200), t(280), 1, &[a2]);
         });
-        let cp = critical_path(&Trace::from_task(task)).unwrap();
+        let cp = critical_path(&Trace::from_task(task));
         assert_eq!(cp.length, d(100 + 100 + 80));
         assert_eq!(cp.stage_sum, d(100 + 80 + 100 + 80));
         assert!(cp.length < cp.stage_sum, "overlap must shorten the path");
@@ -429,13 +387,13 @@ mod tests {
     #[test]
     fn diamond_exposes_only_the_longer_branch() {
         // A -> {B, C} -> D with C longer than B: critical path A,C,D.
-        let (_, task) = collect(16, || {
+        let (_, task) = collect(|| {
             let a = stage(Layer::Llp, "A", t(0), t(100), 0, &[]);
             let b = stage(Layer::Wire, "B", t(100), t(150), 0, &[a]);
             let c = stage(Layer::Switch, "C", t(100), t(300), 0, &[a]);
             stage(Layer::Memory, "D", t(300), t(360), 0, &[b, c]);
         });
-        let cp = critical_path(&Trace::from_task(task)).unwrap();
+        let cp = critical_path(&Trace::from_task(task));
         assert_eq!(cp.length, d(100 + 200 + 60));
         assert_eq!(cp.stage_sum, d(100 + 50 + 200 + 60));
         assert!(cp.length < cp.stage_sum);
@@ -452,13 +410,13 @@ mod tests {
     fn disconnected_chains_report_the_longest() {
         // Two independent messages: the critical path is one message's
         // chain, not the sum of both.
-        let (_, task) = collect(16, || {
+        let (_, task) = collect(|| {
             let a = stage(Layer::Llp, "post", t(0), t(100), 0, &[]);
             stage(Layer::Wire, "wire", t(100), t(300), 0, &[a]);
             let b = stage(Layer::Llp, "post", t(100), t(250), 1, &[]);
             stage(Layer::Wire, "wire", t(250), t(400), 1, &[b]);
         });
-        let cp = critical_path(&Trace::from_task(task)).unwrap();
+        let cp = critical_path(&Trace::from_task(task));
         assert_eq!(cp.length, d(300));
         assert_eq!(cp.stage_sum, d(600));
         let post = cp.stage("post").unwrap();
@@ -469,7 +427,7 @@ mod tests {
 
     #[test]
     fn exposed_sums_to_the_critical_path() {
-        let (_, task) = collect(32, || {
+        let (_, task) = collect(|| {
             let mut prev = stage(Layer::Llp, "s", t(0), t(10), 0, &[]);
             for i in 1..8u64 {
                 let side = stage(Layer::Nic, "side", t(i * 10), t(i * 10 + 3), i, &[prev]);
@@ -477,7 +435,7 @@ mod tests {
                 prev = stage(Layer::Llp, "s", t(i * 10), t((i + 1) * 10), i, &[prev]);
             }
         });
-        let cp = critical_path(&Trace::from_task(task)).unwrap();
+        let cp = critical_path(&Trace::from_task(task));
         let exposed: SimDuration = cp
             .stages
             .iter()
@@ -488,36 +446,24 @@ mod tests {
 
     #[test]
     fn instants_do_not_enter_the_attribution() {
-        let (_, task) = collect(16, || {
+        let (_, task) = collect(|| {
             stage(Layer::Llp, "A", t(0), t(100), 0, &[]);
             instant(Layer::Transport, "nak", t(50), 0);
         });
-        let cp = critical_path(&Trace::from_task(task)).unwrap();
+        let cp = critical_path(&Trace::from_task(task));
         assert_eq!(cp.stages.len(), 1);
         assert_eq!(cp.length, d(100));
     }
 
     #[test]
-    fn wrapped_ring_fails_loudly() {
-        let (_, task) = collect(2, || {
-            for i in 0..5u64 {
-                stage(Layer::Nic, "x", t(i), t(i + 1), i, &[]);
-            }
-        });
-        let err = critical_path(&Trace::from_task(task)).unwrap_err();
-        assert_eq!(err, DagError::Truncated { dropped: 3 });
-        assert!(err.to_string().contains("dropped"));
-    }
-
-    #[test]
     fn multi_task_critical_path_is_the_max_task() {
-        let (_, t0) = collect(8, || {
+        let (_, t0) = collect(|| {
             stage(Layer::Llp, "A", t(0), t(100), 0, &[]);
         });
-        let (_, t1) = collect(8, || {
+        let (_, t1) = collect(|| {
             stage(Layer::Llp, "A", t(0), t(400), 0, &[]);
         });
-        let cp = critical_path(&Trace::from_tasks(vec![t0, t1])).unwrap();
+        let cp = critical_path(&Trace::from_tasks(vec![t0, t1]));
         assert_eq!(cp.length, d(400));
         assert_eq!(cp.critical_task, 1);
         let a = cp.stage("A").unwrap();
@@ -529,7 +475,7 @@ mod tests {
     fn recovery_split_partitions_the_path_by_layer() {
         // post -> backoff (recovery) -> retx wire -> prog, plus a hidden
         // nominal flight and a hidden recovery stall off to the side.
-        let (_, task) = collect(16, || {
+        let (_, task) = collect(|| {
             let a = stage(Layer::Llp, "post", t(0), t(100), 0, &[]);
             stage(Layer::Wire, "wire", t(100), t(150), 0, &[a]);
             let g = stage(Layer::Recovery, "backoff", t(100), t(400), 0, &[a]);
@@ -537,7 +483,7 @@ mod tests {
             let w = stage(Layer::Recovery, "wire(retx)", t(400), t(480), 0, &[g]);
             stage(Layer::Llp, "prog", t(480), t(540), 0, &[w]);
         });
-        let cp = critical_path(&Trace::from_task(task)).unwrap();
+        let cp = critical_path(&Trace::from_task(task));
         assert_eq!(cp.length, d(100 + 300 + 80 + 60));
         let split = cp.recovery_split();
         assert_eq!(split.nominal_exposed, d(160), "post + prog");
@@ -551,7 +497,7 @@ mod tests {
     fn per_message_attribution_names_the_worst_offender() {
         // Message 0 completes cleanly; message 1's chain carries two
         // recovery spans, the larger of which must be named.
-        let (_, task) = collect(16, || {
+        let (_, task) = collect(|| {
             let a0 = stage(Layer::Llp, "post", t(0), t(100), 0, &[]);
             stage(Layer::Hlp, "done", t(100), t(150), 0, &[a0]);
             let a1 = stage(Layer::Llp, "post", t(0), t(100), 1, &[]);
@@ -559,7 +505,7 @@ mod tests {
             let w = stage(Layer::Recovery, "wire(retx)", t(400), t(480), 1, &[g]);
             stage(Layer::Hlp, "done", t(480), t(530), 1, &[w]);
         });
-        let msgs = per_message_attribution(&Trace::from_task(task), "done").unwrap();
+        let msgs = per_message_attribution(&Trace::from_task(task), "done");
         assert_eq!(msgs.len(), 2);
         assert_eq!(msgs[0].msg, 0);
         assert_eq!(msgs[0].chain, d(150));
@@ -578,30 +524,17 @@ mod tests {
         // A diamond into the sink: the chain goes through the longer
         // (recovery) branch, so its recovery content is attributed, not
         // the short nominal branch's absence of it.
-        let (_, task) = collect(16, || {
+        let (_, task) = collect(|| {
             let a = stage(Layer::Llp, "post", t(0), t(100), 0, &[]);
             let b = stage(Layer::Wire, "wire", t(100), t(150), 0, &[a]);
             let c = stage(Layer::Recovery, "stall", t(100), t(350), 0, &[a]);
             stage(Layer::Hlp, "done", t(350), t(400), 0, &[b, c]);
         });
-        let msgs = per_message_attribution(&Trace::from_task(task), "done").unwrap();
+        let msgs = per_message_attribution(&Trace::from_task(task), "done");
         assert_eq!(msgs.len(), 1);
         assert_eq!(msgs[0].chain, d(100 + 250 + 50));
         assert_eq!(msgs[0].recovery, d(250));
         assert_eq!(msgs[0].worst, Some(("stall", d(250))));
-    }
-
-    #[test]
-    fn per_message_attribution_fails_on_a_wrapped_ring() {
-        let (_, task) = collect(2, || {
-            for i in 0..5u64 {
-                stage(Layer::Nic, "x", t(i), t(i + 1), i, &[]);
-            }
-        });
-        assert_eq!(
-            per_message_attribution(&Trace::from_task(task), "x").unwrap_err(),
-            DagError::Truncated { dropped: 3 }
-        );
     }
 
     use crate::SpanId;
@@ -620,7 +553,7 @@ mod tests {
         fn chain_critical_path_equals_sequential_sum(
             items in proptest::collection::vec((0u64..1u64 << 40, 0u64..1u64 << 20), 1..128)
         ) {
-            let (_, task) = collect(256, || {
+            let (_, task) = collect(|| {
                 let mut prev = SpanId::NONE;
                 let mut now = SimTime::ZERO;
                 for (i, &(dur_ps, gap_ps)) in items.iter().enumerate() {
@@ -639,7 +572,7 @@ mod tests {
                 }
             });
             let trace = Trace::from_task(task);
-            let cp = critical_path(&trace).unwrap();
+            let cp = critical_path(&trace);
             let sum_ps: u64 = items.iter().map(|&(d, _)| d).sum();
             prop_assert_eq!(cp.length.as_ps(), sum_ps);
             prop_assert_eq!(cp.stage_sum.as_ps(), sum_ps);
@@ -658,7 +591,7 @@ mod tests {
         fn random_dag_invariants(
             items in proptest::collection::vec((0u64..1u64 << 40, any::<u64>()), 1..96)
         ) {
-            let (_, task) = collect(128, || {
+            let (_, task) = collect(|| {
                 let mut ids: Vec<SpanId> = Vec::new();
                 let mut now = SimTime::ZERO;
                 for (i, &(dur_ps, sel)) in items.iter().enumerate() {
@@ -681,7 +614,7 @@ mod tests {
                 }
             });
             let trace = Trace::from_task(task);
-            let cp = critical_path(&trace).unwrap();
+            let cp = critical_path(&trace);
             let sum_ps: u64 = items.iter().map(|&(d, _)| d).sum();
             let max_ps: u64 = items.iter().map(|&(d, _)| d).max().unwrap_or(0);
             prop_assert!(cp.length.as_ps() <= sum_ps);

@@ -3,10 +3,11 @@
 //! Every model in this workspace attributes *virtual* nanoseconds to
 //! components of the communication critical path. This crate records that
 //! attribution as it happens: instrumented code emits [`SpanRecord`]s
-//! keyed to the simulation clock ([`bband_sim::SimTime`]), a per-task ring
-//! buffer collects them, and merged traces export to Chrome trace-format
-//! JSON (loadable in `ui.perfetto.dev`) or reduce to per-component sums
-//! that can be checked against the analytical breakdown models.
+//! keyed to the simulation clock ([`bband_sim::SimTime`]), a per-task span
+//! list keeps every one of them, and merged traces export to Chrome
+//! trace-format JSON (loadable in `ui.perfetto.dev`) or reduce to
+//! per-component sums that can be checked against the analytical
+//! breakdown models.
 //!
 //! Design constraints, in order:
 //!
@@ -14,13 +15,14 @@
 //!    is installed via [`collect`]; the disabled fast path of [`span`] is
 //!    one thread-local flag read and a branch. No instrumented crate pays
 //!    an allocation, a lock, or a syscall.
-//! 2. **Zero allocation in the hot path.** [`SpanRecord`] is `Copy`
-//!    (names are `&'static str`), and the ring buffer is preallocated at
-//!    [`collect`] time. When it wraps, the oldest spans are overwritten
-//!    and counted in [`TaskTrace::dropped`] — recording never reallocates.
+//! 2. **Amortized growth in the hot path.** [`SpanRecord`] is `Copy`
+//!    (names are `&'static str`), and each [`collect`] scope appends to
+//!    one growing `Vec`: a push is an index write except when the list
+//!    doubles, so recording costs amortized O(1) and never loses a span.
+//!    A span's [`SpanId`] is its 1-based position in that list.
 //! 3. **Deterministic merge.** Collection is scoped *per task*, not per
 //!    thread: a [`bband_sim::WorkerPool`] fan-out wraps each task closure
-//!    in [`collect`] and merges the returned [`TaskTrace`]s by task index
+//!    in [`collect`] and merges the returned span lists by task index
 //!    ([`Trace::from_tasks`]). Which OS thread ran a task is invisible, so
 //!    pooled and serial runs produce byte-identical merged traces.
 //!
@@ -44,21 +46,21 @@ mod recorder;
 
 pub use chrome::{chrome_trace_json, chrome_trace_value};
 pub use dag::{
-    critical_path, per_message_attribution, CriticalPath, DagError, MessageAttribution,
-    RecoverySplit, StageAttribution,
+    critical_path, per_message_attribution, CriticalPath, MessageAttribution, RecoverySplit,
+    StageAttribution,
 };
 pub use recorder::{
     collect, enabled, instant, instant_now, now, set_now, span, stage, stage_dur, Layer, SpanId,
-    SpanRecord, TaskTrace, MAX_DEPS,
+    SpanRecord, MAX_DEPS,
 };
 
 use bband_sim::SimDuration;
 
-/// A merged multi-task trace: one [`TaskTrace`] per pool task, ordered by
+/// A merged multi-task trace: one span list per pool task, ordered by
 /// task index (which equals input order under [`bband_sim::WorkerPool`]).
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
-    tasks: Vec<TaskTrace>,
+    tasks: Vec<Vec<SpanRecord>>,
 }
 
 /// Total recorded virtual time per span name, in first-appearance order.
@@ -78,17 +80,17 @@ impl Trace {
     /// Merge per-task traces. Task index becomes the trace's process id,
     /// so the merge is a deterministic function of the task *results*
     /// alone — never of thread scheduling.
-    pub fn from_tasks(tasks: Vec<TaskTrace>) -> Self {
+    pub fn from_tasks(tasks: Vec<Vec<SpanRecord>>) -> Self {
         Trace { tasks }
     }
 
     /// Single-task convenience (a serial [`collect`] run).
-    pub fn from_task(task: TaskTrace) -> Self {
+    pub fn from_task(task: Vec<SpanRecord>) -> Self {
         Trace { tasks: vec![task] }
     }
 
-    /// The per-task traces, in task order.
-    pub fn tasks(&self) -> &[TaskTrace] {
+    /// The per-task span lists, in task order.
+    pub fn tasks(&self) -> &[Vec<SpanRecord>] {
         &self.tasks
     }
 
@@ -98,22 +100,17 @@ impl Trace {
         self.tasks
             .iter()
             .enumerate()
-            .flat_map(|(i, t)| t.spans.iter().map(move |s| (i, s)))
+            .flat_map(|(i, t)| t.iter().map(move |s| (i, s)))
     }
 
     /// Total records across tasks.
     pub fn len(&self) -> usize {
-        self.tasks.iter().map(|t| t.spans.len()).sum()
+        self.tasks.iter().map(Vec::len).sum()
     }
 
     /// True when no task recorded anything.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Records lost to ring-buffer wrap, across tasks.
-    pub fn dropped(&self) -> u64 {
-        self.tasks.iter().map(|t| t.dropped).sum()
     }
 
     /// Reduce to per-name duration sums over all spans.
@@ -174,13 +171,13 @@ mod tests {
     fn disabled_recording_is_a_no_op() {
         assert!(!enabled());
         span(Layer::Llp, "LLP_post", t(0), t(100), 0);
-        let (_, task) = collect(16, || ());
-        assert!(task.spans.is_empty());
+        let (_, task) = collect(|| ());
+        assert!(task.is_empty());
     }
 
     #[test]
     fn collect_scopes_recording_to_the_closure() {
-        let (val, task) = collect(16, || {
+        let (val, task) = collect(|| {
             assert!(enabled());
             span(Layer::Llp, "LLP_post", t(0), t(100), 7);
             instant(Layer::Transport, "nak", t(50), 3);
@@ -188,46 +185,54 @@ mod tests {
         });
         assert!(!enabled());
         assert_eq!(val, 42);
-        assert_eq!(task.spans.len(), 2);
-        assert_eq!(task.dropped, 0);
-        assert_eq!(task.spans[0].name, "LLP_post");
-        assert_eq!(task.spans[0].dur, SimDuration::from_ns(100));
-        assert_eq!(task.spans[0].arg, 7);
-        assert!(task.spans[1].is_instant());
+        assert_eq!(task.len(), 2);
+        assert_eq!(task[0].name, "LLP_post");
+        assert_eq!(task[0].dur, SimDuration::from_ns(100));
+        assert_eq!(task[0].arg, 7);
+        assert!(task[1].is_instant());
     }
 
     #[test]
-    fn ring_buffer_overwrites_oldest_and_counts_drops() {
-        let (_, task) = collect(4, || {
-            for i in 0..10u64 {
-                span(Layer::Nic, "tlp", t(i), t(i + 1), i);
-            }
+    fn collect_keeps_every_span() {
+        const STAGES: u64 = 100_000;
+        let (ids, task) = collect(|| {
+            let mut prev = SpanId::NONE;
+            (0..STAGES)
+                .map(|i| {
+                    prev = stage(Layer::Nic, "hop", t(i), t(i + 1 + i % 7), i, &[prev]);
+                    prev
+                })
+                .collect::<Vec<_>>()
         });
-        assert_eq!(task.spans.len(), 4);
-        assert_eq!(task.dropped, 6);
-        // The retained window is the most recent four, oldest first.
-        let args: Vec<u64> = task.spans.iter().map(|s| s.arg).collect();
-        assert_eq!(args, vec![6, 7, 8, 9]);
+        assert_eq!(task.len(), STAGES as usize, "every span is kept");
+        for (pos, (s, id)) in task.iter().zip(&ids).enumerate() {
+            assert_eq!(s.arg, pos as u64, "spans keep emission order");
+            assert_eq!(id.0, pos as u64 + 1, "an id is the span's 1-based position");
+        }
+        let chain_ps: u64 = (0..STAGES).map(|i| t(1 + i % 7).as_ps()).sum();
+        let cp = critical_path(&Trace::from_task(task));
+        assert_eq!(cp.length.as_ps(), chain_ps);
+        assert_eq!(cp.path_len, STAGES as usize);
     }
 
     #[test]
     fn nested_collect_restores_the_outer_sink() {
-        let (_, outer) = collect(16, || {
+        let (_, outer) = collect(|| {
             span(Layer::Hlp, "outer", t(0), t(1), 0);
-            let (_, inner) = collect(16, || {
+            let (_, inner) = collect(|| {
                 span(Layer::Hlp, "inner", t(1), t(2), 0);
             });
-            assert_eq!(inner.spans.len(), 1);
-            assert_eq!(inner.spans[0].name, "inner");
+            assert_eq!(inner.len(), 1);
+            assert_eq!(inner[0].name, "inner");
             span(Layer::Hlp, "outer2", t(2), t(3), 0);
         });
-        let names: Vec<_> = outer.spans.iter().map(|s| s.name).collect();
+        let names: Vec<_> = outer.iter().map(|s| s.name).collect();
         assert_eq!(names, vec!["outer", "outer2"]);
     }
 
     #[test]
     fn component_sums_aggregate_in_first_appearance_order() {
-        let (_, task) = collect(16, || {
+        let (_, task) = collect(|| {
             span(Layer::Llp, "LLP_post", t(0), t(100), 0);
             span(Layer::Wire, "Wire", t(100), t(300), 0);
             span(Layer::Llp, "LLP_post", t(300), t(450), 1);
@@ -243,15 +248,15 @@ mod tests {
 
     #[test]
     fn virtual_now_is_task_local() {
-        let (_, _) = collect(4, || {
+        let (_, _) = collect(|| {
             set_now(t(123));
             assert_eq!(now(), t(123));
             instant_now(Layer::PcieCredit, "credit_stall", 9);
         });
-        let (_, task) = collect(4, || {
+        let (_, task) = collect(|| {
             instant_now(Layer::PcieCredit, "credit_stall", 9);
         });
         // A fresh collect resets the clock: no bleed between tasks.
-        assert_eq!(task.spans[0].start, SimTime::ZERO);
+        assert_eq!(task[0].start, SimTime::ZERO);
     }
 }

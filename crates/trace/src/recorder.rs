@@ -1,6 +1,6 @@
-//! The per-task span recorder: thread-local sink, preallocated ring
-//! buffer, and the virtual "now" used by instrumentation sites that have
-//! no clock of their own.
+//! The per-task span recorder: thread-local sink, one growing span list
+//! per [`collect`] scope, and the virtual "now" used by instrumentation
+//! sites that have no clock of their own.
 
 use bband_sim::{SimDuration, SimTime};
 use std::cell::{Cell, RefCell};
@@ -76,7 +76,8 @@ impl Layer {
 }
 
 /// Handle to a recorded span within its task, used to declare
-/// happens-after edges between stages. `SpanId::NONE` (zero) means "no
+/// happens-after edges between stages: the span's 1-based position in
+/// its [`collect`] scope's span list. `SpanId::NONE` (zero) means "no
 /// span" — recording sites return it when tracing is disabled, so edge
 /// plumbing costs nothing on untraced runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -97,8 +98,8 @@ impl SpanId {
 /// hardware completion it reaps); wider joins chain through intermediates.
 pub const MAX_DEPS: usize = 2;
 
-/// One recorded span or instant. `Copy`, name `&'static str`: recording
-/// never allocates.
+/// One recorded span or instant. `Copy`, name `&'static str`: a record
+/// owns no heap data, so recording one is a push onto the span list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanRecord {
     /// Span start (virtual clock).
@@ -116,9 +117,6 @@ pub struct SpanRecord {
     pub arg: u64,
     /// True for point events.
     pub instant: bool,
-    /// Emission index within the task's ring, 1-based (0 never occurs in a
-    /// recorded span). Assigned by the recorder, not the caller.
-    pub id: u64,
     /// Happens-after edges: ids of up to [`MAX_DEPS`] spans in the same
     /// task that must finish before this one starts. Zero entries pad.
     pub deps: [u64; MAX_DEPS],
@@ -165,68 +163,10 @@ fn pack_deps(deps: &[SpanId]) -> [u64; MAX_DEPS] {
     out
 }
 
-/// The trace one [`collect`] scope produced: retained records oldest
-/// first, plus how many the ring overwrote.
-#[derive(Debug, Clone, Default)]
-pub struct TaskTrace {
-    /// Retained records in emission order (oldest surviving first).
-    pub spans: Vec<SpanRecord>,
-    /// Records overwritten by ring wrap-around.
-    pub dropped: u64,
-}
-
-/// Fixed-capacity ring: preallocated at [`collect`] time, overwrites the
-/// oldest record when full. Push is an index write — no allocation, no
-/// branch beyond the wrap check.
-struct Ring {
-    buf: Vec<SpanRecord>,
-    /// Index of the oldest record once the ring has wrapped.
-    head: usize,
-    dropped: u64,
-    /// Next emission id (1-based). Ids survive ring wrap — a retained span
-    /// may then reference an overwritten predecessor, which reconstruction
-    /// treats as a loud failure via the drop count.
-    next_id: u64,
-}
-
-impl Ring {
-    fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "trace ring capacity must be positive");
-        Ring {
-            buf: Vec::with_capacity(capacity),
-            head: 0,
-            dropped: 0,
-            next_id: 1,
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, mut rec: SpanRecord) -> SpanId {
-        rec.id = self.next_id;
-        self.next_id += 1;
-        if self.buf.len() < self.buf.capacity() {
-            self.buf.push(rec);
-        } else {
-            self.buf[self.head] = rec;
-            self.head = (self.head + 1) % self.buf.len();
-            self.dropped += 1;
-        }
-        SpanId(rec.id)
-    }
-
-    fn into_task(mut self) -> TaskTrace {
-        self.buf.rotate_left(self.head);
-        TaskTrace {
-            spans: self.buf,
-            dropped: self.dropped,
-        }
-    }
-}
-
 thread_local! {
     static ACTIVE: Cell<bool> = const { Cell::new(false) };
     static NOW_PS: Cell<u64> = const { Cell::new(0) };
-    static SINK: RefCell<Vec<Ring>> = const { RefCell::new(Vec::new()) };
+    static SINK: RefCell<Vec<Vec<SpanRecord>>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Is a collector installed on this thread? The disabled fast path of
@@ -252,12 +192,12 @@ pub fn now() -> SimTime {
 
 #[inline]
 fn record(rec: SpanRecord) -> SpanId {
-    SINK.with(|s| {
-        if let Some(ring) = s.borrow_mut().last_mut() {
-            ring.push(rec)
-        } else {
-            SpanId::NONE
+    SINK.with(|s| match s.borrow_mut().last_mut() {
+        Some(spans) => {
+            spans.push(rec);
+            SpanId(spans.len() as u64)
         }
+        None => SpanId::NONE,
     })
 }
 
@@ -299,7 +239,7 @@ pub fn stage_dur(
 ) -> SpanId {
     // Every traced stage also feeds the metrics registry (when one is
     // collecting): the same name/duration stream, accumulated into
-    // log-bucketed histograms instead of a span ring. The stage's virtual
+    // log-bucketed histograms instead of a span list. The stage's virtual
     // start instant rides along so windowed collectors can split the
     // distribution over time. Gated on its own atomic, so this costs one
     // relaxed load when metrics are off.
@@ -314,7 +254,6 @@ pub fn stage_dur(
         name,
         arg,
         instant: false,
-        id: 0,
         deps: pack_deps(deps),
     })
 }
@@ -332,7 +271,6 @@ pub fn instant(layer: Layer, name: &'static str, at: SimTime, arg: u64) -> SpanI
         name,
         arg,
         instant: true,
-        id: 0,
         deps: [0; MAX_DEPS],
     })
 }
@@ -347,25 +285,25 @@ pub fn instant_now(layer: Layer, name: &'static str, arg: u64) -> SpanId {
     instant(layer, name, now(), arg)
 }
 
-/// Run `f` with a fresh collector of `capacity` records installed on this
-/// thread, returning its result and everything it recorded.
+/// Run `f` with a fresh collector installed on this thread, returning
+/// its result and every span it recorded, in emission order.
 ///
 /// This is the unit of deterministic merging: wrap each
 /// [`bband_sim::WorkerPool`] task closure in `collect` and merge the
-/// returned [`TaskTrace`]s by task index — the result is independent of
-/// which thread ran which task. Scopes nest; the inner scope shadows the
-/// outer until it returns.
-pub fn collect<R>(capacity: usize, f: impl FnOnce() -> R) -> (R, TaskTrace) {
-    SINK.with(|s| s.borrow_mut().push(Ring::new(capacity)));
+/// returned span lists by task index ([`crate::Trace::from_tasks`]) — the
+/// result is independent of which thread ran which task. Scopes nest; the
+/// inner scope shadows the outer until it returns.
+pub fn collect<R>(f: impl FnOnce() -> R) -> (R, Vec<SpanRecord>) {
+    SINK.with(|s| s.borrow_mut().push(Vec::new()));
     let prev_active = ACTIVE.with(|a| a.replace(true));
     let prev_now = NOW_PS.with(|n| n.replace(0));
-    // On unwind the thread-local stack would leak one ring; tests that
-    // panic inside `collect` run on dying threads, so that is benign.
+    // On unwind the thread-local stack would leak one span list; tests
+    // that panic inside `collect` run on dying threads, so that is benign.
     let out = f();
     NOW_PS.with(|n| n.set(prev_now));
     ACTIVE.with(|a| a.set(prev_active));
-    let ring = SINK
+    let spans = SINK
         .with(|s| s.borrow_mut().pop())
         .expect("collector stack underflow");
-    (out, ring.into_task())
+    (out, spans)
 }
