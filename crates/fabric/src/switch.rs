@@ -7,8 +7,8 @@
 //! collectives over more than two nodes) experience queueing, which the
 //! paper's single-flow experiments never do.
 
-use crate::packet::{NodeId, Packet};
-use bband_sim::{IdMap, Jitter, Pcg64, SimDuration, SimTime};
+use crate::packet::Packet;
+use bband_sim::{Jitter, Pcg64, SimDuration, SimTime};
 use bband_trace as trace;
 use serde::{Deserialize, Serialize};
 
@@ -21,9 +21,10 @@ pub struct SwitchModel {
     pub per_byte: SimDuration,
     /// Per-hop jitter.
     pub jitter: Jitter,
-    /// Busy-until horizon per egress port.
+    /// Busy-until horizon per egress port, indexed by destination node
+    /// (node ids are dense cluster indices); grown on first use.
     #[serde(skip)]
-    egress_busy: IdMap<NodeId, SimTime>,
+    egress_busy: Vec<SimTime>,
     /// Packets that experienced queueing (diagnostics). Transient run
     /// state like `egress_busy`, so it is skipped too: a deserialized
     /// switch always starts idle *and* uncontended.
@@ -40,7 +41,7 @@ impl Default for SwitchModel {
             base: SimDuration::from_ns_f64(108.0),
             per_byte: SimDuration::from_ps(80),
             jitter: Jitter::Hw,
-            egress_busy: IdMap::default(),
+            egress_busy: Vec::new(),
             contended: 0,
         }
     }
@@ -73,17 +74,16 @@ impl SwitchModel {
     pub fn traverse(&mut self, arrival: SimTime, pkt: &Packet, rng: &mut Pcg64) -> SimDuration {
         let crossbar = self.jitter.sample(self.base, rng);
         let ready = arrival + crossbar;
-        let port_free = self
-            .egress_busy
-            .get(&pkt.dst)
-            .copied()
-            .unwrap_or(SimTime::ZERO);
-        let start_tx = ready.max_of(port_free);
+        let port = pkt.dst.0 as usize;
+        if port >= self.egress_busy.len() {
+            self.egress_busy.resize(port + 1, SimTime::ZERO);
+        }
+        let start_tx = ready.max_of(self.egress_busy[port]);
         if start_tx > ready {
             self.contended += 1;
         }
         let serialize = self.per_byte * pkt.wire_bytes() as u64;
-        self.egress_busy.insert(pkt.dst, start_tx + serialize);
+        self.egress_busy[port] = start_tx + serialize;
         trace::span(trace::Layer::Switch, "Switch", arrival, start_tx, pkt.id.0);
         start_tx.since(arrival)
     }
@@ -97,7 +97,7 @@ impl SwitchModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::{PacketId, PacketKind};
+    use crate::packet::{NodeId, PacketId, PacketKind};
 
     fn pkt(id: u64, dst: u32) -> Packet {
         Packet::message(PacketId(id), PacketKind::Send, NodeId(0), NodeId(dst), 8)
@@ -173,6 +173,23 @@ mod tests {
         // uncontended latency.
         let d = sw.traverse(SimTime::from_ns(1), &pkt(3, 1), &mut rng);
         assert_eq!(d, sw.latency_mean(&pkt(3, 1)));
+    }
+
+    /// A destination past every port seen so far grows the egress table:
+    /// it starts idle, and the ports below it keep their horizons.
+    #[test]
+    fn destination_beyond_the_egress_table_starts_idle() {
+        let mut sw = SwitchModel::default().deterministic();
+        let mut rng = Pcg64::new(5);
+        let idle = sw.traverse(SimTime::from_ns(0), &pkt(0, 1), &mut rng);
+        assert_eq!(sw.egress_busy.len(), 2);
+        let far = sw.traverse(SimTime::from_ns(1), &pkt(1, 40), &mut rng);
+        assert_eq!(far, idle, "a fresh port is idle");
+        assert_eq!(sw.egress_busy.len(), 41);
+        assert!(sw.uncontended());
+        let queued = sw.traverse(SimTime::from_ns(2), &pkt(2, 1), &mut rng);
+        assert!(queued > idle, "port 1 kept its busy horizon");
+        assert_eq!(sw.contended, 1);
     }
 
     #[test]

@@ -47,7 +47,6 @@ pub struct Core {
     pub busy_posts: u64,
     pub successful_posts: u64,
     pub progress_calls: u64,
-    pub spin_polls: u64,
 }
 
 impl Core {
@@ -65,7 +64,6 @@ impl Core {
             busy_posts: 0,
             successful_posts: 0,
             progress_calls: 0,
-            spin_polls: 0,
         }
     }
 
@@ -367,9 +365,6 @@ impl Core {
             // something could change.
             match cluster.next_wake(self.node, ep.qp()) {
                 Some(t) => {
-                    // Count the failed polls the core burned while waiting.
-                    let wait = t.saturating_since(self.cpu.now());
-                    self.spin_polls += wait.as_ps() / self.costs.prog.as_ps().max(1);
                     self.cpu.advance_to(t);
                 }
                 None => panic!(
@@ -471,11 +466,6 @@ impl Worker {
     /// Progress calls issued.
     pub fn progress_calls(&self) -> u64 {
         self.core.progress_calls
-    }
-
-    /// Failed polls burned while spinning in [`Worker::wait`].
-    pub fn spin_polls(&self) -> u64 {
-        self.core.spin_polls
     }
 
     /// See [`Core::post`].

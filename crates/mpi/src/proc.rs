@@ -35,8 +35,6 @@ pub struct MpiProcess {
     /// (handles are dense from 0).
     states: Vec<RequestState>,
     by_ucp: IdMap<ReqId, MpiRequest>,
-    /// Diagnostics: progress-loop iterations spent spinning in waits.
-    pub wait_spins: u64,
 }
 
 impl MpiProcess {
@@ -47,7 +45,6 @@ impl MpiProcess {
             costs,
             states: Vec::new(),
             by_ucp: IdMap::default(),
-            wait_spins: 0,
         }
     }
 
@@ -174,7 +171,6 @@ impl MpiProcess {
             }
             let events = self.ucp.worker_progress(cluster, tap);
             if events.is_empty() {
-                self.wait_spins += 1;
                 let d = self.costs.wait_iteration;
                 self.ucp.uct_mut().cpu_mut().advance(d);
                 // Fast-forward across hardware dead time like a spinning
@@ -220,7 +216,6 @@ impl MpiProcess {
             let events = self.ucp.worker_progress(cluster, tap);
             if events.is_empty() {
                 if let Some(t) = cluster.next_wake(self.node(), self.ucp.qp()) {
-                    self.wait_spins += 1;
                     self.ucp.uct_mut().cpu_mut().advance_to(t);
                 } else if !self.ucp.force_signal(cluster, tap) {
                     // Nothing in flight and nothing flushable: a receive

@@ -26,7 +26,7 @@ use bband_pcie::{
     Dllp, FlowControl, LinkDirection, LinkModel, LinkTap, RcAction, RootComplex, Tlp, TlpId,
     TlpPurpose,
 };
-use bband_sim::{EventQueue, IdMap, Pcg64, SimDuration, SimTime, StallSchedule};
+use bband_sim::{EventQueue, IdMap, IdRing, Pcg64, SimDuration, SimTime, StallSchedule};
 use bband_trace as trace;
 use std::collections::VecDeque;
 
@@ -80,18 +80,24 @@ struct PioAssembly {
     chunks_remaining: u32,
 }
 
-/// Per-node NIC state.
+/// Per-node NIC state. The in-flight tables are [`IdRing`]s: each is
+/// keyed by ids issued in increasing order (packet ids, RC- or
+/// NIC-issued TLP ids, PIO operation numbers) and retires them within a
+/// hardware round trip. `fetching` stays an [`IdMap`]: it holds
+/// RC-issued doorbell ids and NIC-issued read ids at once, two counters
+/// no one window spans.
 #[derive(Debug)]
 struct Nic {
     cfg: NicConfig,
     ids: bband_pcie::TlpIdGen,
     /// Posted-send operations awaiting transport ACK, by message packet id.
-    inflight: IdMap<PacketId, InflightSend>,
+    inflight: IdRing<InflightSend>,
     /// Doorbell-path fetches in flight, keyed by doorbell/MRd TLP id.
     fetching: IdMap<TlpId, FetchStage>,
-    /// PIO chunk→operation map and per-operation assembly state.
-    pio_chunk_map: IdMap<TlpId, u64>,
-    pio_ops: IdMap<u64, PioAssembly>,
+    /// PIO chunk (RC-issued TLP id) → operation map and per-operation
+    /// assembly state.
+    pio_chunk_map: IdRing<u64>,
+    pio_ops: IdRing<PioAssembly>,
     next_pio_op: u64,
     /// Posted receives (FIFO matching, as an IB receive queue).
     rx_posted: VecDeque<(WrId, u32)>,
@@ -106,10 +112,10 @@ struct Nic {
     /// hardware where every QP owns its own send queue.
     occupancy: Vec<u32>,
     /// CQE DMA-writes in flight: TLP id → (wr_id, qp, completes).
-    cqe_in_flight: IdMap<TlpId, (WrId, QpId, u32)>,
+    cqe_in_flight: IdRing<(WrId, QpId, u32)>,
     /// Receive-payload DMA-writes in flight:
     /// TLP id → (wr_id, qp, len, tag, src).
-    recv_in_flight: IdMap<TlpId, (WrId, QpId, u32, u64, NodeId)>,
+    recv_in_flight: IdRing<(WrId, QpId, u32, u64, NodeId)>,
     /// Receiver-side credit bookkeeping driving UpdateFC back to the RC.
     fc_recv: FlowControl,
 }
@@ -119,17 +125,17 @@ impl Nic {
         Nic {
             cfg,
             ids: bband_pcie::TlpIdGen::new(),
-            inflight: IdMap::default(),
+            inflight: IdRing::default(),
             fetching: IdMap::default(),
-            pio_chunk_map: IdMap::default(),
-            pio_ops: IdMap::default(),
+            pio_chunk_map: IdRing::default(),
+            pio_ops: IdRing::default(),
             next_pio_op: 0,
             rx_posted: VecDeque::new(),
             unexpected: VecDeque::new(),
             unsignaled_backlog: Vec::new(),
             occupancy: Vec::new(),
-            cqe_in_flight: IdMap::default(),
-            recv_in_flight: IdMap::default(),
+            cqe_in_flight: IdRing::default(),
+            recv_in_flight: IdRing::default(),
             fc_recv: FlowControl::connectx4_default(),
         }
     }
@@ -151,6 +157,14 @@ struct NodeState {
     /// after `MemVisible`), indexed by queue pair.
     host_cq: Vec<VecDeque<Cqe>>,
     link_rng: Pcg64,
+    /// Happens-after cause of each in-flight TLP on this node's link
+    /// (traced runs only; empty and untouched when tracing is disabled).
+    /// Per node, because RC-issued TLP ids restart at 0 on every node.
+    tlp_cause: IdMap<TlpId, trace::SpanId>,
+    /// When each credit-parked MMIO write entered this node's RC pending
+    /// queue — the start of its `credit_wait` stage (and of the
+    /// stall-time accrual). Per node for the same reason as `tlp_cause`.
+    stalled_at: IdMap<TlpId, SimTime>,
 }
 
 /// Node whose link carries the analyzer (the paper's "node 1").
@@ -173,15 +187,9 @@ pub struct Cluster {
     stalls: Vec<Option<StallSchedule>>,
     /// Diagnostics: messages whose launch a stall window deferred.
     pub nic_stalls: u64,
-    /// Happens-after cause of each in-flight TLP (traced runs only; empty
-    /// and untouched when tracing is disabled).
-    tlp_cause: IdMap<TlpId, trace::SpanId>,
     /// Happens-after cause of each in-flight network packet (traced runs
-    /// only).
+    /// only; packet ids are cluster-wide).
     pkt_cause: IdMap<PacketId, trace::SpanId>,
-    /// When each credit-parked MMIO write entered the RC's pending queue —
-    /// the start of its `credit_wait` stage (and of the stall-time accrual).
-    stalled_at: IdMap<TlpId, SimTime>,
     /// Per-node span of the RC's most recent downstream TLP departure: the
     /// shared RC track. Credit waits chain after it, so a starved pool
     /// shows up in the DAG as cross-core edges through one serialised RC.
@@ -209,6 +217,8 @@ impl Cluster {
                 nic: Nic::new(cfg.clone()),
                 host_cq: Vec::new(),
                 link_rng: root.fork(0x11A5 + i as u64),
+                tlp_cause: IdMap::default(),
+                stalled_at: IdMap::default(),
             })
             .collect();
         Cluster {
@@ -221,9 +231,7 @@ impl Cluster {
             acks_received: 0,
             stalls: vec![None; n_nodes],
             nic_stalls: 0,
-            tlp_cause: IdMap::default(),
             pkt_cause: IdMap::default(),
-            stalled_at: IdMap::default(),
             rc_track: vec![trace::SpanId::NONE; n_nodes],
             stall_time: SimDuration::ZERO,
             rc_actions: Vec::new(),
@@ -335,19 +343,22 @@ impl Cluster {
         k
     }
 
-    /// Consume the recorded happens-after cause of a TLP, if any.
-    fn tlp_dep(&mut self, id: TlpId) -> trace::SpanId {
-        if self.tlp_cause.is_empty() {
+    /// Consume the recorded happens-after cause of a TLP on `node`'s
+    /// link, if any.
+    fn tlp_dep(&mut self, node: NodeId, id: TlpId) -> trace::SpanId {
+        let causes = &mut self.nodes[node.0 as usize].tlp_cause;
+        if causes.is_empty() {
             trace::SpanId::NONE
         } else {
-            self.tlp_cause.remove(&id).unwrap_or(trace::SpanId::NONE)
+            causes.remove(&id).unwrap_or(trace::SpanId::NONE)
         }
     }
 
-    /// Record `span` as the cause of an in-flight TLP (traced runs only).
-    fn link_tlp(&mut self, id: TlpId, span: trace::SpanId) {
+    /// Record `span` as the cause of an in-flight TLP on `node`'s link
+    /// (traced runs only).
+    fn link_tlp(&mut self, node: NodeId, id: TlpId, span: trace::SpanId) {
         if !span.is_none() {
-            self.tlp_cause.insert(id, span);
+            self.nodes[node.0 as usize].tlp_cause.insert(id, span);
         }
     }
 
@@ -448,7 +459,7 @@ impl Cluster {
             );
             for _ in 0..chunks {
                 let tlp = Tlp::pio_chunk(n.rc.next_id());
-                n.nic.pio_chunk_map.insert(tlp.id, op);
+                n.nic.pio_chunk_map.insert(tlp.id.0, op);
                 if traced {
                     posted_ids.push(tlp.id);
                 }
@@ -474,10 +485,10 @@ impl Cluster {
             }
         }
         for id in parked_ids {
-            self.stalled_at.insert(id, now);
+            n.stalled_at.insert(id, now);
         }
         for id in posted_ids {
-            self.link_tlp(id, cause);
+            self.link_tlp(node, id, cause);
         }
         self.apply_rc_actions(node, actions);
     }
@@ -574,8 +585,16 @@ impl Cluster {
         for act in actions.drain(..) {
             match act {
                 RcAction::SendTlp { depart, tlp } => {
-                    let mut dep = self.tlp_dep(tlp.id);
-                    if let Some(parked) = self.stalled_at.remove(&tlp.id) {
+                    let mut dep = self.tlp_dep(node, tlp.id);
+                    let stalled_at = &mut self.nodes[node.0 as usize].stalled_at;
+                    // Writes park only when credits run out: skip the
+                    // lookup until one has.
+                    let parked = if stalled_at.is_empty() {
+                        None
+                    } else {
+                        stalled_at.remove(&tlp.id)
+                    };
+                    if let Some(parked) = parked {
                         if depart > parked {
                             // The write waited for UpdateFC: a recovery-track
                             // stage spanning park→release, chained after both
@@ -611,7 +630,7 @@ impl Cluster {
                     if !span.is_none() {
                         self.rc_track[node.0 as usize] = span;
                     }
-                    self.link_tlp(tlp.id, span);
+                    self.link_tlp(node, tlp.id, span);
                     self.queue
                         .push(depart + lat, HwEvent::TlpAtNic { node, tlp });
                 }
@@ -634,7 +653,7 @@ impl Cluster {
         if node == ANALYZER_NODE {
             tap.on_tlp(now, LinkDirection::Upstream, &tlp);
         }
-        let dep = self.tlp_dep(tlp.id);
+        let dep = self.tlp_dep(node, tlp.id);
         let lat = {
             let n = &mut self.nodes[node.0 as usize];
             n.link.tlp_latency(&tlp, &mut n.link_rng)
@@ -647,7 +666,7 @@ impl Cluster {
             tlp.id.0,
             &[dep],
         );
-        self.link_tlp(tlp.id, span);
+        self.link_tlp(node, tlp.id, span);
         self.queue.push(now + lat, HwEvent::TlpAtRc { node, tlp });
     }
 
@@ -735,7 +754,7 @@ impl Cluster {
                 self.nodes[node.0 as usize]
                     .nic
                     .inflight
-                    .insert(pkt_id, InflightSend { desc });
+                    .insert(pkt_id.0, InflightSend { desc });
             }
             let seg_depart = now + spacing * i as u64;
             let lat = self.network.traverse(seg_depart, &pkt, &mut self.net_rng);
@@ -780,10 +799,10 @@ impl Cluster {
         );
         let tlp = Tlp::payload_deliver(n.nic.next_tlp_id(node), pkt.payload);
         n.nic.recv_in_flight.insert(
-            tlp.id,
+            tlp.id.0,
             (wr_id, QpId(pkt.dst_qp), pkt.payload, pkt.tag, pkt.src),
         );
-        self.link_tlp(tlp.id, dep);
+        self.link_tlp(node, tlp.id, dep);
         self.nic_send_upstream(now, node, tlp, tap);
     }
 
@@ -803,7 +822,7 @@ impl Cluster {
             }
             HwEvent::TlpAtRc { node, tlp } => {
                 let tid = tlp.id;
-                let dep = self.tlp_dep(tid);
+                let dep = self.tlp_dep(node, tid);
                 let mut actions = std::mem::take(&mut self.rc_actions);
                 self.nodes[node.0 as usize]
                     .rc
@@ -824,11 +843,11 @@ impl Cluster {
                             tid.0,
                             &[dep],
                         );
-                        self.link_tlp(tid, handoff);
+                        self.link_tlp(node, tid, handoff);
                     }
                     for act in &actions {
                         if let RcAction::SendTlp { tlp, .. } = act {
-                            self.link_tlp(tlp.id, handoff);
+                            self.link_tlp(node, tlp.id, handoff);
                         }
                     }
                 }
@@ -865,7 +884,7 @@ impl Cluster {
                         let n = &mut self.nodes[node.0 as usize];
                         Tlp::payload_deliver(n.nic.next_tlp_id(node), pkt.payload)
                     };
-                    self.link_tlp(tlp.id, dep);
+                    self.link_tlp(node, tlp.id, dep);
                     self.nic_send_upstream(at, node, tlp, tap);
                 }
                 PacketKind::RdmaWrite => {
@@ -877,7 +896,7 @@ impl Cluster {
                         let n = &mut self.nodes[node.0 as usize];
                         Tlp::payload_deliver(n.nic.next_tlp_id(node), pkt.payload)
                     };
-                    self.link_tlp(tlp.id, dep);
+                    self.link_tlp(node, tlp.id, dep);
                     self.nic_send_upstream(at, node, tlp, tap);
                 }
                 PacketKind::Send => {
@@ -890,11 +909,11 @@ impl Cluster {
             },
             HwEvent::MemVisible { node, tlp } => {
                 trace::instant(trace::Layer::Memory, "mem_visible", at, tlp.id.0);
-                let cause = self.tlp_dep(tlp.id);
+                let cause = self.tlp_dep(node, tlp.id);
                 let n = &mut self.nodes[node.0 as usize];
                 match tlp.purpose {
                     TlpPurpose::CqeWrite => {
-                        if let Some((wr_id, qp, completes)) = n.nic.cqe_in_flight.remove(&tlp.id) {
+                        if let Some((wr_id, qp, completes)) = n.nic.cqe_in_flight.remove(tlp.id.0) {
                             qp_slot(&mut n.host_cq, qp).push_back(Cqe {
                                 wr_id,
                                 qp,
@@ -910,7 +929,7 @@ impl Cluster {
                     }
                     TlpPurpose::PayloadDeliver => {
                         if let Some((wr_id, qp, payload, tag, src)) =
-                            n.nic.recv_in_flight.remove(&tlp.id)
+                            n.nic.recv_in_flight.remove(tlp.id.0)
                         {
                             qp_slot(&mut n.host_cq, qp).push_back(Cqe {
                                 wr_id,
@@ -943,7 +962,7 @@ impl Cluster {
         tap: &mut dyn LinkTap,
     ) {
         // The TLP's own link-traversal span, recorded when it departed.
-        let dep = self.tlp_dep(tlp.id);
+        let dep = self.tlp_dep(node, tlp.id);
         match tlp.purpose {
             TlpPurpose::PioChunk => {
                 let ready = {
@@ -951,12 +970,12 @@ impl Cluster {
                     let op = n
                         .nic
                         .pio_chunk_map
-                        .remove(&tlp.id)
+                        .remove(tlp.id.0)
                         .unwrap_or_else(|| panic!("PIO chunk {:?} without an op", tlp.id));
-                    let assembly = n.nic.pio_ops.get_mut(&op).expect("op registered");
+                    let assembly = n.nic.pio_ops.get_mut(op).expect("op registered");
                     assembly.chunks_remaining -= 1;
                     if assembly.chunks_remaining == 0 {
-                        Some(n.nic.pio_ops.remove(&op).expect("just seen").desc)
+                        Some(n.nic.pio_ops.remove(op).expect("just seen").desc)
                     } else {
                         None
                     }
@@ -975,7 +994,7 @@ impl Cluster {
                             n.nic.fetching.insert(mrd.id, FetchStage::Payload(desc));
                             mrd
                         };
-                        self.link_tlp(mrd.id, dep);
+                        self.link_tlp(node, mrd.id, dep);
                         self.nic_send_upstream(at, node, mrd, tap);
                     }
                 }
@@ -996,7 +1015,7 @@ impl Cluster {
                     n.nic.fetching.insert(mrd.id, FetchStage::Descriptor(desc));
                     mrd
                 };
-                self.link_tlp(mrd.id, dep);
+                self.link_tlp(node, mrd.id, dep);
                 self.nic_send_upstream(at, node, mrd, tap);
             }
             TlpPurpose::ReadCompletion => {
@@ -1030,7 +1049,7 @@ impl Cluster {
                 match next {
                     Next::Transmit(desc) => self.transmit(at, node, desc, dep),
                     Next::FetchPayload(mrd) => {
-                        self.link_tlp(mrd.id, dep);
+                        self.link_tlp(node, mrd.id, dep);
                         self.nic_send_upstream(at, node, mrd, tap);
                     }
                 }
@@ -1074,7 +1093,7 @@ impl Cluster {
         let dep = self.pkt_dep(ack.id);
         let cqe_tlp = {
             let n = &mut self.nodes[node.0 as usize];
-            let Some(inflight) = n.nic.inflight.remove(&msg_id) else {
+            let Some(inflight) = n.nic.inflight.remove(msg_id.0) else {
                 panic!("transport ACK for unknown message {msg_id:?}");
             };
             let qp = inflight.desc.qp;
@@ -1091,7 +1110,7 @@ impl Cluster {
                 let tlp = Tlp::cqe_write(n.nic.next_tlp_id(node));
                 n.nic
                     .cqe_in_flight
-                    .insert(tlp.id, (inflight.desc.wr_id, qp, completes));
+                    .insert(tlp.id.0, (inflight.desc.wr_id, qp, completes));
                 Some(tlp)
             } else {
                 *qp_slot(&mut n.nic.unsignaled_backlog, qp) += 1;
@@ -1099,7 +1118,7 @@ impl Cluster {
             }
         };
         if let Some(tlp) = cqe_tlp {
-            self.link_tlp(tlp.id, dep);
+            self.link_tlp(node, tlp.id, dep);
             self.nic_send_upstream(at, node, tlp, tap);
         }
     }
@@ -1527,6 +1546,82 @@ mod tests {
             prev = Some(cqe.wr_id);
         }
         assert_eq!(prev, Some(WrId(49)));
+    }
+
+    /// Nodes `posters` each post `n` 8-byte writes to node 2 at one
+    /// instant, on a three-node cluster. Every node's RC numbers its TLPs
+    /// from 0, so two posters issue the same ids at the same times.
+    fn post_alike(c: &mut Cluster, posters: &[NodeId], n: u64, causes: &[trace::SpanId]) {
+        let mut tap = NullTap;
+        for i in 0..n {
+            for (k, &node) in posters.iter().enumerate() {
+                let mut d = desc(u64::from(node.0) << 32 | i, Opcode::RdmaWrite);
+                d.dst = NodeId(2);
+                let cause = causes.get(k).copied().unwrap_or_default();
+                c.post_with_cause(SimTime::from_ns(175), node, d, cause, &mut tap);
+            }
+        }
+        c.run_until_idle(&mut tap);
+    }
+
+    /// Parked writes are keyed per node: two nodes that park the same TLP
+    /// ids at the same instants each accrue their own credit-stall time,
+    /// so together they accrue twice what one of them does alone.
+    #[test]
+    fn two_nodes_stalling_alike_accrue_twice_one_nodes_recovery_time() {
+        let run = |posters: &[NodeId]| {
+            let mut c = Cluster::new(3, NicConfig::default(), 42)
+                .deterministic()
+                .with_credits(2, 64, 1);
+            post_alike(&mut c, posters, 6, &[]);
+            c.recovery_counters()
+        };
+        let one = run(&[NodeId(0)]);
+        let two = run(&[NodeId(0), NodeId(1)]);
+        assert!(one.credit_stalls > 0, "{one:?}");
+        assert!(one.recovery_time > SimDuration::ZERO, "{one:?}");
+        assert_eq!(two.credit_stalls, 2 * one.credit_stalls);
+        assert_eq!(two.recovery_time, one.recovery_time * 2);
+    }
+
+    /// TLP causes are keyed per node: when two nodes post at the same
+    /// instant, each node's `nic_tx` hangs off its own `TX PCIe` span,
+    /// which hangs off that node's post.
+    #[test]
+    fn each_nic_tx_depends_on_its_own_nodes_tx_pcie() {
+        let posters = [NodeId(0), NodeId(1)];
+        let (causes, spans) = bband_trace::collect(|| {
+            let causes = posters.map(|node| {
+                bband_trace::stage(
+                    bband_trace::Layer::Llp,
+                    "LLP_post",
+                    SimTime::ZERO,
+                    SimTime::from_ns(175),
+                    node.0.into(),
+                    &[],
+                )
+            });
+            let mut c = Cluster::new(3, NicConfig::default(), 42).deterministic();
+            post_alike(&mut c, &posters, 1, &causes);
+            causes
+        });
+        // A span's id is its 1-based position in the list.
+        let record = |id: u64| &spans[id as usize - 1];
+        for (node, cause) in posters.iter().zip(causes) {
+            let tx = spans
+                .iter()
+                .find(|s| s.name == "nic_tx" && s.arg == u64::from(node.0) << 32)
+                .unwrap_or_else(|| panic!("{node:?} launched nothing"));
+            let deps: Vec<u64> = tx.deps().collect();
+            assert_eq!(deps.len(), 1, "{node:?}'s nic_tx: {deps:?}");
+            let pcie = record(deps[0]);
+            assert_eq!(pcie.name, "TX PCIe");
+            assert_eq!(
+                pcie.deps().collect::<Vec<_>>(),
+                [cause.0],
+                "{node:?}'s nic_tx hangs off another node's TX PCIe"
+            );
+        }
     }
 
     /// A credit override rebuilds each root complex but keeps a what-if

@@ -19,19 +19,26 @@
 use crate::time::{SimDuration, SimTime};
 
 /// One pending event. Equal-time events keep insertion order (`seq`), so
-/// the simulation is deterministic; `(at, seq)` is unique per queue.
+/// the simulation is deterministic. The order key packs both into one
+/// integer, `at_ps << 64 | seq`: the same 16 bytes as the pair, compared
+/// in one `u128` comparison, and unique per queue.
 #[derive(Debug, Clone, Copy)]
 struct Entry<E> {
-    at: SimTime,
-    seq: u64,
+    key: u128,
     event: E,
 }
 
 impl<E> Entry<E> {
-    /// The total-order key: time, then insertion sequence.
+    /// When the event fires.
     #[inline]
-    fn key(&self) -> (SimTime, u64) {
-        (self.at, self.seq)
+    fn at(&self) -> SimTime {
+        SimTime::from_ps((self.key >> 64) as u64)
+    }
+
+    /// The insertion sequence number, which is also its [`EventKey`].
+    #[inline]
+    fn seq(&self) -> u64 {
+        self.key as u64
     }
 }
 
@@ -52,10 +59,11 @@ pub struct EventKey(u64);
 
 /// A total-ordered, FIFO-stable event queue over payload type `E`.
 ///
-/// An implicit 4-ary min-heap on `(time, seq)` in a flat `Vec`. Sifts
-/// carry the moving entry in hand and shift each entry they pass over
-/// once, into the hole it leaves, instead of swapping pairs; that is why
-/// the payload must be `Copy` (hardware events are plain data). The heap
+/// An implicit 4-ary min-heap on the packed `(time, seq)` key in a flat
+/// `Vec`, each payload inside its entry. Sifts carry the moving entry in
+/// hand and shift each entry they pass over once, into the hole it
+/// leaves, instead of swapping pairs; that is why the payload must be
+/// `Copy` (hardware events are plain data). The heap
 /// holds exactly the pending events: [`EventQueue::cancel`] finds its
 /// entry by a linear scan and removes it, so `len`, `is_empty` and
 /// `peek_time` are exact and nothing else is stored per event. The hot
@@ -100,7 +108,10 @@ impl<E: Copy> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        let entry = Entry { at, seq, event };
+        let entry = Entry {
+            key: u128::from(at.as_ps()) << 64 | u128::from(seq),
+            event,
+        };
         self.heap.push(entry);
         self.sift_up(self.heap.len() - 1, entry);
         EventKey(seq)
@@ -114,7 +125,7 @@ impl<E: Copy> EventQueue<E> {
     /// pending, so the queue keeps no position index for every sift to
     /// update.
     pub fn cancel(&mut self, key: EventKey) -> bool {
-        match self.heap.iter().position(|e| e.seq == key.0) {
+        match self.heap.iter().position(|e| e.seq() == key.0) {
             Some(i) => {
                 self.remove(i);
                 true
@@ -125,7 +136,7 @@ impl<E: Copy> EventQueue<E> {
 
     /// Time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.first().map(|e| e.at)
+        self.heap.first().map(Entry::at)
     }
 
     /// Pop the earliest event if it is due at or before `limit`.
@@ -133,12 +144,12 @@ impl<E: Copy> EventQueue<E> {
     /// The due check is one comparison against the root — the entry is
     /// then extracted directly, with no second peek.
     pub fn pop_due(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
-        if self.heap.first()?.at > limit {
+        if self.heap.first()?.at() > limit {
             return None;
         }
         let ev = self.remove(0);
-        self.watermark = ev.at;
-        Some((ev.at, ev.event))
+        self.watermark = ev.at();
+        Some((ev.at(), ev.event))
     }
 
     /// Take the entry at `i` out of the heap. The last entry fills the
@@ -147,7 +158,7 @@ impl<E: Copy> EventQueue<E> {
         let taken = self.heap[i];
         let last = self.heap.pop().expect("entry i exists");
         if i < self.heap.len() {
-            if i > 0 && last.key() < self.heap[(i - 1) / ARITY].key() {
+            if i > 0 && last.key < self.heap[(i - 1) / ARITY].key {
                 self.sift_up(i, last);
             } else {
                 self.sift_down(i, last);
@@ -160,10 +171,9 @@ impl<E: Copy> EventQueue<E> {
     /// the way up moves down one level into the hole.
     #[inline]
     fn sift_up(&mut self, mut i: usize, entry: Entry<E>) {
-        let key = entry.key();
         while i > 0 {
             let parent = (i - 1) / ARITY;
-            if key > self.heap[parent].key() {
+            if entry.key > self.heap[parent].key {
                 break;
             }
             self.heap[i] = self.heap[parent];
@@ -176,27 +186,46 @@ impl<E: Copy> EventQueue<E> {
     /// child on the way down moves up one level into the hole.
     #[inline]
     fn sift_down(&mut self, mut i: usize, entry: Entry<E>) {
-        let key = entry.key();
         let len = self.heap.len();
         loop {
             let first = ARITY * i + 1;
             if first >= len {
                 break;
             }
-            let children = &self.heap[first..(first + ARITY).min(len)];
-            let (mut min, mut min_key) = (0, children[0].key());
-            for (c, child) in children.iter().enumerate().skip(1) {
-                if child.key() < min_key {
-                    (min, min_key) = (c, child.key());
-                }
-            }
-            if key < min_key {
+            let min = first + self.least_child(first);
+            if entry.key < self.heap[min].key {
                 break;
             }
-            self.heap[i] = children[min];
-            i = first + min;
+            self.heap[i] = self.heap[min];
+            i = min;
         }
         self.heap[i] = entry;
+    }
+
+    /// Offset of the least key among the children starting at `first`.
+    /// A full set of four is a tournament of conditional selects, two
+    /// pairs and a final, so the comparisons' outcomes feed no branch;
+    /// only the last parent can have fewer than four.
+    #[inline]
+    fn least_child(&self, first: usize) -> usize {
+        let children = &self.heap[first..];
+        if let Some(c) = children.first_chunk::<ARITY>() {
+            let a = usize::from(c[1].key < c[0].key);
+            let b = 2 + usize::from(c[3].key < c[2].key);
+            if c[b].key < c[a].key {
+                b
+            } else {
+                a
+            }
+        } else {
+            (1..children.len()).fold(0, |m, i| {
+                if children[i].key < children[m].key {
+                    i
+                } else {
+                    m
+                }
+            })
+        }
     }
 
     /// Pop the earliest event unconditionally.
@@ -436,47 +465,60 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
+        /// The model's pop: its least `(time, seq)` pair (the vector is
+        /// kept sorted), if due by `limit`.
+        fn model_pop(
+            model: &mut Vec<(SimTime, u64)>,
+            watermark: &mut SimTime,
+            limit: SimTime,
+        ) -> Option<(SimTime, u64)> {
+            let &(at, seq) = model.first().filter(|e| e.0 <= limit)?;
+            model.remove(0);
+            *watermark = at;
+            Some((at, seq))
+        }
+
         proptest! {
             #[test]
             fn interleaved_ops_match_reference_model(
-                ops in proptest::collection::vec((0u8..5, 0u64..50), 1..300)
+                ops in proptest::collection::vec((0u8..8, 0u64..64), 1..400)
             ) {
-                // Drive the 4-ary heap and a naive sorted-vec model with the
-                // same stream of push, pop_due, peek_time and cancel (of
-                // pending, fired and already-cancelled keys); they must
-                // agree exactly, len and is_empty included, after every
-                // operation.
+                // Drive the heap and a sorted-vec model with the same
+                // stream of pushes (a quarter of them onto a handful of
+                // instants, so many times tie), pop_due at limits below,
+                // at and past the earliest event, pop, peek_time and
+                // cancel of pending, fired and already-cancelled keys.
+                // They must agree exactly after every operation, payload,
+                // len and is_empty included.
                 let mut q = EventQueue::new();
                 let mut model: Vec<(SimTime, u64)> = Vec::new();
                 let mut keys: Vec<EventKey> = Vec::new();
                 let mut watermark = SimTime::ZERO;
                 for (op, arg) in ops {
-                    model.sort();
+                    let seq = keys.len() as u64;
+                    let step = SimDuration::from_ns(arg);
                     match op {
-                        0 | 1 => {
-                            let at = watermark + SimDuration::from_ns(arg);
-                            let seq = keys.len() as u64;
+                        0..=2 => {
+                            let at = watermark + step;
                             keys.push(q.push(at, seq));
                             model.push((at, seq));
                         }
-                        2 => {
-                            let limit = watermark + SimDuration::from_ns(arg);
-                            let want = match model.first() {
-                                Some(&(at, s)) if at <= limit => {
-                                    model.remove(0);
-                                    watermark = at;
-                                    Some((at, s))
-                                }
-                                _ => None,
-                            };
+                        3 => {
+                            let at = watermark + SimDuration::from_ns(arg % 3);
+                            keys.push(q.push(at, seq));
+                            model.push((at, seq));
+                        }
+                        4 => {
+                            let limit = watermark + step;
+                            let want = model_pop(&mut model, &mut watermark, limit);
                             prop_assert_eq!(q.pop_due(limit), want);
                         }
-                        3 => {
-                            prop_assert_eq!(q.peek_time(), model.first().map(|e| e.0));
+                        5 => {
+                            let want = model_pop(&mut model, &mut watermark, SimTime::MAX);
+                            prop_assert_eq!(q.pop(), want);
                         }
+                        6 => prop_assert_eq!(q.peek_time(), model.first().map(|e| e.0)),
                         _ => {
-                            // Any key issued so far: pending, fired or
-                            // already cancelled.
                             if !keys.is_empty() {
                                 let seq = arg % keys.len() as u64;
                                 let pending = model.iter().position(|e| e.1 == seq);
@@ -487,8 +529,10 @@ mod tests {
                             }
                         }
                     }
+                    model.sort();
                     prop_assert_eq!(q.len(), model.len());
                     prop_assert_eq!(q.is_empty(), model.is_empty());
+                    prop_assert_eq!(q.watermark(), watermark);
                 }
             }
 

@@ -18,6 +18,9 @@
 //! * [`IdMap`] — the hash map for keys the simulator assigns itself (TLP,
 //!   packet and request ids), with a multiplicative hasher instead of
 //!   SipHash.
+//! * [`IdRing`] — the table for ids issued in increasing order and retired
+//!   within a short window (a NIC's in-flight TLPs and messages): slot
+//!   `id − base` of a ring, no hashing.
 //! * [`engine::CpuClock`] — the software side of the hybrid simulation: MPI /
 //!   UCP / UCT code paths execute sequentially on a CPU clock while hardware
 //!   progresses through queued events, which is exactly how the paper's
@@ -26,6 +29,7 @@
 pub mod dist;
 pub mod engine;
 pub mod idmap;
+pub mod idring;
 pub mod pool;
 pub mod rng;
 pub mod stall;
@@ -34,6 +38,7 @@ pub mod time;
 pub use dist::{Jitter, NoiseSpike};
 pub use engine::{CpuClock, EventKey, EventQueue};
 pub use idmap::IdMap;
+pub use idring::IdRing;
 pub use pool::WorkerPool;
 pub use rng::Pcg64;
 pub use stall::StallSchedule;

@@ -119,7 +119,7 @@ impl SimDuration {
             ns.is_finite() && ns >= 0.0,
             "durations must be finite and non-negative, got {ns}"
         );
-        SimDuration((ns * PS_PER_NS as f64).round() as u64)
+        SimDuration(round_to_u64(ns * PS_PER_NS as f64))
     }
 
     /// Raw picosecond count.
@@ -160,7 +160,7 @@ impl SimDuration {
             factor.is_finite() && factor >= 0.0,
             "scale factor must be finite and non-negative, got {factor}"
         );
-        SimDuration((self.0 as f64 * factor).round() as u64)
+        SimDuration(round_to_u64(self.0 as f64 * factor))
     }
 
     /// Integer division of two spans (how many `rhs` fit in `self`),
@@ -178,6 +178,18 @@ impl SimDuration {
         assert!(!rhs.is_zero(), "ratio with zero-length denominator");
         self.0 as f64 / rhs.0 as f64
     }
+}
+
+/// `x.round() as u64` for `x ≥ 0`, without the libm `round` call
+/// (the build targets baseline x86-64, which has no rounding
+/// instruction). Truncation leaves the fraction `x − ⌊x⌋`, which is exact
+/// below 2^52 and zero above it, and a fraction of one half rounds up:
+/// half away from zero, as `f64::round`. At 2^64 and above (+∞ too) the
+/// cast saturates, as `as u64` does, and the fraction is ignored.
+#[inline]
+fn round_to_u64(x: f64) -> u64 {
+    let whole = x as u64;
+    whole.saturating_add(u64::from(x - whole as f64 >= 0.5))
 }
 
 impl Add<SimDuration> for SimTime {
@@ -313,6 +325,37 @@ mod tests {
         }
     }
 
+    /// The rounding agrees with `f64::round` at the cases a shortcut gets
+    /// wrong: the largest double below one half, exact halves, halves at
+    /// the edge of the fractional range, integers past 2^52, and values
+    /// the cast saturates.
+    #[test]
+    fn rounding_matches_f64_round() {
+        let two52 = (1u64 << 52) as f64;
+        for x in [
+            0.0,
+            0.49999999999999994,
+            0.5,
+            1.5,
+            2.5,
+            175_420.499_9,
+            two52 - 0.5,
+            two52 - 1.5,
+            two52,
+            two52 * 2.0 + 2.0,
+            (1u64 << 63) as f64,
+            18_446_744_073_709_549_568.0,
+            18_446_744_073_709_551_616.0,
+            1e20,
+            f64::MAX,
+        ] {
+            assert_eq!(round_to_u64(x), x.round() as u64, "at {x:e}");
+        }
+        assert_eq!(round_to_u64(0.49999999999999994), 0);
+        assert_eq!(round_to_u64(2.5), 3);
+        assert_eq!(round_to_u64(1e20), u64::MAX);
+    }
+
     #[test]
     fn time_arithmetic_basics() {
         let t = SimTime::from_ns(100);
@@ -385,6 +428,14 @@ mod tests {
             let dur = SimDuration::from_ps(d);
             let (lo, hi) = if f1 <= f2 { (f1, f2) } else { (f2, f1) };
             prop_assert!(dur.scale(lo) <= dur.scale(hi) + SimDuration::from_ps(1));
+        }
+
+        #[test]
+        fn rounding_matches_f64_round_everywhere(m in 0.0f64..2.0, e in 0i32..70) {
+            // Every binade from 1 to 2^70: fractional values below 2^52,
+            // integers above it, saturation past 2^64.
+            let x = m * 2f64.powi(e);
+            prop_assert_eq!(round_to_u64(x), x.round() as u64);
         }
 
         #[test]
