@@ -622,7 +622,7 @@ fn sweep_size(o: &Opts) -> Output {
         Scale::Quick => (&[8, 4096, 65_536, 1 << 20], 8),
         Scale::Full => (&tracepath::DEFAULT_SIZE_GRID, 64),
     };
-    let (points, _) = tracepath::sweep_message_sizes(o.path, &c, sizes, messages, o.seed, &o.pool);
+    let points = tracepath::sweep_message_sizes(o.path, &c, sizes, messages, o.seed, &o.pool);
     let check = segmented_fault_check(&c, 12, o.seed);
     let mut text = render_size_sweep(
         &format!(

@@ -673,10 +673,25 @@ pub struct LossPoint {
 /// fault-free through one lost packet per hundred.
 pub const DEFAULT_LOSS_GRID: [f64; 6] = [0.0, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2];
 
+/// Run the probe `f` (a span, an instant, a metric sample or a clock
+/// update) in the observed copy of the engine, `FaultSim<true>`. The
+/// unobserved copy compiles it out and yields the default:
+/// [`trace::SpanId::NONE`] for a span id, `()` otherwise. Every probe in
+/// this module goes through here.
+#[inline(always)]
+fn probe<const OBSERVED: bool, R: Default>(f: impl FnOnce() -> R) -> R {
+    if OBSERVED {
+        f()
+    } else {
+        R::default()
+    }
+}
+
 /// Events driving the recovery simulation. Data-path events carry the
 /// [`trace::SpanId`] of the stage that scheduled them, so the target-side
-/// stages can declare their happens-after edges; the id is
-/// [`trace::SpanId::NONE`] (and costs nothing) on untraced runs.
+/// stages can declare their happens-after edges. The id is
+/// [`trace::SpanId::NONE`] in the unobserved copy of the engine, which
+/// records no stage; the fields still ride in every event.
 #[derive(Clone, Copy)]
 enum Ev {
     /// The initiator CPU starts posting message `msg`.
@@ -816,8 +831,9 @@ impl PcieChannel {
     /// time, charging corruption replays (one extra round trip each) and
     /// replay-buffer stalls to the clock and to `k`. The successful leg is
     /// recorded as a stage happening after `dep` (recovery legs chain in
-    /// between), and its id rides out in [`Traversal::span`].
-    fn traverse(
+    /// between), and its id rides out in [`Traversal::span`]; only the
+    /// observed copy (`OBSERVED`) records them.
+    fn traverse<const OBSERVED: bool>(
         &mut self,
         now: SimTime,
         tlp: Tlp,
@@ -838,14 +854,16 @@ impl PcieChannel {
                         .map(|&(_, due)| due)
                         .expect("replay buffer full implies an ACK in flight");
                     k.recovery_time += due.since(depart);
-                    link_dep = trace::stage(
-                        trace::Layer::Recovery,
-                        "replay_stall",
-                        depart,
-                        due,
-                        tlp.id.0,
-                        &[link_dep],
-                    );
+                    link_dep = probe::<OBSERVED, _>(|| {
+                        trace::stage(
+                            trace::Layer::Recovery,
+                            "replay_stall",
+                            depart,
+                            due,
+                            tlp.id.0,
+                            &[link_dep],
+                        )
+                    });
                     depart = due;
                     self.reap_acks(depart);
                 }
@@ -859,14 +877,16 @@ impl PcieChannel {
                         .push_back((ack_up_to, arrival + self.pcie));
                     let grant = self.fc_recv.as_mut().and_then(|fc| fc.drain(&tlp));
                     self.clock = arrival;
-                    let span = trace::stage(
-                        self.layer,
-                        self.span_name,
-                        depart,
-                        arrival,
-                        tlp.id.0,
-                        &[link_dep],
-                    );
+                    let span = probe::<OBSERVED, _>(|| {
+                        trace::stage(
+                            self.layer,
+                            self.span_name,
+                            depart,
+                            arrival,
+                            tlp.id.0,
+                            &[link_dep],
+                        )
+                    });
                     return Traversal {
                         delivered: arrival,
                         grant,
@@ -881,14 +901,16 @@ impl PcieChannel {
                     let replayed = self.buf.nack(expected);
                     debug_assert_eq!(replayed.len(), 1, "serialized link replays one TLP");
                     let rt = self.tlp_time(&tlp) + self.pcie;
-                    link_dep = trace::stage_dur(
-                        trace::Layer::Recovery,
-                        "dll_replay_rt",
-                        depart,
-                        rt,
-                        seq.0 as u64,
-                        &[link_dep],
-                    );
+                    link_dep = probe::<OBSERVED, _>(|| {
+                        trace::stage_dur(
+                            trace::Layer::Recovery,
+                            "dll_replay_rt",
+                            depart,
+                            rt,
+                            seq.0 as u64,
+                            &[link_dep],
+                        )
+                    });
                     depart = arrival + self.pcie;
                     k.recovery_time += rt;
                 }
@@ -1029,8 +1051,14 @@ struct MsgState {
     dma_span: trace::SpanId,
 }
 
-/// The recovery simulation for one run.
-struct FaultSim {
+/// The recovery simulation for one run, in two copies. `OBSERVED` says
+/// whether a collector (trace spans or metrics histograms) is installed
+/// on the calling thread; [`run_raw_on`] picks the copy once per run,
+/// which is exact because collectors wrap whole runs. The observed copy
+/// records every span and sample and never commits in bulk, since a
+/// bulk commit records neither; the unobserved copy compiles every
+/// [`probe`] and the trace-only bookkeeping out.
+struct FaultSim<const OBSERVED: bool> {
     /// Memoized fault-free lifetime, when the layout admits one. Built on
     /// the fast path only, so the reference never commits in bulk.
     memo: Option<ChainMemo>,
@@ -1044,12 +1072,6 @@ struct FaultSim {
     /// Next message index to post lazily. The reference pre-pushes every
     /// post and starts this at the message count.
     next_post: u64,
-    /// Fast path only: is any collector (trace spans or metrics
-    /// histograms) installed on this thread? Sampled once at run start —
-    /// collectors are installed around a whole run, never mid-run. A bulk
-    /// commit records no spans or samples, so an instrumented run refuses
-    /// it and every message takes the event loop.
-    instrumented: bool,
     /// Uniform post cadence: message `m` posts at `post_interval * m`
     /// (`FaultSim::post_at`).
     post_interval: SimDuration,
@@ -1096,6 +1118,7 @@ struct FaultSim {
     /// Last stage (or drop marker) of each PSN's most recent transmission
     /// attempt, indexed by PSN — the predecessor an `rto_backoff` gap
     /// declares, so timer recovery chains into the attempt it waited on.
+    /// Written and read by the observed copy only.
     psn_launch: Vec<trace::SpanId>,
     /// When the target CPU is next free to reap a completion.
     target_cpu_free: SimTime,
@@ -1110,7 +1133,7 @@ struct FaultSim {
     counters: RecoveryCounters,
 }
 
-impl FaultSim {
+impl<const OBSERVED: bool> FaultSim<OBSERVED> {
     fn new(
         cal: &Calibration,
         plan: &FaultPlan,
@@ -1197,7 +1220,6 @@ impl FaultSim {
             rep_verified: false,
             timer: None,
             next_post,
-            instrumented: trace::enabled() || bband_metrics::enabled(),
             post_interval,
             plan: plan.clone(),
             hlp_post: cal.hlp_post(),
@@ -1282,7 +1304,9 @@ impl FaultSim {
                 if let Some(end) = w.end_if_covers(t) {
                     self.counters.nic_stalls += 1;
                     self.counters.recovery_time += end.since(t);
-                    dep = trace::stage(trace::Layer::Recovery, "nic_stall", t, end, 0, &[dep]);
+                    dep = probe::<OBSERVED, _>(|| {
+                        trace::stage(trace::Layer::Recovery, "nic_stall", t, end, 0, &[dep])
+                    });
                     t = end;
                     deferred = true;
                 }
@@ -1292,7 +1316,9 @@ impl FaultSim {
                 if window.is_some() {
                     self.counters.nic_stalls += 1;
                     self.counters.recovery_time += when.since(t);
-                    dep = trace::stage(trace::Layer::Recovery, "nic_stall", t, when, 1, &[dep]);
+                    dep = probe::<OBSERVED, _>(|| {
+                        trace::stage(trace::Layer::Recovery, "nic_stall", t, when, 1, &[dep])
+                    });
                     t = when;
                     deferred = true;
                 }
@@ -1336,8 +1362,12 @@ impl FaultSim {
     }
 
     /// Remember the last stage (or drop marker) of `psn`'s transmission
-    /// attempt, for the `rto_backoff` gap that may later wait on it.
+    /// attempt, for the `rto_backoff` gap that may later wait on it. Only
+    /// that span reads it, so the unobserved copy keeps nothing.
     fn note_launch(&mut self, psn: Psn, span: trace::SpanId) {
+        if !OBSERVED {
+            return;
+        }
         let i = psn.0 as usize;
         if i >= self.psn_launch.len() {
             self.psn_launch.resize(i + 1, trace::SpanId::NONE);
@@ -1387,8 +1417,8 @@ impl FaultSim {
             } else {
                 ("Wire", "Switch", trace::Layer::Wire, trace::Layer::Switch)
             };
-            let w = trace::stage(wl, wn, depart, at_switch, msg, &[dep]);
-            let s = trace::stage(sl, sn, at_switch, arrive, msg, &[w]);
+            let w = probe::<OBSERVED, _>(|| trace::stage(wl, wn, depart, at_switch, msg, &[dep]));
+            let s = probe::<OBSERVED, _>(|| trace::stage(sl, sn, at_switch, arrive, msg, &[w]));
             self.note_launch(psn, s);
             self.queue.push(
                 arrive,
@@ -1404,14 +1434,16 @@ impl FaultSim {
             // must carry the happens-after edge to the pre-drop chain so
             // the backoff gap that later waits on this attempt still
             // reaches the nominal post stages through it.
-            let d = trace::stage(
-                trace::Layer::Recovery,
-                "pkt_drop",
-                depart,
-                depart,
-                msg,
-                &[dep],
-            );
+            let d = probe::<OBSERVED, _>(|| {
+                trace::stage(
+                    trace::Layer::Recovery,
+                    "pkt_drop",
+                    depart,
+                    depart,
+                    msg,
+                    &[dep],
+                )
+            });
             self.note_launch(psn, if d.is_none() { dep } else { d });
         }
     }
@@ -1445,10 +1477,11 @@ impl FaultSim {
             } else {
                 trace::Layer::Transport
             };
-            let s = trace::stage(layer, name, t, t + self.net(), 0, &[dep]);
+            let s =
+                probe::<OBSERVED, _>(|| trace::stage(layer, name, t, t + self.net(), 0, &[dep]));
             self.queue.push(t + self.net(), make(s));
         } else {
-            trace::instant(trace::Layer::Recovery, "ctrl_drop", t, 0);
+            probe::<OBSERVED, _>(|| trace::instant(trace::Layer::Recovery, "ctrl_drop", t, 0));
         }
     }
 
@@ -1458,7 +1491,9 @@ impl FaultSim {
     /// posts the data-phase descriptor. Non-inline descriptors DMA-fetch
     /// the payload before the NIC can put it on the wire.
     fn transmit(&mut self, msg: u64, tlp: Tlp, t: SimTime, dep: trace::SpanId) {
-        let out = self.tx_chan.traverse(t, tlp, &mut self.counters, dep);
+        let out = self
+            .tx_chan
+            .traverse::<OBSERVED>(t, tlp, &mut self.counters, dep);
         // The NIC both sinks the doorbell TLP and feeds the fabric: an
         // injected stall window freezes it whole, deferring the drain
         // (hence the UpdateFC grant) and the packet departure alike.
@@ -1493,14 +1528,16 @@ impl FaultSim {
         let (mut nic_ready, mut dep) = (nic_time, dep);
         if fetch > SimDuration::ZERO {
             let end = nic_time + fetch;
-            dep = trace::stage(
-                trace::Layer::PcieTx,
-                "DMA_fetch",
-                nic_time,
-                end,
-                msg,
-                &[dep],
-            );
+            dep = probe::<OBSERVED, _>(|| {
+                trace::stage(
+                    trace::Layer::PcieTx,
+                    "DMA_fetch",
+                    nic_time,
+                    end,
+                    msg,
+                    &[dep],
+                )
+            });
             nic_ready = end;
         }
         self.launch_segments(msg, nic_ready, dep);
@@ -1543,7 +1580,9 @@ impl FaultSim {
     fn post(&mut self, msg: u64, t: SimTime) {
         let st = self.msgs[msg as usize];
         let hlp_done = t + self.hlp_post;
-        let h = trace::stage(trace::Layer::Hlp, "HLP_post", t, hlp_done, msg, &[]);
+        let h = probe::<OBSERVED, _>(|| {
+            trace::stage(trace::Layer::Hlp, "HLP_post", t, hlp_done, msg, &[])
+        });
         let (mut cpu_done, mut dep) = (hlp_done, h);
         if !st.rndv {
             // Non-inline eager sends stage the payload through a bounce
@@ -1553,14 +1592,16 @@ impl FaultSim {
             let copy = self.sized.eager_copy(st.payload);
             if copy > SimDuration::ZERO {
                 let copy_done = cpu_done + copy;
-                dep = trace::stage(
-                    trace::Layer::Hlp,
-                    "eager_copy",
-                    cpu_done,
-                    copy_done,
-                    msg,
-                    &[dep],
-                );
+                dep = probe::<OBSERVED, _>(|| {
+                    trace::stage(
+                        trace::Layer::Hlp,
+                        "eager_copy",
+                        cpu_done,
+                        copy_done,
+                        msg,
+                        &[dep],
+                    )
+                });
                 cpu_done = copy_done;
             }
         }
@@ -1575,7 +1616,9 @@ impl FaultSim {
             )
         };
         let ready = cpu_done + llp_dur;
-        let l = trace::stage(trace::Layer::Llp, "LLP_post", cpu_done, ready, msg, &[dep]);
+        let l = probe::<OBSERVED, _>(|| {
+            trace::stage(trace::Layer::Llp, "LLP_post", cpu_done, ready, msg, &[dep])
+        });
         let tlp = Tlp::pio_burst(self.ids.next(), chunks);
         if !self.credit_waiters.is_empty() || self.fc_issue.consume(&tlp).is_err() {
             self.credit_waiters.push_back((msg, tlp, ready, l));
@@ -1591,7 +1634,9 @@ impl FaultSim {
     /// the handshake in the DAG.
     fn start_rndv_data(&mut self, msg: u64, t: SimTime, dep: trace::SpanId) {
         let ready = t + self.llp_post;
-        let l = trace::stage(trace::Layer::Llp, "LLP_post", t, ready, msg, &[dep]);
+        let l = probe::<OBSERVED, _>(|| {
+            trace::stage(trace::Layer::Llp, "LLP_post", t, ready, msg, &[dep])
+        });
         let tlp = Tlp::pio_burst(self.ids.next(), 1);
         if !self.credit_waiters.is_empty() || self.fc_issue.consume(&tlp).is_err() {
             self.credit_waiters.push_back((msg, tlp, ready, l));
@@ -1607,7 +1652,9 @@ impl FaultSim {
         let st = self.msgs[msg as usize];
         let seg_payload = SizedLatencyModel::seg_size(st.payload, seg);
         let tlp = Tlp::payload_deliver(self.ids.next(), seg_payload);
-        let out = self.rx_chan.traverse(t, tlp, &mut self.counters, dep);
+        let out = self
+            .rx_chan
+            .traverse::<OBSERVED>(t, tlp, &mut self.counters, dep);
         // Segments of one message serialize on the RC write port; the
         // first (and any single-segment) write starts at PCIe delivery.
         let dma_start = out.delivered.max_of(st.dma_clock);
@@ -1617,16 +1664,8 @@ impl FaultSim {
         } else {
             "RC-to-MEM"
         };
-        let mem = if st.dma_span.is_none() {
-            trace::stage(
-                trace::Layer::Memory,
-                mem_name,
-                dma_start,
-                in_memory,
-                msg,
-                &[out.span],
-            )
-        } else {
+        // The first segment's null `dma_span` declares no second edge.
+        let mem = probe::<OBSERVED, _>(|| {
             trace::stage(
                 trace::Layer::Memory,
                 mem_name,
@@ -1635,7 +1674,7 @@ impl FaultSim {
                 msg,
                 &[out.span, st.dma_span],
             )
-        };
+        });
         self.msgs[msg as usize].dma_clock = in_memory;
         self.msgs[msg as usize].dma_span = mem;
         if seg + 1 < st.segs {
@@ -1650,29 +1689,34 @@ impl FaultSim {
             // time, so it accrues to the recovery ledger like every other
             // recovery-track stage.
             self.counters.recovery_time += reap_start.since(in_memory);
-            trace::stage(
-                trace::Layer::Recovery,
-                "reap_wait",
-                in_memory,
-                reap_start,
-                msg,
-                &[mem, self.target_cpu_span],
-            )
+            probe::<OBSERVED, _>(|| {
+                trace::stage(
+                    trace::Layer::Recovery,
+                    "reap_wait",
+                    in_memory,
+                    reap_start,
+                    msg,
+                    &[mem, self.target_cpu_span],
+                )
+            })
         } else {
             mem
         };
         let llp_done = reap_start + self.llp_prog;
         let done = llp_done + self.hlp_rx_prog;
-        let lp = trace::stage(
-            trace::Layer::Llp,
-            "LLP_prog",
-            reap_start,
-            llp_done,
-            msg,
-            &[cpu_dep],
-        );
-        self.target_cpu_span =
-            trace::stage(trace::Layer::Hlp, "HLP_rx_prog", llp_done, done, msg, &[lp]);
+        let lp = probe::<OBSERVED, _>(|| {
+            trace::stage(
+                trace::Layer::Llp,
+                "LLP_prog",
+                reap_start,
+                llp_done,
+                msg,
+                &[cpu_dep],
+            )
+        });
+        self.target_cpu_span = probe::<OBSERVED, _>(|| {
+            trace::stage(trace::Layer::Hlp, "HLP_rx_prog", llp_done, done, msg, &[lp])
+        });
         self.target_cpu_free = done;
         let latency_dur = done.since(self.post_at(msg));
         // Bulk bootstrap: the fast path trusts the memo only after the
@@ -1690,11 +1734,13 @@ impl FaultSim {
         // collecting) — the e2e distribution behind `repro metrics`. The
         // post instant rides along so windowed collectors can split the
         // distribution over virtual time.
-        bband_metrics::record_ps_at(
-            "e2e_latency",
-            latency_dur.as_ps(),
-            self.post_at(msg).as_ps(),
-        );
+        probe::<OBSERVED, _>(|| {
+            bband_metrics::record_ps_at(
+                "e2e_latency",
+                latency_dur.as_ps(),
+                self.post_at(msg).as_ps(),
+            )
+        });
         let latency = latency_dur.as_ns_f64();
         self.completed += 1;
         self.lat_sum_ns += latency;
@@ -1785,19 +1831,21 @@ impl FaultSim {
                     // oldest unacked packet's last transmission attempt
                     // (often a drop marker) — the DAG can then name the
                     // attempt each backoff waited on.
-                    let gap_dep = self
-                        .rc_tx
-                        .oldest_unacked()
-                        .and_then(|(psn, _)| self.psn_launch.get(psn.0 as usize).copied())
-                        .unwrap_or(trace::SpanId::NONE);
-                    let gap = trace::stage(
-                        trace::Layer::Recovery,
-                        "rto_backoff",
-                        t - backoff,
-                        t,
-                        self.rc_tx.front_retries() as u64 + 1,
-                        &[gap_dep],
-                    );
+                    let gap = probe::<OBSERVED, _>(|| {
+                        let gap_dep = self
+                            .rc_tx
+                            .oldest_unacked()
+                            .and_then(|(psn, _)| self.psn_launch.get(psn.0 as usize).copied())
+                            .unwrap_or(trace::SpanId::NONE);
+                        trace::stage(
+                            trace::Layer::Recovery,
+                            "rto_backoff",
+                            t - backoff,
+                            t,
+                            self.rc_tx.front_retries() as u64 + 1,
+                            &[gap_dep],
+                        )
+                    });
                     let resends = self.rc_tx.on_timer(t);
                     if self.rc_tx.front_retries() > self.plan.retry.max_retries {
                         let (psn, pkt) = self
@@ -1831,14 +1879,16 @@ impl FaultSim {
                     let start = t.max_of(ready);
                     self.counters.recovery_time += start.since(ready);
                     let dep = if start > ready {
-                        trace::stage(
-                            trace::Layer::Recovery,
-                            "credit_wait",
-                            ready,
-                            start,
-                            msg,
-                            &[post_dep],
-                        )
+                        probe::<OBSERVED, _>(|| {
+                            trace::stage(
+                                trace::Layer::Recovery,
+                                "credit_wait",
+                                ready,
+                                start,
+                                msg,
+                                &[post_dep],
+                            )
+                        })
                     } else {
                         post_dep
                     };
@@ -1880,11 +1930,13 @@ impl FaultSim {
                     (t, ev)
                 }
             };
-            if trace::enabled() {
-                // Publish the virtual clock for clock-less substrate sites
-                // (credit pools, LCRC checks) that emit `instant_now`.
-                trace::set_now(t);
-            }
+            // Publish the virtual clock for clock-less substrate sites
+            // (credit pools, LCRC checks) that emit `instant_now`.
+            probe::<OBSERVED, _>(|| {
+                if trace::enabled() {
+                    trace::set_now(t);
+                }
+            });
             self.dispatch(t, ev, &mut aborted);
             if aborted.is_some() {
                 break;
@@ -1914,7 +1966,7 @@ impl FaultSim {
         let Some(memo) = self.memo else {
             return 0;
         };
-        if self.instrumented || !self.rep_verified {
+        if OBSERVED || !self.rep_verified {
             return 0;
         }
         // Size admission: never commit a chain recorded for another payload
@@ -2158,6 +2210,9 @@ pub fn run_e2e_under_faults_on(
 /// Like [`run_e2e_under_faults_on`] but keeps the partial statistics
 /// when the retry budget trips: the traced runs ([`crate::tracepath`])
 /// and the report layer's fast-vs-reference fault check want both.
+///
+/// A run with a trace or metrics collector installed on this thread runs
+/// the observed copy of the engine; any other run, the unobserved one.
 pub fn run_raw_on(
     path: EnginePath,
     cal: &Calibration,
@@ -2165,7 +2220,11 @@ pub fn run_raw_on(
     messages: u64,
     seed: u64,
 ) -> (FaultRunStats, Option<RetryExhausted>) {
-    FaultSim::new(cal, plan, messages, seed, path).run(messages)
+    if trace::enabled() || bband_metrics::enabled() {
+        FaultSim::<true>::new(cal, plan, messages, seed, path).run(messages)
+    } else {
+        FaultSim::<false>::new(cal, plan, messages, seed, path).run(messages)
+    }
 }
 
 /// The `latency_under_loss` experiment: sweep fabric loss probability over
@@ -2186,7 +2245,7 @@ pub fn latency_under_loss(
         let mut plan = base.clone();
         plan.loss_probability = loss;
         let task_seed = Pcg64::new(seed).fork(idx as u64).next_u64();
-        let (stats, aborted) = FaultSim::new(cal, &plan, messages, task_seed, path).run(messages);
+        let (stats, aborted) = run_raw_on(path, cal, &plan, messages, task_seed);
         LossPoint {
             loss_probability: loss,
             stats,
@@ -2820,8 +2879,9 @@ mod tests {
         (run, trace, metrics)
     }
 
-    /// Compare both paths' observations; returns how many spans each
-    /// trace held.
+    /// Compare both paths' observations, then run both paths with no
+    /// collector (the unobserved copy, probes compiled out) and require
+    /// the observed outcome; returns how many spans each trace held.
     fn assert_paths_identical(plan: &FaultPlan, messages: u64, seed: u64) -> usize {
         let fast = observe(EnginePath::Fast, plan, messages, seed);
         let reference = observe(EnginePath::Reference, plan, messages, seed);
@@ -2834,7 +2894,45 @@ mod tests {
             fast.2, reference.2,
             "metrics diverged: {plan:?} seed {seed}"
         );
+        assert!(!trace::enabled() && !bband_metrics::enabled());
+        let c = cal();
+        for path in [EnginePath::Fast, EnginePath::Reference] {
+            assert_eq!(
+                run_raw_on(path, &c, plan, messages, seed),
+                fast.0,
+                "unobserved {path:?} run diverged from the observed one: {plan:?} seed {seed}"
+            );
+        }
         fast.1.len()
+    }
+
+    /// Either collector alone selects the observed copy. Under metrics
+    /// alone the registry is the one both collectors leave, with one
+    /// `e2e_latency` sample per completed message (the unobserved copy
+    /// records none, and a bulk commit none either); under a trace alone
+    /// the spans are the ones both collectors leave.
+    #[test]
+    fn either_collector_alone_runs_the_observed_copy() {
+        let c = cal();
+        let mut lossy = FaultPlan::none();
+        lossy.loss_probability = 0.02;
+        for plan in [FaultPlan::none(), lossy] {
+            for path in [EnginePath::Fast, EnginePath::Reference] {
+                let both = observe(path, &plan, 200, 3);
+                let (run, metrics) = bband_metrics::collect(|| run_raw_on(path, &c, &plan, 200, 3));
+                assert_eq!(run, both.0);
+                let e2e = metrics
+                    .hists
+                    .iter()
+                    .find(|h| h.name == "e2e_latency")
+                    .expect("metered latencies");
+                assert_eq!(e2e.count, run.0.completed, "{path:?} {plan:?}");
+                assert_eq!(metrics, both.2, "{path:?} {plan:?}");
+                let (run, spans) = trace::collect(|| run_raw_on(path, &c, &plan, 200, 3));
+                assert_eq!(run, both.0);
+                assert_eq!(spans, both.1, "{path:?} {plan:?}");
+            }
+        }
     }
 
     /// The fast path must be byte-identical to the reference event loop —
@@ -2977,11 +3075,12 @@ mod tests {
 
     /// On a memo run the keyed timer leaves the queue empty once a clean
     /// message completes, so the next post commits every remaining
-    /// message in bulk. A stale timer entry would refuse it.
+    /// message in bulk. A stale timer entry would refuse it. Only the
+    /// unobserved copy commits in bulk.
     #[test]
     fn a_clean_message_leaves_the_queue_empty_for_a_bulk_commit() {
         let c = cal();
-        let mut sim = FaultSim::new(&c, &FaultPlan::none(), 64, 1, EnginePath::Fast);
+        let mut sim = FaultSim::<false>::new(&c, &FaultPlan::none(), 64, 1, EnginePath::Fast);
         assert!(sim.memo.is_some());
         let (t0, t1) = (sim.post_at(0), sim.post_at(1));
         sim.post(0, t0);
@@ -3003,8 +3102,9 @@ mod tests {
         /// and seeds — including plans that defeat memoization (short
         /// timeouts, stall windows, heavy loss that trips the retry
         /// budget). Traced and metered runs compare stats, counters, spans
-        /// and metrics on the event loop; the untraced run compares stats
-        /// and counters where bulk commits engage.
+        /// and metrics on the event loop; the untraced runs compare stats
+        /// and counters where bulk commits engage, against the observed
+        /// outcome.
         #[test]
         fn fast_path_matches_reference_on_random_plans(
             seed in proptest::prelude::any::<u64>(),
@@ -3082,8 +3182,12 @@ mod tests {
             proptest::prop_assert_eq!(&fast.2, &reference.2);
             let c = cal();
             proptest::prop_assert_eq!(
-                run_raw_on(EnginePath::Fast, &c, &plan, messages, seed),
-                run_raw_on(EnginePath::Reference, &c, &plan, messages, seed)
+                &run_raw_on(EnginePath::Fast, &c, &plan, messages, seed),
+                &fast.0
+            );
+            proptest::prop_assert_eq!(
+                &run_raw_on(EnginePath::Reference, &c, &plan, messages, seed),
+                &fast.0
             );
         }
     }

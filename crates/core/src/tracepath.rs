@@ -121,12 +121,14 @@ pub const DEFAULT_SIZE_GRID: [u32; 10] = [
 
 /// The payload-size sweep behind `repro sweep-size`: one pool task per
 /// size, each a traced *and* metered zero-fault run of `messages`
-/// messages at that payload. Every point is proven bit-exact against
-/// [`SizedLatencyModel::total`] before it is returned, and its DAG
-/// reconstruction attributes the latency to named stages — the
-/// eager/rendezvous crossover shows up as RTS/CTS stages entering the
-/// attribution. Task seeds fork deterministically from `seed` by index,
-/// so serial and pooled sweeps are byte-identical (tested below). Every
+/// messages at that payload. Every point is proven
+/// bit-exact against [`SizedLatencyModel::total`] before it is returned,
+/// and its DAG reconstruction attributes the latency to named stages —
+/// the eager/rendezvous crossover shows up as RTS/CTS stages entering the
+/// attribution. Each task drops its size's spans once it has reduced
+/// them to a point, so the sweep holds at most one trace per pool
+/// thread. Task seeds fork deterministically from `seed` by index, so
+/// serial and pooled sweeps are byte-identical (tested below). Every
 /// point runs engine `path`.
 pub fn sweep_message_sizes(
     path: EnginePath,
@@ -135,61 +137,74 @@ pub fn sweep_message_sizes(
     messages: u64,
     seed: u64,
     pool: &WorkerPool,
-) -> (Vec<SizeSweepPoint>, Trace) {
+) -> Vec<SizeSweepPoint> {
+    pool.map(sizes.to_vec(), |idx, payload| {
+        size_point(path, cal, payload, messages, seed, idx).0
+    })
+}
+
+/// Point `idx` of a size sweep seeded with `seed`, and the trace it was
+/// reduced from: a traced and metered zero-fault run of `messages`
+/// messages at `payload` bytes, checked bit-exact against the sized
+/// model.
+fn size_point(
+    path: EnginePath,
+    cal: &Calibration,
+    payload: u32,
+    messages: u64,
+    seed: u64,
+    idx: usize,
+) -> (SizeSweepPoint, Trace) {
     let sized = SizedLatencyModel::from_calibration(cal);
-    let results = pool.map(sizes.to_vec(), |idx, payload| {
-        let mut plan = FaultPlan::none();
-        plan.payload_bytes = payload;
-        let task_seed = Pcg64::new(seed).fork(idx as u64).next_u64();
-        let ((run, task), tm) = metrics::collect(|| {
-            trace::collect(|| {
-                let run = run_raw_on(path, cal, &plan, messages, task_seed);
-                feed_recovery_counters(&run.0);
-                run
-            })
-        });
-        let (stats, aborted) = run;
-        assert!(aborted.is_none(), "a zero-fault sweep point cannot abort");
-        let model = sized.total(payload, None);
-        assert_eq!(
-            stats.min_ns,
-            model.as_ns_f64(),
-            "engine diverged from the sized model at {payload} B (fastest)"
-        );
-        assert_eq!(
-            stats.max_ns,
-            model.as_ns_f64(),
-            "engine diverged from the sized model at {payload} B (slowest)"
-        );
-        let tr = Trace::from_task(task.clone());
-        let cp = trace::critical_path(&tr);
-        let mut top: Vec<(String, f64)> = cp
-            .stages
-            .iter()
-            .filter(|s| s.exposed > SimDuration::ZERO)
-            .map(|s| (s.name.to_string(), s.exposed.as_ns_f64()))
-            .collect();
-        top.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-        top.truncate(5);
-        let set = MetricsSet::from_tasks(vec![tm]);
-        let e2e = set.hist("e2e_latency").expect("metered latencies");
-        let point = SizeSweepPoint {
-            payload_bytes: payload,
-            protocol: sized.select(payload, None).name(),
-            segments: SizedLatencyModel::segments(payload),
-            wire_bytes: bband_fabric::segmented_wire_bytes(payload, bband_fabric::MTU),
-            model_ns: model.as_ns_f64(),
-            stats,
-            p50_ns: e2e.quantile_ns(0.5),
-            p95_ns: e2e.quantile_ns(0.95),
-            p99_ns: e2e.quantile_ns(0.99),
-            goodput_gbps: f64::from(payload) * 8.0 / model.as_ns_f64(),
-            top_stages: top,
-        };
-        (point, task)
+    let mut plan = FaultPlan::none();
+    plan.payload_bytes = payload;
+    let task_seed = Pcg64::new(seed).fork(idx as u64).next_u64();
+    let ((run, task), tm) = metrics::collect(|| {
+        trace::collect(|| {
+            let run = run_raw_on(path, cal, &plan, messages, task_seed);
+            feed_recovery_counters(&run.0);
+            run
+        })
     });
-    let (points, tasks): (Vec<_>, Vec<_>) = results.into_iter().unzip();
-    (points, Trace::from_tasks(tasks))
+    let (stats, aborted) = run;
+    assert!(aborted.is_none(), "a zero-fault sweep point cannot abort");
+    let model = sized.total(payload, None);
+    assert_eq!(
+        stats.min_ns,
+        model.as_ns_f64(),
+        "engine diverged from the sized model at {payload} B (fastest)"
+    );
+    assert_eq!(
+        stats.max_ns,
+        model.as_ns_f64(),
+        "engine diverged from the sized model at {payload} B (slowest)"
+    );
+    let tr = Trace::from_task(task);
+    let cp = trace::critical_path(&tr);
+    let mut top: Vec<(String, f64)> = cp
+        .stages
+        .iter()
+        .filter(|s| s.exposed > SimDuration::ZERO)
+        .map(|s| (s.name.to_string(), s.exposed.as_ns_f64()))
+        .collect();
+    top.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+    top.truncate(5);
+    let set = MetricsSet::from_tasks(vec![tm]);
+    let e2e = set.hist("e2e_latency").expect("metered latencies");
+    let point = SizeSweepPoint {
+        payload_bytes: payload,
+        protocol: sized.select(payload, None).name(),
+        segments: SizedLatencyModel::segments(payload),
+        wire_bytes: bband_fabric::segmented_wire_bytes(payload, bband_fabric::MTU),
+        model_ns: model.as_ns_f64(),
+        stats,
+        p50_ns: e2e.quantile_ns(0.5),
+        p95_ns: e2e.quantile_ns(0.95),
+        p99_ns: e2e.quantile_ns(0.99),
+        goodput_gbps: f64::from(payload) * 8.0 / model.as_ns_f64(),
+        top_stages: top,
+    };
+    (point, tr)
 }
 
 /// Feed a finished run's per-layer recovery counters into the metrics
@@ -572,32 +587,30 @@ mod tests {
         assert!(cp.stage("RTS_wire").is_some());
     }
 
-    /// The size sweep is pool-invariant — points and merged traces are
-    /// byte-identical between serial and pooled runs — and every point
-    /// carries the protocol, quantiles, and stage attribution the curve
-    /// artifact needs.
+    /// The size sweep is pool-invariant — points, and the whole trace each
+    /// point was reduced from, are byte-identical between serial and
+    /// pooled runs — and every point carries the protocol, quantiles, and
+    /// stage attribution the curve artifact needs.
     #[test]
     fn size_sweep_is_pool_invariant_and_crossover_visible() {
         let c = cal();
         let sizes = [8u32, 4096, 65_536, 1 << 20];
-        let (pts_a, tr_a) = sweep_message_sizes(
-            EnginePath::Fast,
-            &c,
-            &sizes,
-            8,
-            0x5EED,
-            &WorkerPool::with_threads(1),
-        );
-        let (pts_b, tr_b) = sweep_message_sizes(
-            EnginePath::Fast,
-            &c,
-            &sizes,
-            8,
-            0x5EED,
-            &WorkerPool::with_threads(4),
-        );
+        let sweep = |threads| {
+            let pool = WorkerPool::with_threads(threads);
+            let points = sweep_message_sizes(EnginePath::Fast, &c, &sizes, 8, 0x5EED, &pool);
+            // The sweep drops each size's trace; collect them here.
+            let traced = pool.map(sizes.to_vec(), |idx, payload| {
+                size_point(EnginePath::Fast, &c, payload, 8, 0x5EED, idx)
+            });
+            let (traced_points, traces): (Vec<_>, Vec<_>) = traced.into_iter().unzip();
+            assert_eq!(points, traced_points);
+            let json: Vec<String> = traces.iter().map(Trace::to_chrome_json).collect();
+            (points, json)
+        };
+        let (pts_a, tr_a) = sweep(1);
+        let (pts_b, tr_b) = sweep(4);
         assert_eq!(pts_a, pts_b);
-        assert_eq!(tr_a.to_chrome_json(), tr_b.to_chrome_json());
+        assert_eq!(tr_a, tr_b);
         assert_eq!(pts_a.len(), sizes.len());
         // Small sizes go eager, large go rendezvous, and latency grows.
         assert_eq!(pts_a[0].protocol, "eager");

@@ -2,7 +2,7 @@
 //! component sums with proportional bars — the terminal-friendly
 //! companion to the Chrome trace-format export.
 
-use bband_trace::{ComponentSum, CriticalPath, Layer, Trace};
+use bband_trace::{sum_components, ComponentSum, CriticalPath, Layer, Trace};
 
 const BAR_WIDTH: usize = 28;
 
@@ -64,8 +64,7 @@ pub fn render_flame(title: &str, trace: &Trace) -> String {
         if task.is_empty() {
             continue;
         }
-        let single = Trace::from_task(task.clone());
-        let mut sums = single.component_sums();
+        let mut sums = sum_components(task);
         sums.sort_by_key(|c| c.layer.track());
         let max_ns = sums
             .iter()

@@ -205,7 +205,6 @@ mod tests {
             0x5EED,
             &WorkerPool::with_threads(2),
         )
-        .0
     }
 
     #[test]

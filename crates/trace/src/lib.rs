@@ -11,10 +11,13 @@
 //!
 //! Design constraints, in order:
 //!
-//! 1. **Zero overhead when disabled.** Tracing is off unless a collector
-//!    is installed via [`collect`]; the disabled fast path of [`span`] is
-//!    one thread-local flag read and a branch. No instrumented crate pays
-//!    an allocation, a lock, or a syscall.
+//! 1. **Little overhead when disabled.** Tracing is off unless a collector
+//!    is installed via [`collect`]; the disabled fast path of [`stage`] is
+//!    one thread-local read per collector kind (metrics, then spans) and a
+//!    branch each, and the caller still threads the [`SpanId::NONE`] it
+//!    returns to its next probe. No instrumented crate pays an allocation,
+//!    a lock, or a syscall. A caller that needs no cost at all compiles
+//!    its probes out of unobserved runs, as `bband_core::fault` does.
 //! 2. **Amortized growth in the hot path.** [`SpanRecord`] is `Copy`
 //!    (names are `&'static str`), and each [`collect`] scope appends to
 //!    one growing `Vec`: a push is an index write except when the list
@@ -123,25 +126,7 @@ impl Trace {
     /// insertion order), which for a single traced message is critical-path
     /// order.
     pub fn component_sums_filtered(&self, keep: impl Fn(&SpanRecord) -> bool) -> Vec<ComponentSum> {
-        let mut sums: Vec<ComponentSum> = Vec::new();
-        for (_, s) in self.spans() {
-            if !keep(s) {
-                continue;
-            }
-            match sums.iter_mut().find(|c| c.name == s.name) {
-                Some(c) => {
-                    c.total += s.dur;
-                    c.count += 1;
-                }
-                None => sums.push(ComponentSum {
-                    name: s.name,
-                    layer: s.layer,
-                    total: s.dur,
-                    count: 1,
-                }),
-            }
-        }
-        sums
+        sum_components(self.spans().map(|(_, s)| s).filter(|s| keep(s)))
     }
 
     /// Sum of durations of every span named `name`.
@@ -156,6 +141,29 @@ impl Trace {
     pub fn to_chrome_json(&self) -> String {
         chrome_trace_json(self)
     }
+}
+
+/// Per-name duration sums over `spans`, in first-appearance order: the
+/// one reduction behind [`Trace::component_sums`]. It reads the records in
+/// place, so a caller with one task's span list (a flame view's block)
+/// sums it without building a [`Trace`].
+pub fn sum_components<'a>(spans: impl IntoIterator<Item = &'a SpanRecord>) -> Vec<ComponentSum> {
+    let mut sums: Vec<ComponentSum> = Vec::new();
+    for s in spans {
+        match sums.iter_mut().find(|c| c.name == s.name) {
+            Some(c) => {
+                c.total += s.dur;
+                c.count += 1;
+            }
+            None => sums.push(ComponentSum {
+                name: s.name,
+                layer: s.layer,
+                total: s.dur,
+                count: 1,
+            }),
+        }
+    }
+    sums
 }
 
 #[cfg(test)]

@@ -78,8 +78,8 @@ impl Layer {
 /// Handle to a recorded span within its task, used to declare
 /// happens-after edges between stages: the span's 1-based position in
 /// its [`collect`] scope's span list. `SpanId::NONE` (zero) means "no
-/// span" — recording sites return it when tracing is disabled, so edge
-/// plumbing costs nothing on untraced runs.
+/// span" — recording sites return it when tracing is disabled, and a
+/// stage that lists it as a predecessor records no edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SpanId(pub u64);
 
@@ -210,8 +210,8 @@ pub fn span(layer: Layer, name: &'static str, start: SimTime, end: SimTime, arg:
 }
 
 /// Record a pipeline stage: a span from `start` to `end` that happens
-/// after every span in `deps` (null ids are skipped — threading
-/// [`SpanId::NONE`] through untraced runs is free). This is the edge-
+/// after every span in `deps` (null ids are skipped, so an untraced run
+/// threads [`SpanId::NONE`] through and records no edge). This is the edge-
 /// recording primitive every layer's instrumentation uses; the DAG
 /// reconstructor recovers the critical path from these edges.
 #[inline]
@@ -241,8 +241,8 @@ pub fn stage_dur(
     // collecting): the same name/duration stream, accumulated into
     // log-bucketed histograms instead of a span list. The stage's virtual
     // start instant rides along so windowed collectors can split the
-    // distribution over time. Gated on its own atomic, so this costs one
-    // relaxed load when metrics are off.
+    // distribution over time. Gated on its own thread-local, so this
+    // costs one thread-local read when metrics are off.
     bband_metrics::record_ps_at(name, dur.as_ps(), start.as_ps());
     if !enabled() {
         return SpanId::NONE;
